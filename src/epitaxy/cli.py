@@ -28,7 +28,7 @@ import numpy as np
 from . import presets
 from .exceptions import CertificateError, NumericalError, PicardConvergenceError
 from .nonlinear import TaylorDepth
-from .norms import analyticity_radius, certify, wiener_norm
+from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
 from .semigroup import Trajectory, operator_bound_probe, random_probe_trajectory
 from .spectral import FourierField, embed
@@ -238,14 +238,17 @@ def _run_certify(spec: RunSpec, out: Path) -> dict:
     return {"artifacts": ["certificate.json"], "pass": cert.passed, "r0": cert.r0}
 
 
-def _comparison_rows(a: Trajectory, b: Trajectory) -> tuple[list[str], float]:
-    rows = []
-    worst = 0.0
-    for t, fa, fb in zip(a.times, a.fields, b.fields):
-        diff = wiener_norm(fa - fb, 2)
-        worst = max(worst, diff)
-        rows.append(f"{_fmt(t)},{_fmt(diff)}")
-    return rows, worst
+def _comparison(a: Trajectory, b: Trajectory) -> tuple[list[str], float]:
+    """Rows ``t,wiener2_diff`` at the time nodes both trajectories hold, and the largest.
+
+    Both grids start at t = 0, so they always share at least that node.
+    """
+    if a.dim != b.dim or a.truncation != b.truncation:
+        raise ValidationError("trajectories must share dim and truncation")
+    times, ia, ib = np.intersect1d(a.times, b.times, assume_unique=True, return_indices=True)
+    gaps = wiener_norm(Trajectory(times, a.coeffs[ia] - b.coeffs[ib]), 2)
+    rows = [f"{_fmt(t)},{_fmt(gap)}" for t, gap in zip(times, gaps)]
+    return rows, float(np.max(gaps))
 
 
 def _run_solve(spec: RunSpec, out: Path) -> dict:
@@ -265,7 +268,7 @@ def _run_solve(spec: RunSpec, out: Path) -> dict:
     write_json(out / "stepper_trajectory.json", marched.to_json_dict(), spec)
     diag_lines = diag.csv_lines()
     write_csv(out / "picard_diagnostics.csv", diag_lines[0], diag_lines[1:], spec)
-    rows, worst = _comparison_rows(solution, marched)
+    rows, worst = _comparison(solution, marched)
     write_csv(out / "engine_comparison.csv", "t,wiener2_diff", rows, spec)
     summary = {
         "certificate_pass": cert.passed,
@@ -396,26 +399,11 @@ def _run_compare(spec: RunSpec, out: Path) -> dict:
             raise ValidationError(f"compare needs mode_options.{key}")
     a = _load_trajectory(opts["trajectory_a"])
     b = _load_trajectory(opts["trajectory_b"])
-    if a.dim != b.dim or a.truncation != b.truncation:
-        raise ValidationError("trajectories must share dim and truncation")
-    common = [
-        (i, j)
-        for i, t in enumerate(a.times)
-        for j, s in enumerate(b.times)
-        if t == s
-    ]
-    if not common:
-        raise ValidationError("trajectories share no time nodes")
-    rows = []
-    worst = 0.0
-    for i, j in common:
-        diff = wiener_norm(a.fields[i] - b.fields[j], 2)
-        worst = max(worst, diff)
-        rows.append(f"{_fmt(a.times[i])},{_fmt(diff)}")
+    rows, worst = _comparison(a, b)
     write_csv(out / "comparison.csv", "t,wiener2_diff", rows, spec)
     write_json(
         out / "summary.json",
-        {"max_wiener2_diff": worst, "shared_nodes": len(common)},
+        {"max_wiener2_diff": worst, "shared_nodes": len(rows)},
         spec,
     )
     return {"artifacts": ["comparison.csv", "summary.json"], "max_wiener2_diff": worst}
@@ -447,20 +435,14 @@ def _run_radius(spec: RunSpec, out: Path) -> dict:
         raise ValidationError(
             f"radius fit window [{t_lo}, {t_hi}] contains {len(fit_points)} usable nodes; need >= 2"
         )
-    x = np.array([p[0] for p in fit_points])
-    y = np.array([p[1] for p in fit_points])
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    fit_times, fit_radii = zip(*fit_points)
+    intercept, slope, r_squared = _line_fit(fit_times, fit_radii)
     summary = {
         "alpha": alpha,
-        "slope": float(coef[1]),
-        "intercept": float(coef[0]),
+        "slope": slope,
+        "intercept": intercept,
         "r_squared": r_squared,
-        "slope_minus_alpha": float(coef[1]) - alpha,
+        "slope_minus_alpha": slope - alpha,
         "fit_window": [t_lo, t_hi],
         "n_points": len(fit_points),
     }

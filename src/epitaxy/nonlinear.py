@@ -25,13 +25,28 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .norms import wiener_norm
-from .spectral import FourierField, GridField, analyze, bilaplacian_neg, laplacian, synthesize
+from .semigroup import Trajectory
+from .spectral import (
+    FourierField,
+    GridField,
+    analyze,
+    analyze_batch,
+    bilaplacian_neg,
+    laplacian,
+    mode_grids,
+    synthesize,
+    synthesize_batch,
+)
 
 #: Adaptive depth resolution refuses to go past this many series terms.
 DEPTH_HARD_CAP = 64
 
 #: Pointwise exponentials with arguments above this certainly overflow.
 _EXP_ARG_LIMIT = 700.0
+
+#: A batched series sum works on at most this many padded grid points at a
+#: time (16 MiB per complex array); longer trajectories are summed in chunks.
+_BATCH_GRID_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,15 @@ def _laplacian_grid(field: FourierField, padding_factor: float) -> np.ndarray:
     return synthesize(laplacian(field), m).samples
 
 
+def _laplacian_batch(coeffs: np.ndarray) -> np.ndarray:
+    """-|k|^2 coeff(k) for every box of a ``(nodes,) + box`` batch, zero mode kept zero."""
+    dim = coeffs.ndim - 1
+    truncation = (coeffs.shape[1] - 1) // 2
+    out = coeffs * -mode_grids(dim, truncation).ksq
+    out[(slice(None),) + (truncation,) * dim] = 0.0
+    return out
+
+
 def taylor_term_Fj(
     field: FourierField, j: int, padding_factor: float = 2.0
 ) -> tuple[FourierField, float]:
@@ -114,39 +138,77 @@ def taylor_term_Fj(
     return analyze(GridField(field.dim, values), field.truncation)
 
 
-def taylor_sum(
-    field: FourierField, depth: TaylorDepth, padding_factor: float = 2.0
-) -> tuple[FourierField, float]:
-    """sum_{j=2}^{J} F_j with J resolved from ``depth``; terms summed ascending.
+def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
+    """sum_{j=2}^{J_i} F_j on the M^dim grid for node i of a batch; (coeffs, means).
 
-    Returns the mean-zero part and the mean, like ``taylor_term_Fj``.  With
-    the linear-only sentinel the sum is empty and the zero field is returned.
+    Every node advances through the same powers, and term j is added only
+    where j <= J_i, so each node's sum is exactly its own depth-J_i sum.
     """
-    depth_j = depth.resolve(wiener_norm(field, 2))
-    if depth_j < 2:
-        return FourierField.zero(field.dim, field.truncation), 0.0
-    y = -_laplacian_grid(field, padding_factor)
+    y = -synthesize_batch(_laplacian_batch(coeffs), m)
     term = 0.5 * y * y
     total = term.copy()
-    for j in range(3, depth_j + 1):
-        term = term * (y / j)
-        total += term
-    return analyze(GridField(field.dim, total), field.truncation)
+    live = depths.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(3, int(depths.max()) + 1):
+            term *= y / j
+            np.add(total, term, out=total, where=live >= j)
+    bad = ~np.isfinite(total).reshape(total.shape[0], -1).all(axis=1)
+    if np.any(bad):
+        raise NumericalError(
+            f"series sum overflowed at depth {int(depths[np.argmax(bad)])}: "
+            f"max |lap h| on the grid is {float(np.max(np.abs(y[np.argmax(bad)]))):.6g}"
+        )
+    return analyze_batch(total, (coeffs.shape[1] - 1) // 2)
 
 
-def rhs_exponential(field: FourierField, padding_factor: float = 2.0) -> FourierField:
-    """lap(exp(-lap h)) via the pointwise exponential on a padded grid."""
-    if field.max_abs() == 0.0:
-        return field  # exp(0) is constant; its Laplacian vanishes exactly
-    g = _laplacian_grid(field, padding_factor)
+def taylor_sum(h, depth: TaylorDepth, padding_factor: float = 2.0):
+    """sum_{j=2}^{J} F_j with J resolved from ``depth``; terms summed ascending.
+
+    ``h`` is a FourierField, giving ``(field, mean)`` like ``taylor_term_Fj``,
+    or a Trajectory, giving ``(trajectory, means)`` with one mean per node.
+    A trajectory is summed as one batch: one transform pair over all nodes,
+    with J resolved per node from that node's norm.  With the linear-only
+    sentinel the sum is empty and zero is returned.  A non-finite partial sum
+    raises NumericalError.
+    """
+    single = isinstance(h, FourierField)
+    batch = h.coeffs[None] if single else h.coeffs
+    norms = np.atleast_1d(wiener_norm(h, 2))
+    depths = np.array([depth.resolve(float(r)) for r in norms], dtype=np.int64)
+    out = np.zeros_like(batch)
+    means = np.zeros(batch.shape[0])
+    if depths.max() >= 2:
+        m = padded_grid_size(h.truncation, padding_factor)
+        chunk = max(1, _BATCH_GRID_POINTS // m**h.dim)
+        for lo in range(0, batch.shape[0], chunk):
+            hi = lo + chunk
+            out[lo:hi], means[lo:hi] = _series_batch(batch[lo:hi], depths[lo:hi], m)
+    if single:
+        return FourierField(h.dim, h.truncation, out[0]), float(means[0])
+    return Trajectory(h.times, out), means
+
+
+def _rhs_exponential_coeffs(coeffs: np.ndarray, padding_factor: float) -> np.ndarray:
+    """Array core of ``rhs_exponential`` on one coefficient box."""
+    if not coeffs.any():
+        return np.zeros_like(coeffs)  # exp(0) is constant; its Laplacian vanishes exactly
+    truncation = (coeffs.shape[0] - 1) // 2
+    m = padded_grid_size(truncation, padding_factor)
+    g = synthesize_batch(_laplacian_batch(coeffs[None]), m)
     arg_max = float(np.max(-g))
     if arg_max > _EXP_ARG_LIMIT:
         raise NumericalError(
             f"pointwise exponential would overflow: max |lap h| on the grid is "
             f"{float(np.max(np.abs(g))):.6g}"
         )
-    transformed, _mean = analyze(GridField(field.dim, np.exp(-g)), field.truncation)
-    return laplacian(transformed)
+    transformed, _means = analyze_batch(np.exp(-g), truncation)
+    return _laplacian_batch(transformed)[0]
+
+
+def rhs_exponential(field: FourierField, padding_factor: float = 2.0) -> FourierField:
+    """lap(exp(-lap h)) via the pointwise exponential on a padded grid."""
+    coeffs = _rhs_exponential_coeffs(field.coeffs, padding_factor)
+    return FourierField(field.dim, field.truncation, coeffs)
 
 
 def rhs_taylor(

@@ -53,12 +53,18 @@ class WeightParams:
         object.__setattr__(self, "j", int(self.j))
 
 
-def wiener_norm(field: FourierField, j: int = 0) -> float:
-    """sum_k |k|^j |coeff(k)|; j = 2 equals the Wiener norm of the Laplacian."""
+def wiener_norm(h, j: int = 0):
+    """sum_k |k|^j |coeff(k)|; j = 2 equals the Wiener norm of the Laplacian.
+
+    ``h`` is a FourierField (the result is a float) or a Trajectory (the
+    result is an array with one norm per node).
+    """
     if j < 0:
         raise ValueError(f"j must be nonnegative, got {j}")
-    kmag = mode_grids(field.dim, field.truncation).kmag
-    return float(np.sum(kmag**j * np.abs(field.coeffs)))
+    kmag = mode_grids(h.dim, h.truncation).kmag
+    box_axes = tuple(range(-h.dim, 0))
+    norms = np.sum(kmag**j * np.abs(h.coeffs), axis=box_axes)
+    return float(norms) if isinstance(h, FourierField) else norms
 
 
 def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
@@ -67,20 +73,30 @@ def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
     The per-mode weighted amplitude is maximized over the grid nodes as
     alpha*t*|k| + log|coeff| so that large exponents cannot overflow before
     the maximum is taken; the result may still be ``inf`` if the norm itself
-    is not finite at this alpha.
+    is not finite at this alpha.  Trajectories are finite by construction.
     """
     grids = mode_grids(traj.dim, traj.truncation)
-    stacked = np.abs(np.stack([f.coeffs for f in traj.fields]))
-    if np.isnan(stacked).any():
-        raise NumericalError("trajectory contains NaN amplitudes")
     times = traj.times.reshape((-1,) + (1,) * traj.dim)
     with np.errstate(divide="ignore"):
-        logamp = np.log(stacked)
+        logamp = np.log(np.abs(traj.coeffs))
     weighted = params.alpha * times * grids.kmag + logamp
     peak = weighted.max(axis=0)
     with np.errstate(over="ignore"):
         amps = np.exp(peak)
     return float(np.sum(grids.kmag**params.j * amps))
+
+
+def _line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y ~ intercept + slope * x; returns (intercept, slope, R^2)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    design = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    fitted = design @ coef
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(coef[0]), float(coef[1]), r_squared
 
 
 @dataclass(frozen=True)
@@ -118,15 +134,8 @@ def analyticity_radius(field: FourierField, floor: float = 1e-13) -> RadiusFit:
             f"radius fit needs at least 3 shells above floor {floor:g}, got {len(points)}"
         )
     points.sort()
-    x = np.array([p[0] for p in points])
-    y = np.array([-math.log(p[1]) for p in points])
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RadiusFit(rho=float(coef[1]), r_squared=r_squared, n_shells=len(points))
+    _, rho, r_squared = _line_fit([p[0] for p in points], [-math.log(p[1]) for p in points])
+    return RadiusFit(rho=rho, r_squared=r_squared, n_shells=len(points))
 
 
 def max_alpha(r0: float) -> float:
@@ -137,7 +146,11 @@ def max_alpha(r0: float) -> float:
         )
     alpha = (1.0 - 4.0 * r0) / (1.0 - 2.0 * r0)
     # substituting back must reproduce r0 at the boundary
-    assert abs(r0 - (1.0 - alpha) / (2.0 * (2.0 - alpha))) <= 1e-12
+    residual = abs(r0 - (1.0 - alpha) / (2.0 * (2.0 - alpha)))
+    if not residual <= 1e-12:
+        raise NumericalError(
+            f"max_alpha({r0!r}) = {alpha!r} does not reproduce r0 (residual {residual:.3e})"
+        )
     return alpha
 
 

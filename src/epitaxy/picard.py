@@ -6,7 +6,8 @@ One application of the map sends a candidate trajectory h to
 
 where the Laplacian of the Duhamel integrand is the -|k|^2 factor inside the
 I+ operator.  The integral operator is linear, so the series is summed into
-a single trajectory first and I+ is applied once per iteration.
+a single trajectory first (one batched transform pair over all nodes) and I+
+is applied once per iteration.
 
 Iteration starts from the linear flow (the center of the certificate ball)
 and contracts geometrically whenever the certificate passed: the ratios of
@@ -55,10 +56,7 @@ def duhamel_map(
     """One application of the fixed-point map T to the trajectory ``h``."""
     if h.dim != h0.dim or h.truncation != h0.truncation:
         raise ValueError("trajectory nodes must share dim and truncation with h0")
-    series_nodes = tuple(
-        taylor_sum(node, depth, padding)[0] for node in h.fields
-    )
-    series = Trajectory(h.times, series_nodes)
+    series, _means = taylor_sum(h, depth, padding)
     return linear_trajectory(h0, h.times) + duhamel_Iplus(series)
 
 

@@ -10,83 +10,126 @@ j = 2 is bounded by 1 / (1 - alpha) for alpha in (0, 1); the per-mode bound
 is 1 / (1 - alpha / |k|^3), largest at |k| = 1.  ``operator_bound_probe``
 measures this ratio numerically.
 
-Trajectories are time grids of coefficient fields, piecewise-linear in time
-per mode.  The Duhamel integral of the interpolant is evaluated in closed
-form on each subinterval (exponential moments of a linear function) and
-accumulated with the recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local,
-so the cost is linear in the number of nodes.
+A trajectory is a time grid plus one complex coefficient array of shape
+(nodes, 2N+1[, 2N+1]), piecewise-linear in time per mode.  The array is
+validated once when the trajectory is built (finite, zero mode vanishing,
+Hermitian per node), and the operators here act on the whole array at once.
+The Duhamel integral of the interpolant is evaluated in closed form on each
+subinterval (exponential moments of a linear function), with the kernel
+weights computed once per distinct step size, and accumulated with the
+recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local, so the cost is linear
+in the number of nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .norms import WeightParams, spacetime_norm
-from .spectral import FourierField, mode_grids
+from .spectral import (
+    FourierField,
+    check_coefficients,
+    coeffs_from_entries,
+    mode_entries,
+    mode_grids,
+)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """A time-gridded sequence of fields, piecewise-linear in t per mode."""
+    """A time grid with one coefficient box per node, piecewise-linear in t per mode.
+
+    Attributes:
+        times: strictly increasing nodes starting at exactly t = 0
+        coeffs: complex array of shape (nodes,) + (2N+1,)*dim; immutable
+    """
 
     times: np.ndarray
-    fields: tuple[FourierField, ...]
+    coeffs: np.ndarray
 
-    def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=float)
-        fields = tuple(self.fields)
+    def __init__(self, times, fields):
+        """``fields`` is a sequence of FourierFields or a ``(nodes,) + box`` array."""
+        times = np.ascontiguousarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty 1-d grid")
-        if times.size != len(fields):
-            raise ValueError(f"{times.size} times but {len(fields)} fields")
+        if not isinstance(fields, np.ndarray):
+            fields = tuple(fields)
+            if len({(f.dim, f.truncation) for f in fields}) > 1:
+                raise ValueError("all node fields must share dim and truncation")
+            fields = np.array([f.coeffs for f in fields])
+        coeffs = np.ascontiguousarray(fields, dtype=complex)
+        nodes = coeffs.shape[0] if coeffs.ndim else 0
+        if times.size != nodes:
+            raise ValueError(f"{times.size} times but {nodes} fields")
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
         if times[0] != 0.0:
             raise ValueError(f"first node must sit at exactly t = 0, got {times[0]}")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        base = fields[0]
-        for f in fields[1:]:
-            if f.dim != base.dim or f.truncation != base.truncation:
-                raise ValueError("all node fields must share dim and truncation")
+        dim = coeffs.ndim - 1
+        if dim not in (1, 2) or coeffs.shape[1] < 3 or coeffs.shape[1] % 2 == 0:
+            raise ValueError(f"coefficient array of shape {coeffs.shape} is not a batch of boxes")
+        check_coefficients(coeffs, dim, (coeffs.shape[1] - 1) // 2)
         times.flags.writeable = False
+        coeffs.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def dim(self) -> int:
-        return self.fields[0].dim
+        return self.coeffs.ndim - 1
 
     @property
     def truncation(self) -> int:
-        return self.fields[0].truncation
+        return (self.coeffs.shape[1] - 1) // 2
+
+    @cached_property
+    def fields(self) -> tuple[FourierField, ...]:
+        """One FourierField per node, each a read-only view into ``coeffs``."""
+        dim, truncation = self.dim, self.truncation
+        return tuple(FourierField._trusted(dim, truncation, c) for c in self.coeffs)
 
     def _check_same_grid(self, other: "Trajectory"):
         if not np.array_equal(self.times, other.times):
             raise ValueError("trajectories live on different time grids")
+        if self.coeffs.shape != other.coeffs.shape:
+            raise ValueError(
+                f"incompatible trajectories: dim/truncation ({self.dim},{self.truncation}) "
+                f"vs ({other.dim},{other.truncation})"
+            )
 
     def __add__(self, other: "Trajectory") -> "Trajectory":
         self._check_same_grid(other)
-        return Trajectory(self.times, tuple(a + b for a, b in zip(self.fields, other.fields)))
+        return Trajectory(self.times, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         self._check_same_grid(other)
-        return Trajectory(self.times, tuple(a - b for a, b in zip(self.fields, other.fields)))
+        return Trajectory(self.times, self.coeffs - other.coeffs)
 
     def to_json_dict(self) -> dict:
+        """JSON form: {"times": [...], "fields": [FourierField JSON form per node]}."""
+        head = {"dim": self.dim, "truncation": self.truncation}
         return {
-            "times": [float(t) for t in self.times],
-            "fields": [f.to_json_dict() for f in self.fields],
+            "times": self.times.tolist(),
+            "fields": [{**head, "coeffs": e} for e in mode_entries(self.coeffs, self.truncation)],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Trajectory":
         times = np.array([float(t) for t in data["times"]])
-        fields = tuple(FourierField.from_json_dict(d) for d in data["fields"])
-        return cls(times, fields)
+        fields = data["fields"]
+        if not fields:
+            return cls(times, ())
+        dim, truncation = int(fields[0]["dim"]), int(fields[0]["truncation"])
+        if any(int(f["dim"]) != dim or int(f["truncation"]) != truncation for f in fields):
+            raise ValueError("all node fields must share dim and truncation")
+        entries = [f["coeffs"] for f in fields]
+        return cls(times, coeffs_from_entries(dim, truncation, entries))
 
 
 def propagate(field: FourierField, t: float) -> FourierField:
@@ -101,7 +144,9 @@ def propagate(field: FourierField, t: float) -> FourierField:
 def linear_trajectory(h0: FourierField, times) -> Trajectory:
     """Trajectory whose node i holds the linear flow of ``h0`` at times[i]."""
     times = np.ascontiguousarray(times, dtype=float)
-    return Trajectory(times, tuple(propagate(h0, t) for t in times))
+    k4 = mode_grids(h0.dim, h0.truncation).k4
+    column = times.reshape((-1,) + (1,) * h0.dim)
+    return Trajectory(times, h0.coeffs * np.exp(-k4 * column))
 
 
 # -- exponential moments of a linear function ---------------------------------
@@ -173,25 +218,38 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
 
     with f the piecewise-linear interpolant of the input nodes.  Each
     subinterval is integrated in closed form, so the only discretization
-    error is the linear-in-time representation of f itself.
+    error is the linear-in-time representation of f itself.  The kernel
+    weights are evaluated once per distinct step size (a uniform grid built
+    by ``linspace`` has only a few, differing in the last bits), and every
+    interval's local term is formed in one array operation; only the
+    accumulation runs node by node.
     """
     grids = mode_grids(traj.dim, traj.truncation)
-    center = (traj.truncation,) * traj.dim
-    stacked = np.stack([f.coeffs for f in traj.fields])
-    times = traj.times
-    acc = np.zeros_like(stacked[0])
-    out = [np.zeros_like(acc)]
-    for i in range(times.size - 1):
-        dt = times[i + 1] - times[i]
-        z = grids.k4 * dt
-        wa, wb = exp_moment_weights(z)
-        local = dt * (stacked[i] * wa + stacked[i + 1] * wb)
-        acc = np.exp(-z) * acc + local
-        node = -grids.ksq * acc
-        node[center] = 0.0
-        out.append(node)
-    fields = tuple(FourierField(traj.dim, traj.truncation, c) for c in out)
-    return Trajectory(times, fields)
+    stacked = traj.coeffs
+    steps = np.diff(traj.times)
+    # distinct step sizes, sorted, and each interval's index among them
+    # (np.unique would do, but its first call imports numpy.ma, +1.7 MiB RSS)
+    ordered = np.sort(steps)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    which = np.searchsorted(distinct, steps)
+    z = distinct.reshape((-1,) + (1,) * traj.dim) * grids.k4
+    wa, wb = exp_moment_weights(z)
+    decay = np.exp(-z)
+    # acc[i + 1] starts as interval i's local term and then absorbs the
+    # decayed acc[i]; the products are formed in place to bound temporaries
+    acc = np.empty_like(stacked)
+    acc[0] = 0.0
+    np.multiply(stacked[1:], wb[which], out=acc[1:])
+    acc[1:] += stacked[:-1] * wa[which]
+    acc[1:] *= steps.reshape((-1,) + (1,) * traj.dim)
+    for i, w in enumerate(which):
+        acc[i + 1] += decay[w] * acc[i]
+    acc *= -grids.ksq
+    acc[0] = 0.0
+    acc[(slice(None),) + (traj.truncation,) * traj.dim] = 0.0
+    return Trajectory(traj.times, acc)
 
 
 def random_probe_trajectory(
@@ -226,8 +284,7 @@ def random_probe_trajectory(
         nidx = tuple(-c + truncation for c in comps)
         stacked[(slice(None),) + idx] += amp * profile
         stacked[(slice(None),) + nidx] += np.conj(amp) * profile
-    fields = tuple(FourierField(dim, truncation, c) for c in stacked)
-    return Trajectory(times, fields)
+    return Trajectory(times, stacked)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ conserved by the evolution and is factored out of every representation).
 
 The physical-space side is a uniform M^n grid over [0, 2*pi)^n; synthesis
 and analysis are exact inverses of each other whenever M >= 2N + 1.
+
+The transforms work on batches: a ``(nodes,) + box`` coefficient array is
+synthesized or analyzed with one FFT over the trailing axes.  ``synthesize``
+and ``analyze`` are the single-field forms of the same code.
 """
 
 from __future__ import annotations
@@ -88,9 +92,122 @@ def mode_grids(dim: int, truncation: int) -> _ModeGrids:
     return _ModeGrids(dim, truncation)
 
 
-def _conj_flip(coeffs: np.ndarray) -> np.ndarray:
-    sl = tuple(slice(None, None, -1) for _ in range(coeffs.ndim))
-    return np.conj(coeffs[sl])
+def _flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """View with k -> -k over the last ``dim`` axes."""
+    return coeffs[(Ellipsis,) + (slice(None, None, -1),) * dim]
+
+
+def _conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """conj(coeff(-k)) over the last ``dim`` axes."""
+    return np.conj(_flip(coeffs, dim))
+
+
+def check_coefficients(coeffs: np.ndarray, dim: int, truncation: int) -> None:
+    """Raise ValueError unless every box in ``coeffs`` represents a real mean-zero field.
+
+    ``coeffs`` holds one box, shape (2N+1,)*dim, or a batch with any leading
+    axes.  Each box must be finite, have a vanishing zero mode and be
+    Hermitian-symmetric to HERMITIAN_RTOL relative to max(1, its largest
+    amplitude).
+    """
+    n = 2 * truncation + 1
+    if coeffs.ndim < dim or coeffs.shape[coeffs.ndim - dim:] != (n,) * dim:
+        raise ValueError(
+            f"coefficient array has shape {coeffs.shape}, expected {(n,) * dim}"
+            + (" per node" if coeffs.ndim > dim else "")
+        )
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must all be finite")
+    zero_mode = coeffs[(Ellipsis,) + (truncation,) * dim]
+    if np.any(zero_mode != 0):
+        bad = np.ravel(zero_mode)[np.flatnonzero(zero_mode)[0]]
+        raise ValueError(f"zero mode must vanish (mean-zero reduction), got {bad}")
+    box_axes = tuple(range(coeffs.ndim - dim, coeffs.ndim))
+    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=box_axes))
+    deviation = _conj_flip(coeffs, dim)
+    deviation -= coeffs
+    asym = np.max(np.abs(deviation), axis=box_axes)
+    if np.any(asym > HERMITIAN_RTOL * scale):
+        raise ValueError(
+            f"coefficients are not Hermitian-symmetric (deviation {np.max(asym):.3e}); "
+            "the represented function would not be real-valued"
+        )
+
+
+def place_modes(
+    dim: int, truncation: int, nodes: int, node: np.ndarray, comps: np.ndarray, values
+) -> np.ndarray:
+    """Coefficient boxes for ``nodes`` nodes from (node, wavevector, amplitude) entries.
+
+    ``comps`` has one row of integer components per entry.  A Hermitian
+    partner -k that is not given is filled with conj(amplitude); one that is
+    given must agree with it.  The zero mode may not carry a nonzero amplitude.
+    Returns an array of shape (nodes,) + (2N+1,)*dim.
+    """
+    comps = np.asarray(comps, dtype=np.int64).reshape(-1, dim)
+    values = np.asarray(values, dtype=complex).reshape(-1)
+    node = np.asarray(node, dtype=np.int64).reshape(-1)
+    outside = np.any(np.abs(comps) > truncation, axis=1)
+    if np.any(outside):
+        bad = tuple(int(c) for c in comps[np.argmax(outside)])
+        raise ValueError(f"mode {bad} lies outside truncation {truncation}")
+    zero = np.all(comps == 0, axis=1)
+    if np.any(values[zero] != 0):
+        raise ValueError("zero mode must vanish (mean-zero reduction)")
+    comps, values, node = comps[~zero], values[~zero], node[~zero]
+    shape = (nodes,) + (2 * truncation + 1,) * dim
+    given = np.zeros(shape, dtype=complex)
+    explicit = np.zeros(shape, dtype=bool)
+    index = (node,) + tuple((comps + truncation).T)
+    given[index] = values
+    explicit[index] = True
+    partner = _conj_flip(given, dim)
+    partner_given = _flip(explicit, dim)
+    clash = (
+        explicit
+        & partner_given
+        & (np.abs(partner - given) > HERMITIAN_RTOL * np.maximum(1.0, np.abs(given)))
+    )
+    if np.any(clash):
+        pos = np.argwhere(clash)[0][1:] - truncation
+        k = tuple(int(c) for c in pos)
+        raise ValueError(f"modes {k} and {tuple(-c for c in k)} are not conjugate partners")
+    return np.where(explicit, given, partner)
+
+
+def coeffs_from_entries(dim: int, truncation: int, entries_per_node) -> np.ndarray:
+    """Inverse of ``mode_entries``: a ``(nodes,) + box`` batch from ``[k..., re, im]`` lists.
+
+    Hermitian partners may be omitted from the entries; ``place_modes``
+    restores them and rejects inconsistent ones.
+    """
+    node, rows = [], []
+    for i, entries in enumerate(entries_per_node):
+        for entry in entries:
+            if len(entry) != dim + 2:
+                raise ValueError(f"coefficient entry {entry} has wrong length for dim={dim}")
+            node.append(i)
+            rows.append(entry)
+    table = np.array(rows, dtype=float).reshape(-1, dim + 2)
+    values = np.ascontiguousarray(table[:, dim:]).view(complex).ravel()
+    comps = table[:, :dim].astype(np.int64)
+    return place_modes(dim, truncation, len(entries_per_node), node, comps, values)
+
+
+def mode_entries(coeffs: np.ndarray, truncation: int) -> list[list[list]]:
+    """Per node of a ``(nodes,) + box`` batch: ``[k..., re, im]`` for each nonzero mode.
+
+    Modes are listed in lexicographic order of their components; this is the
+    serialized form of a field's coefficients.
+    """
+    entries = []
+    for node in coeffs:
+        nonzero = np.nonzero(node)
+        values = node[nonzero]
+        ks = (np.stack(nonzero, axis=1) - truncation).tolist()
+        re, im = values.real.tolist(), values.imag.tolist()
+        entries.append([k + [a, b] for k, a, b in zip(ks, re, im)])
+    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,31 +230,30 @@ class FourierField:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not isinstance(self.truncation, (int, np.integer)) or self.truncation < 1:
             raise ValueError(f"truncation must be a positive integer, got {self.truncation}")
-        n = 2 * self.truncation + 1
         coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (n,) * self.dim:
+        if coeffs.ndim != self.dim:
+            n = 2 * self.truncation + 1
             raise ValueError(
                 f"coefficient array has shape {coeffs.shape}, expected {(n,) * self.dim}"
             )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must all be finite")
-        center = (self.truncation,) * self.dim
-        if coeffs[center] != 0:
-            raise ValueError(
-                f"zero mode must vanish (mean-zero reduction), got {coeffs[center]}"
-            )
-        scale = max(1.0, float(np.max(np.abs(coeffs)))) if coeffs.size else 1.0
-        asym = float(np.max(np.abs(coeffs - _conj_flip(coeffs))))
-        if asym > HERMITIAN_RTOL * scale:
-            raise ValueError(
-                f"coefficients are not Hermitian-symmetric (deviation {asym:.3e}); "
-                "the represented function would not be real-valued"
-            )
+        check_coefficients(coeffs, self.dim, int(self.truncation))
         coeffs.flags.writeable = False
         object.__setattr__(self, "truncation", int(self.truncation))
         object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, dim: int, truncation: int, coeffs: np.ndarray) -> "FourierField":
+        """A field over a read-only box that its owner has already validated.
+
+        Skips every check: for node views of a validated trajectory only.
+        """
+        field = object.__new__(cls)
+        object.__setattr__(field, "dim", dim)
+        object.__setattr__(field, "truncation", truncation)
+        object.__setattr__(field, "coeffs", coeffs)
+        return field
 
     @classmethod
     def zero(cls, dim: int, truncation: int) -> "FourierField":
@@ -151,31 +267,21 @@ class FourierField:
         A partner -k given explicitly must agree with conj(coeff(k)); the zero
         mode may not carry a nonzero amplitude.
         """
-        n = 2 * truncation + 1
-        coeffs = np.zeros((n,) * dim, dtype=complex)
         explicit = {}
         for k, a in dict(modes).items():
             comps = _as_components(k)
             if len(comps) != dim:
                 raise ValueError(f"mode {comps} has wrong dimension for dim={dim}")
-            if any(abs(c) > truncation for c in comps):
-                raise ValueError(f"mode {comps} lies outside truncation {truncation}")
-            if all(c == 0 for c in comps):
-                if a != 0:
-                    raise ValueError("zero mode must vanish (mean-zero reduction)")
-                continue
             explicit[comps] = complex(a)
-        for comps, a in explicit.items():
-            neg = tuple(-c for c in comps)
-            if neg in explicit:
-                if abs(explicit[neg] - np.conj(a)) > HERMITIAN_RTOL * max(1.0, abs(a)):
-                    raise ValueError(f"modes {comps} and {neg} are not conjugate partners")
-            idx = tuple(c + truncation for c in comps)
-            nidx = tuple(c + truncation for c in neg)
-            coeffs[idx] = a
-            if neg not in explicit:
-                coeffs[nidx] = np.conj(a)
-        return cls(dim, truncation, coeffs)
+        coeffs = place_modes(
+            dim,
+            truncation,
+            1,
+            np.zeros(len(explicit), dtype=np.int64),
+            list(explicit.keys()),
+            list(explicit.values()),
+        )
+        return cls(dim, truncation, coeffs[0])
 
     # -- access ------------------------------------------------------------
 
@@ -231,23 +337,14 @@ class FourierField:
 
     def to_json_dict(self) -> dict:
         """JSON form: {"dim", "truncation", "coeffs": [[k..., re, im], ...]}."""
-        entries = [
-            list(comps) + [a.real, a.imag] for comps, a in self.nonzero_modes()
-        ]
+        entries = mode_entries(self.coeffs[None], self.truncation)[0]
         return {"dim": self.dim, "truncation": self.truncation, "coeffs": entries}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourierField":
         dim = int(data["dim"])
         truncation = int(data["truncation"])
-        given = {}
-        for entry in data["coeffs"]:
-            if len(entry) != dim + 2:
-                raise ValueError(f"coefficient entry {entry} has wrong length for dim={dim}")
-            comps = tuple(int(c) for c in entry[:dim])
-            given[comps] = complex(float(entry[dim]), float(entry[dim + 1]))
-        # Hermitian partners may be omitted in the file; from_modes restores them.
-        return cls.from_modes(dim, truncation, given)
+        return cls(dim, truncation, coeffs_from_entries(dim, truncation, [data["coeffs"]])[0])
 
 
 def _apply_multiplier(field: FourierField, multiplier: np.ndarray) -> FourierField:
@@ -301,8 +398,66 @@ def default_grid_size(truncation: int) -> int:
     return 1 << (2 * truncation + 1).bit_length()
 
 
-def _embed_indices(truncation: int, resolution: int) -> np.ndarray:
-    return np.arange(-truncation, truncation + 1) % resolution
+def _check_resolution(m: int, truncation: int) -> None:
+    if m < 2 * truncation + 1:
+        raise ValueError(
+            f"grid resolution {m} is too small for truncation {truncation}; "
+            f"need at least {2 * truncation + 1}"
+        )
+
+
+@lru_cache(maxsize=None)
+def _box_index(truncation: int, resolution: int, dim: int) -> tuple:
+    """Index of the coefficient box inside a batch of M^dim FFT arrays."""
+    idx = np.arange(-truncation, truncation + 1) % resolution
+    return (slice(None),) + np.ix_(*(idx,) * dim)
+
+
+def synthesize_batch(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Real samples on the M^dim grid for every box of a ``(nodes,) + box`` batch.
+
+    One inverse FFT over the trailing axes.  The imaginary residue of each
+    node is checked against SYNTHESIS_IMAG_RTOL times that node's magnitude
+    before it is discarded.
+    """
+    dim = coeffs.ndim - 1
+    truncation = (coeffs.shape[1] - 1) // 2
+    _check_resolution(m, truncation)
+    spectrum = np.zeros((coeffs.shape[0],) + (m,) * dim, dtype=complex)
+    spectrum[_box_index(truncation, m, dim)] = coeffs
+    axes = tuple(range(1, dim + 1))
+    values = np.fft.ifft(spectrum) if dim == 1 else np.fft.ifftn(spectrum, axes=axes)
+    values *= m**dim
+    imag_max = np.max(np.abs(values.imag), axis=axes)
+    real_max = np.max(np.abs(values.real), axis=axes)
+    bad = imag_max > SYNTHESIS_IMAG_RTOL * real_max
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"synthesis produced imaginary residue {imag_max[i]:.3e} "
+            f"above {SYNTHESIS_IMAG_RTOL:g} x field magnitude {real_max[i]:.3e}"
+        )
+    return values.real
+
+
+def analyze_batch(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Box coefficients and means of every node of a ``(nodes,) + (M,)*dim`` sample batch.
+
+    One forward FFT over the trailing axes.  The zero mode is split off as
+    the mean and the box is made exactly Hermitian (fftn of real input is
+    Hermitian only to roundoff), so downstream exact checks are not tripped
+    by last-bit noise.
+    """
+    dim = samples.ndim - 1
+    m = samples.shape[1]
+    _check_resolution(m, truncation)
+    axes = tuple(range(1, dim + 1))
+    spectrum = np.fft.fft(samples) if dim == 1 else np.fft.fftn(samples, axes=axes)
+    spectrum /= m**dim
+    means = spectrum[(slice(None),) + (0,) * dim].real.copy()
+    coeffs = spectrum[_box_index(truncation, m, dim)]
+    coeffs[(slice(None),) + (truncation,) * dim] = 0.0
+    return 0.5 * (coeffs + _conj_flip(coeffs, dim)), means
 
 
 def synthesize(field: FourierField, grid_points_per_dim: int | None = None) -> GridField:
@@ -324,25 +479,7 @@ def synthesize(field: FourierField, grid_points_per_dim: int | None = None) -> G
     """
     n = field.truncation
     m = default_grid_size(n) if grid_points_per_dim is None else int(grid_points_per_dim)
-    if m < 2 * n + 1:
-        raise ValueError(
-            f"grid resolution {m} is too small for truncation {n}; need at least {2 * n + 1}"
-        )
-    spectrum = np.zeros((m,) * field.dim, dtype=complex)
-    idx = _embed_indices(n, m)
-    if field.dim == 1:
-        spectrum[idx] = field.coeffs
-    else:
-        spectrum[np.ix_(idx, idx)] = field.coeffs
-    values = np.fft.ifftn(spectrum) * (m**field.dim)
-    imag_max = float(np.max(np.abs(values.imag)))
-    real_max = float(np.max(np.abs(values.real)))
-    if imag_max > SYNTHESIS_IMAG_RTOL * real_max:
-        raise NumericalError(
-            f"synthesis produced imaginary residue {imag_max:.3e} "
-            f"above {SYNTHESIS_IMAG_RTOL:g} x field magnitude {real_max:.3e}"
-        )
-    return GridField(field.dim, values.real)
+    return GridField(field.dim, synthesize_batch(field.coeffs[None], m)[0])
 
 
 def analyze(grid: GridField, truncation: int) -> tuple[FourierField, float]:
@@ -354,23 +491,8 @@ def analyze(grid: GridField, truncation: int) -> tuple[FourierField, float]:
     n = int(truncation)
     if n < 1:
         raise ValueError(f"truncation must be a positive integer, got {truncation}")
-    m = grid.resolution
-    if m < 2 * n + 1:
-        raise ValueError(
-            f"grid resolution {m} is too small for truncation {n}; need at least {2 * n + 1}"
-        )
-    spectrum = np.fft.fftn(grid.samples) / (m**grid.dim)
-    mean = float(spectrum[(0,) * grid.dim].real)
-    idx = _embed_indices(n, m)
-    if grid.dim == 1:
-        coeffs = spectrum[idx].copy()
-    else:
-        coeffs = spectrum[np.ix_(idx, idx)].copy()
-    coeffs[(n,) * grid.dim] = 0.0
-    # fftn of real input is Hermitian only to roundoff; tighten it so that
-    # downstream exact checks are not tripped by last-bit noise.
-    coeffs = 0.5 * (coeffs + _conj_flip(coeffs))
-    return FourierField(grid.dim, n, coeffs), mean
+    coeffs, means = analyze_batch(grid.samples[None], n)
+    return FourierField(grid.dim, n, coeffs[0]), float(means[0])
 
 
 def embed(field: FourierField, truncation: int) -> FourierField:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exceptions import NumericalError
-from .nonlinear import TaylorDepth, rhs_exponential
+from .nonlinear import TaylorDepth, _rhs_exponential_coeffs
 from .semigroup import Trajectory, phi_one
-from .spectral import FourierField, bilaplacian_neg, mode_grids
+from .spectral import FourierField, mode_grids
 
 SCHEMES = ("if-rk4", "etd-euler")
 
@@ -86,6 +86,15 @@ class SolverConfig:
         return np.linspace(0.0, self.t_final, self.n_steps() + 1)
 
 
+def _remainder_coeffs(
+    coeffs: np.ndarray, k4: np.ndarray, depth: TaylorDepth, padding: float
+) -> np.ndarray:
+    """Array core of ``nonlinear_remainder`` on one coefficient box."""
+    if depth.max_j == 1:
+        return np.zeros_like(coeffs)
+    return _rhs_exponential_coeffs(coeffs, padding) + k4 * coeffs
+
+
 def nonlinear_remainder(
     field: FourierField, depth: TaylorDepth, padding: float = 2.0
 ) -> FourierField:
@@ -96,34 +105,38 @@ def nonlinear_remainder(
     against.  ``depth`` only matters through the linear-only sentinel
     (fixed depth 1), which returns the zero field.
     """
-    if depth.max_j == 1:
-        return FourierField.zero(field.dim, field.truncation)
-    return rhs_exponential(field, padding) - bilaplacian_neg(field)
+    k4 = mode_grids(field.dim, field.truncation).k4
+    coeffs = _remainder_coeffs(field.coeffs, k4, depth, padding)
+    return FourierField(field.dim, field.truncation, coeffs)
 
 
 def step(field: FourierField, dt: float, config: SolverConfig) -> FourierField:
-    """Advance one time step with the configured scheme."""
+    """Advance one time step with the configured scheme.
+
+    The stages are formed on coefficient arrays; only the result is built
+    (and checked) as a field.
+    """
     dt = float(dt)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     k4 = mode_grids(field.dim, field.truncation).k4
-    remainder = lambda f: nonlinear_remainder(f, config.taylor, config.padding).coeffs
+    remainder = lambda c: _remainder_coeffs(c, k4, config.taylor, config.padding)
 
     if config.scheme == "if-rk4":
         half = np.exp(-k4 * (dt / 2.0))
         full = half * half
         a = field.coeffs
-        na = remainder(field)
+        na = remainder(a)
         b = half * (a + (dt / 2.0) * na)
-        nb = remainder(FourierField(field.dim, field.truncation, b))
+        nb = remainder(b)
         c = half * a + (dt / 2.0) * nb
-        nc = remainder(FourierField(field.dim, field.truncation, c))
+        nc = remainder(c)
         d = full * a + dt * half * nc
-        nd = remainder(FourierField(field.dim, field.truncation, d))
+        nd = remainder(d)
         new = full * a + (dt / 6.0) * (full * na + 2.0 * half * (nb + nc) + nd)
     else:  # etd-euler
         z = k4 * dt
-        new = np.exp(-z) * field.coeffs + dt * phi_one(z) * remainder(field)
+        new = np.exp(-z) * field.coeffs + dt * phi_one(z) * remainder(field.coeffs)
 
     if not np.all(np.isfinite(new)):
         raise NumericalError("step rejected: amplitudes became non-finite")
@@ -138,17 +151,17 @@ def solve_timestep(
         raise ValueError(f"output_every must be >= 1, got {output_every}")
     times = config.time_grid()
     state = h0
-    rec_times = [times[0]]
-    rec_fields = [state]
+    recorded = [0]
+    states = [state.coeffs]
     for i in range(times.size - 1):
         dt = times[i + 1] - times[i]
         try:
             state = step(state, dt, config)
         except NumericalError as err:
             raise NumericalError(
-                f"{err}; last good time t = {times[i]!r}"
+                f"{err}; last good time t = {float(times[i])!r}"
             ) from err
         if (i + 1) % output_every == 0 or i + 1 == times.size - 1:
-            rec_times.append(times[i + 1])
-            rec_fields.append(state)
-    return Trajectory(np.array(rec_times), tuple(rec_fields))
+            recorded.append(i + 1)
+            states.append(state.coeffs)
+    return Trajectory(times[recorded], np.stack(states))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from epitaxy.cli import EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION, main
+from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epitaxy.semigroup import Trajectory, linear_trajectory
 from epitaxy.spectral import FourierField
 
@@ -101,6 +101,19 @@ class TestSweepMode:
         assert outcomes[0] == "converged"
         assert outcomes[1] in ("converged", "no-convergence", "numerical-error")
 
+    def test_series_overflow_is_recorded_per_amplitude(self, tmp_path, capsys):
+        # a fixed depth of 40 overflows the series past the threshold; the
+        # sweep records that row as a numerical error and keeps the others
+        cfg = write_config(
+            tmp_path / "run.json",
+            solver={"truncation": 8, "dt": 0.01, "t_final": 0.5, "taylor": {"max_j": 40}},
+            mode_options={"amplitudes": [0.2, 2.0], "solve": True},
+        )
+        code, status = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[7] for r in rows] == ["converged", "numerical-error"]
+
     def test_thread_cap_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EPITAXY_THREADS", "4")
         cfg = write_config(tmp_path / "run.json", mode_options={"amplitudes": [0.1, 0.2, 0.3]})
@@ -166,6 +179,20 @@ class TestSolveMode:
             capsys, "solve", "--config", str(cfg), "--override-certificate"
         )
         assert code == EXIT_OK
+
+
+    def test_series_overflow_exits_four(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "run.json",
+            initial_data={"preset": "single-mode", "amplitude": 2.0},
+            solver={"truncation": 8, "dt": 0.01, "t_final": 0.5, "taylor": {"max_j": 40}},
+        )
+        code, status = run_cli(
+            capsys, "solve", "--config", str(cfg), "--override-certificate"
+        )
+        assert code == EXIT_NUMERICAL
+        assert status["error"]["type"] == "NumericalError"
+        assert "overflow" in status["error"]["message"]
 
 
 class TestProbeMode:
