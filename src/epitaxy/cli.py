@@ -6,11 +6,14 @@ Usage:
 
 Modes: solve, certify, probe-operator, sweep, compare, radius.  Exit codes:
 0 success, 2 validation error, 3 certificate failure without override,
-4 numerical failure.  EPITAXY_THREADS caps sweep parallelism.
+4 numerical failure.  ``solve``, and ``sweep`` with ``solve: true``, are
+refused up front (exit 2) when the trajectories they would hold exceed the
+machine's physical memory.
 
 Artifacts are plain JSON and CSV; every artifact embeds the fully resolved
 run specification, and identical specifications (including the seed)
-reproduce byte-identical files.
+reproduce byte-identical files.  JSON artifacts have the layout of
+``json.dumps(body, indent=2, sort_keys=True)`` and are written as a stream.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -195,15 +198,26 @@ def build_initial_field(spec: RunSpec) -> FourierField:
         raise ValidationError(f"invalid initial data: {err}") from err
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("EPITAXY_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise ValidationError(f"EPITAXY_THREADS must be an integer, got {raw!r}") from err
-    if cap < 1:
-        raise ValidationError(f"EPITAXY_THREADS must be >= 1, got {cap}")
-    return cap
+# Coefficient arrays of one trajectory's size alive at the peak of a Picard
+# iteration: the linear flow, the current iterate, the series sum, its Duhamel
+# integral, the new iterate and the differences whose norms are taken.  Traced
+# with tracemalloc at 1,001 nodes in 2-D and 20,001 nodes in 1-D, the peak was
+# 7.5 and 8.6 trajectory sizes.
+PICARD_LIVE_TRAJECTORIES = 8
+
+
+def check_memory(config: SolverConfig, dim: int) -> None:
+    """Refuse a solve whose trajectories would not fit in physical memory."""
+    nodes = config.n_steps() + 1
+    estimate = nodes * (2 * config.truncation + 1) ** dim * 16 * PICARD_LIVE_TRAJECTORIES
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if estimate > physical:
+        raise ValidationError(
+            f"solve would need about {estimate / 2**30:.3g} GiB for {nodes} time nodes "
+            f"({PICARD_LIVE_TRAJECTORIES} trajectories of {(2 * config.truncation + 1) ** dim} "
+            f"modes), more than the {physical / 2**30:.3g} GiB of physical memory; "
+            "raise dt or lower t_final or truncation"
+        )
 
 
 # -- deterministic artifact emission ------------------------------------------
@@ -213,10 +227,77 @@ def _runspec_comment(spec: RunSpec) -> str:
     return "# runspec: " + json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
+# JSON artifacts have the layout of ``json.dumps(body, indent=2,
+# sort_keys=True)``, which always runs the pure-Python encoder.  The writer
+# below emits the same bytes as a stream of chunks.  Dicts and general lists
+# are walked here.  A list of finite numbers, or of nonempty lists of them
+# (the ``times`` grid and the per-node ``[k..., re, im]`` tables), is
+# formatted by one C-level ``repr`` and re-indented: ``json`` writes finite
+# floats with ``float.__repr__`` and ints with ``int.__repr__``, exactly as
+# ``repr`` does.  Anything else (bools, non-finite floats, subclasses,
+# tuples, empty containers, non-string keys) is written by ``json.dumps``.
+
+_INDENT = "  "
+_NUMBER_TYPES = {int, float}
+
+
+def _number_list(items: list, pad: str) -> str | None:
+    """JSON text of a nonempty list of finite numbers or of nonempty such lists, else None."""
+    rows = type(items[0]) is list
+    if rows:
+        if not all(type(row) is list and row for row in items):
+            return None
+        kinds = set(map(type, chain.from_iterable(items)))
+    else:
+        kinds = set(map(type, items))
+    if not kinds <= _NUMBER_TYPES:
+        return None
+    text = repr(items)
+    if "n" in text:  # nan or inf, which json writes as NaN or Infinity
+        return None
+    inner = pad + _INDENT
+    if not rows:
+        return "[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]"
+    deeper = inner + _INDENT
+    body = text[2:-2].replace("], [", "\n" + inner + "],\n" + inner + "[\n" + deeper)
+    body = body.replace(", ", ",\n" + deeper)
+    return "[\n" + inner + "[\n" + deeper + body + "\n" + inner + "]\n" + pad + "]"
+
+
+def _json_chunks(value, pad: str):
+    """Yield ``json.dumps(value, indent=2, sort_keys=True)`` nested ``pad`` deep, in pieces."""
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        inner = pad + _INDENT
+        opener = "{\n" + inner
+        for key in sorted(value):
+            yield opener + json.dumps(key) + ": "
+            yield from _json_chunks(value[key], inner)
+            opener = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif type(value) is list and value:
+        text = _number_list(value, pad)
+        if text is not None:
+            yield text
+            return
+        inner = pad + _INDENT
+        opener = "[\n" + inner
+        for item in value:
+            yield opener
+            yield from _json_chunks(item, inner)
+            opener = ",\n" + inner
+        yield "\n" + pad + "]"
+    elif isinstance(value, (dict, list, tuple)):
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    else:
+        yield json.dumps(value)
+
+
 def write_json(path: Path, payload: dict, spec: RunSpec) -> None:
     body = dict(payload)
     body["runspec"] = spec.to_json_dict()
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_chunks(body, ""))
+        fh.write("\n")
 
 
 def write_csv(path: Path, header: str, rows: list[str], spec: RunSpec) -> None:
@@ -253,6 +334,8 @@ def _comparison(a: Trajectory, b: Trajectory) -> tuple[list[str], float]:
 
 def _run_solve(spec: RunSpec, out: Path) -> dict:
     h0 = build_initial_field(spec)
+    config = _solver_from_dict(spec.solver)
+    check_memory(config, h0.dim)
     cert = certify(h0, spec.alpha)
     write_json(out / "certificate.json", cert.to_json_dict(), spec)
     write_json(out / "initial_field.json", h0.to_json_dict(), spec)
@@ -261,7 +344,6 @@ def _run_solve(spec: RunSpec, out: Path) -> dict:
             f"certificate failed (r0 = {cert.r0:.6g} vs threshold 0.25); "
             "rerun with --override-certificate to iterate anyway"
         )
-    config = _solver_from_dict(spec.solver)
     solution, diag = solve_picard(h0, cert, config, allow_uncertified=spec.override_certificate)
     marched = solve_timestep(h0, config)
     write_json(out / "picard_trajectory.json", solution.to_json_dict(), spec)
@@ -323,17 +405,12 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
     return {"artifacts": ["operator_probe.csv", "summary.json"], "all_pass": all_pass}
 
 
+def _with_amplitude(spec: RunSpec, amplitude: float) -> RunSpec:
+    return replace(spec, initial_data={**spec.initial_data, "amplitude": amplitude})
+
+
 def _sweep_one(spec: RunSpec, out: Path, amplitude: float, do_solve: bool) -> tuple[str, bool]:
-    sub = RunSpec(
-        mode=spec.mode,
-        initial_data={**spec.initial_data, "amplitude": amplitude},
-        solver=spec.solver,
-        alpha=spec.alpha,
-        seed=spec.seed,
-        output_dir=spec.output_dir,
-        mode_options=spec.mode_options,
-        override_certificate=spec.override_certificate,
-    )
+    sub = _with_amplitude(spec, amplitude)
     h0 = build_initial_field(sub)
     cert = certify(h0, spec.alpha)
     tag = f"amp_{amplitude:g}"
@@ -366,13 +443,11 @@ def _run_sweep(spec: RunSpec, out: Path) -> dict:
     if not amplitudes:
         raise ValidationError("sweep needs a nonempty 'amplitudes' list")
     do_solve = bool(opts.get("solve", False))
+    if do_solve:
+        dim = build_initial_field(_with_amplitude(spec, amplitudes[0])).dim
+        check_memory(_solver_from_dict(spec.solver), dim)
     (out / "certificates").mkdir(parents=True, exist_ok=True)
-    workers = min(thread_cap(), len(amplitudes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda a: _sweep_one(spec, out, a, do_solve), amplitudes))
-    else:
-        results = [_sweep_one(spec, out, a, do_solve) for a in amplitudes]
+    results = [_sweep_one(spec, out, a, do_solve) for a in amplitudes]
     header = (
         "amplitude,r0,alpha,r1,contraction_constant,mapping_lhs,cert_pass,"
         "outcome,iterations,final_delta"

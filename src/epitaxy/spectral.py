@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -178,20 +179,24 @@ def place_modes(
 def coeffs_from_entries(dim: int, truncation: int, entries_per_node) -> np.ndarray:
     """Inverse of ``mode_entries``: a ``(nodes,) + box`` batch from ``[k..., re, im]`` lists.
 
-    Hermitian partners may be omitted from the entries; ``place_modes``
-    restores them and rejects inconsistent ones.
+    ``entries_per_node`` is a sequence holding one list of entries per node;
+    the numbers of all nodes are read into one table.  Hermitian partners may
+    be omitted from the entries; ``place_modes`` restores them and rejects
+    inconsistent ones.
     """
-    node, rows = [], []
-    for i, entries in enumerate(entries_per_node):
-        for entry in entries:
-            if len(entry) != dim + 2:
-                raise ValueError(f"coefficient entry {entry} has wrong length for dim={dim}")
-            node.append(i)
-            rows.append(entry)
-    table = np.array(rows, dtype=float).reshape(-1, dim + 2)
+    width = dim + 2
+    counts = []
+    for entries in entries_per_node:
+        if set(map(len, entries)) - {width}:
+            bad = next(entry for entry in entries if len(entry) != width)
+            raise ValueError(f"coefficient entry {bad} has wrong length for dim={dim}")
+        counts.append(len(entries))
+    numbers = chain.from_iterable(chain.from_iterable(entries_per_node))
+    table = np.fromiter(numbers, float, sum(counts) * width).reshape(-1, width)
+    node = np.repeat(np.arange(len(counts)), counts)
     values = np.ascontiguousarray(table[:, dim:]).view(complex).ravel()
     comps = table[:, :dim].astype(np.int64)
-    return place_modes(dim, truncation, len(entries_per_node), node, comps, values)
+    return place_modes(dim, truncation, len(counts), node, comps, values)
 
 
 def mode_entries(coeffs: np.ndarray, truncation: int) -> list[list[list]]:

@@ -8,6 +8,7 @@ import pytest
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epitaxy.semigroup import Trajectory, linear_trajectory
 from epitaxy.spectral import FourierField
+from epitaxy.stepper import SolverConfig
 
 
 def write_config(path, **overrides):
@@ -101,6 +102,19 @@ class TestSweepMode:
         assert outcomes[0] == "converged"
         assert outcomes[1] in ("converged", "no-convergence", "numerical-error")
 
+    def test_solving_sweep_ignores_the_base_amplitude(self, tmp_path, capsys):
+        # every row replaces the amplitude, so a base value the preset would
+        # reject (random-decay needs amplitude > 0) must not stop the sweep
+        cfg = write_config(
+            tmp_path / "run.json",
+            initial_data={"preset": "random-decay", "amplitude": 0.0, "seed": 3},
+            solver={"truncation": 4, "dt": 0.02, "t_final": 0.2},
+            mode_options={"amplitudes": [0.1], "solve": True},
+        )
+        code, status = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert status["pass_pattern"] == [True]
+
     def test_series_overflow_is_recorded_per_amplitude(self, tmp_path, capsys):
         # a fixed depth of 40 overflows the series past the threshold; the
         # sweep records that row as a numerical error and keeps the others
@@ -113,20 +127,6 @@ class TestSweepMode:
         assert code == EXIT_OK
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
         assert [r.split(",")[7] for r in rows] == ["converged", "numerical-error"]
-
-    def test_thread_cap_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EPITAXY_THREADS", "4")
-        cfg = write_config(tmp_path / "run.json", mode_options={"amplitudes": [0.1, 0.2, 0.3]})
-        code, status = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == EXIT_OK
-        assert status["pass_pattern"] == [True, True, False]
-
-    def test_invalid_thread_cap_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EPITAXY_THREADS", "zero")
-        cfg = write_config(tmp_path / "run.json", mode_options={"amplitudes": [0.1]})
-        code, status = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == EXIT_VALIDATION
-        assert status["error"]["type"] == "ValidationError"
 
 
 class TestSolveMode:
@@ -241,6 +241,28 @@ class TestCompareMode:
         assert code == EXIT_VALIDATION
         assert "trajectory_a" in status["error"]["message"]
 
+    def test_ragged_coefficient_entry_is_validation_error(self, tmp_path, capsys):
+        traj = linear_trajectory(
+            FourierField.from_modes(1, 4, {(1,): 0.1}), np.linspace(0.0, 1.0, 11)
+        )
+        good = traj.to_json_dict()
+        bad = traj.to_json_dict()
+        bad["fields"][3]["coeffs"][0].append(0.0)  # [k, re, im, extra] in 1-D
+        (tmp_path / "a.json").write_text(json.dumps(good))
+        (tmp_path / "b.json").write_text(json.dumps(bad))
+        cfg = write_config(
+            tmp_path / "run.json",
+            mode_options={
+                "trajectory_a": str(tmp_path / "a.json"),
+                "trajectory_b": str(tmp_path / "b.json"),
+            },
+        )
+        code, status = run_cli(capsys, "compare", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert "b.json" in status["error"]["message"]
+        assert "has wrong length for dim=1" in status["error"]["message"]
+
 
 class TestRadiusMode:
     def test_radius_artifacts_from_solve(self, tmp_path, capsys):
@@ -279,6 +301,52 @@ class TestRadiusMode:
         code, status = run_cli(capsys, "radius", "--config", str(cfg))
         assert code == EXIT_VALIDATION
         assert "alpha" in status["error"]["message"]
+
+
+class TestMemoryGuard:
+    # 4e9 time nodes of 1,089 modes: hundreds of TB, more than any host holds
+    HUGE_SOLVER = {"truncation": 16, "dt": 1e-9, "t_final": 4.0}
+    TWO_D = {"preset": "two-mode", "amplitude": 0.2, "dim": 2}
+
+    @pytest.fixture(autouse=True)
+    def no_time_grid(self, monkeypatch):
+        def refuse(config):
+            pytest.fail("a time grid was built for a run the guard should refuse")
+
+        monkeypatch.setattr(SolverConfig, "time_grid", refuse)
+
+    def test_solve_refused_before_allocating(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json", initial_data=self.TWO_D, solver=self.HUGE_SOLVER)
+        code, status = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert "GiB" in status["error"]["message"]
+        assert "4000000001 time nodes" in status["error"]["message"]
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
+    def test_solving_sweep_refused_before_allocating(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "run.json",
+            initial_data=self.TWO_D,
+            solver=self.HUGE_SOLVER,
+            mode_options={"amplitudes": [0.1, 0.2], "solve": True},
+        )
+        code, status = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert "GiB" in status["error"]["message"]
+        assert not (tmp_path / "out" / "certificates").exists()
+
+    def test_certificate_sweep_is_not_guarded(self, tmp_path, capsys):
+        # without solving, a sweep builds no trajectory and needs no estimate
+        cfg = write_config(
+            tmp_path / "run.json",
+            initial_data=self.TWO_D,
+            solver=self.HUGE_SOLVER,
+            mode_options={"amplitudes": [0.1, 0.2]},
+        )
+        code, status = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert status["pass_pattern"] == [True, True]
 
 
 class TestValidationAndDeterminism:
