@@ -14,12 +14,17 @@ is the correctness guard for the default padding factor of 2.
 Powers are formed in physical space on the padded grid: one synthesis, J
 pointwise multiply-accumulates and one analysis, instead of J spectral
 convolutions.
+
+The exponential route works on k_last >= 0 half boxes with constants built
+once per (dim, N, padding) (``exponential_route``); the time stepper marches
+through the same object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,11 +36,14 @@ from .spectral import (
     GridField,
     analyze,
     analyze_batch,
+    analyze_half,
     bilaplacian_neg,
+    full_box,
     laplacian,
     mode_grids,
     synthesize,
     synthesize_batch,
+    synthesize_half,
 )
 
 #: Adaptive depth resolution refuses to go past this many series terms.
@@ -113,15 +121,6 @@ def _laplacian_grid(field: FourierField, padding_factor: float) -> np.ndarray:
     return synthesize(laplacian(field), m).samples
 
 
-def _laplacian_batch(coeffs: np.ndarray) -> np.ndarray:
-    """-|k|^2 coeff(k) for every box of a ``(nodes,) + box`` batch, zero mode kept zero."""
-    dim = coeffs.ndim - 1
-    truncation = (coeffs.shape[1] - 1) // 2
-    out = coeffs * -mode_grids(dim, truncation).ksq
-    out[(slice(None),) + (truncation,) * dim] = 0.0
-    return out
-
-
 def taylor_term_Fj(
     field: FourierField, j: int, padding_factor: float = 2.0
 ) -> tuple[FourierField, float]:
@@ -144,7 +143,8 @@ def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
     Every node advances through the same powers, and term j is added only
     where j <= J_i, so each node's sum is exactly its own depth-J_i sum.
     """
-    y = -synthesize_batch(_laplacian_batch(coeffs), m)
+    dim = coeffs.ndim - 1
+    y = synthesize_batch(coeffs * mode_grids(dim, (coeffs.shape[1] - 1) // 2).ksq, m)
     term = 0.5 * y * y
     total = term.copy()
     live = depths.reshape((-1,) + (1,) * (coeffs.ndim - 1))
@@ -188,27 +188,48 @@ def taylor_sum(h, depth: TaylorDepth, padding_factor: float = 2.0):
     return Trajectory(h.times, out), means
 
 
-def _rhs_exponential_coeffs(coeffs: np.ndarray, padding_factor: float) -> np.ndarray:
-    """Array core of ``rhs_exponential`` on one coefficient box."""
-    if not coeffs.any():
-        return np.zeros_like(coeffs)  # exp(0) is constant; its Laplacian vanishes exactly
-    truncation = (coeffs.shape[0] - 1) // 2
-    m = padded_grid_size(truncation, padding_factor)
-    g = synthesize_batch(_laplacian_batch(coeffs[None]), m)
-    arg_max = float(np.max(-g))
-    if arg_max > _EXP_ARG_LIMIT:
-        raise NumericalError(
-            f"pointwise exponential would overflow: max |lap h| on the grid is "
-            f"{float(np.max(np.abs(g))):.6g}"
-        )
-    transformed, _means = analyze_batch(np.exp(-g), truncation)
-    return _laplacian_batch(transformed)[0]
+class _ExponentialRoute:
+    """lap(exp(-lap h)) on a batch of k_last >= 0 half boxes of one (dim, N, padding).
+
+    The padded grid size and the Laplacian multipliers are fixed at
+    construction; the synthesis multiplier is |k|^2, giving -lap h on the
+    grid, and the analysis multiplier -|k|^2 / M^dim folds in the scale of
+    the unscaled forward transform.
+    """
+
+    __slots__ = ("m", "truncation", "to_grid", "from_grid")
+
+    def __init__(self, dim: int, truncation: int, padding_factor: float):
+        self.m = padded_grid_size(truncation, padding_factor)
+        self.truncation = truncation
+        ksq = mode_grids(dim, truncation).ksq[..., truncation:]
+        self.to_grid = ksq
+        self.from_grid = -ksq / self.m**dim
+
+    def __call__(self, half: np.ndarray) -> np.ndarray:
+        if not half.any():
+            return np.zeros_like(half)  # exp(0) is constant; its Laplacian vanishes exactly
+        y = synthesize_half(self.to_grid * half, self.m)
+        if float(y.max()) > _EXP_ARG_LIMIT:
+            raise NumericalError(
+                f"pointwise exponential would overflow: max |lap h| on the grid is "
+                f"{float(np.max(np.abs(y))):.6g}"
+            )
+        transformed, _zero_modes = analyze_half(np.exp(y, out=y), self.truncation)
+        return self.from_grid * transformed
+
+
+@lru_cache(maxsize=None)
+def exponential_route(dim: int, truncation: int, padding_factor: float) -> _ExponentialRoute:
+    """The exponential route's half-box evaluator for one (dim, N, padding), built once."""
+    return _ExponentialRoute(dim, truncation, padding_factor)
 
 
 def rhs_exponential(field: FourierField, padding_factor: float = 2.0) -> FourierField:
     """lap(exp(-lap h)) via the pointwise exponential on a padded grid."""
-    coeffs = _rhs_exponential_coeffs(field.coeffs, padding_factor)
-    return FourierField(field.dim, field.truncation, coeffs)
+    n = field.truncation
+    route = exponential_route(field.dim, n, float(padding_factor))
+    return FourierField(field.dim, n, full_box(route(field.coeffs[None, ..., n:]))[0])
 
 
 def rhs_taylor(

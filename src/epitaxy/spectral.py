@@ -15,9 +15,13 @@ conserved by the evolution and is factored out of every representation).
 The physical-space side is a uniform M^n grid over [0, 2*pi)^n; synthesis
 and analysis are exact inverses of each other whenever M >= 2N + 1.
 
-The transforms work on batches: a ``(nodes,) + box`` coefficient array is
-synthesized or analyzed with one FFT over the trailing axes.  ``synthesize``
-and ``analyze`` are the single-field forms of the same code.
+Because the fields are real, only the half box k_last >= 0 (the last axis
+from index N on) carries information.  The transforms work on batches with
+the real-FFT pair: a ``(nodes,) + box`` coefficient array is synthesized
+with one ``irfftn`` of its half boxes, whose output is real by construction,
+and samples are analyzed with one ``rfftn``, whose half spectrum is
+completed to the full box by ``full_box`` from coeff(-k) = conj(coeff(k)).
+``synthesize`` and ``analyze`` are the single-field forms of the same code.
 """
 
 from __future__ import annotations
@@ -29,13 +33,8 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import NumericalError
-
 #: Relative tolerance for the Hermitian-symmetry check at construction.
 HERMITIAN_RTOL = 1e-10
-
-#: Synthesis must leave an imaginary residue below this times the field size.
-SYNTHESIS_IMAG_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -412,57 +411,99 @@ def _check_resolution(m: int, truncation: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _box_index(truncation: int, resolution: int, dim: int) -> tuple:
-    """Index of the coefficient box inside a batch of M^dim FFT arrays."""
-    idx = np.arange(-truncation, truncation + 1) % resolution
-    return (slice(None),) + np.ix_(*(idx,) * dim)
+def _half_index(dim: int, truncation: int, m: int) -> tuple:
+    """Index of the k_last >= 0 half boxes inside a batch of M^dim ``rfftn`` spectra."""
+    last = slice(0, truncation + 1)
+    if dim == 1:
+        return (slice(None), last)
+    rows = np.arange(-truncation, truncation + 1) % m
+    return (slice(None), rows, last)
+
+
+def hermitian_k0_line(half: np.ndarray) -> None:
+    """Make the k_last = 0 line of every half box exactly Hermitian, in place.
+
+    ``half`` is a ``(nodes,) + (2N+1,)*(dim-1) + (N+1,)`` batch of half boxes.
+    On that line -k is also in the half box: the entries with a negative
+    leading component are overwritten by conj(coeff(-k)), and the zero mode
+    is set to 0.
+    """
+    truncation = half.shape[-1] - 1
+    line = half[..., 0]
+    if line.ndim > 1:
+        line[:, :truncation] = np.conj(line[:, : truncation : -1])
+    line[(slice(None),) + (truncation,) * (line.ndim - 1)] = 0.0
+
+
+def full_box(half: np.ndarray) -> np.ndarray:
+    """The ``(nodes,) + box`` batch whose k_last >= 0 half is ``half``.
+
+    Every other coefficient is written as conj(coeff(-k)) of the half box
+    (see ``hermitian_k0_line`` for the k_last = 0 line), so each box is
+    exactly Hermitian with a vanishing zero mode.
+    """
+    dim = half.ndim - 1
+    truncation = half.shape[-1] - 1
+    out = np.empty(half.shape[:-1] + (2 * truncation + 1,), dtype=complex)
+    out[..., truncation:] = half
+    hermitian_k0_line(out[..., truncation:])
+    out[..., :truncation] = np.conj(_flip(out, dim)[..., :truncation])
+    return out
+
+
+def synthesize_half(half: np.ndarray, m: int) -> np.ndarray:
+    """sum_k coeff(k) exp(i k.x) on the M^dim grid for every half box of a batch.
+
+    One unscaled ``irfftn`` over the trailing axes; M >= 2N+1 is the caller's
+    to check.  The output is real by construction: the negative half of the
+    last axis is implied by Hermitian symmetry and never read.
+    """
+    dim = half.ndim - 1
+    truncation = half.shape[-1] - 1
+    spectrum = np.zeros((half.shape[0],) + (m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
+    spectrum[_half_index(dim, truncation, m)] = half
+    if dim == 1:  # irfftn's n-d argument handling costs more than the 1-D transform
+        return np.fft.irfft(spectrum, m, norm="forward")
+    return np.fft.irfftn(spectrum, s=(m, m), axes=(1, 2), norm="forward")
+
+
+def analyze_half(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled half-box coefficients and zero modes of a ``(nodes,) + (M,)*dim`` batch.
+
+    One ``rfftn`` over the trailing axes; both results are M^dim times the
+    true coefficients, so a caller can fold that factor into a multiplier.
+    """
+    dim = samples.ndim - 1
+    spectrum = np.fft.rfft(samples) if dim == 1 else np.fft.rfftn(samples, axes=(1, 2))
+    half = spectrum[_half_index(dim, truncation, samples.shape[1])]
+    return half, spectrum[(slice(None),) + (0,) * dim].real
 
 
 def synthesize_batch(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Real samples on the M^dim grid for every box of a ``(nodes,) + box`` batch.
 
-    One inverse FFT over the trailing axes.  The imaginary residue of each
-    node is checked against SYNTHESIS_IMAG_RTOL times that node's magnitude
-    before it is discarded.
+    One inverse real FFT of the k_last >= 0 half boxes (``synthesize_half``);
+    the samples are real by construction, so there is no imaginary residue
+    to check or discard.
     """
-    dim = coeffs.ndim - 1
     truncation = (coeffs.shape[1] - 1) // 2
     _check_resolution(m, truncation)
-    spectrum = np.zeros((coeffs.shape[0],) + (m,) * dim, dtype=complex)
-    spectrum[_box_index(truncation, m, dim)] = coeffs
-    axes = tuple(range(1, dim + 1))
-    values = np.fft.ifft(spectrum) if dim == 1 else np.fft.ifftn(spectrum, axes=axes)
-    values *= m**dim
-    imag_max = np.max(np.abs(values.imag), axis=axes)
-    real_max = np.max(np.abs(values.real), axis=axes)
-    bad = imag_max > SYNTHESIS_IMAG_RTOL * real_max
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericalError(
-            f"synthesis produced imaginary residue {imag_max[i]:.3e} "
-            f"above {SYNTHESIS_IMAG_RTOL:g} x field magnitude {real_max[i]:.3e}"
-        )
-    return values.real
+    return synthesize_half(coeffs[..., truncation:], m)
 
 
 def analyze_batch(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Box coefficients and means of every node of a ``(nodes,) + (M,)*dim`` sample batch.
 
-    One forward FFT over the trailing axes.  The zero mode is split off as
-    the mean and the box is made exactly Hermitian (fftn of real input is
-    Hermitian only to roundoff), so downstream exact checks are not tripped
-    by last-bit noise.
+    One forward real FFT over the trailing axes (``analyze_half``).  The zero
+    mode is split off as the mean, and the rest of the box is rebuilt from
+    the half spectrum by ``full_box``, so every box is exactly Hermitian.
     """
     dim = samples.ndim - 1
     m = samples.shape[1]
     _check_resolution(m, truncation)
-    axes = tuple(range(1, dim + 1))
-    spectrum = np.fft.fft(samples) if dim == 1 else np.fft.fftn(samples, axes=axes)
-    spectrum /= m**dim
-    means = spectrum[(slice(None),) + (0,) * dim].real.copy()
-    coeffs = spectrum[_box_index(truncation, m, dim)]
-    coeffs[(slice(None),) + (truncation,) * dim] = 0.0
-    return 0.5 * (coeffs + _conj_flip(coeffs, dim)), means
+    half, zero_modes = analyze_half(samples, truncation)
+    scale = m**dim
+    return full_box(half / scale), zero_modes / scale
 
 
 def synthesize(field: FourierField, grid_points_per_dim: int | None = None) -> GridField:
@@ -478,9 +519,8 @@ def synthesize(field: FourierField, grid_points_per_dim: int | None = None) -> G
 
     Returns
     -------
-    GridField with real samples.  The imaginary residue of the inverse
-    transform is checked against SYNTHESIS_IMAG_RTOL times the field
-    magnitude before being discarded.
+    GridField with real samples, from one inverse real FFT of the half box
+    k_last >= 0 (``synthesize_batch``).
     """
     n = field.truncation
     m = default_grid_size(n) if grid_points_per_dim is None else int(grid_points_per_dim)

@@ -13,19 +13,27 @@ stiff fourth-order part handled exactly per mode.  Two schemes:
 With the nonlinearity switched off (Taylor depth fixed at 1) both schemes
 reproduce the exact linear flow to roundoff, which pins down the stiff part
 of the implementation in isolation.
+
+Both schemes run through one kernel per (dim, N, padding), built once and
+shared by ``step`` and ``solve_timestep``.  It marches only the half box
+k_last >= 0 of the real field, through the half-box exponential route of
+``nonlinear``, with |k|^4 on the half box fixed and the decay weights built
+once per distinct step size of a march.  The full box of each recorded node
+is written once, from Hermitian symmetry, and the trajectory validates it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import NumericalError
-from .nonlinear import TaylorDepth, _rhs_exponential_coeffs
+from .nonlinear import TaylorDepth, exponential_route
 from .semigroup import Trajectory, phi_one
-from .spectral import FourierField, mode_grids
+from .spectral import FourierField, full_box, hermitian_k0_line, mode_grids
 
 SCHEMES = ("if-rk4", "etd-euler")
 
@@ -86,13 +94,65 @@ class SolverConfig:
         return np.linspace(0.0, self.t_final, self.n_steps() + 1)
 
 
-def _remainder_coeffs(
-    coeffs: np.ndarray, k4: np.ndarray, depth: TaylorDepth, padding: float
-) -> np.ndarray:
-    """Array core of ``nonlinear_remainder`` on one coefficient box."""
-    if depth.max_j == 1:
-        return np.zeros_like(coeffs)
-    return _rhs_exponential_coeffs(coeffs, padding) + k4 * coeffs
+class _Kernel:
+    """IF-RK4 and ETD-Euler steps on the k_last >= 0 half box for one (dim, N, padding).
+
+    A state is a ``(1,) + half box`` array.  Each step leaves the k_last = 0
+    line of the new state exactly Hermitian with a zero mode of 0.
+    """
+
+    __slots__ = ("truncation", "route", "k4")
+
+    def __init__(self, dim: int, truncation: int, padding: float):
+        self.truncation = truncation
+        self.route = exponential_route(dim, truncation, padding)
+        self.k4 = mode_grids(dim, truncation).k4[..., truncation:]
+
+    def start(self, coeffs: np.ndarray) -> np.ndarray:
+        """The half-box state of one full coefficient box."""
+        state = coeffs[None, ..., self.truncation:].copy()
+        hermitian_k0_line(state)
+        return state
+
+    def remainder(self, half: np.ndarray, linear_only: bool) -> np.ndarray:
+        """rhs(h) + lap^2 h on the half box; zero for the linear-only sentinel."""
+        if linear_only:
+            return np.zeros_like(half)
+        return self.route(half) + self.k4 * half
+
+    def weights(self, dt: float, scheme: str) -> tuple:
+        """The per-mode constants of one step of size ``dt``."""
+        if scheme == "if-rk4":
+            half = np.exp(-self.k4 * (dt / 2.0))
+            return half, half * half, dt * half, 2.0 * half
+        z = self.k4 * dt
+        return np.exp(-z), dt * phi_one(z)
+
+    def advance(
+        self, a: np.ndarray, dt: float, weights: tuple, scheme: str, linear_only: bool
+    ) -> np.ndarray:
+        """One step from state ``a``; NumericalError if the new state is not finite."""
+        remainder = self.remainder
+        if scheme == "if-rk4":
+            half, full, dt_half, two_half = weights
+            full_a = full * a
+            na = remainder(a, linear_only)
+            nb = remainder(half * (a + (dt / 2.0) * na), linear_only)
+            nc = remainder(half * a + (dt / 2.0) * nb, linear_only)
+            nd = remainder(full_a + dt_half * nc, linear_only)
+            new = full_a + (dt / 6.0) * (full * na + two_half * (nb + nc) + nd)
+        else:  # etd-euler
+            decay, phi = weights
+            new = decay * a + phi * remainder(a, linear_only)
+        if not np.isfinite(new).all():
+            raise NumericalError("step rejected: amplitudes became non-finite")
+        hermitian_k0_line(new)
+        return new
+
+
+@lru_cache(maxsize=None)
+def _kernel(dim: int, truncation: int, padding: float) -> _Kernel:
+    return _Kernel(dim, truncation, padding)
 
 
 def nonlinear_remainder(
@@ -105,42 +165,29 @@ def nonlinear_remainder(
     against.  ``depth`` only matters through the linear-only sentinel
     (fixed depth 1), which returns the zero field.
     """
-    k4 = mode_grids(field.dim, field.truncation).k4
-    coeffs = _remainder_coeffs(field.coeffs, k4, depth, padding)
-    return FourierField(field.dim, field.truncation, coeffs)
+    kernel = _kernel(field.dim, field.truncation, float(padding))
+    half = kernel.remainder(kernel.start(field.coeffs), depth.max_j == 1)
+    return FourierField(field.dim, field.truncation, full_box(half)[0])
 
 
 def step(field: FourierField, dt: float, config: SolverConfig) -> FourierField:
     """Advance one time step with the configured scheme.
 
-    The stages are formed on coefficient arrays; only the result is built
-    (and checked) as a field.
+    The stages are formed on the half-box arrays of the shared kernel; only
+    the result is built (and checked) as a field.
     """
     dt = float(dt)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    k4 = mode_grids(field.dim, field.truncation).k4
-    remainder = lambda c: _remainder_coeffs(c, k4, config.taylor, config.padding)
-
-    if config.scheme == "if-rk4":
-        half = np.exp(-k4 * (dt / 2.0))
-        full = half * half
-        a = field.coeffs
-        na = remainder(a)
-        b = half * (a + (dt / 2.0) * na)
-        nb = remainder(b)
-        c = half * a + (dt / 2.0) * nb
-        nc = remainder(c)
-        d = full * a + dt * half * nc
-        nd = remainder(d)
-        new = full * a + (dt / 6.0) * (full * na + 2.0 * half * (nb + nc) + nd)
-    else:  # etd-euler
-        z = k4 * dt
-        new = np.exp(-z) * field.coeffs + dt * phi_one(z) * remainder(field.coeffs)
-
-    if not np.all(np.isfinite(new)):
-        raise NumericalError("step rejected: amplitudes became non-finite")
-    return FourierField(field.dim, field.truncation, new)
+    kernel = _kernel(field.dim, field.truncation, config.padding)
+    new = kernel.advance(
+        kernel.start(field.coeffs),
+        dt,
+        kernel.weights(dt, config.scheme),
+        config.scheme,
+        config.taylor.max_j == 1,
+    )
+    return FourierField(field.dim, field.truncation, full_box(new)[0])
 
 
 def solve_timestep(
@@ -150,18 +197,24 @@ def solve_timestep(
     if output_every < 1:
         raise ValueError(f"output_every must be >= 1, got {output_every}")
     times = config.time_grid()
-    state = h0
+    kernel = _kernel(h0.dim, h0.truncation, config.padding)
+    scheme, linear_only = config.scheme, config.taylor.max_j == 1
+    weights = {}
+    state = kernel.start(h0.coeffs)
     recorded = [0]
-    states = [state.coeffs]
-    for i in range(times.size - 1):
-        dt = times[i + 1] - times[i]
+    states = [state]
+    last = times.size - 1
+    for i, dt in enumerate(np.diff(times).tolist()):
+        w = weights.get(dt)
+        if w is None:
+            w = weights[dt] = kernel.weights(dt, scheme)
         try:
-            state = step(state, dt, config)
+            state = kernel.advance(state, dt, w, scheme, linear_only)
         except NumericalError as err:
             raise NumericalError(
                 f"{err}; last good time t = {float(times[i])!r}"
             ) from err
-        if (i + 1) % output_every == 0 or i + 1 == times.size - 1:
+        if (i + 1) % output_every == 0 or i + 1 == last:
             recorded.append(i + 1)
-            states.append(state.coeffs)
-    return Trajectory(times[recorded], np.stack(states))
+            states.append(state)
+    return Trajectory(times[recorded], full_box(np.concatenate(states)))

@@ -3,7 +3,9 @@
 Trajectories hold one coefficient array, and the series sum, the Duhamel
 operator, the spacetime norm and the stepper act on it as a whole.  Each is
 checked here against the node-by-node (or mode-by-mode) definition it
-replaces, on uniform and thinned time grids in 1-D and 2-D.
+replaces, on uniform and thinned time grids in 1-D and 2-D.  The stepper,
+which marches half boxes, is checked against full-box stages built through
+a complex FFT pair written here.
 """
 
 import math
@@ -18,7 +20,7 @@ from epitaxy.norms import WeightParams, certify, spacetime_norm, wiener_norm
 from epitaxy.picard import solve_picard
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, stable_expm_moments
 from epitaxy.spectral import FourierField, bilaplacian_neg, mode_grids
-from epitaxy.stepper import SolverConfig, step
+from epitaxy.stepper import SolverConfig, solve_timestep, step
 
 from conftest import random_field_with_norm
 
@@ -129,22 +131,41 @@ def test_spacetime_norm_matches_direct_sum(rng, dim, thinned):
         assert spacetime_norm(traj, WeightParams(alpha, j)) == pytest.approx(ref, rel=RTOL)
 
 
-def reference_step(field, dt, k4):
-    """One IF-RK4 step with every stage built as a checked field."""
+def reference_remainder(coeffs, padding=2.0):
+    """rhs(h) + lap^2 h on a full box, through a full complex FFT pair on the padded grid."""
+    dim, truncation = coeffs.ndim, (coeffs.shape[0] - 1) // 2
+    grids = mode_grids(dim, truncation)
+    m = math.ceil(padding * (2 * truncation + 1))
+    box = np.ix_(*(np.arange(-truncation, truncation + 1) % m,) * dim)
+    spectrum = np.zeros((m,) * dim, dtype=complex)
+    spectrum[box] = -grids.ksq * coeffs
+    lap = (np.fft.ifftn(spectrum) * m**dim).real
+    exp_coeffs = np.fft.fftn(np.exp(-lap))[box] / m**dim
+    return -grids.ksq * exp_coeffs + grids.k4 * coeffs
 
-    def remainder(coeffs):
-        node = FourierField(field.dim, field.truncation, coeffs)
-        return (rhs_exponential(node) - bilaplacian_neg(node)).coeffs
 
+def reference_step(coeffs, dt, scheme="if-rk4"):
+    """One step on the full box, every stage through ``reference_remainder``."""
+    k4 = mode_grids(coeffs.ndim, (coeffs.shape[0] - 1) // 2).k4
+    if scheme == "etd-euler":
+        z = k4 * dt
+        phi = np.where(z == 0.0, 1.0, -np.expm1(-z) / np.where(z == 0.0, 1.0, z))
+        return np.exp(-z) * coeffs + dt * phi * reference_remainder(coeffs)
     half = np.exp(-k4 * (dt / 2.0))
     full = half * half
-    a = field.coeffs
-    na = remainder(a)
-    nb = remainder(half * (a + (dt / 2.0) * na))
-    nc = remainder(half * a + (dt / 2.0) * nb)
-    nd = remainder(full * a + dt * half * nc)
-    new = full * a + (dt / 6.0) * (full * na + 2.0 * half * (nb + nc) + nd)
-    return FourierField(field.dim, field.truncation, new)
+    a = coeffs
+    na = reference_remainder(a)
+    nb = reference_remainder(half * (a + (dt / 2.0) * na))
+    nc = reference_remainder(half * a + (dt / 2.0) * nb)
+    nd = reference_remainder(full * a + dt * half * nc)
+    return full * a + (dt / 6.0) * (full * na + 2.0 * half * (nb + nc) + nd)
+
+
+def test_reference_remainder_is_the_exponential_route(rng):
+    for dim in (1, 2):
+        h = random_field_with_norm(rng, 0.3, dim=dim, truncation=TRUNCATION[dim])
+        ref = reference_remainder(h.coeffs)
+        assert_close((rhs_exponential(h) - bilaplacian_neg(h)).coeffs, ref)
 
 
 @pytest.mark.parametrize("dim,thinned", GRIDS)
@@ -152,12 +173,57 @@ def test_step_matches_per_stage_reference(rng, dim, thinned):
     times = time_grid(rng, thinned, t_final=0.05)
     truncation = TRUNCATION[dim]
     config = SolverConfig(truncation=truncation, dt=0.05 / 40, t_final=0.05)
-    k4 = mode_grids(dim, truncation).k4
-    state = ref = random_field_with_norm(rng, 0.3, dim=dim, truncation=truncation)
+    state = random_field_with_norm(rng, 0.3, dim=dim, truncation=truncation)
+    ref = state.coeffs
     for dt in np.diff(times):
         state = step(state, dt, config)
-        ref = reference_step(ref, dt, k4)
-        assert_close(state.coeffs, ref.coeffs)
+        ref = reference_step(ref, dt)
+        assert_close(state.coeffs, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_etd_euler_step_matches_reference(rng, dim):
+    truncation = TRUNCATION[dim]
+    config = SolverConfig(truncation=truncation, dt=0.01, t_final=0.1, scheme="etd-euler")
+    state = random_field_with_norm(rng, 0.3, dim=dim, truncation=truncation)
+    ref = state.coeffs
+    for _ in range(5):
+        state = step(state, 0.01, config)
+        ref = reference_step(ref, 0.01, "etd-euler")
+        assert_close(state.coeffs, ref)
+
+
+@pytest.mark.parametrize("scheme", ["if-rk4", "etd-euler"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_matches_reference_chain(rng, dim, scheme):
+    truncation = TRUNCATION[dim]
+    h0 = random_field_with_norm(rng, rng.uniform(0.1, 0.24), dim=dim, truncation=truncation)
+    assert certify(h0).passed
+    config = SolverConfig(truncation=truncation, dt=0.004, t_final=0.1, scheme=scheme)
+    traj = solve_timestep(h0, config)
+    ref = h0.coeffs
+    for i, dt in enumerate(np.diff(traj.times)):
+        ref = reference_step(ref, dt, scheme)
+        assert_close(traj.coeffs[i + 1], ref)
+    # every node: zero mode exactly 0 and Hermitian bit for bit
+    coeffs = traj.coeffs
+    assert np.all(coeffs[(slice(None),) + (truncation,) * dim] == 0.0)
+    flipped = np.conj(coeffs[(slice(None),) + (slice(None, None, -1),) * dim])
+    assert np.array_equal(coeffs, flipped)
+
+
+@pytest.mark.parametrize("scheme", ["if-rk4", "etd-euler"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_is_a_chain_of_steps(rng, dim, scheme):
+    # one kernel: a march and repeated single steps give the same bits
+    truncation = TRUNCATION[dim]
+    h0 = random_field_with_norm(rng, 0.2, dim=dim, truncation=truncation)
+    config = SolverConfig(truncation=truncation, dt=0.004, t_final=0.04, scheme=scheme)
+    traj = solve_timestep(h0, config)
+    state = h0
+    for i, dt in enumerate(np.diff(traj.times)):
+        state = step(state, dt, config)
+        assert np.array_equal(state.coeffs, traj.coeffs[i + 1])
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from epitaxy import cli
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epitaxy.semigroup import Trajectory, linear_trajectory
 from epitaxy.spectral import FourierField
@@ -30,6 +31,15 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
+# A stored field whose coefficient list is a number: iterating it is a TypeError.
+SCALAR_COEFFS = {"dim": 1, "truncation": 2, "coeffs": 5}
+
+
+def write_scalar_trajectory(path):
+    path.write_text(json.dumps({"times": [0.0], "fields": [SCALAR_COEFFS]}), encoding="utf-8")
+    return path
+
+
 class TestCertifyMode:
     def test_passing_certificate(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json")
@@ -49,6 +59,14 @@ class TestCertifyMode:
         code, status = run_cli(capsys, "certify", "--config", str(cfg))
         assert code == EXIT_OK  # certify reports; it does not gate
         assert status["pass"] is False
+
+    def test_scalar_coeffs_in_initial_data_path_is_validation_error(self, tmp_path, capsys):
+        (tmp_path / "field.json").write_text(json.dumps(SCALAR_COEFFS), encoding="utf-8")
+        cfg = write_config(tmp_path / "run.json", initial_data={"path": str(tmp_path / "field.json")})
+        code, status = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert "field.json" in status["error"]["message"]
 
     def test_alpha_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", alpha=0.1)
@@ -263,6 +281,21 @@ class TestCompareMode:
         assert "b.json" in status["error"]["message"]
         assert "has wrong length for dim=1" in status["error"]["message"]
 
+    def test_scalar_coeffs_is_validation_error(self, tmp_path, capsys):
+        good = linear_trajectory(FourierField.from_modes(1, 2, {(1,): 0.1}), [0.0])
+        (tmp_path / "a.json").write_text(json.dumps(good.to_json_dict()))
+        cfg = write_config(
+            tmp_path / "run.json",
+            mode_options={
+                "trajectory_a": str(tmp_path / "a.json"),
+                "trajectory_b": str(write_scalar_trajectory(tmp_path / "b.json")),
+            },
+        )
+        code, status = run_cli(capsys, "compare", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert "b.json" in status["error"]["message"]
+
 
 class TestRadiusMode:
     def test_radius_artifacts_from_solve(self, tmp_path, capsys):
@@ -302,6 +335,16 @@ class TestRadiusMode:
         assert code == EXIT_VALIDATION
         assert "alpha" in status["error"]["message"]
 
+    def test_scalar_coeffs_is_validation_error(self, tmp_path, capsys):
+        path = write_scalar_trajectory(tmp_path / "t.json")
+        cfg = write_config(
+            tmp_path / "run.json", alpha=0.5, mode_options={"trajectory": str(path)}
+        )
+        code, status = run_cli(capsys, "radius", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert "t.json" in status["error"]["message"]
+
 
 class TestMemoryGuard:
     # 4e9 time nodes of 1,089 modes: hundreds of TB, more than any host holds
@@ -335,6 +378,19 @@ class TestMemoryGuard:
         assert code == EXIT_VALIDATION
         assert "GiB" in status["error"]["message"]
         assert not (tmp_path / "out" / "certificates").exists()
+
+    def test_write_peak_is_counted(self, tmp_path, capsys, monkeypatch):
+        # 51 nodes of 17 modes; physical memory between the Picard-only
+        # estimate (8 trajectory sizes) and the write-time one (13)
+        trajectory = 51 * 17 * 16
+        pages = {"SC_PHYS_PAGES": 10 * trajectory, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        assert cli.PICARD_LIVE_TRAJECTORIES < 10 < cli.WRITE_LIVE_TRAJECTORIES
+        cfg = write_config(tmp_path / "run.json")  # N = 8, dt = 0.01, T = 0.5
+        code, status = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert "51 time nodes (13 trajectories of 17 modes)" in status["error"]["message"]
+        assert not (tmp_path / "out" / "certificate.json").exists()
 
     def test_certificate_sweep_is_not_guarded(self, tmp_path, capsys):
         # without solving, a sweep builds no trajectory and needs no estimate

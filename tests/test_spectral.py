@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from epitaxy.exceptions import NumericalError
+from epitaxy.nonlinear import padded_grid_size
 from epitaxy.spectral import (
     FourierField,
     GridField,
     Wavevector,
     analyze,
+    analyze_batch,
     bilaplacian_neg,
+    check_coefficients,
     default_grid_size,
     embed,
     laplacian,
     multiply,
     synthesize,
+    synthesize_batch,
 )
 
 from conftest import random_field
@@ -238,10 +242,83 @@ class TestGridField:
 
 
 def test_synthesis_imag_residue_guard():
-    # Force an asymmetric spectrum through the private path to hit the check.
+    # A box that is not Hermitian never reaches the (real) inverse transform:
+    # the field constructor refuses it.
     f = FourierField.from_modes(1, 2, {(1,): 0.5})
     broken = f.coeffs.copy()
     broken[3] = 0.5 + 1e-3j
     broken[1] = 0.5 + 1e-3j  # symmetric violation: conj partner should flip sign
     with pytest.raises((ValueError, NumericalError)):
         synthesize(FourierField(1, 2, broken), 8)
+
+
+# -- the real-FFT pair against a full complex FFT written here -----------------
+
+# (dim, N, M): odd M = 2N + 1 (padding 1), even M, and odd M above the floor
+TRANSFORM_CASES = [
+    (1, 5, 11),
+    (1, 5, 16),
+    (1, 5, 23),
+    (2, 3, 7),
+    (2, 3, 14),
+    (2, 3, 15),
+]
+TRANSFORM_TOL = 1e-13
+
+
+def box_index(dim, truncation, m):
+    """Positions of k = -N..N (per axis) inside a batch of full M^dim spectra."""
+    return (slice(None),) + np.ix_(*(np.arange(-truncation, truncation + 1) % m,) * dim)
+
+
+def complex_synthesis(coeffs, m):
+    dim = coeffs.ndim - 1
+    spectrum = np.zeros((coeffs.shape[0],) + (m,) * dim, dtype=complex)
+    spectrum[box_index(dim, (coeffs.shape[1] - 1) // 2, m)] = coeffs
+    return np.fft.ifftn(spectrum, axes=tuple(range(1, dim + 1))) * m**dim
+
+
+def complex_analysis(samples, truncation):
+    dim, m = samples.ndim - 1, samples.shape[1]
+    spectrum = np.fft.fftn(samples, axes=tuple(range(1, dim + 1))) / m**dim
+    return spectrum[box_index(dim, truncation, m)], spectrum[(slice(None),) + (0,) * dim]
+
+
+def test_padding_one_gives_the_floor_grid():
+    assert padded_grid_size(5, 1.0) == 11 and padded_grid_size(3, 1.0) == 7
+
+
+@pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
+def test_synthesize_batch_matches_complex_ifft(rng, dim, truncation, m):
+    coeffs = np.stack([random_field(rng, dim, truncation, decay=0.3).coeffs for _ in range(4)])
+    got = synthesize_batch(coeffs, m)
+    ref = complex_synthesis(coeffs, m)
+    assert got.dtype == float and got.shape == ref.shape
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(ref.imag)) <= TRANSFORM_TOL * scale
+    assert np.max(np.abs(got - ref.real)) <= TRANSFORM_TOL * scale
+
+
+@pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
+def test_analyze_batch_matches_complex_fft(rng, dim, truncation, m):
+    samples = rng.standard_normal((4,) + (m,) * dim) + rng.uniform(-2.0, 2.0, (4,) + (1,) * dim)
+    got, means = analyze_batch(samples, truncation)
+    ref, ref_means = complex_analysis(samples, truncation)
+    ref[(slice(None),) + (truncation,) * dim] = 0.0
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= TRANSFORM_TOL * scale
+    np.testing.assert_allclose(means, ref_means.real, rtol=0, atol=TRANSFORM_TOL * scale)
+    assert np.max(np.abs(ref_means.imag)) <= TRANSFORM_TOL * scale
+    # the rebuilt boxes are exactly Hermitian with a zero mode of exactly 0
+    check_coefficients(got, dim, truncation)
+    assert np.all(got[(slice(None),) + (truncation,) * dim] == 0.0)
+    flipped = np.conj(got[(slice(None),) + (slice(None, None, -1),) * dim])
+    assert np.array_equal(got, flipped)
+
+
+@pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
+def test_batch_round_trip_on_the_floor_and_above(rng, dim, truncation, m):
+    coeffs = np.stack([random_field(rng, dim, truncation).coeffs for _ in range(3)])
+    back, means = analyze_batch(synthesize_batch(coeffs, m), truncation)
+    assert np.max(np.abs(back - coeffs)) <= TRANSFORM_TOL * np.max(np.abs(coeffs))
+    assert np.max(np.abs(means)) <= TRANSFORM_TOL * np.max(np.abs(coeffs))

@@ -1,11 +1,15 @@
-"""Source checks: invariants must survive ``python -O``, which strips ``assert``."""
+"""Source checks: invariants must survive ``python -O``, which strips ``assert``,
+and every function the benchmark's tracer hooks must still exist."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 import epitaxy
 
 PACKAGE = Path(epitaxy.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def test_package_has_no_assert_statements():
@@ -20,3 +24,17 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements vanish under python -O; raise instead: {found}"
+
+
+def test_benchmark_hooks_resolve():
+    # a renamed or removed target would silently turn its per-layer metrics absent;
+    # run_path executes the file without importing it or caching its bytecode
+    tracing = runpy.run_path(str(TRACING))
+    targets = [(module, path) for _name, module, path in tracing["SPAN_HOOKS"]]
+    targets.append(tracing["CONSTRUCTION_HOOK"])
+    missing = []
+    for module, path in targets:
+        importlib.import_module(module)
+        if tracing["_resolve"](module, path) is None:
+            missing.append(f"{module}.{path}")
+    assert not missing, f"benchmark hooks no longer resolve: {missing}"
