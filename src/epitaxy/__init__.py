@@ -31,7 +31,6 @@ from .semigroup import (
 from .spectral import (
     FourierField,
     GridField,
-    Wavevector,
     analyze,
     bilaplacian_neg,
     laplacian,
@@ -55,7 +54,6 @@ __all__ = [
     "SolverConfig",
     "TaylorDepth",
     "Trajectory",
-    "Wavevector",
     "WeightParams",
     "analyze",
     "analyticity_radius",

@@ -8,7 +8,9 @@ Modes: solve, certify, probe-operator, sweep, compare, radius.  Exit codes:
 0 success, 2 validation error, 3 certificate failure without override,
 4 numerical failure.  ``solve``, and ``sweep`` with ``solve: true``, are
 refused up front (exit 2) when the trajectories they would hold exceed the
-machine's physical memory.
+machine's physical memory; every initial field is sized the same way before
+it is built.  Unknown ``solver`` keys and config values of the wrong type
+are refused (exit 2) with the key named.
 
 Artifacts are plain JSON and CSV; every artifact embeds the fully resolved
 run specification, and identical specifications (including the seed)
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -57,7 +60,7 @@ class RunSpec:
 
     mode: str
     initial_data: dict
-    solver: dict
+    solver: SolverConfig
     alpha: float | None
     seed: int
     output_dir: str
@@ -69,7 +72,7 @@ class RunSpec:
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
             "initial_data": self.initial_data,
-            "solver": self.solver,
+            "solver": _solver_to_dict(self.solver),
             "alpha": self.alpha,
             "seed": self.seed,
             "output_dir": self.output_dir,
@@ -97,27 +100,67 @@ def load_config(path: str) -> dict:
     return data
 
 
+def _section(config: dict, key: str, default: dict, where: str = "") -> dict:
+    """A copy of ``config[key]`` (or of ``default``); exit 2 unless it is a JSON object."""
+    value = config.get(key, default)
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}{key} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _option(section: dict, key: str, default, convert, where: str):
+    """``convert(section[key])`` (or of ``default``); exit 2 naming the key if it fails."""
+    value = section.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValidationError(f"invalid {where}{key} {value!r}: {err}") from err
+
+
+def _list_option(section: dict, key: str, default: list, convert, where: str) -> list:
+    """``convert`` of each item of the list ``section[key]``; exit 2 if it is not a list."""
+
+    def convert_items(value):
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [convert(item) for item in value]
+
+    return _option(section, key, default, convert_items, where)
+
+
+def _float_or_none(value) -> float | None:
+    return None if value is None else float(value)
+
+
+SOLVER_KEYS = ("truncation", "dt", "t_final", "padding", "taylor", "tol", "max_iter")
+
+
 def _solver_from_dict(d: dict) -> SolverConfig:
+    unknown = sorted(set(d) - set(SOLVER_KEYS))
+    if unknown:
+        raise ValidationError(
+            f"unknown solver key {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(SOLVER_KEYS)}"
+        )
     if "truncation" not in d:
         raise ValidationError("solver config needs a 'truncation' entry")
-    taylor_spec = d.get("taylor", {"tail_tol": 1e-12})
+    taylor_spec = _section(d, "taylor", {"tail_tol": 1e-12}, "solver.")
     if "max_j" in taylor_spec:
-        taylor = TaylorDepth.fixed(int(taylor_spec["max_j"]))
+        depth = {"max_j": _option(taylor_spec, "max_j", None, int, "solver.taylor.")}
     elif "tail_tol" in taylor_spec:
-        taylor = TaylorDepth.adaptive(float(taylor_spec["tail_tol"]))
+        depth = {"tail_tol": _option(taylor_spec, "tail_tol", None, float, "solver.taylor.")}
     else:
         raise ValidationError("solver.taylor needs 'max_j' or 'tail_tol'")
+    settings = {
+        "truncation": _option(d, "truncation", None, int, "solver."),
+        "dt": _option(d, "dt", None, _float_or_none, "solver."),
+        "t_final": _option(d, "t_final", 4.0, float, "solver."),
+        "padding": _option(d, "padding", 2.0, float, "solver."),
+        "tol": _option(d, "tol", 1e-10, float, "solver."),
+        "max_iter": _option(d, "max_iter", 200, int, "solver."),
+    }
     try:
-        return SolverConfig(
-            truncation=int(d["truncation"]),
-            dt=None if d.get("dt") is None else float(d["dt"]),
-            t_final=float(d.get("t_final", 4.0)),
-            padding=float(d.get("padding", 2.0)),
-            taylor=taylor,
-            tol=float(d.get("tol", 1e-10)),
-            max_iter=int(d.get("max_iter", 200)),
-            scheme=str(d.get("scheme", "if-rk4")),
-        )
+        return SolverConfig(taylor=TaylorDepth(**depth), **settings)
     except ValueError as err:
         raise ValidationError(f"invalid solver config: {err}") from err
 
@@ -136,64 +179,66 @@ def _solver_to_dict(config: SolverConfig) -> dict:
         "taylor": taylor,
         "tol": config.tol,
         "max_iter": config.max_iter,
-        "scheme": config.scheme,
     }
 
 
 def build_runspec(mode: str, config: dict, args) -> RunSpec:
-    solver = _solver_from_dict(config.get("solver", {"truncation": 16}))
-    alpha = args.alpha if args.alpha is not None else config.get("alpha")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    solver = _solver_from_dict(_section(config, "solver", {"truncation": 16}))
+    alpha = args.alpha
+    if alpha is None:
+        alpha = _option(config, "alpha", None, _float_or_none, "")
+    seed = args.seed if args.seed is not None else _option(config, "seed", 0, int, "")
     out = args.out if args.out is not None else config.get("output_dir", "epitaxy-out")
     override = bool(args.override_certificate or config.get("override_certificate", False))
-    initial = config.get("initial_data", {"preset": "single-mode", "amplitude": 0.2})
-    if alpha is not None:
-        alpha = float(alpha)
+    initial = _section(config, "initial_data", {"preset": "single-mode", "amplitude": 0.2})
     return RunSpec(
         mode=mode,
-        initial_data=dict(initial),
-        solver=_solver_to_dict(solver),
+        initial_data=initial,
+        solver=solver,
         alpha=alpha,
         seed=seed,
         output_dir=str(out),
-        mode_options=dict(config.get("mode_options", {})),
+        mode_options=_section(config, "mode_options", {}),
         override_certificate=override,
     )
 
 
 def build_initial_field(spec: RunSpec) -> FourierField:
+    """The run's initial field, refused (exit 2) before a box that cannot fit is built."""
     init = spec.initial_data
-    truncation = int(spec.solver["truncation"])
+    truncation = spec.solver.truncation
     if "path" in init:
         try:
             with open(init["path"], "r", encoding="utf-8") as fh:
-                field = FourierField.from_json_dict(json.load(fh))
+                data = json.load(fh)
+            stored = int(data["truncation"])
+            if stored > truncation:
+                raise ValueError(
+                    f"field truncation {stored} exceeds solver truncation {truncation}"
+                )
+            check_memory(spec.solver, int(data["dim"]), nodes=1)
+            field = FourierField.from_json_dict(data)
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise ValidationError(f"cannot load field from {init['path']}: {err}") from err
-        if field.truncation > truncation:
-            raise ValidationError(
-                f"field truncation {field.truncation} exceeds solver truncation {truncation}"
-            )
         return embed(field, truncation)
     name = init.get("preset")
-    if name not in presets.PRESETS:
+    if not isinstance(name, str) or name not in presets.PRESETS:
         raise ValidationError(
             f"unknown preset {name!r}; available: {sorted(presets.PRESETS)} or a 'path' entry"
         )
-    dim = int(init.get("dim", 1))
-    amplitude = float(init.get("amplitude", 0.2))
+    where = "initial_data."
+    options = {
+        "amplitude": _option(init, "amplitude", 0.2, float, where),
+        "dim": _option(init, "dim", 1, int, where),
+    }
+    if name == "single-mode":
+        options["k"] = _option(init, "k", 1, int, where)
+    elif name == "random-decay":
+        options["seed"] = _option(init, "seed", spec.seed, int, where)
+        options["decay"] = _option(init, "decay", 3.0, float, where)
+    check_memory(spec.solver, options["dim"], nodes=1)
     try:
-        if name == "single-mode":
-            return presets.single_mode(truncation, amplitude, k=int(init.get("k", 1)), dim=dim)
-        if name == "two-mode":
-            return presets.two_mode(truncation, amplitude, dim=dim)
-        return presets.random_decay(
-            truncation,
-            seed=int(init.get("seed", spec.seed)),
-            amplitude=amplitude,
-            decay=float(init.get("decay", 3.0)),
-            dim=dim,
-        )
+        return presets.PRESETS[name](truncation, **options)
     except ValueError as err:
         raise ValidationError(f"invalid initial data: {err}") from err
 
@@ -213,17 +258,24 @@ PICARD_LIVE_TRAJECTORIES = 8
 WRITE_LIVE_TRAJECTORIES = 13
 
 
-def check_memory(config: SolverConfig, dim: int) -> None:
-    """Refuse a solve whose trajectories would not fit in physical memory."""
-    nodes = config.n_steps() + 1
+def check_memory(config: SolverConfig, dim: int, nodes: int | None = None) -> None:
+    """Refuse a run whose coefficient arrays would not fit in physical memory.
+
+    ``nodes`` defaults to the time nodes of a solve; 1 sizes a single field
+    before it is built.
+    """
+    if dim not in (1, 2):
+        raise ValidationError(f"dim must be 1 or 2, got {dim}")
+    nodes = config.n_steps() + 1 if nodes is None else nodes
+    modes = (2 * config.truncation + 1) ** dim
     live = max(PICARD_LIVE_TRAJECTORIES, WRITE_LIVE_TRAJECTORIES)
-    estimate = nodes * (2 * config.truncation + 1) ** dim * 16 * live
+    estimate = nodes * modes * 16 * live
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if estimate > physical:
         raise ValidationError(
-            f"solve would need about {estimate / 2**30:.3g} GiB for {nodes} time nodes "
-            f"({live} trajectories of {(2 * config.truncation + 1) ** dim} "
-            f"modes), more than the {physical / 2**30:.3g} GiB of physical memory; "
+            f"run would need about {estimate / 2**30:.3g} GiB for {nodes} time nodes "
+            f"({live} trajectories of {modes} modes), more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory; "
             "raise dt or lower t_final or truncation"
         )
 
@@ -342,7 +394,7 @@ def _comparison(a: Trajectory, b: Trajectory) -> tuple[list[str], float]:
 
 def _run_solve(spec: RunSpec, out: Path) -> dict:
     h0 = build_initial_field(spec)
-    config = _solver_from_dict(spec.solver)
+    config = spec.solver
     check_memory(config, h0.dim)
     cert = certify(h0, spec.alpha)
     write_json(out / "certificate.json", cert.to_json_dict(), spec)
@@ -385,14 +437,19 @@ def _run_solve(spec: RunSpec, out: Path) -> dict:
 
 def _run_probe(spec: RunSpec, out: Path) -> dict:
     opts = spec.mode_options
-    count = int(opts.get("trajectories", 100))
-    alphas = [float(a) for a in opts.get("alphas", [0.1, 0.5, 0.9])]
-    dims = [int(d) for d in opts.get("dims", [1, 2])]
-    max_truncation = int(opts.get("max_truncation", 16))
-    t_final = float(opts.get("t_final", 2.0))
-    dt = float(opts.get("dt", 0.01))
+    where = "mode_options."
+    count = _option(opts, "trajectories", 100, int, where)
+    alphas = _list_option(opts, "alphas", [0.1, 0.5, 0.9], float, where)
+    dims = _list_option(opts, "dims", [1, 2], int, where)
+    max_truncation = _option(opts, "max_truncation", 16, int, where)
+    t_final = _option(opts, "t_final", 2.0, float, where)
+    dt = _option(opts, "dt", 0.01, float, where)
     if count < 1 or not alphas or not dims:
         raise ValidationError("probe-operator needs trajectories >= 1, alphas and dims")
+    if not (0 < dt < math.inf and 0 < t_final < math.inf):
+        raise ValidationError(
+            f"probe-operator needs positive finite dt and t_final, got {dt} and {t_final}"
+        )
     times = np.linspace(0.0, t_final, int(round(t_final / dt)) + 1)
     rng = np.random.default_rng(spec.seed)
     rows = []
@@ -425,9 +482,8 @@ def _sweep_one(spec: RunSpec, out: Path, amplitude: float, do_solve: bool) -> tu
     write_json(out / "certificates" / f"{tag}.json", cert.to_json_dict(), sub)
     outcome, iterations, final_delta = "skipped", "", ""
     if do_solve:
-        config = _solver_from_dict(spec.solver)
         try:
-            _, diag = solve_picard(h0, cert, config, allow_uncertified=True)
+            _, diag = solve_picard(h0, cert, spec.solver, allow_uncertified=True)
             outcome = "converged"
             iterations = str(diag.iterations)
             final_delta = _fmt(diag.deltas[-1])
@@ -447,13 +503,14 @@ def _sweep_one(spec: RunSpec, out: Path, amplitude: float, do_solve: bool) -> tu
 
 def _run_sweep(spec: RunSpec, out: Path) -> dict:
     opts = spec.mode_options
-    amplitudes = [float(a) for a in opts.get("amplitudes", [0.20, 0.24, 0.249, 0.251, 0.30])]
+    default = [0.20, 0.24, 0.249, 0.251, 0.30]
+    amplitudes = _list_option(opts, "amplitudes", default, float, "mode_options.")
     if not amplitudes:
         raise ValidationError("sweep needs a nonempty 'amplitudes' list")
     do_solve = bool(opts.get("solve", False))
     if do_solve:
         dim = build_initial_field(_with_amplitude(spec, amplitudes[0])).dim
-        check_memory(_solver_from_dict(spec.solver), dim)
+        check_memory(spec.solver, dim)
     (out / "certificates").mkdir(parents=True, exist_ok=True)
     results = [_sweep_one(spec, out, a, do_solve) for a in amplitudes]
     header = (
@@ -497,13 +554,17 @@ def _run_radius(spec: RunSpec, out: Path) -> dict:
     if "trajectory" not in opts:
         raise ValidationError("radius needs mode_options.trajectory")
     traj = _load_trajectory(opts["trajectory"])
-    alpha = spec.alpha if spec.alpha is not None else opts.get("alpha")
+    where = "mode_options."
+    alpha = spec.alpha
+    if alpha is None:
+        alpha = _option(opts, "alpha", None, _float_or_none, where)
     if alpha is None:
         raise ValidationError("radius needs an alpha (flag, config or mode_options)")
-    alpha = float(alpha)
-    floor = float(opts.get("floor", 1e-12))
-    window = opts.get("fit_window", [0.5, float(traj.times[-1])])
-    t_lo, t_hi = float(window[0]), float(window[1])
+    floor = _option(opts, "floor", 1e-12, float, where)
+    window = _list_option(opts, "fit_window", [0.5, float(traj.times[-1])], float, where)
+    if len(window) != 2:
+        raise ValidationError(f"mode_options.fit_window must be [t_lo, t_hi], got {window}")
+    t_lo, t_hi = window
     rows = []
     fit_points = []
     for t, field in zip(traj.times, traj.fields):
@@ -550,7 +611,6 @@ def run(spec: RunSpec) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "run.json", {"mode": spec.mode}, spec)
     result = _RUNNERS[spec.mode](spec, out)
-    result.setdefault("artifacts", [])
     result["artifacts"] = ["run.json", *result["artifacts"]]
     return result
 

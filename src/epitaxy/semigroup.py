@@ -159,8 +159,7 @@ def linear_trajectory(h0: FourierField, times) -> Trajectory:
 # series below z = 1 and from the closed form above, so no catastrophic
 # cancellation occurs at either end (in particular wa is never formed as a
 # difference of the raw exponential moments, which agree to O(1/z) for
-# large z).  phi_one(z) = (1 - exp(-z)) / z is the first exponential
-# integrator weight, shared with the ETD stepper.
+# large z).
 
 _SERIES_TERMS = 22
 _WA_COEFFS = tuple((m + 1.0) / math.factorial(m + 2) for m in range(_SERIES_TERMS))
@@ -183,14 +182,6 @@ def exp_moment_weights(z):
     wa_closed = (1.0 - (zl + 1.0) * em) / zsq
     wb_closed = (zl - 1.0 + em) / zsq
     return np.where(small, wa_series, wa_closed), np.where(small, wb_series, wb_closed)
-
-
-def phi_one(z):
-    """(1 - exp(-z)) / z with the z -> 0 limit 1, for scalar or array z >= 0."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values = -np.expm1(-z) / z
-    return np.where(z == 0.0, 1.0, values)
 
 
 def stable_expm_moments(lam: float, dt: float, f0: complex, f1: complex) -> complex:

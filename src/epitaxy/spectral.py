@@ -26,7 +26,6 @@ completed to the full box by ``full_box`` from coeff(-k) = conj(coeff(k)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -37,31 +36,7 @@ import numpy as np
 HERMITIAN_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Wavevector:
-    """A lattice point k in Z^n with its Euclidean magnitude."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("wavevector needs at least one component")
-        if not all(isinstance(c, (int, np.integer)) for c in self.components):
-            raise ValueError(f"wavevector components must be integers, got {self.components}")
-        object.__setattr__(self, "components", tuple(int(c) for c in self.components))
-
-    @property
-    def magnitude(self) -> float:
-        return math.sqrt(sum(c * c for c in self.components))
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-
 def _as_components(k) -> tuple[int, ...]:
-    if isinstance(k, Wavevector):
-        return k.components
     if isinstance(k, (int, np.integer)):
         return (int(k),)
     return tuple(int(c) for c in k)
@@ -137,7 +112,7 @@ def check_coefficients(coeffs: np.ndarray, dim: int, truncation: int) -> None:
 def place_modes(
     dim: int, truncation: int, nodes: int, node: np.ndarray, comps: np.ndarray, values
 ) -> np.ndarray:
-    """Coefficient boxes for ``nodes`` nodes from (node, wavevector, amplitude) entries.
+    """Coefficient boxes for ``nodes`` nodes from (node, mode, amplitude) entries.
 
     ``comps`` has one row of integer components per entry.  A Hermitian
     partner -k that is not given is filled with conj(amplitude); one that is
@@ -266,10 +241,11 @@ class FourierField:
 
     @classmethod
     def from_modes(cls, dim: int, truncation: int, modes) -> "FourierField":
-        """Build a field from {wavevector: amplitude}, filling Hermitian partners.
+        """Build a field from {k: amplitude}, filling Hermitian partners.
 
-        A partner -k given explicitly must agree with conj(coeff(k)); the zero
-        mode may not carry a nonzero amplitude.
+        Each key k is an int (1-d) or a tuple of ``dim`` ints.  A partner -k
+        given explicitly must agree with conj(coeff(k)); the zero mode may not
+        carry a nonzero amplitude.
         """
         explicit = {}
         for k, a in dict(modes).items():
@@ -290,12 +266,12 @@ class FourierField:
     # -- access ------------------------------------------------------------
 
     def coeff(self, k) -> complex:
-        """Coefficient at wavevector ``k`` (int, tuple or Wavevector)."""
+        """Coefficient at mode ``k``, an int (1-d) or a tuple of ``dim`` ints."""
         comps = _as_components(k)
         if len(comps) != self.dim:
-            raise ValueError(f"wavevector {comps} has wrong dimension for dim={self.dim}")
+            raise ValueError(f"mode {comps} has wrong dimension for dim={self.dim}")
         if any(abs(c) > self.truncation for c in comps):
-            raise ValueError(f"wavevector {comps} outside truncation {self.truncation}")
+            raise ValueError(f"mode {comps} outside truncation {self.truncation}")
         return complex(self.coeffs[tuple(c + self.truncation for c in comps)])
 
     def nonzero_modes(self):
@@ -391,10 +367,6 @@ class GridField:
             raise ValueError("grid samples must all be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def resolution(self) -> int:
-        return self.samples.shape[0]
 
 
 def default_grid_size(truncation: int) -> int:

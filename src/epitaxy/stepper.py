@@ -1,25 +1,21 @@
-"""Exponential-integrator time stepper, the cross-validation engine.
+"""Integrating-factor RK4 time stepper, the cross-validation engine.
 
 Marches h_t = -lap^2 h + R(h) with R(h) = lap(exp(-lap h)) + lap^2 h, the
-stiff fourth-order part handled exactly per mode.  Two schemes:
+stiff fourth-order part handled exactly per mode: classical fourth-order
+Runge-Kutta is applied to the integrating factor variable
+exp(|k|^4 t) h(t, k), written so that only decaying exponentials ever
+appear (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005).
 
-* ``if-rk4``: classical fourth-order Runge-Kutta applied to the integrating
-  factor variable exp(|k|^4 t) h(t, k), written so that only decaying
-  exponentials ever appear;
-* ``etd-euler``: first-order exponential time differencing,
-  h <- exp(-z) h + dt phi1(-z) R(h) with z = |k|^4 dt and the phi weight
-  evaluated cancellation-safely.
-
-With the nonlinearity switched off (Taylor depth fixed at 1) both schemes
-reproduce the exact linear flow to roundoff, which pins down the stiff part
+With the nonlinearity switched off (Taylor depth fixed at 1) the stepper
+reproduces the exact linear flow to roundoff, which pins down the stiff part
 of the implementation in isolation.
 
-Both schemes run through one kernel per (dim, N, padding), built once and
-shared by ``step`` and ``solve_timestep``.  It marches only the half box
-k_last >= 0 of the real field, through the half-box exponential route of
-``nonlinear``, with |k|^4 on the half box fixed and the decay weights built
-once per distinct step size of a march.  The full box of each recorded node
-is written once, from Hermitian symmetry, and the trajectory validates it.
+One kernel per (dim, N, padding), built once, is shared by ``step`` and
+``solve_timestep``.  It marches only the half box k_last >= 0 of the real
+field, through the half-box exponential route of ``nonlinear``, with |k|^4
+on the half box fixed and the decay weights built once per distinct step
+size of a march.  The full box of each recorded node is written once, from
+Hermitian symmetry, and the trajectory validates it.
 """
 
 from __future__ import annotations
@@ -32,11 +28,8 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .nonlinear import TaylorDepth, exponential_route
-from .semigroup import Trajectory, phi_one
+from .semigroup import Trajectory
 from .spectral import FourierField, full_box, hermitian_k0_line, mode_grids
-
-SCHEMES = ("if-rk4", "etd-euler")
-
 
 def default_dt(truncation: int) -> float:
     """Accuracy-driven default step; stability is handled by the integrating factor."""
@@ -54,7 +47,6 @@ class SolverConfig:
     taylor: TaylorDepth = dataclass_field(default_factory=TaylorDepth.adaptive)
     tol: float = 1e-10
     max_iter: int = 200
-    scheme: str = "if-rk4"
 
     def __post_init__(self):
         if not isinstance(self.truncation, (int, np.integer)) or self.truncation < 1:
@@ -76,10 +68,6 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
-        scheme = str(self.scheme).lower()
-        if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        object.__setattr__(self, "scheme", scheme)
         steps = self.n_steps()
         if abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValueError(
@@ -95,7 +83,7 @@ class SolverConfig:
 
 
 class _Kernel:
-    """IF-RK4 and ETD-Euler steps on the k_last >= 0 half box for one (dim, N, padding).
+    """IF-RK4 steps on the k_last >= 0 half box for one (dim, N, padding).
 
     A state is a ``(1,) + half box`` array.  Each step leaves the k_last = 0
     line of the new state exactly Hermitian with a zero mode of 0.
@@ -120,30 +108,21 @@ class _Kernel:
             return np.zeros_like(half)
         return self.route(half) + self.k4 * half
 
-    def weights(self, dt: float, scheme: str) -> tuple:
+    def weights(self, dt: float) -> tuple:
         """The per-mode constants of one step of size ``dt``."""
-        if scheme == "if-rk4":
-            half = np.exp(-self.k4 * (dt / 2.0))
-            return half, half * half, dt * half, 2.0 * half
-        z = self.k4 * dt
-        return np.exp(-z), dt * phi_one(z)
+        half = np.exp(-self.k4 * (dt / 2.0))
+        return half, half * half, dt * half, 2.0 * half
 
-    def advance(
-        self, a: np.ndarray, dt: float, weights: tuple, scheme: str, linear_only: bool
-    ) -> np.ndarray:
+    def advance(self, a: np.ndarray, dt: float, weights: tuple, linear_only: bool) -> np.ndarray:
         """One step from state ``a``; NumericalError if the new state is not finite."""
         remainder = self.remainder
-        if scheme == "if-rk4":
-            half, full, dt_half, two_half = weights
-            full_a = full * a
-            na = remainder(a, linear_only)
-            nb = remainder(half * (a + (dt / 2.0) * na), linear_only)
-            nc = remainder(half * a + (dt / 2.0) * nb, linear_only)
-            nd = remainder(full_a + dt_half * nc, linear_only)
-            new = full_a + (dt / 6.0) * (full * na + two_half * (nb + nc) + nd)
-        else:  # etd-euler
-            decay, phi = weights
-            new = decay * a + phi * remainder(a, linear_only)
+        half, full, dt_half, two_half = weights
+        full_a = full * a
+        na = remainder(a, linear_only)
+        nb = remainder(half * (a + (dt / 2.0) * na), linear_only)
+        nc = remainder(half * a + (dt / 2.0) * nb, linear_only)
+        nd = remainder(full_a + dt_half * nc, linear_only)
+        new = full_a + (dt / 6.0) * (full * na + two_half * (nb + nc) + nd)
         if not np.isfinite(new).all():
             raise NumericalError("step rejected: amplitudes became non-finite")
         hermitian_k0_line(new)
@@ -171,7 +150,7 @@ def nonlinear_remainder(
 
 
 def step(field: FourierField, dt: float, config: SolverConfig) -> FourierField:
-    """Advance one time step with the configured scheme.
+    """Advance one IF-RK4 time step.
 
     The stages are formed on the half-box arrays of the shared kernel; only
     the result is built (and checked) as a field.
@@ -181,11 +160,7 @@ def step(field: FourierField, dt: float, config: SolverConfig) -> FourierField:
         raise ValueError(f"dt must be positive, got {dt}")
     kernel = _kernel(field.dim, field.truncation, config.padding)
     new = kernel.advance(
-        kernel.start(field.coeffs),
-        dt,
-        kernel.weights(dt, config.scheme),
-        config.scheme,
-        config.taylor.max_j == 1,
+        kernel.start(field.coeffs), dt, kernel.weights(dt), config.taylor.max_j == 1
     )
     return FourierField(field.dim, field.truncation, full_box(new)[0])
 
@@ -198,7 +173,7 @@ def solve_timestep(
         raise ValueError(f"output_every must be >= 1, got {output_every}")
     times = config.time_grid()
     kernel = _kernel(h0.dim, h0.truncation, config.padding)
-    scheme, linear_only = config.scheme, config.taylor.max_j == 1
+    linear_only = config.taylor.max_j == 1
     weights = {}
     state = kernel.start(h0.coeffs)
     recorded = [0]
@@ -207,9 +182,9 @@ def solve_timestep(
     for i, dt in enumerate(np.diff(times).tolist()):
         w = weights.get(dt)
         if w is None:
-            w = weights[dt] = kernel.weights(dt, scheme)
+            w = weights[dt] = kernel.weights(dt)
         try:
-            state = kernel.advance(state, dt, w, scheme, linear_only)
+            state = kernel.advance(state, dt, w, linear_only)
         except NumericalError as err:
             raise NumericalError(
                 f"{err}; last good time t = {float(times[i])!r}"

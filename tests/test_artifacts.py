@@ -20,7 +20,7 @@ def make_spec(output_dir="out"):
     return RunSpec(
         mode="solve",
         initial_data={"preset": "random-decay", "amplitude": 0.2, "seed": 7},
-        solver={"truncation": 6, "dt": 0.01, "t_final": 0.1, "taylor": {"tail_tol": 1e-12}},
+        solver=SolverConfig(truncation=6, dt=0.01, t_final=0.1),
         alpha=None,
         seed=7,
         output_dir=output_dir,

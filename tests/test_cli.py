@@ -1,6 +1,8 @@
 """End-to-end CLI runs: modes, exit codes, artifacts, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +394,39 @@ class TestMemoryGuard:
         assert "51 time nodes (13 trajectories of 17 modes)" in status["error"]["message"]
         assert not (tmp_path / "out" / "certificate.json").exists()
 
+    def test_certify_preset_refused_before_allocating(self, tmp_path, capsys):
+        # one 2-D box at N = 10**8 is about 6e17 bytes
+        cfg = write_config(
+            tmp_path / "run.json", initial_data=self.TWO_D, solver={"truncation": 10**8}
+        )
+        code, status = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert "GiB for 1 time nodes" in status["error"]["message"]
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
+    @pytest.mark.parametrize(
+        "stored,solver_truncation,reason",
+        [
+            ({"dim": 1, "truncation": 10**12}, 8, "exceeds solver truncation 8"),
+            ({"dim": 2, "truncation": 10**8}, 10**8, "GiB for 1 time nodes"),
+        ],
+        ids=["wider-than-solver", "solver-box-too-large"],
+    )
+    def test_certify_field_file_refused_before_allocating(
+        self, tmp_path, capsys, stored, solver_truncation, reason
+    ):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({**stored, "coeffs": []}), encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "run.json",
+            initial_data={"path": str(path)},
+            solver={"truncation": solver_truncation},
+        )
+        code, status = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert reason in status["error"]["message"]
+
     def test_certificate_sweep_is_not_guarded(self, tmp_path, capsys):
         # without solving, a sweep builds no trajectory and needs no estimate
         cfg = write_config(
@@ -403,6 +438,63 @@ class TestMemoryGuard:
         code, status = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_OK
         assert status["pass_pattern"] == [True, True]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "solver,key",
+        [
+            ({"truncation": 4, "tfinal": 0.5}, "tfinal"),
+            ({"truncation": 8, "dt": 0.01, "t_final": 0.5, "scheme": "if-rk4"}, "scheme"),
+        ],
+        ids=["misspelt", "removed"],
+    )
+    def test_unknown_solver_key_is_refused(self, tmp_path, capsys, solver, key):
+        cfg = write_config(tmp_path / "run.json", solver=solver)
+        code, status = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert f"unknown solver key {key!r}" in status["error"]["message"]
+
+    # mode, config entries, and the key the refusal must name; a radius run
+    # also gets a stored trajectory and an alpha in its mode_options
+    MALFORMED = {
+        "probe-dt-zero": ("probe-operator", {"mode_options": {"dt": 0}}, "dt"),
+        "probe-alphas-scalar": ("probe-operator", {"mode_options": {"alphas": 5}}, "alphas"),
+        "sweep-amplitudes-scalar": ("sweep", {"mode_options": {"amplitudes": 5}}, "amplitudes"),
+        "radius-window-short": ("radius", {"mode_options": {"fit_window": [0.1]}}, "fit_window"),
+        "radius-window-scalar": ("radius", {"mode_options": {"fit_window": 3}}, "fit_window"),
+        "initial-data-list": ("certify", {"initial_data": [1, 2]}, "initial_data"),
+        "mode-options-list": ("certify", {"mode_options": [1]}, "mode_options"),
+        "taylor-scalar": ("certify", {"solver": {"truncation": 8, "taylor": 5}}, "taylor"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_value_is_validation_error(self, tmp_path, capsys, case):
+        mode, overrides, key = self.MALFORMED[case]
+        if mode == "radius":
+            traj = linear_trajectory(
+                FourierField.from_modes(1, 4, {(1,): 0.1}), np.linspace(0, 1, 5)
+            )
+            (tmp_path / "t.json").write_text(json.dumps(traj.to_json_dict()))
+            extra = {"trajectory": str(tmp_path / "t.json"), "alpha": 0.5}
+            overrides = {"mode_options": {**extra, **overrides["mode_options"]}}
+        cfg = write_config(tmp_path / "run.json", **overrides)
+        code, status = run_cli(capsys, mode, "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert key in status["error"]["message"]
+
+    def test_readme_example_config_certifies(self, tmp_path, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        example = re.search(r"Example configuration \(JSON\):\s*```json\n(.*?)```", text, re.S)
+        assert example, "README has no example configuration block"
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(example.group(1), encoding="utf-8")
+        code, status = run_cli(capsys, "certify", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == EXIT_OK, status
+        assert status["pass"] is True
 
 
 class TestValidationAndDeterminism:

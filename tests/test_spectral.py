@@ -10,7 +10,6 @@ from epitaxy.nonlinear import padded_grid_size
 from epitaxy.spectral import (
     FourierField,
     GridField,
-    Wavevector,
     analyze,
     analyze_batch,
     bilaplacian_neg,
@@ -24,19 +23,6 @@ from epitaxy.spectral import (
 )
 
 from conftest import random_field
-
-
-class TestWavevector:
-    def test_magnitude(self):
-        assert Wavevector((3, 4)).magnitude == 5.0
-
-    def test_zero_magnitude_iff_zero(self):
-        assert Wavevector((0, 0)).magnitude == 0.0
-        assert Wavevector((1, 0)).magnitude > 0.0
-
-    def test_rejects_non_integers(self):
-        with pytest.raises(ValueError, match="integers"):
-            Wavevector((1.5, 0))
 
 
 class TestFourierFieldInvariants:

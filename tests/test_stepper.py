@@ -26,7 +26,6 @@ class TestSolverConfig:
     def test_defaults_resolve(self):
         config = SolverConfig(truncation=8)
         assert config.dt == default_dt(8)
-        assert config.scheme == "if-rk4"
         assert config.taylor.tail_tol == 1e-12
 
     def test_auto_dt_divides_any_horizon(self):
@@ -41,11 +40,6 @@ class TestSolverConfig:
     def test_dt_must_divide_t_final(self):
         with pytest.raises(ValueError, match="divide"):
             SolverConfig(truncation=4, dt=0.3, t_final=1.0)
-
-    def test_scheme_normalized_and_validated(self):
-        assert SolverConfig(truncation=4, dt=0.1, t_final=1.0, scheme="IF-RK4").scheme == "if-rk4"
-        with pytest.raises(ValueError, match="scheme"):
-            SolverConfig(truncation=4, dt=0.1, t_final=1.0, scheme="rk45")
 
     def test_time_grid_endpoints(self):
         config = SolverConfig(truncation=4, dt=0.25, t_final=1.0)
@@ -90,9 +84,10 @@ class TestStep:
         out = step(FourierField.zero(1, 8), 0.01, config)
         assert out.max_abs() == 0.0
 
-    @pytest.mark.parametrize("scheme", ["if-rk4", "etd-euler"])
-    def test_linear_exactness_per_step(self, rng, scheme):
-        config = self.config(scheme=scheme, taylor=LINEAR_ONLY)
+    # the id keeps the IF-RK4 name this test had when a second scheme existed
+    @pytest.mark.parametrize("taylor", [LINEAR_ONLY], ids=["if-rk4"])
+    def test_linear_exactness_per_step(self, rng, taylor):
+        config = self.config(taylor=taylor)
         f = random_field_with_norm(rng, 0.3, truncation=8)
         stepped = step(f, 0.01, config)
         exact = propagate(f, 0.01)
@@ -110,16 +105,6 @@ class TestStep:
         e1 = wiener_norm(finals[0] - finals[1], 0)
         e2 = wiener_norm(finals[1] - finals[2], 0)
         assert math.log2(e1 / e2) == pytest.approx(4.0, abs=0.5)
-
-    def test_etd_euler_order_one(self):
-        h0 = cosine(0.2, truncation=2)
-        finals = []
-        for dt in (0.02, 0.01, 0.005):
-            config = SolverConfig(truncation=2, dt=dt, t_final=0.5, scheme="etd-euler")
-            finals.append(solve_timestep(h0, config).fields[-1])
-        e1 = wiener_norm(finals[0] - finals[1], 0)
-        e2 = wiener_norm(finals[1] - finals[2], 0)
-        assert math.log2(e1 / e2) == pytest.approx(1.0, abs=0.4)
 
 
 class TestSolveTimestep:
