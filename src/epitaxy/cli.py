@@ -6,11 +6,12 @@ Usage:
 
 Modes: solve, certify, probe-operator, sweep, compare, radius.  Exit codes:
 0 success, 2 validation error, 3 certificate failure without override,
-4 numerical failure.  ``solve``, and ``sweep`` with ``solve: true``, are
-refused up front (exit 2) when the trajectories they would hold exceed the
-machine's physical memory; every initial field is sized the same way before
-it is built.  Unknown ``solver`` keys and config values of the wrong type
-are refused (exit 2) with the key named.
+4 numerical failure.  ``solve``, ``probe-operator``, and ``sweep`` with
+``solve: true``, are refused up front (exit 2) when the trajectories they
+would hold exceed the machine's physical memory; every initial field is sized
+the same way before it is built.  Unknown ``solver`` keys, config values of
+the wrong type and an output directory that cannot be created are refused
+(exit 2) with the key or directory named.
 
 Artifacts are plain JSON and CSV; every artifact embeds the fully resolved
 run specification, and identical specifications (including the seed)
@@ -128,6 +129,14 @@ def _list_option(section: dict, key: str, default: list, convert, where: str) ->
     return _option(section, key, default, convert_items, where)
 
 
+def _path_option(section: dict, key: str, where: str) -> str:
+    """``section[key]``, refused (exit 2) unless a string: a number would open a descriptor."""
+    path = section[key]
+    if not isinstance(path, str):
+        raise ValidationError(f"{where}{key} must be a file path string, got {path!r}")
+    return path
+
+
 def _float_or_none(value) -> float | None:
     return None if value is None else float(value)
 
@@ -208,8 +217,9 @@ def build_initial_field(spec: RunSpec) -> FourierField:
     init = spec.initial_data
     truncation = spec.solver.truncation
     if "path" in init:
+        path = _path_option(init, "path", "initial_data.")
         try:
-            with open(init["path"], "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             stored = int(data["truncation"])
             if stored > truncation:
@@ -219,7 +229,7 @@ def build_initial_field(spec: RunSpec) -> FourierField:
             check_memory(spec.solver, int(data["dim"]), nodes=1)
             field = FourierField.from_json_dict(data)
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-            raise ValidationError(f"cannot load field from {init['path']}: {err}") from err
+            raise ValidationError(f"cannot load field from {path}: {err}") from err
         return embed(field, truncation)
     name = init.get("preset")
     if not isinstance(name, str) or name not in presets.PRESETS:
@@ -252,10 +262,38 @@ PICARD_LIVE_TRAJECTORIES = 8
 
 # Coefficient arrays of one trajectory's size alive while a trajectory is
 # written: the Picard and stepper solutions, and the JSON form that
-# ``Trajectory.to_json_dict`` builds, one [k..., re, im] list per mode.  Traced
-# with tracemalloc at 20,001 nodes in 1-D and 501 nodes in 2-D, writing took
-# 9.5 and 10.4 trajectory sizes on top of the two solutions.
-WRITE_LIVE_TRAJECTORIES = 13
+# ``Trajectory.to_json_dict`` builds, one [k..., re, im] list per Hermitian
+# pair of modes.  Traced with tracemalloc at 20,001 nodes in 1-D and 501 nodes
+# in 2-D (N = 16, every mode nonzero), writing took 4.7 and 4.9 trajectory
+# sizes on top of the two solutions.
+WRITE_LIVE_TRAJECTORIES = 7
+
+# Coefficient arrays of the largest probe trajectory's size alive in one
+# ``probe-operator`` case: the previous case's trajectory, the new one with
+# its validation temporaries, and its Duhamel image.  Traced with tracemalloc
+# at N = 16 over 20,001 nodes in 1-D and 1,001 nodes in 2-D, the peak was 3.6
+# and 3.5 trajectory sizes.
+PROBE_LIVE_TRAJECTORIES = 4
+
+
+def _check_fits(nodes: int, modes: int, live: int, advice: str) -> None:
+    """Refuse (exit 2) ``live`` complex arrays of ``nodes`` x ``modes`` beyond physical memory.
+
+    The estimate is an exact integer, so an absurd request is refused, never
+    overflowed.
+    """
+    estimate = nodes * modes * 16 * live
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if estimate > physical:
+        # a Decimal formats integers beyond a float's range; imported only
+        # here because the import costs about 6 ms of every start-up
+        from decimal import Decimal
+
+        raise ValidationError(
+            f"run would need about {Decimal(estimate) / 2**30:.3g} GiB for {nodes} time "
+            f"nodes ({live} trajectories of {modes} modes), more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory; {advice}"
+        )
 
 
 def check_memory(config: SolverConfig, dim: int, nodes: int | None = None) -> None:
@@ -269,15 +307,7 @@ def check_memory(config: SolverConfig, dim: int, nodes: int | None = None) -> No
     nodes = config.n_steps() + 1 if nodes is None else nodes
     modes = (2 * config.truncation + 1) ** dim
     live = max(PICARD_LIVE_TRAJECTORIES, WRITE_LIVE_TRAJECTORIES)
-    estimate = nodes * modes * 16 * live
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if estimate > physical:
-        raise ValidationError(
-            f"run would need about {estimate / 2**30:.3g} GiB for {nodes} time nodes "
-            f"({live} trajectories of {modes} modes), more than the "
-            f"{physical / 2**30:.3g} GiB of physical memory; "
-            "raise dt or lower t_final or truncation"
-        )
+    _check_fits(nodes, modes, live, "raise dt or lower t_final or truncation")
 
 
 # -- deterministic artifact emission ------------------------------------------
@@ -444,13 +474,23 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
     max_truncation = _option(opts, "max_truncation", 16, int, where)
     t_final = _option(opts, "t_final", 2.0, float, where)
     dt = _option(opts, "dt", 0.01, float, where)
-    if count < 1 or not alphas or not dims:
-        raise ValidationError("probe-operator needs trajectories >= 1, alphas and dims")
-    if not (0 < dt < math.inf and 0 < t_final < math.inf):
+    if count < 1 or max_truncation < 2 or not alphas or not dims:
         raise ValidationError(
-            f"probe-operator needs positive finite dt and t_final, got {dt} and {t_final}"
+            "probe-operator needs trajectories >= 1, max_truncation >= 2, alphas and dims"
         )
-    times = np.linspace(0.0, t_final, int(round(t_final / dt)) + 1)
+    if not set(dims) <= {1, 2}:
+        raise ValidationError(f"{where}dims may hold only 1 and 2, got {dims}")
+    if not (0 < dt < math.inf and 0 < t_final < math.inf and t_final / dt < math.inf):
+        raise ValidationError(
+            "probe-operator needs positive finite dt and t_final with a finite t_final / dt, "
+            f"got {dt} and {t_final}"
+        )
+    nodes = int(round(t_final / dt)) + 1
+    modes = (2 * max_truncation + 1) ** max(dims)
+    _check_fits(
+        nodes, modes, PROBE_LIVE_TRAJECTORIES, f"raise {where}dt or lower t_final or max_truncation"
+    )
+    times = np.linspace(0.0, t_final, nodes)
     rng = np.random.default_rng(spec.seed)
     rows = []
     all_pass = True
@@ -524,7 +564,8 @@ def _run_sweep(spec: RunSpec, out: Path) -> dict:
     }
 
 
-def _load_trajectory(path: str) -> Trajectory:
+def _load_trajectory(opts: dict, key: str) -> Trajectory:
+    path = _path_option(opts, key, "mode_options.")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return Trajectory.from_json_dict(json.load(fh))
@@ -537,8 +578,8 @@ def _run_compare(spec: RunSpec, out: Path) -> dict:
     for key in ("trajectory_a", "trajectory_b"):
         if key not in opts:
             raise ValidationError(f"compare needs mode_options.{key}")
-    a = _load_trajectory(opts["trajectory_a"])
-    b = _load_trajectory(opts["trajectory_b"])
+    a = _load_trajectory(opts, "trajectory_a")
+    b = _load_trajectory(opts, "trajectory_b")
     rows, worst = _comparison(a, b)
     write_csv(out / "comparison.csv", "t,wiener2_diff", rows, spec)
     write_json(
@@ -553,7 +594,7 @@ def _run_radius(spec: RunSpec, out: Path) -> dict:
     opts = spec.mode_options
     if "trajectory" not in opts:
         raise ValidationError("radius needs mode_options.trajectory")
-    traj = _load_trajectory(opts["trajectory"])
+    traj = _load_trajectory(opts, "trajectory")
     where = "mode_options."
     alpha = spec.alpha
     if alpha is None:
@@ -608,7 +649,10 @@ _RUNNERS = {
 def run(spec: RunSpec) -> dict:
     """Dispatch a resolved RunSpec; returns the status payload on success."""
     out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValidationError(f"cannot create output directory {out}: {err}") from err
     write_json(out / "run.json", {"mode": spec.mode}, spec)
     result = _RUNNERS[spec.mode](spec, out)
     result["artifacts"] = ["run.json", *result["artifacts"]]

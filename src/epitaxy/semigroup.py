@@ -112,7 +112,10 @@ class Trajectory:
         return Trajectory(self.times, self.coeffs - other.coeffs)
 
     def to_json_dict(self) -> dict:
-        """JSON form: {"times": [...], "fields": [FourierField JSON form per node]}."""
+        """JSON form: {"times": [...], "fields": [FourierField JSON form per node]}.
+
+        Each node lists one mode of each Hermitian pair (``mode_entries``).
+        """
         head = {"dim": self.dim, "truncation": self.truncation}
         return {
             "times": self.times.tolist(),

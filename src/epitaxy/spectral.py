@@ -156,7 +156,8 @@ def coeffs_from_entries(dim: int, truncation: int, entries_per_node) -> np.ndarr
     ``entries_per_node`` is a sequence holding one list of entries per node;
     the numbers of all nodes are read into one table.  Hermitian partners may
     be omitted from the entries; ``place_modes`` restores them and rejects
-    inconsistent ones.
+    inconsistent ones.  So both the half-box lists that ``mode_entries``
+    writes and full-box lists, which give every partner, are read.
     """
     width = dim + 2
     counts = []
@@ -174,16 +175,27 @@ def coeffs_from_entries(dim: int, truncation: int, entries_per_node) -> np.ndarr
 
 
 def mode_entries(coeffs: np.ndarray, truncation: int) -> list[list[list]]:
-    """Per node of a ``(nodes,) + box`` batch: ``[k..., re, im]`` for each nonzero mode.
+    """Per node of a ``(nodes,) + box`` batch: ``[k..., re, im]`` for each written mode.
 
-    Modes are listed in lexicographic order of their components; this is the
-    serialized form of a field's coefficients.
+    This is the serialized form of a field's coefficients.  Only one mode of
+    each Hermitian pair is written: the nonzero modes with k_last > 0, and on
+    the k_last = 0 line those whose leading component is positive (in 1-D,
+    k > 0).  The reader restores the partners as conj(coeff(k))
+    (``coeffs_from_entries``), so an exactly Hermitian box reads back equal;
+    one Hermitian only to HERMITIAN_RTOL reads back as the completion of its
+    written half.  Modes are listed in lexicographic order of their components.
     """
+    dim = coeffs.ndim - 1
+    # over the k_last >= 0 half box, where index i is k = i - N along a leading
+    # axis and k_last = i along the last, drop the k_last = 0 modes with k_0 <= 0
+    keep = np.ones(coeffs.shape[1:-1] + (truncation + 1,), dtype=bool)
+    keep[(slice(truncation + 1),) * (dim - 1) + (0,)] = False
+    offset = np.array([truncation] * (dim - 1) + [0])
     entries = []
-    for node in coeffs:
-        nonzero = np.nonzero(node)
-        values = node[nonzero]
-        ks = (np.stack(nonzero, axis=1) - truncation).tolist()
+    for node in coeffs[..., truncation:]:
+        written = np.nonzero((node != 0) & keep)
+        values = node[written]
+        ks = (np.stack(written, axis=1) - offset).tolist()
         re, im = values.real.tolist(), values.imag.tolist()
         entries.append([k + [a, b] for k, a, b in zip(ks, re, im)])
     return entries
@@ -316,7 +328,10 @@ class FourierField:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """JSON form: {"dim", "truncation", "coeffs": [[k..., re, im], ...]}."""
+        """JSON form: {"dim", "truncation", "coeffs": [[k..., re, im], ...]}.
+
+        ``coeffs`` lists one mode of each Hermitian pair (``mode_entries``).
+        """
         entries = mode_entries(self.coeffs[None], self.truncation)[0]
         return {"dim": self.dim, "truncation": self.truncation, "coeffs": entries}
 

@@ -1,18 +1,23 @@
-"""JSON artifact layout: ``write_json`` against ``json.dumps(indent=2, sort_keys=True)``.
+"""JSON artifact layout: ``write_json`` against ``json.dumps(indent=2, sort_keys=True)``,
+and the half-box coefficient lists of solved trajectories read back through the CLI.
 
 The writer streams its own chunks and formats number lists with ``repr``;
 ``json.dumps`` is the oracle it must match byte for byte.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from epitaxy.cli import RunSpec, write_json
+from epitaxy.cli import RunSpec, main, write_json
 from epitaxy.norms import certify
+from epitaxy.picard import solve_picard
 from epitaxy.presets import random_decay
-from epitaxy.semigroup import linear_trajectory
+from epitaxy.semigroup import Trajectory, linear_trajectory
+from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig, solve_timestep
 
 
@@ -76,3 +81,93 @@ def test_edge_payload_layout(tmp_path, payload):
 def test_non_ascii_output_dir_layout(tmp_path):
     spec = make_spec(output_dir=str(tmp_path / "résultats-π"))
     assert_oracle_layout(tmp_path, {"mode": "solve"}, spec)
+
+
+# -- half-box trajectories, solved and read back through the CLI --------------
+
+SOLVER = {"truncation": 5, "dt": 0.01, "t_final": 0.05}
+TRAJECTORY_FILES = ("picard_trajectory.json", "stepper_trajectory.json")
+
+
+def run_quietly(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+
+def write_run_config(path, out, **settings):
+    initial = {"preset": "random-decay", "amplitude": 0.2, "seed": 7}
+    config = {"initial_data": initial, "solver": SOLVER, "seed": 7, "output_dir": str(out)}
+    path.write_text(json.dumps({**config, **settings}), encoding="utf-8")
+    return str(path)
+
+
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def solved(request, tmp_path_factory):
+    """(dim, output directory, config path) of one CLI solve."""
+    dim = request.param
+    work = tmp_path_factory.mktemp(f"solve{dim}d")
+    initial = {"preset": "random-decay", "amplitude": 0.2, "seed": 7, "dim": dim}
+    cfg = write_run_config(work / "run.json", work / "out", initial_data=initial)
+    assert run_quietly("solve", "--config", cfg) == 0
+    return dim, work / "out", cfg
+
+
+def test_compare_reads_back_the_solve_gap(solved, tmp_path):
+    _, out, _ = solved
+    paths = dict(zip(("trajectory_a", "trajectory_b"), (str(out / n) for n in TRAJECTORY_FILES)))
+    cfg = write_run_config(tmp_path / "compare.json", tmp_path / "cmp", mode_options=paths)
+    assert run_quietly("compare", "--config", cfg) == 0
+    got = read_json(tmp_path / "cmp" / "summary.json")["max_wiener2_diff"]
+    assert got == read_json(out / "summary.json")["max_engine_difference"]
+
+
+def test_files_read_back_to_the_solution(solved):
+    dim, out, _ = solved
+    h0 = random_decay(SOLVER["truncation"], amplitude=0.2, dim=dim, seed=7)
+    config = SolverConfig(**SOLVER)
+    picard, _ = solve_picard(h0, certify(h0), config)
+    marched = solve_timestep(h0, config)
+    for name, solution in zip(TRAJECTORY_FILES, (picard, marched)):
+        back = Trajectory.from_json_dict(read_json(out / name))
+        np.testing.assert_array_equal(back.times, solution.times)
+        np.testing.assert_array_equal(back.coeffs, solution.coeffs)
+    field = FourierField.from_json_dict(read_json(out / "initial_field.json"))
+    np.testing.assert_array_equal(field.coeffs, h0.coeffs)
+
+
+def test_only_the_half_box_is_written(solved):
+    # one mode per Hermitian pair: k_last > 0, or k_last = 0 and k_0 > 0
+    _, out, _ = solved
+    nodes = [read_json(out / "initial_field.json")]
+    for name in TRAJECTORY_FILES:
+        nodes += read_json(out / name)["fields"]
+    written = [entry for node in nodes for entry in node["coeffs"]]
+    assert written
+    outside = [e for e in written if not (e[-3] > 0 or (e[-3] == 0 and e[0] > 0))]
+    assert outside == []
+
+
+def test_full_box_files_still_load(solved, tmp_path):
+    _, out, _ = solved
+    traj = Trajectory.from_json_dict(read_json(out / TRAJECTORY_FILES[0]))
+    full = [
+        {"dim": f.dim, "truncation": f.truncation,
+         "coeffs": [list(k) + [a.real, a.imag] for k, a in f.nonzero_modes()]}
+        for f in traj.fields
+    ]
+    assert len(full[-1]["coeffs"]) == 2 * len(traj.to_json_dict()["fields"][-1]["coeffs"])
+    (tmp_path / "full.json").write_text(json.dumps({"times": traj.times.tolist(), "fields": full}))
+    back = Trajectory.from_json_dict(json.loads((tmp_path / "full.json").read_text()))
+    np.testing.assert_array_equal(back.coeffs, traj.coeffs)
+    np.testing.assert_array_equal(FourierField.from_json_dict(full[-1]).coeffs, traj.coeffs[-1])
+
+
+def test_repeated_solve_is_byte_identical(solved):
+    _, out, cfg = solved
+    first = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert run_quietly("solve", "--config", cfg) == 0
+    assert {path.name: path.read_bytes() for path in sorted(out.iterdir())} == first

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: modes, exit codes, artifacts, determinism."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -382,17 +383,21 @@ class TestMemoryGuard:
         assert not (tmp_path / "out" / "certificates").exists()
 
     def test_write_peak_is_counted(self, tmp_path, capsys, monkeypatch):
-        # 51 nodes of 17 modes; physical memory between the Picard-only
-        # estimate (8 trajectory sizes) and the write-time one (13)
+        # 51 nodes of 17 modes.  The guard counts the larger of the Picard peak
+        # and the write peak: one byte less than that estimate is refused even
+        # though it holds the smaller peak, and exactly that estimate fits
         trajectory = 51 * 17 * 16
-        pages = {"SC_PHYS_PAGES": 10 * trajectory, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        assert cli.PICARD_LIVE_TRAJECTORIES < 10 < cli.WRITE_LIVE_TRAJECTORIES
+        low, high = sorted((cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES))
         cfg = write_config(tmp_path / "run.json")  # N = 8, dt = 0.01, T = 0.5
+        pages = {"SC_PHYS_PAGES": high * trajectory - 1, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        assert pages["SC_PHYS_PAGES"] >= low * trajectory
         code, status = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == EXIT_VALIDATION
-        assert "51 time nodes (13 trajectories of 17 modes)" in status["error"]["message"]
+        assert f"51 time nodes ({high} trajectories of 17 modes)" in status["error"]["message"]
         assert not (tmp_path / "out" / "certificate.json").exists()
+        pages["SC_PHYS_PAGES"] = high * trajectory
+        cli.check_memory(SolverConfig(truncation=8, dt=0.01, t_final=0.5), dim=1)
 
     def test_certify_preset_refused_before_allocating(self, tmp_path, capsys):
         # one 2-D box at N = 10**8 is about 6e17 bytes
@@ -426,6 +431,23 @@ class TestMemoryGuard:
         assert code == EXIT_VALIDATION
         assert status["error"]["type"] == "ValidationError"
         assert reason in status["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "options,reason",
+        [
+            ({"dt": 1e-15, "t_final": 2.0}, "2000000000000001 time nodes (4 trajectories"),
+            ({"max_truncation": 1e308}, "trajectories of "),  # exact, not an overflow
+        ],
+        ids=["tiny-dt", "huge-truncation"],
+    )
+    def test_probe_refused_before_allocating(self, tmp_path, capsys, options, reason):
+        cfg = write_config(tmp_path / "run.json", mode_options=options)
+        code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert "GiB" in status["error"]["message"]
+        assert reason in status["error"]["message"]
+        assert not (tmp_path / "out" / "operator_probe.csv").exists()
 
     def test_certificate_sweep_is_not_guarded(self, tmp_path, capsys):
         # without solving, a sweep builds no trajectory and needs no estimate
@@ -461,6 +483,10 @@ class TestConfigValidation:
     MALFORMED = {
         "probe-dt-zero": ("probe-operator", {"mode_options": {"dt": 0}}, "dt"),
         "probe-alphas-scalar": ("probe-operator", {"mode_options": {"alphas": 5}}, "alphas"),
+        "probe-dims-three": ("probe-operator", {"mode_options": {"dims": [1, 3]}}, "dims"),
+        "probe-truncation-one": (
+            "probe-operator", {"mode_options": {"max_truncation": 1}}, "max_truncation"
+        ),
         "sweep-amplitudes-scalar": ("sweep", {"mode_options": {"amplitudes": 5}}, "amplitudes"),
         "radius-window-short": ("radius", {"mode_options": {"fit_window": [0.1]}}, "fit_window"),
         "radius-window-scalar": ("radius", {"mode_options": {"fit_window": 3}}, "fit_window"),
@@ -508,6 +534,38 @@ class TestValidationAndDeterminism:
     def test_missing_config_file(self, tmp_path, capsys):
         code, status = run_cli(capsys, "certify", "--config", str(tmp_path / "nope.json"))
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "mode,section,key",
+        [
+            ("certify", "initial_data", "path"),
+            ("compare", "mode_options", "trajectory_a"),
+            ("compare", "mode_options", "trajectory_b"),
+            ("radius", "mode_options", "trajectory"),
+        ],
+    )
+    def test_non_string_path_is_refused(self, tmp_path, capsys, mode, section, key):
+        # 0 would open file descriptor 0: read stdin, then close it
+        traj = linear_trajectory(FourierField.from_modes(1, 2, {(1,): 0.1}), [0.0, 1.0])
+        (tmp_path / "t.json").write_text(json.dumps(traj.to_json_dict()))
+        paths = {"trajectory_a": str(tmp_path / "t.json"), "trajectory_b": str(tmp_path / "t.json")}
+        settings = {"initial_data": {}, "mode_options": paths}
+        settings[section][key] = 0
+        cfg = write_config(tmp_path / "run.json", alpha=0.5, **settings)
+        code, status = run_cli(capsys, mode, "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert f"{section}.{key} must be a file path string" in status["error"]["message"]
+        os.fstat(0)  # still open
+
+    def test_uncreatable_output_dir_is_validation_error(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory")
+        cfg = write_config(tmp_path / "run.json")
+        code, status = run_cli(capsys, "certify", "--config", str(cfg), "--out", str(blocker))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert f"cannot create output directory {blocker}" in status["error"]["message"]
 
     def test_unknown_preset(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", initial_data={"preset": "sawtooth"})
