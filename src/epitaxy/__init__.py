@@ -1,13 +1,13 @@
-"""Pseudospectral solver and certificate toolkit for h_t = lap(exp(-lap h)) on T^n."""
+"""Pseudospectral solver and certificate toolkit for h_t = lap(exp(-lap h)) on T^n.
+
+The public names are the batched core that the command line runs: fields and
+trajectories, norms and the certificate, the series sum, the Duhamel operator
+and its bound probe, the Picard solve and the IF-RK4 cross-check, and
+``multiply`` for the algebra property.
+"""
 
 from .exceptions import CertificateError, NumericalError, PicardConvergenceError
-from .nonlinear import (
-    TaylorDepth,
-    rhs_exponential,
-    rhs_taylor,
-    taylor_sum,
-    taylor_term_Fj,
-)
+from .nonlinear import TaylorDepth, taylor_sum
 from .norms import (
     Certificate,
     RadiusFit,
@@ -25,19 +25,9 @@ from .semigroup import (
     duhamel_Iplus,
     linear_trajectory,
     operator_bound_probe,
-    propagate,
-    stable_expm_moments,
 )
-from .spectral import (
-    FourierField,
-    GridField,
-    analyze,
-    bilaplacian_neg,
-    laplacian,
-    multiply,
-    synthesize,
-)
-from .stepper import SolverConfig, nonlinear_remainder, solve_timestep, step
+from .spectral import FourierField, multiply
+from .stepper import SolverConfig, solve_timestep
 
 __version__ = "0.1.0"
 
@@ -45,7 +35,6 @@ __all__ = [
     "Certificate",
     "CertificateError",
     "FourierField",
-    "GridField",
     "NumericalError",
     "PicardConvergenceError",
     "PicardDiagnostics",
@@ -55,28 +44,17 @@ __all__ = [
     "TaylorDepth",
     "Trajectory",
     "WeightParams",
-    "analyze",
     "analyticity_radius",
-    "bilaplacian_neg",
     "certify",
     "duhamel_Iplus",
     "duhamel_map",
-    "laplacian",
     "linear_trajectory",
     "max_alpha",
     "multiply",
-    "nonlinear_remainder",
     "operator_bound_probe",
-    "propagate",
-    "rhs_exponential",
-    "rhs_taylor",
     "solve_picard",
     "solve_timestep",
     "spacetime_norm",
-    "stable_expm_moments",
-    "step",
-    "synthesize",
     "taylor_sum",
-    "taylor_term_Fj",
     "wiener_norm",
 ]

@@ -141,6 +141,13 @@ def _float_or_none(value) -> float | None:
     return None if value is None else float(value)
 
 
+def _bool(value) -> bool:
+    """``value`` if it is JSON ``true`` or ``false``; a string such as "false" is refused."""
+    if type(value) is not bool:
+        raise TypeError("expected true or false")
+    return value
+
+
 SOLVER_KEYS = ("truncation", "dt", "t_final", "padding", "taylor", "tol", "max_iter")
 
 
@@ -170,7 +177,7 @@ def _solver_from_dict(d: dict) -> SolverConfig:
     }
     try:
         return SolverConfig(taylor=TaylorDepth(**depth), **settings)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise ValidationError(f"invalid solver config: {err}") from err
 
 
@@ -198,7 +205,8 @@ def build_runspec(mode: str, config: dict, args) -> RunSpec:
         alpha = _option(config, "alpha", None, _float_or_none, "")
     seed = args.seed if args.seed is not None else _option(config, "seed", 0, int, "")
     out = args.out if args.out is not None else config.get("output_dir", "epitaxy-out")
-    override = bool(args.override_certificate or config.get("override_certificate", False))
+    override = _option(config, "override_certificate", False, _bool, "")
+    override = override or args.override_certificate
     initial = _section(config, "initial_data", {"preset": "single-mode", "amplitude": 0.2})
     return RunSpec(
         mode=mode,
@@ -518,7 +526,7 @@ def _sweep_one(spec: RunSpec, out: Path, amplitude: float, do_solve: bool) -> tu
     sub = _with_amplitude(spec, amplitude)
     h0 = build_initial_field(sub)
     cert = certify(h0, spec.alpha)
-    tag = f"amp_{amplitude:g}"
+    tag = f"amp_{_fmt(amplitude)}"
     write_json(out / "certificates" / f"{tag}.json", cert.to_json_dict(), sub)
     outcome, iterations, final_delta = "skipped", "", ""
     if do_solve:
@@ -547,7 +555,7 @@ def _run_sweep(spec: RunSpec, out: Path) -> dict:
     amplitudes = _list_option(opts, "amplitudes", default, float, "mode_options.")
     if not amplitudes:
         raise ValidationError("sweep needs a nonempty 'amplitudes' list")
-    do_solve = bool(opts.get("solve", False))
+    do_solve = _option(opts, "solve", False, _bool, "mode_options.")
     if do_solve:
         dim = build_initial_field(_with_amplitude(spec, amplitudes[0])).dim
         check_memory(spec.solver, dim)

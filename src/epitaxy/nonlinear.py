@@ -15,9 +15,11 @@ Powers are formed in physical space on the padded grid: one synthesis, J
 pointwise multiply-accumulates and one analysis, instead of J spectral
 convolutions.
 
-The exponential route works on k_last >= 0 half boxes with constants built
-once per (dim, N, padding) (``exponential_route``); the time stepper marches
-through the same object.
+The series route sums a whole trajectory as one batch (``taylor_sum``), as
+the Picard iteration needs it.  The exponential route works on k_last >= 0
+half boxes with constants built once per (dim, N, padding)
+(``exponential_route``); the time stepper marches through the same object,
+and ``rhs_exponential`` is its single-field form.
 """
 
 from __future__ import annotations
@@ -33,15 +35,10 @@ from .norms import wiener_norm
 from .semigroup import Trajectory
 from .spectral import (
     FourierField,
-    GridField,
-    analyze,
     analyze_batch,
     analyze_half,
-    bilaplacian_neg,
     full_box,
-    laplacian,
     mode_grids,
-    synthesize,
     synthesize_batch,
     synthesize_half,
 )
@@ -116,27 +113,6 @@ def padded_grid_size(truncation: int, padding_factor: float) -> int:
     return max(math.ceil(padding_factor * (2 * truncation + 1)), 2 * truncation + 1)
 
 
-def _laplacian_grid(field: FourierField, padding_factor: float) -> np.ndarray:
-    m = padded_grid_size(field.truncation, padding_factor)
-    return synthesize(laplacian(field), m).samples
-
-
-def taylor_term_Fj(
-    field: FourierField, j: int, padding_factor: float = 2.0
-) -> tuple[FourierField, float]:
-    """The series term F_j = ((-1)^j / j!) (lap h)^j.
-
-    Returns the mean-zero coefficient field together with the (generally
-    nonzero) mean of the term; the Laplacian that a caller applies on top
-    annihilates that mean, so it is reported for diagnostics only.
-    """
-    if j < 2:
-        raise ValueError(f"series terms start at j = 2, got {j}")
-    g = _laplacian_grid(field, padding_factor)
-    values = ((-1.0) ** j / math.factorial(j)) * g**j
-    return analyze(GridField(field.dim, values), field.truncation)
-
-
 def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
     """sum_{j=2}^{J_i} F_j on the M^dim grid for node i of a batch; (coeffs, means).
 
@@ -161,31 +137,26 @@ def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
     return analyze_batch(total, (coeffs.shape[1] - 1) // 2)
 
 
-def taylor_sum(h, depth: TaylorDepth, padding_factor: float = 2.0):
-    """sum_{j=2}^{J} F_j with J resolved from ``depth``; terms summed ascending.
+def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0):
+    """sum_{j=2}^{J} F_j at every node of ``traj``; (trajectory, one mean per node).
 
-    ``h`` is a FourierField, giving ``(field, mean)`` like ``taylor_term_Fj``,
-    or a Trajectory, giving ``(trajectory, means)`` with one mean per node.
-    A trajectory is summed as one batch: one transform pair over all nodes,
-    with J resolved per node from that node's norm.  With the linear-only
-    sentinel the sum is empty and zero is returned.  A non-finite partial sum
-    raises NumericalError.
+    The trajectory is summed as one batch: one transform pair over all nodes,
+    with J resolved per node from that node's norm and the terms summed
+    ascending.  With the linear-only sentinel the sum is empty and zero is
+    returned.  Each node's mean is the (generally nonzero) zero mode of its
+    sum, which the Laplacian applied on top annihilates.  A non-finite
+    partial sum raises NumericalError.
     """
-    single = isinstance(h, FourierField)
-    batch = h.coeffs[None] if single else h.coeffs
-    norms = np.atleast_1d(wiener_norm(h, 2))
-    depths = np.array([depth.resolve(float(r)) for r in norms], dtype=np.int64)
-    out = np.zeros_like(batch)
-    means = np.zeros(batch.shape[0])
+    depths = np.array([depth.resolve(float(r)) for r in wiener_norm(traj, 2)], dtype=np.int64)
+    out = np.zeros_like(traj.coeffs)
+    means = np.zeros(traj.times.size)
     if depths.max() >= 2:
-        m = padded_grid_size(h.truncation, padding_factor)
-        chunk = max(1, _BATCH_GRID_POINTS // m**h.dim)
-        for lo in range(0, batch.shape[0], chunk):
+        m = padded_grid_size(traj.truncation, padding_factor)
+        chunk = max(1, _BATCH_GRID_POINTS // m**traj.dim)
+        for lo in range(0, out.shape[0], chunk):
             hi = lo + chunk
-            out[lo:hi], means[lo:hi] = _series_batch(batch[lo:hi], depths[lo:hi], m)
-    if single:
-        return FourierField(h.dim, h.truncation, out[0]), float(means[0])
-    return Trajectory(h.times, out), means
+            out[lo:hi], means[lo:hi] = _series_batch(traj.coeffs[lo:hi], depths[lo:hi], m)
+    return Trajectory(traj.times, out), means
 
 
 class _ExponentialRoute:
@@ -230,12 +201,3 @@ def rhs_exponential(field: FourierField, padding_factor: float = 2.0) -> Fourier
     n = field.truncation
     route = exponential_route(field.dim, n, float(padding_factor))
     return FourierField(field.dim, n, full_box(route(field.coeffs[None, ..., n:]))[0])
-
-
-def rhs_taylor(
-    field: FourierField, depth: TaylorDepth, padding_factor: float = 2.0
-) -> FourierField:
-    """-lap^2 h + sum_{j=2}^{J} lap F_j, the series route to the right-hand side."""
-    linear = bilaplacian_neg(field)
-    series, _mean = taylor_sum(field, depth, padding_factor)
-    return linear + laplacian(series)

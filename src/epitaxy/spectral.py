@@ -1,4 +1,4 @@
-"""Lattice bookkeeping, transforms and Fourier multipliers on the torus.
+"""Lattice bookkeeping, the coefficient box and its transforms on the torus.
 
 Real mean-zero fields on T^n (n in {1, 2}) are stored as truncated Fourier
 coefficient boxes: all modes k with max-norm |k_i| <= N are retained, in an
@@ -21,7 +21,9 @@ the real-FFT pair: a ``(nodes,) + box`` coefficient array is synthesized
 with one ``irfftn`` of its half boxes, whose output is real by construction,
 and samples are analyzed with one ``rfftn``, whose half spectrum is
 completed to the full box by ``full_box`` from coeff(-k) = conj(coeff(k)).
-``synthesize`` and ``analyze`` are the single-field forms of the same code.
+The |k|-power arrays that every multiplier is built from come from
+``mode_grids``.  ``synthesize`` and ``analyze`` are the single-field forms of
+the batched pair, for ``multiply``.
 """
 
 from __future__ import annotations
@@ -342,51 +344,7 @@ class FourierField:
         return cls(dim, truncation, coeffs_from_entries(dim, truncation, [data["coeffs"]])[0])
 
 
-def _apply_multiplier(field: FourierField, multiplier: np.ndarray) -> FourierField:
-    coeffs = field.coeffs * multiplier
-    coeffs[(field.truncation,) * field.dim] = 0.0  # keep the zero mode exactly zero
-    return FourierField(field.dim, field.truncation, coeffs)
-
-
-def laplacian(field: FourierField) -> FourierField:
-    """Multiply each mode by -|k|^2."""
-    return _apply_multiplier(field, -mode_grids(field.dim, field.truncation).ksq)
-
-
-def bilaplacian_neg(field: FourierField) -> FourierField:
-    """Multiply each mode by -|k|^4 (the leading dissipative operator)."""
-    return _apply_multiplier(field, -mode_grids(field.dim, field.truncation).k4)
-
-
 # -- physical grid ----------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GridField:
-    """Real samples on the uniform M^dim grid x_j = 2*pi*j/M over [0, 2*pi)^dim."""
-
-    dim: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        samples = np.ascontiguousarray(self.samples, dtype=float)
-        if samples.ndim != self.dim:
-            raise ValueError(f"samples must be {self.dim}-dimensional, got shape {samples.shape}")
-        if self.dim == 2 and samples.shape[0] != samples.shape[1]:
-            raise ValueError(f"grid must be square, got shape {samples.shape}")
-        if samples.shape[0] < 1:
-            raise ValueError("grid must contain at least one point")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("grid samples must all be finite")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-
-
-def default_grid_size(truncation: int) -> int:
-    """Next power of two >= 2(N+1); always satisfies the 2N+1 floor."""
-    return 1 << (2 * truncation + 1).bit_length()
 
 
 def _check_resolution(m: int, truncation: int) -> None:
@@ -493,38 +451,15 @@ def analyze_batch(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.
     return full_box(half / scale), zero_modes / scale
 
 
-def synthesize(field: FourierField, grid_points_per_dim: int | None = None) -> GridField:
-    """Evaluate sum_k coeff(k) exp(i k.x) on a uniform grid.
-
-    Parameters
-    ----------
-    field:
-        The coefficients to synthesize.
-    grid_points_per_dim:
-        Grid resolution M; defaults to the next power of two >= 2(N+1).
-        Must satisfy M >= 2N+1 so synthesis is alias-free.
-
-    Returns
-    -------
-    GridField with real samples, from one inverse real FFT of the half box
-    k_last >= 0 (``synthesize_batch``).
-    """
-    n = field.truncation
-    m = default_grid_size(n) if grid_points_per_dim is None else int(grid_points_per_dim)
-    return GridField(field.dim, synthesize_batch(field.coeffs[None], m)[0])
+def synthesize(field: FourierField, m: int) -> np.ndarray:
+    """Real samples of sum_k coeff(k) exp(i k.x) on the M^dim grid, M >= 2N+1."""
+    return synthesize_batch(field.coeffs[None], m)[0]
 
 
-def analyze(grid: GridField, truncation: int) -> tuple[FourierField, float]:
-    """Discrete Fourier coefficients of the samples, restricted to the box.
-
-    Returns the mean-zero field together with the discarded mean (the zero
-    mode of the samples), which the caller may want for diagnostics.
-    """
-    n = int(truncation)
-    if n < 1:
-        raise ValueError(f"truncation must be a positive integer, got {truncation}")
-    coeffs, means = analyze_batch(grid.samples[None], n)
-    return FourierField(grid.dim, n, coeffs[0]), float(means[0])
+def analyze(samples: np.ndarray, truncation: int) -> tuple[FourierField, float]:
+    """The mean-zero field of the box coefficients of M^dim samples, and their mean."""
+    coeffs, means = analyze_batch(samples[None], truncation)
+    return FourierField(samples.ndim, truncation, coeffs[0]), float(means[0])
 
 
 def embed(field: FourierField, truncation: int) -> FourierField:
@@ -553,7 +488,5 @@ def multiply(f: FourierField, g: FourierField) -> tuple[FourierField, float]:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     n_out = f.truncation + g.truncation
-    m = default_grid_size(n_out)
-    a = synthesize(f, m).samples
-    b = synthesize(g, m).samples
-    return analyze(GridField(f.dim, a * b), n_out)
+    m = 1 << (2 * n_out + 1).bit_length()  # a power of two above the 2 n_out + 1 floor
+    return analyze(synthesize(f, m) * synthesize(g, m), n_out)

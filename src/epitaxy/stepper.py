@@ -10,12 +10,13 @@ With the nonlinearity switched off (Taylor depth fixed at 1) the stepper
 reproduces the exact linear flow to roundoff, which pins down the stiff part
 of the implementation in isolation.
 
-One kernel per (dim, N, padding), built once, is shared by ``step`` and
-``solve_timestep``.  It marches only the half box k_last >= 0 of the real
-field, through the half-box exponential route of ``nonlinear``, with |k|^4
-on the half box fixed and the decay weights built once per distinct step
-size of a march.  The full box of each recorded node is written once, from
-Hermitian symmetry, and the trajectory validates it.
+One kernel per (dim, N, padding), built once, is shared by
+``solve_timestep`` and its single-step form ``step``.  It marches only the
+half box k_last >= 0 of the real field, through the half-box exponential
+route of ``nonlinear``, with |k|^4 on the half box fixed and the decay
+weights built once per distinct step size of a march.  The full box of each
+recorded node is written once, from Hermitian symmetry, and the trajectory
+validates it.
 """
 
 from __future__ import annotations
@@ -132,21 +133,6 @@ class _Kernel:
 @lru_cache(maxsize=None)
 def _kernel(dim: int, truncation: int, padding: float) -> _Kernel:
     return _Kernel(dim, truncation, padding)
-
-
-def nonlinear_remainder(
-    field: FourierField, depth: TaylorDepth, padding: float = 2.0
-) -> FourierField:
-    """The series part of the right-hand side: rhs(h) + lap^2 h.
-
-    Evaluated via the exponential route minus the linear term, keeping this
-    engine structurally independent of the series route it is checked
-    against.  ``depth`` only matters through the linear-only sentinel
-    (fixed depth 1), which returns the zero field.
-    """
-    kernel = _kernel(field.dim, field.truncation, float(padding))
-    half = kernel.remainder(kernel.start(field.coeffs), depth.max_j == 1)
-    return FourierField(field.dim, field.truncation, full_box(half)[0])
 
 
 def step(field: FourierField, dt: float, config: SolverConfig) -> FourierField:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epitaxy.norms import wiener_norm
+from epitaxy.semigroup import Trajectory
 from epitaxy.spectral import FourierField, mode_grids
 
 
@@ -24,6 +25,11 @@ def random_field_with_norm(rng, target, j=2, dim=1, truncation=8, decay=1.0):
     norm = wiener_norm(field, j)
     assert norm > 0
     return field * (target / norm)
+
+
+def trajectory_of(times, fields):
+    """The trajectory whose node i holds ``fields[i]``."""
+    return Trajectory(times, np.array([f.coeffs for f in fields]))
 
 
 @pytest.fixture

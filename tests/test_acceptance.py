@@ -31,7 +31,7 @@ from epitaxy.semigroup import (
 from epitaxy.spectral import FourierField, multiply
 from epitaxy.stepper import SolverConfig, solve_timestep
 
-from conftest import random_field
+from conftest import random_field, trajectory_of
 
 
 def report(index, name, passed, detail=""):
@@ -262,7 +262,7 @@ def test_criterion_10_convergence_orders():
 
     def restrict(traj, times):
         keep = [int(np.argmin(np.abs(traj.times - t))) for t in times]
-        return Trajectory(np.asarray(times), tuple(traj.fields[i] for i in keep))
+        return Trajectory(np.asarray(times), traj.coeffs[keep])
 
     params = WeightParams(0.0, 2)
     d1 = spacetime_norm(restrict(solutions[0.02], solutions[0.04].times) - solutions[0.04], params)
@@ -274,10 +274,8 @@ def test_criterion_10_convergence_orders():
 
     def residual(n):
         times = np.linspace(0.0, 1.0, n + 1)
-        fields = tuple(
-            FourierField.from_modes(1, 4, {(1,): 0.5 * math.exp(-0.3 * t)}) for t in times
-        )
-        traj = Trajectory(times, fields)
+        fields = [FourierField.from_modes(1, 4, {(1,): 0.5 * math.exp(-0.3 * t)}) for t in times]
+        traj = trajectory_of(times, fields)
         out = duhamel_Iplus(traj)
         g = np.array([f.coeff(1) for f in out.fields])
         fv = np.array([f.coeff(1) for f in traj.fields])

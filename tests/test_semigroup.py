@@ -1,4 +1,4 @@
-"""Propagator, Duhamel accumulation and the operator-norm probe."""
+"""Linear flow, Duhamel accumulation and the operator-norm probe."""
 
 import math
 
@@ -13,13 +13,11 @@ from epitaxy.semigroup import (
     exp_moment_weights,
     linear_trajectory,
     operator_bound_probe,
-    propagate,
     random_probe_trajectory,
-    stable_expm_moments,
 )
 from epitaxy.spectral import FourierField
 
-from conftest import random_field
+from conftest import random_field, trajectory_of
 
 
 def cosine(truncation=4, amplitude=1.0):
@@ -28,26 +26,26 @@ def cosine(truncation=4, amplitude=1.0):
 
 def single_mode_trajectory(times, profile, k=1, truncation=4):
     """One real cosine mode whose coefficient follows ``profile(t)``."""
-    fields = tuple(
-        FourierField.from_modes(1, truncation, {(k,): profile(t)}) for t in times
-    )
-    return Trajectory(np.asarray(times, dtype=float), fields)
+    fields = [FourierField.from_modes(1, truncation, {(k,): profile(t)}) for t in times]
+    return trajectory_of(times, fields)
+
+
+def moment(lam, dt, f0, f1):
+    """integral_0^dt exp(-lam (dt - s)) (f0 + (f1 - f0) s / dt) ds from the kernel weights."""
+    wa, wb = exp_moment_weights(lam * dt)
+    return complex(dt * (f0 * wa + f1 * wb))
 
 
 class TestTrajectory:
     def test_first_node_must_be_zero(self):
         f = cosine()
         with pytest.raises(ValueError, match="t = 0"):
-            Trajectory(np.array([0.5, 1.0]), (f, f))
+            trajectory_of([0.5, 1.0], (f, f))
 
     def test_times_strictly_increasing(self):
         f = cosine()
         with pytest.raises(ValueError, match="increasing"):
-            Trajectory(np.array([0.0, 1.0, 1.0]), (f, f, f))
-
-    def test_mixed_truncations_rejected(self):
-        with pytest.raises(ValueError, match="share"):
-            Trajectory(np.array([0.0, 1.0]), (cosine(4), cosine(5)))
+            trajectory_of([0.0, 1.0, 1.0], (f, f, f))
 
     def test_json_round_trip(self, rng):
         traj = linear_trajectory(random_field(rng, truncation=3), np.linspace(0, 1, 5))
@@ -58,24 +56,27 @@ class TestTrajectory:
 
 
 class TestPropagate:
+    """The linear flow exp(-|k|^4 t) per mode, as ``linear_trajectory`` evaluates it."""
+
     def test_zero_time_is_identity(self, rng):
         f = random_field(rng, dim=2, truncation=3)
-        np.testing.assert_array_equal(propagate(f, 0.0).coeffs, f.coeffs)
+        np.testing.assert_array_equal(linear_trajectory(f, [0.0]).coeffs[0], f.coeffs)
 
     def test_unit_mode_decay_factor(self):
-        g = propagate(cosine(), 1.0)
+        g = linear_trajectory(cosine(), [0.0, 1.0]).fields[1]
         assert g.coeff(1) == pytest.approx(0.5 * 0.36787944117144233, rel=1e-15)
 
     def test_semigroup_law(self, rng):
         f = random_field(rng, truncation=5)
-        once = propagate(f, 0.7 + 0.4)
-        twice = propagate(propagate(f, 0.7), 0.4)
-        scale = max(np.max(np.abs(once.coeffs)), 1e-300)
-        assert np.max(np.abs(once.coeffs - twice.coeffs)) <= 1e-13 * scale
+        once = linear_trajectory(f, [0.0, 0.7 + 0.4]).coeffs[1]
+        halfway = linear_trajectory(f, [0.0, 0.7]).fields[1]
+        twice = linear_trajectory(halfway, [0.0, 0.4]).coeffs[1]
+        scale = max(np.max(np.abs(once)), 1e-300)
+        assert np.max(np.abs(once - twice)) <= 1e-13 * scale
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            propagate(cosine(), -0.1)
+        with pytest.raises(ValueError, match="increasing"):
+            linear_trajectory(cosine(), [0.0, -0.1])
 
 
 class TestLinearTrajectory:
@@ -97,11 +98,11 @@ class TestLinearTrajectory:
 class TestExpmMoments:
     def test_constant_integrand_closed_form(self):
         lam, dt = 3.0, 0.4
-        got = stable_expm_moments(lam, dt, 1.0, 1.0)
+        got = moment(lam, dt, 1.0, 1.0)
         assert got == pytest.approx((1.0 - math.exp(-lam * dt)) / lam, rel=1e-14)
 
     def test_trapezoid_limit_small_z(self):
-        got = stable_expm_moments(1e-12, 0.5, 0.0, 1.0)
+        got = moment(1e-12, 0.5, 0.0, 1.0)
         assert got == pytest.approx(0.25, rel=1e-12)  # dt / 2
 
     def test_simpson_oracle_lam16(self):
@@ -111,7 +112,7 @@ class TestExpmMoments:
         x = np.linspace(0.0, dt, 4097)
         y = np.exp(-lam * (dt - x)) * (1.0 - x / dt)
         oracle = float(simpson(y, x=x))
-        got = stable_expm_moments(lam, dt, 1.0, 0.0)
+        got = moment(lam, dt, 1.0, 0.0)
         assert got.imag == 0.0
         assert got.real == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(0.018557384891167810, abs=1e-15)
@@ -126,14 +127,8 @@ class TestExpmMoments:
         lam = z / dt
         for f0, f1 in ((1.0, 0.0), (0.0, 1.0), (0.3 + 0.7j, -1.1 + 0.2j)):
             ref = complex(mp.mpf(dt) * (f0 * (w0_ref - w1_ref) + f1 * w1_ref))
-            got = stable_expm_moments(lam, dt, f0, f1)
+            got = moment(lam, dt, f0, f1)
             assert abs(got - ref) <= 1e-14 * abs(ref)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            stable_expm_moments(0.0, 0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            stable_expm_moments(1.0, 0.0, 1.0, 1.0)
 
     def test_weights_continuous_across_branch(self):
         below = exp_moment_weights(1.0 - 1e-12)

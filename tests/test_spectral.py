@@ -1,4 +1,4 @@
-"""Transforms, multipliers and the coefficient convention."""
+"""Transforms, the |k|-power multipliers and the coefficient convention."""
 
 import json
 
@@ -9,20 +9,29 @@ from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import padded_grid_size
 from epitaxy.spectral import (
     FourierField,
-    GridField,
     analyze,
     analyze_batch,
-    bilaplacian_neg,
     check_coefficients,
-    default_grid_size,
     embed,
-    laplacian,
+    mode_grids,
     multiply,
     synthesize,
     synthesize_batch,
 )
 
 from conftest import random_field
+
+
+def laplacian(field):
+    """The field times the multiplier -|k|^2 of ``mode_grids``, validated as a field."""
+    grids = mode_grids(field.dim, field.truncation)
+    return FourierField(field.dim, field.truncation, -grids.ksq * field.coeffs)
+
+
+def bilaplacian_neg(field):
+    """The field times the multiplier -|k|^4 of ``mode_grids``, validated as a field."""
+    grids = mode_grids(field.dim, field.truncation)
+    return FourierField(field.dim, field.truncation, -grids.k4 * field.coeffs)
 
 
 class TestFourierFieldInvariants:
@@ -68,19 +77,19 @@ class TestFourierFieldInvariants:
         f = FourierField.from_modes(1, 4, {(1,): 0.5})
         grid = synthesize(f, 16)
         x = 2.0 * np.pi * np.arange(16) / 16
-        np.testing.assert_allclose(grid.samples, np.cos(x), atol=1e-14)
+        np.testing.assert_allclose(grid, np.cos(x), atol=1e-14)
 
 
 class TestSynthesize:
     def test_zero_field_gives_zero_samples(self):
         f = FourierField.zero(1, 3)
-        assert np.all(synthesize(f, 8).samples == 0.0)
+        assert np.all(synthesize(f, 8) == 0.0)
 
     def test_cosine_two_mode_synthesis(self):
         f = FourierField.from_modes(1, 2, {(1,): 0.5})
         m = 9
         x = 2.0 * np.pi * np.arange(m) / m
-        np.testing.assert_allclose(synthesize(f, m).samples, np.cos(x), atol=1e-14)
+        np.testing.assert_allclose(synthesize(f, m), np.cos(x), atol=1e-14)
 
     def test_sine_from_antisymmetric_imaginary_pair(self):
         f = FourierField.from_modes(2, 2, {(1, 0): -0.5j})
@@ -88,41 +97,35 @@ class TestSynthesize:
         grid = synthesize(f, m)
         x = 2.0 * np.pi * np.arange(m) / m
         expected = np.sin(x)[:, None] * np.ones(m)[None, :]
-        np.testing.assert_allclose(grid.samples, expected, atol=1e-14)
+        np.testing.assert_allclose(grid, expected, atol=1e-14)
 
     def test_grid_too_small_refused_with_sizes(self):
         f = FourierField.from_modes(1, 4, {(1,): 0.5})
         with pytest.raises(ValueError, match=r"8.*truncation 4.*9"):
             synthesize(f, 8)
 
-    def test_default_grid_size_is_power_of_two_above_floor(self):
-        for n in (1, 2, 3, 7, 8, 16):
-            m = default_grid_size(n)
-            assert m >= 2 * n + 1
-            assert m & (m - 1) == 0
-
 
 class TestAnalyze:
     def test_cosine_samples_give_half_coefficients(self):
         x = 2.0 * np.pi * np.arange(16) / 16
-        field, mean = analyze(GridField(1, np.cos(x)), 2)
+        field, mean = analyze(np.cos(x), 2)
         assert mean == pytest.approx(0.0, abs=1e-15)
         assert field.coeff(1) == pytest.approx(0.5, abs=1e-14)
         assert field.coeff(-1) == pytest.approx(0.5, abs=1e-14)
 
     def test_constant_samples_are_pure_mean(self):
-        field, mean = analyze(GridField(1, np.full(8, 3.0)), 2)
+        field, mean = analyze(np.full(8, 3.0), 2)
         assert mean == pytest.approx(3.0, abs=1e-14)
         assert field.max_abs() == pytest.approx(0.0, abs=1e-15)
 
     def test_resolution_too_small_refused(self):
         with pytest.raises(ValueError, match="too small"):
-            analyze(GridField(1, np.zeros(8)), 4)
+            analyze(np.zeros(8), 4)
 
     @pytest.mark.parametrize("dim,truncation", [(1, 5), (1, 8), (2, 4)])
     def test_round_trip_identity(self, rng, dim, truncation):
         f = random_field(rng, dim=dim, truncation=truncation)
-        for m in (2 * truncation + 1, default_grid_size(truncation)):
+        for m in (2 * truncation + 1, 32):  # the floor and a power of two above it
             back, mean = analyze(synthesize(f, m), truncation)
             assert mean == pytest.approx(0.0, abs=1e-14)
             err = np.max(np.abs(back.coeffs - f.coeffs))
@@ -215,16 +218,6 @@ class TestSerialization:
         f = FourierField.from_modes(1, 5, {(1,): 0.5})
         entries = f.to_json_dict()["coeffs"]
         assert entries == [[1, 0.5, 0.0]]  # the partner -1 is restored on reading
-
-
-class TestGridField:
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            GridField(2, np.zeros((4, 5)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            GridField(1, np.array([1.0, np.nan]))
 
 
 def test_synthesis_imag_residue_guard():

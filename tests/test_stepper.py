@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from epitaxy import stepper
 from epitaxy.exceptions import NumericalError
-from epitaxy.nonlinear import TaylorDepth, taylor_sum
+from epitaxy.nonlinear import TaylorDepth
 from epitaxy.norms import wiener_norm
-from epitaxy.semigroup import propagate
-from epitaxy.spectral import FourierField, laplacian
-from epitaxy.stepper import SolverConfig, default_dt, nonlinear_remainder, solve_timestep, step
+from epitaxy.semigroup import linear_trajectory
+from epitaxy.spectral import FourierField, full_box, mode_grids
+from epitaxy.stepper import SolverConfig, default_dt, solve_timestep, step
 
 from conftest import random_field_with_norm
+from reference import series_sum
 
 
 def cosine(amplitude, truncation=8):
@@ -20,6 +22,16 @@ def cosine(amplitude, truncation=8):
 
 
 LINEAR_ONLY = TaylorDepth.fixed(1)
+
+
+def nonlinear_remainder(field, depth, padding=2.0):
+    """rhs(h) + lap^2 h as the stepper's kernel forms it, rebuilt to the full box.
+
+    ``depth`` only matters through the linear-only sentinel, which gives zero.
+    """
+    kernel = stepper._kernel(field.dim, field.truncation, padding)
+    half = kernel.remainder(kernel.start(field.coeffs), depth.max_j == 1)
+    return FourierField(field.dim, field.truncation, full_box(half)[0])
 
 
 class TestSolverConfig:
@@ -69,8 +81,9 @@ class TestNonlinearRemainder:
         for r in (0.1, 0.3, 0.5):
             h = random_field_with_norm(rng, r)
             exp_route = nonlinear_remainder(h, TaylorDepth.adaptive())
-            series, _ = taylor_sum(h, TaylorDepth.adaptive(1e-15))
-            assert wiener_norm(exp_route - laplacian(series), 0) <= 1e-10
+            series, _ = series_sum(h, TaylorDepth.adaptive(1e-15))
+            lap_series = -mode_grids(1, h.truncation).ksq * series.coeffs
+            assert np.sum(np.abs(exp_route.coeffs - lap_series)) <= 1e-10
 
 
 class TestStep:
@@ -90,7 +103,7 @@ class TestStep:
         config = self.config(taylor=taylor)
         f = random_field_with_norm(rng, 0.3, truncation=8)
         stepped = step(f, 0.01, config)
-        exact = propagate(f, 0.01)
+        exact = linear_trajectory(f, [0.0, 0.01]).fields[1]
         mask = np.abs(exact.coeffs) > 0
         rel = np.abs(stepped.coeffs[mask] - exact.coeffs[mask]) / np.abs(exact.coeffs[mask])
         assert np.max(rel) <= 1e-14
@@ -122,8 +135,7 @@ class TestSolveTimestep:
         config = SolverConfig(truncation=4, dt=1e-3, t_final=0.1, taylor=LINEAR_ONLY)
         h0 = random_field_with_norm(rng, 0.3, truncation=4)
         traj = solve_timestep(h0, config)
-        for t, f in zip(traj.times, traj.fields):
-            exact = propagate(h0, t)
+        for f, exact in zip(traj.fields, linear_trajectory(h0, traj.times).fields):
             mask = np.abs(exact.coeffs) > 0
             rel = np.abs(f.coeffs[mask] - exact.coeffs[mask]) / np.abs(exact.coeffs[mask])
             assert np.max(rel) <= 1e-13

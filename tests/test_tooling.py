@@ -1,6 +1,7 @@
 """Source checks: invariants must survive ``python -O``, which strips ``assert``,
-every function the benchmark's tracer hooks must still exist, and the README's
-memory estimate must be the one the guard applies."""
+every function the benchmark's tracer hooks must still exist, the README's
+memory estimate must be the one the guard applies, and every public name in
+the package must be used by it, exported or hooked."""
 
 import ast
 import importlib
@@ -52,3 +53,43 @@ def test_readme_memory_estimate_matches_guard():
     assert found.keys() == {"N", "·max_truncation"}, f"README estimates found: {found}"
     assert int(found["N"]) == max(cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES)
     assert int(found["·max_truncation"]) == cli.PROBE_LIVE_TRAJECTORIES
+
+
+def test_public_names_are_used():
+    # code that only tests call belongs in tests/, so every public top-level
+    # def or class must be referenced by the package, exported or hooked
+    missing = [name for name in epitaxy.__all__ if not hasattr(epitaxy, name)]
+    assert not missing, f"names in epitaxy.__all__ that do not resolve: {missing}"
+    readme = README.read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\s*```python\n(.*?)```", readme, re.S)
+    assert sketch, "README has no library sketch"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(sketch.group(1)))
+        if isinstance(node, ast.ImportFrom) and node.module == "epitaxy"
+        for alias in node.names
+    }
+    assert imported, "the library sketch imports nothing from epitaxy"
+    assert imported <= set(epitaxy.__all__), f"not exported: {imported - set(epitaxy.__all__)}"
+    hooks = runpy.run_path(str(TRACING))["SPAN_HOOKS"]
+    hooked = {(module, path.split(".")[0]) for _name, module, path in hooks}
+    # (identifier, module, top-level definition it appears in) for every name and attribute
+    references, defined = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = f"epitaxy.{path.stem}"
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(statement, "name", None)
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and owner[0] != "_":
+                defined.append((module, owner))
+            for node in ast.walk(statement):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    references.add((name, module, owner))
+    unused = [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in epitaxy.__all__
+        and (module, name) not in hooked
+        and not any(ref[0] == name and ref[1:] != (module, name) for ref in references)
+    ]
+    assert not unused, f"public names that only tests use; move them to tests/: {unused}"
