@@ -3,7 +3,8 @@
 The public names are the batched core that the command line runs: fields and
 trajectories, norms and the certificate, the series sum, the Duhamel operator
 and its bound probe, the Picard solve and the IF-RK4 cross-check, and
-``multiply`` for the algebra property.
+``multiply`` for the algebra property.  A ``Trajectory`` is validated where
+it enters: built from arrays, read from JSON or returned by a solver.
 """
 
 from .exceptions import CertificateError, NumericalError, PicardConvergenceError
@@ -18,7 +19,7 @@ from .norms import (
     spacetime_norm,
     wiener_norm,
 )
-from .picard import PicardDiagnostics, duhamel_map, solve_picard
+from .picard import PicardDiagnostics, solve_picard
 from .semigroup import (
     ProbeReport,
     Trajectory,
@@ -47,7 +48,6 @@ __all__ = [
     "analyticity_radius",
     "certify",
     "duhamel_Iplus",
-    "duhamel_map",
     "linear_trajectory",
     "max_alpha",
     "multiply",

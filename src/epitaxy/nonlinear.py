@@ -156,7 +156,8 @@ def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0
         for lo in range(0, out.shape[0], chunk):
             hi = lo + chunk
             out[lo:hi], means[lo:hi] = _series_batch(traj.coeffs[lo:hi], depths[lo:hi], m)
-    return Trajectory(traj.times, out), means
+    # every box comes from full_box, and _series_batch refused a non-finite sum
+    return Trajectory._trusted(traj.times, out), means
 
 
 class _ExponentialRoute:

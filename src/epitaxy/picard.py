@@ -9,11 +9,13 @@ I+ operator.  The integral operator is linear, so the series is summed into
 a single trajectory first (one batched transform pair over all nodes) and I+
 is applied once per iteration.
 
-Iteration starts from the linear flow (the center of the certificate ball)
-and contracts geometrically whenever the certificate passed: the ratios of
-successive update norms are bounded by the certified contraction constant,
-and every iterate stays within the ball radius r1 of the center.  Both facts
-are recorded per iteration and checked by the test suite.
+Iteration starts from the linear flow (the center of the certificate ball),
+computed once, and runs on plain coefficient arrays; only the solution is
+built, and validated, as a ``Trajectory``.  It contracts geometrically
+whenever the certificate passed: the ratios of successive update norms are
+bounded by the certified contraction constant, and every iterate stays
+within the ball radius r1 of the center.  Both facts are recorded per
+iteration and checked by the test suite.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import CertificateError, NumericalError, PicardConvergenceError
-from .nonlinear import TaylorDepth, taylor_sum
+from .nonlinear import taylor_sum
 from .norms import Certificate, WeightParams, spacetime_norm
 from .semigroup import Trajectory, duhamel_Iplus, linear_trajectory
 from .spectral import FourierField
@@ -50,16 +52,6 @@ class PicardDiagnostics:
         return lines
 
 
-def duhamel_map(
-    h0: FourierField, h: Trajectory, depth: TaylorDepth, padding: float = 2.0
-) -> Trajectory:
-    """One application of the fixed-point map T to the trajectory ``h``."""
-    if h.dim != h0.dim or h.truncation != h0.truncation:
-        raise ValueError("trajectory nodes must share dim and truncation with h0")
-    series, _means = taylor_sum(h, depth, padding)
-    return linear_trajectory(h0, h.times) + duhamel_Iplus(series)
-
-
 def solve_picard(
     h0: FourierField,
     cert: Certificate,
@@ -79,9 +71,9 @@ def solve_picard(
             f"certificate failed (r0 = {cert.r0:.6g}); pass allow_uncertified to iterate anyway"
         )
     params = WeightParams(cert.alpha, 2)
-    times = config.time_grid()
-    center = linear_trajectory(h0, times)
-    current = center
+    center = linear_trajectory(h0, config.time_grid())
+    times = center.times
+    current = center.coeffs
     deltas: list[float] = []
     ratios: list[float] = []
     balls: list[float] = []
@@ -89,10 +81,13 @@ def solve_picard(
     iterations = 0
     for _ in range(config.max_iter):
         iterations += 1
-        updated = duhamel_map(h0, current, config.taylor, config.padding)
-        delta = spacetime_norm(updated - current, params)
+        # one expression, so the series sum is freed before the next iteration
+        updated = center.coeffs + duhamel_Iplus(
+            taylor_sum(Trajectory._trusted(times, current), config.taylor, config.padding)[0]
+        ).coeffs
+        delta = spacetime_norm(Trajectory._trusted(times, updated - current), params)
         deltas.append(delta)
-        balls.append(spacetime_norm(updated - center, params))
+        balls.append(spacetime_norm(Trajectory._trusted(times, updated - center.coeffs), params))
         if len(deltas) >= 2 and deltas[-2] > 0.0:
             ratios.append(deltas[-1] / deltas[-2])
         current = updated
@@ -113,9 +108,10 @@ def solve_picard(
             f"(last update norm {deltas[-1]:.3e}, tol {config.tol:g})",
             diag,
         )
+    solution = Trajectory(times, current)
     if cert.passed and balls[-1] > cert.r1:
         raise NumericalError(
             f"solution left the certificate ball: distance {balls[-1]:.6g} > r1 = "
             f"{cert.r1:.6g}; the time grid is too coarse for the certified bound"
         )
-    return current, diag
+    return solution, diag

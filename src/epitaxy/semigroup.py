@@ -12,9 +12,9 @@ is 1 / (1 - alpha / |k|^3), largest at |k| = 1.  ``operator_bound_probe``
 measures this ratio numerically.
 
 A trajectory is a time grid plus one complex coefficient array of shape
-(nodes, 2N+1[, 2N+1]), piecewise-linear in time per mode.  The array is
-validated once when the trajectory is built (finite, zero mode vanishing,
-Hermitian per node), and the operators here act on the whole array at once.
+(nodes, 2N+1[, 2N+1]), piecewise-linear in time per mode, validated when
+built (finite, zero mode vanishing, Hermitian per node).  The Duhamel
+operator acts on the whole array; its result skips the checks (``_trusted``).
 The Duhamel integral of the interpolant is evaluated in closed form on each
 subinterval (exponential moments of a linear function), with the kernel
 weights computed once per distinct step size, and accumulated with the
@@ -76,6 +76,16 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _trusted(cls, times: np.ndarray, coeffs: np.ndarray) -> "Trajectory":
+        """Read-only, unchecked: for the series sum, Duhamel image and Picard iterates only."""
+        times.flags.writeable = False
+        coeffs.flags.writeable = False
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "times", times)
+        object.__setattr__(traj, "coeffs", coeffs)
+        return traj
+
     @property
     def dim(self) -> int:
         return self.coeffs.ndim - 1
@@ -89,23 +99,6 @@ class Trajectory:
         """One FourierField per node, each a read-only view into ``coeffs``."""
         dim, truncation = self.dim, self.truncation
         return tuple(FourierField._trusted(dim, truncation, c) for c in self.coeffs)
-
-    def _check_same_grid(self, other: "Trajectory"):
-        if not np.array_equal(self.times, other.times):
-            raise ValueError("trajectories live on different time grids")
-        if self.coeffs.shape != other.coeffs.shape:
-            raise ValueError(
-                f"incompatible trajectories: dim/truncation ({self.dim},{self.truncation}) "
-                f"vs ({other.dim},{other.truncation})"
-            )
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        self._check_same_grid(other)
-        return Trajectory(self.times, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        self._check_same_grid(other)
-        return Trajectory(self.times, self.coeffs - other.coeffs)
 
     def to_json_dict(self) -> dict:
         """JSON form: {"times": [...], "fields": [FourierField JSON form per node]}.
@@ -219,28 +212,30 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
     acc *= -grids.ksq
     acc[0] = 0.0
     acc[(slice(None),) + (traj.truncation,) * traj.dim] = 0.0
-    return Trajectory(traj.times, acc)
+    # real multipliers that depend on |k| only keep a valid input valid
+    return Trajectory._trusted(traj.times, acc)
+
+
+#: A probe trajectory carries 1 to _PROBE_MAX_MODES modes, each decaying at a
+#: rate drawn from [0, _PROBE_MAX_DECAY].
+_PROBE_MAX_MODES = 5
+_PROBE_MAX_DECAY = 8.0
 
 
 def random_probe_trajectory(
-    rng: np.random.Generator,
-    dim: int,
-    truncation: int,
-    times,
-    max_modes: int = 5,
-    max_decay: float = 8.0,
+    rng: np.random.Generator, dim: int, truncation: int, times
 ) -> Trajectory:
     """Random mode support with random exponentially decaying profiles.
 
     Feeds the operator-bound probe: a handful of modes drawn from the box,
     each carrying a complex Gaussian amplitude and its own decay rate in
-    [0, max_decay].  Decay rates are kept moderate relative to the grid
-    spacing so the piecewise-linear representation stays faithful.
+    [0, _PROBE_MAX_DECAY].  Decay rates are kept moderate relative to the
+    grid spacing so the piecewise-linear representation stays faithful.
     """
     times = np.ascontiguousarray(times, dtype=float)
     n = 2 * truncation + 1
     stacked = np.zeros((times.size,) + (n,) * dim, dtype=complex)
-    n_modes = int(rng.integers(1, max_modes + 1))
+    n_modes = int(rng.integers(1, _PROBE_MAX_MODES + 1))
     count = 0
     while count < n_modes:
         comps = tuple(int(c) for c in rng.integers(-truncation, truncation + 1, size=dim))
@@ -248,7 +243,7 @@ def random_probe_trajectory(
             continue
         count += 1
         amp = complex(rng.standard_normal(), rng.standard_normal())
-        gamma = float(rng.uniform(0.0, max_decay))
+        gamma = float(rng.uniform(0.0, _PROBE_MAX_DECAY))
         profile = np.exp(-gamma * times)
         idx = tuple(c + truncation for c in comps)
         nidx = tuple(-c + truncation for c in comps)

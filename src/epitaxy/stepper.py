@@ -63,10 +63,10 @@ class SolverConfig:
             object.__setattr__(self, "dt", float(self.dt))
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive real, got {self.dt}")
-        if self.padding < 1.0:
-            raise ValueError(f"padding must be >= 1, got {self.padding}")
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (1.0 <= self.padding < math.inf):
+            raise ValueError(f"padding must be a finite real >= 1, got {self.padding}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be a positive real, got {self.tol}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
         steps = self.n_steps()
@@ -151,20 +151,14 @@ def step(field: FourierField, dt: float, config: SolverConfig) -> FourierField:
     return FourierField(field.dim, field.truncation, full_box(new)[0])
 
 
-def solve_timestep(
-    h0: FourierField, config: SolverConfig, output_every: int = 1
-) -> Trajectory:
-    """March from 0 to t_final, recording every ``output_every``-th node."""
-    if output_every < 1:
-        raise ValueError(f"output_every must be >= 1, got {output_every}")
+def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
+    """March from 0 to t_final, recording every node of the time grid."""
     times = config.time_grid()
     kernel = _kernel(h0.dim, h0.truncation, config.padding)
     linear_only = config.taylor.max_j == 1
     weights = {}
     state = kernel.start(h0.coeffs)
-    recorded = [0]
     states = [state]
-    last = times.size - 1
     for i, dt in enumerate(np.diff(times).tolist()):
         w = weights.get(dt)
         if w is None:
@@ -175,7 +169,5 @@ def solve_timestep(
             raise NumericalError(
                 f"{err}; last good time t = {float(times[i])!r}"
             ) from err
-        if (i + 1) % output_every == 0 or i + 1 == last:
-            recorded.append(i + 1)
-            states.append(state)
-    return Trajectory(times[recorded], full_box(np.concatenate(states)))
+        states.append(state)
+    return Trajectory(times, full_box(np.concatenate(states)))

@@ -1,16 +1,17 @@
-"""Single-field oracles for the batched right-hand side.
+"""Oracles that the package is checked against.
 
 The package sums the series route over whole trajectories (``taylor_sum``).
 These are the definitions it is checked against, one field at a time: the
 series term F_j on the padded grid and the series route to the right-hand
 side.  The exponential route's single-field form, ``rhs_exponential``, stays
-in the package.
+in the package.  ``duhamel_map`` is one application of the fixed-point map,
+which ``solve_picard`` iterates on plain arrays.
 """
 
 import math
 
 from epitaxy.nonlinear import padded_grid_size, taylor_sum
-from epitaxy.semigroup import Trajectory
+from epitaxy.semigroup import Trajectory, duhamel_Iplus, linear_trajectory
 from epitaxy.spectral import FourierField, analyze_batch, mode_grids, synthesize_batch
 
 
@@ -40,3 +41,12 @@ def rhs_series(field, depth, padding_factor=2.0):
     return FourierField(
         field.dim, field.truncation, -grids.k4 * field.coeffs - grids.ksq * series.coeffs
     )
+
+
+def duhamel_map(h0, h, depth, padding_factor=2.0):
+    """T(h) = exp(-lap^2 t) h0 + I+ sum_{j>=2} F_j(h), one application of the map."""
+    if h.dim != h0.dim or h.truncation != h0.truncation:
+        raise ValueError("trajectory nodes must share dim and truncation with h0")
+    series, _means = taylor_sum(h, depth, padding_factor)
+    linear = linear_trajectory(h0, h.times).coeffs
+    return Trajectory(h.times, linear + duhamel_Iplus(series).coeffs)

@@ -260,13 +260,13 @@ def test_criterion_10_convergence_orders():
         config = SolverConfig(truncation=2, dt=dt, t_final=0.48, tol=1e-13)
         solutions[dt], _ = solve_picard(h0, cert, config)
 
-    def restrict(traj, times):
-        keep = [int(np.argmin(np.abs(traj.times - t))) for t in times]
-        return Trajectory(np.asarray(times), traj.coeffs[keep])
+    def gap(fine, coarse):
+        keep = [int(np.argmin(np.abs(fine.times - t))) for t in coarse.times]
+        return Trajectory(coarse.times, fine.coeffs[keep] - coarse.coeffs)
 
     params = WeightParams(0.0, 2)
-    d1 = spacetime_norm(restrict(solutions[0.02], solutions[0.04].times) - solutions[0.04], params)
-    d2 = spacetime_norm(restrict(solutions[0.01], solutions[0.02].times) - solutions[0.02], params)
+    d1 = spacetime_norm(gap(solutions[0.02], solutions[0.04]), params)
+    d2 = spacetime_norm(gap(solutions[0.01], solutions[0.02]), params)
     picard_order = math.log2(d1 / d2)
 
     # discrete residual of the Duhamel output: order 2.0 +- 0.3

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: modes, exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -518,6 +519,25 @@ class TestConfigValidation:
         "sweep-solve-string": (
             "sweep", {"mode_options": {"amplitudes": [0.2], "solve": "no"}}, "mode_options.solve"
         ),
+        # int() would truncate a fraction and take true as 1
+        "truncation-fraction": ("certify", {"solver": {"truncation": 8.7}}, "solver.truncation"),
+        "seed-bool": ("certify", {"seed": True}, "seed"),
+        "k-fraction": (
+            "certify",
+            {"initial_data": {"preset": "single-mode", "amplitude": 0.2, "k": 1.9}},
+            "initial_data.k",
+        ),
+        "max-j-fraction": (
+            "certify",
+            {"solver": {"truncation": 8, "taylor": {"max_j": 2.5}}},
+            "solver.taylor.max_j",
+        ),
+        # nan passed a `padding < 1` test; inf padding overflowed mid-solve
+        "padding-infinite": (
+            "solve", {"solver": {"truncation": 8, "padding": math.inf}}, "padding"
+        ),
+        "padding-nan": ("solve", {"solver": {"truncation": 8, "padding": math.nan}}, "padding"),
+        "tol-infinite": ("solve", {"solver": {"truncation": 8, "tol": math.inf}}, "tol"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

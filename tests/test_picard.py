@@ -7,15 +7,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import iv
 
+from epitaxy import picard, semigroup
 from epitaxy.exceptions import CertificateError, PicardConvergenceError
 from epitaxy.nonlinear import TaylorDepth
 from epitaxy.norms import WeightParams, certify, spacetime_norm
-from epitaxy.picard import duhamel_map, solve_picard
-from epitaxy.semigroup import linear_trajectory
+from epitaxy.picard import solve_picard
+from epitaxy.semigroup import Trajectory, linear_trajectory
 from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig
 
 from conftest import random_field_with_norm
+from reference import duhamel_map
 
 # Independent oracle for the mode-2 response of one map application to the
 # linear flow of eps*cos(x) at t = 0.5: the summed series at time s has
@@ -101,7 +103,8 @@ class TestSolvePicard:
         config = self.config()
         solution, diag = solve_picard(h0, cert, config)
         mapped = duhamel_map(h0, solution, config.taylor, config.padding)
-        residual = spacetime_norm(mapped - solution, WeightParams(cert.alpha, 2))
+        gap = Trajectory(solution.times, mapped.coeffs - solution.coeffs)
+        residual = spacetime_norm(gap, WeightParams(cert.alpha, 2))
         assert residual <= 2.0 * config.tol
 
     def test_mean_conserved_at_every_node(self, rng):
@@ -144,7 +147,7 @@ class TestSolvePicard:
             config = SolverConfig(truncation=2, dt=dt, t_final=0.48, tol=1e-13)
             solutions[dt], _ = solve_picard(h0, cert, config)
         norm = lambda a, b: spacetime_norm(
-            _restrict(a, b.times) - b, WeightParams(0.0, 2)
+            Trajectory(b.times, _restrict(a, b.times) - b.coeffs), WeightParams(0.0, 2)
         )
         d1 = norm(solutions[0.02], solutions[0.04])
         d2 = norm(solutions[0.01], solutions[0.02])
@@ -161,10 +164,48 @@ class TestSolvePicard:
         assert len(lines) == diag.iterations + 1
 
 
-def _restrict(traj, times):
-    """Subsample a trajectory onto a coarser grid (nodes must coincide)."""
-    from epitaxy.semigroup import Trajectory
+class TestValidationAtTheBoundary:
+    """Picard validates the linear flow and its result, never an iterate."""
 
+    def test_check_count_does_not_grow_with_iterations(self, monkeypatch):
+        calls = []
+        check = semigroup.check_coefficients
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(semigroup, "check_coefficients", counting)
+        h0 = cosine(0.2)
+        cert = certify(h0)
+        counts, iterations = [], []
+        for tol in (1e-6, 1e-12):
+            calls.clear()
+            config = SolverConfig(truncation=8, dt=0.01, t_final=1.0, tol=tol)
+            _, diag = solve_picard(h0, cert, config)
+            counts.append(len(calls))
+            iterations.append(diag.iterations)
+        assert iterations[0] < iterations[1]
+        assert counts[0] == counts[1] <= 2
+
+    def test_returned_solution_is_validated(self, monkeypatch):
+        duhamel = semigroup.duhamel_Iplus
+
+        def skewed(traj):
+            # mode k = 1 moves without its partner k = -1: not a real field
+            coeffs = duhamel(traj).coeffs.copy()
+            coeffs[1:, 9] += 1e-3j
+            return Trajectory._trusted(traj.times, coeffs)
+
+        monkeypatch.setattr(picard, "duhamel_Iplus", skewed)
+        h0 = cosine(0.2)
+        config = SolverConfig(truncation=8, dt=0.01, t_final=0.5)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            solve_picard(h0, certify(h0), config)
+
+
+def _restrict(traj, times):
+    """The coefficients of a trajectory at the nodes of a coarser grid (which must coincide)."""
     keep = [int(np.argmin(np.abs(traj.times - t))) for t in times]
     assert np.allclose(traj.times[keep], times, rtol=0, atol=1e-12)
-    return Trajectory(np.asarray(times, dtype=float), traj.coeffs[keep])
+    return traj.coeffs[keep]

@@ -140,11 +140,6 @@ class TestSolveTimestep:
             rel = np.abs(f.coeffs[mask] - exact.coeffs[mask]) / np.abs(exact.coeffs[mask])
             assert np.max(rel) <= 1e-13
 
-    def test_output_every_subsamples(self):
-        config = SolverConfig(truncation=4, dt=0.1, t_final=1.0)
-        traj = solve_timestep(cosine(0.1, truncation=4), config, output_every=5)
-        assert traj.times.size == 3  # t = 0, 0.5, 1.0
-
     def test_blowup_reports_last_good_time(self):
         # amplitudes far past the threshold overflow the pointwise exponential
         config = SolverConfig(truncation=8, dt=0.1, t_final=1.0)

@@ -1,7 +1,8 @@
 """Source checks: invariants must survive ``python -O``, which strips ``assert``,
 every function the benchmark's tracer hooks must still exist, the README's
-memory estimate must be the one the guard applies, and every public name in
-the package must be used by it, exported or hooked."""
+memory estimate must be the one the guard applies, the README's library sketch
+must run, and every public name in the package must be used by it, exported or
+hooked."""
 
 import ast
 import importlib
@@ -55,17 +56,27 @@ def test_readme_memory_estimate_matches_guard():
     assert int(found["·max_truncation"]) == cli.PROBE_LIVE_TRAJECTORIES
 
 
+def _readme_sketch() -> str:
+    readme = README.read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\s*```python\n(.*?)```", readme, re.S)
+    assert sketch, "README has no library sketch"
+    return sketch.group(1)
+
+
+def test_readme_sketch_runs():
+    namespace = {}
+    exec(compile(_readme_sketch(), str(README), "exec"), namespace)
+    assert namespace["gap"] < 1e-6
+
+
 def test_public_names_are_used():
     # code that only tests call belongs in tests/, so every public top-level
     # def or class must be referenced by the package, exported or hooked
     missing = [name for name in epitaxy.__all__ if not hasattr(epitaxy, name)]
     assert not missing, f"names in epitaxy.__all__ that do not resolve: {missing}"
-    readme = README.read_text(encoding="utf-8")
-    sketch = re.search(r"## Library sketch\s*```python\n(.*?)```", readme, re.S)
-    assert sketch, "README has no library sketch"
     imported = {
         alias.name
-        for node in ast.walk(ast.parse(sketch.group(1)))
+        for node in ast.walk(ast.parse(_readme_sketch()))
         if isinstance(node, ast.ImportFrom) and node.module == "epitaxy"
         for alias in node.names
     }
