@@ -137,8 +137,18 @@ def _path_option(section: dict, key: str, where: str) -> str:
     return path
 
 
+def _float(value) -> float:
+    """``value`` as a float if it is a JSON number; a string such as "0.2" and true are refused.
+
+    Non-finite numbers pass: the checks of each key judge them.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _float_or_none(value) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _float(value)
 
 
 def _int(value) -> int:
@@ -173,15 +183,15 @@ def _solver_from_dict(d: dict) -> SolverConfig:
     if "max_j" in taylor_spec:
         depth = {"max_j": _option(taylor_spec, "max_j", None, _int, "solver.taylor.")}
     elif "tail_tol" in taylor_spec:
-        depth = {"tail_tol": _option(taylor_spec, "tail_tol", None, float, "solver.taylor.")}
+        depth = {"tail_tol": _option(taylor_spec, "tail_tol", None, _float, "solver.taylor.")}
     else:
         raise ValidationError("solver.taylor needs 'max_j' or 'tail_tol'")
     settings = {
         "truncation": _option(d, "truncation", None, _int, "solver."),
         "dt": _option(d, "dt", None, _float_or_none, "solver."),
-        "t_final": _option(d, "t_final", 4.0, float, "solver."),
-        "padding": _option(d, "padding", 2.0, float, "solver."),
-        "tol": _option(d, "tol", 1e-10, float, "solver."),
+        "t_final": _option(d, "t_final", 4.0, _float, "solver."),
+        "padding": _option(d, "padding", 2.0, _float, "solver."),
+        "tol": _option(d, "tol", 1e-10, _float, "solver."),
         "max_iter": _option(d, "max_iter", 200, _int, "solver."),
     }
     try:
@@ -255,14 +265,14 @@ def build_initial_field(spec: RunSpec) -> FourierField:
         )
     where = "initial_data."
     options = {
-        "amplitude": _option(init, "amplitude", 0.2, float, where),
+        "amplitude": _option(init, "amplitude", 0.2, _float, where),
         "dim": _option(init, "dim", 1, _int, where),
     }
     if name == "single-mode":
         options["k"] = _option(init, "k", 1, _int, where)
     elif name == "random-decay":
         options["seed"] = _option(init, "seed", spec.seed, _int, where)
-        options["decay"] = _option(init, "decay", 3.0, float, where)
+        options["decay"] = _option(init, "decay", 3.0, _float, where)
     check_memory(spec.solver, options["dim"], nodes=1)
     try:
         return presets.PRESETS[name](truncation, **options)
@@ -275,7 +285,9 @@ def build_initial_field(spec: RunSpec) -> FourierField:
 # padded-grid arrays of one chunk, its Duhamel integral with the kernel
 # weights gathered per interval, and the new iterate.  Traced with tracemalloc
 # (random-decay data, seed 7, N = 16) at 1,001 nodes in 2-D and 20,001 nodes
-# in 1-D, the peak was 5.6 and 7.9 trajectory sizes.
+# in 1-D, the peak was 5.5 and 6.3 trajectory sizes at padding 2; the series
+# sum's grid arrays grow with the padding, and at padding 4 the 1-D peak was
+# 7.9 (10,001 nodes).
 PICARD_LIVE_TRAJECTORIES = 8
 
 # Coefficient arrays of one trajectory's size alive while a trajectory is
@@ -487,11 +499,11 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
     opts = spec.mode_options
     where = "mode_options."
     count = _option(opts, "trajectories", 100, _int, where)
-    alphas = _list_option(opts, "alphas", [0.1, 0.5, 0.9], float, where)
+    alphas = _list_option(opts, "alphas", [0.1, 0.5, 0.9], _float, where)
     dims = _list_option(opts, "dims", [1, 2], _int, where)
     max_truncation = _option(opts, "max_truncation", 16, _int, where)
-    t_final = _option(opts, "t_final", 2.0, float, where)
-    dt = _option(opts, "dt", 0.01, float, where)
+    t_final = _option(opts, "t_final", 2.0, _float, where)
+    dt = _option(opts, "dt", 0.01, _float, where)
     if count < 1 or max_truncation < 2 or not alphas or not dims:
         raise ValidationError(
             "probe-operator needs trajectories >= 1, max_truncation >= 2, alphas and dims"
@@ -562,7 +574,7 @@ def _sweep_one(spec: RunSpec, out: Path, amplitude: float, do_solve: bool) -> tu
 def _run_sweep(spec: RunSpec, out: Path) -> dict:
     opts = spec.mode_options
     default = [0.20, 0.24, 0.249, 0.251, 0.30]
-    amplitudes = _list_option(opts, "amplitudes", default, float, "mode_options.")
+    amplitudes = _list_option(opts, "amplitudes", default, _float, "mode_options.")
     if not amplitudes:
         raise ValidationError("sweep needs a nonempty 'amplitudes' list")
     do_solve = _option(opts, "solve", False, _bool, "mode_options.")
@@ -619,8 +631,8 @@ def _run_radius(spec: RunSpec, out: Path) -> dict:
         alpha = _option(opts, "alpha", None, _float_or_none, where)
     if alpha is None:
         raise ValidationError("radius needs an alpha (flag, config or mode_options)")
-    floor = _option(opts, "floor", 1e-12, float, where)
-    window = _list_option(opts, "fit_window", [0.5, float(traj.times[-1])], float, where)
+    floor = _option(opts, "floor", 1e-12, _float, where)
+    window = _list_option(opts, "fit_window", [0.5, float(traj.times[-1])], _float, where)
     if len(window) != 2:
         raise ValidationError(f"mode_options.fit_window must be [t_lo, t_hi], got {window}")
     t_lo, t_hi = window

@@ -6,14 +6,15 @@ pointwise and transforms back.  The series route expands the exponential,
     lap(exp(-lap h)) = -lap^2 h + sum_{j>=2} lap F_j,
     F_j = ((-1)^j / j!) (lap h)^j,
 
-and sums the terms to a fixed or adaptive depth.  The two routes serve as
-mutual oracles: the exponential nonlinearity is not polynomial, so exact
+and sums the terms to a fixed or adaptive depth by Horner's rule in
+y = -lap h, never calling an exponential.  The two routes serve as mutual
+oracles: the exponential nonlinearity is not polynomial, so exact
 dealiasing is impossible, and the cross-check (rather than a masking rule)
 is the correctness guard for the default padding factor of 2.
 
-Powers are formed in physical space on the padded grid: one synthesis, J
-pointwise multiply-accumulates and one analysis, instead of J spectral
-convolutions.
+The polynomial is evaluated in physical space on the padded grid: one
+synthesis, J pointwise multiply-accumulates and one analysis, instead of J
+spectral convolutions.
 
 The series route sums a whole trajectory as one batch (``taylor_sum``), as
 the Picard iteration needs it.  The exponential route works on k_last >= 0
@@ -39,7 +40,6 @@ from .spectral import (
     analyze_half,
     full_box,
     mode_grids,
-    synthesize_batch,
     synthesize_half,
 )
 
@@ -50,7 +50,8 @@ DEPTH_HARD_CAP = 64
 _EXP_ARG_LIMIT = 700.0
 
 #: A batched series sum works on at most this many padded grid points at a
-#: time (16 MiB per complex array); longer trajectories are summed in chunks.
+#: time (8 MiB per real float64 grid array); longer trajectories are summed
+#: in chunks.
 _BATCH_GRID_POINTS = 1 << 20
 
 
@@ -116,36 +117,42 @@ def padded_grid_size(truncation: int, padding_factor: float) -> int:
 def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
     """sum_{j=2}^{J_i} F_j on the M^dim grid for node i of a batch; (coeffs, means).
 
-    Every node advances through the same powers, and term j is added only
-    where j <= J_i, so each node's sum is exactly its own depth-J_i sum.
+    One Horner sweep from the batch's top depth down to j = 2, on
+    y = -lap h: acc = c_j + y * acc, then acc * y^2.  The coefficient column
+    c_j is 1/j! for the nodes with j <= J_i and 0 for the others, so a node
+    holds an exact 0 until its own depth is reached and each node's sum is
+    its own depth-J_i polynomial.
     """
-    dim = coeffs.ndim - 1
-    y = synthesize_batch(coeffs * mode_grids(dim, (coeffs.shape[1] - 1) // 2).ksq, m)
-    term = 0.5 * y * y
-    total = term.copy()
-    live = depths.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    truncation = (coeffs.shape[1] - 1) // 2
+    half_ksq = mode_grids(coeffs.ndim - 1, truncation).ksq[..., truncation:]
+    y = synthesize_half(half_ksq * coeffs[..., truncation:], m)
+    column = depths.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    acc = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(3, int(depths.max()) + 1):
-            term *= y / j
-            np.add(total, term, out=total, where=live >= j)
-    bad = ~np.isfinite(total).reshape(total.shape[0], -1).all(axis=1)
+        for j in range(int(depths.max()), 1, -1):
+            acc *= y
+            acc += np.where(column >= j, 1.0 / math.factorial(j), 0.0)
+        acc *= y
+        acc *= y
+    bad = ~np.isfinite(acc).reshape(acc.shape[0], -1).all(axis=1)
     if np.any(bad):
         raise NumericalError(
             f"series sum overflowed at depth {int(depths[np.argmax(bad)])}: "
             f"max |lap h| on the grid is {float(np.max(np.abs(y[np.argmax(bad)]))):.6g}"
         )
-    return analyze_batch(total, (coeffs.shape[1] - 1) // 2)
+    del y  # the analysis's spectra take its place
+    return analyze_batch(acc, truncation)
 
 
 def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0):
     """sum_{j=2}^{J} F_j at every node of ``traj``; (trajectory, one mean per node).
 
     The trajectory is summed as one batch: one transform pair over all nodes,
-    with J resolved per node from that node's norm and the terms summed
-    ascending.  With the linear-only sentinel the sum is empty and zero is
-    returned.  Each node's mean is the (generally nonzero) zero mode of its
-    sum, which the Laplacian applied on top annihilates.  A non-finite
-    partial sum raises NumericalError.
+    with J resolved per node from that node's norm and the polynomial summed
+    by one Horner sweep over those per-node depths.  With the linear-only
+    sentinel the sum is empty and zero is returned.  Each node's mean is the
+    (generally nonzero) zero mode of its sum, which the Laplacian applied on
+    top annihilates.  A non-finite sum raises NumericalError.
     """
     depths = np.array([depth.resolve(float(r)) for r in wiener_norm(traj, 2)], dtype=np.int64)
     out = np.zeros_like(traj.coeffs)

@@ -8,6 +8,8 @@ directly in amplitude.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .norms import wiener_norm
@@ -52,10 +54,13 @@ def random_decay(
     The draw is deterministic in ``seed``; the rescaling fixes the j = 2 norm
     exactly, so certificates on this preset are reproducible.  The default
     envelope rate keeps high-mode content small enough that the transient
-    layer it excites stays resolved at the default time steps.
+    layer it excites stays resolved at the default time steps; the rate must
+    be a finite real >= 0.
     """
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
+    if not 0.0 <= decay < math.inf:
+        raise ValueError(f"decay must be a finite real >= 0, got {decay}")
     rng = np.random.default_rng(seed)
     n = 2 * truncation + 1
     shape = (n,) * dim

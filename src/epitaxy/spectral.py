@@ -18,9 +18,13 @@ and analysis are exact inverses of each other whenever M >= 2N + 1.
 Because the fields are real, only the half box k_last >= 0 (the last axis
 from index N on) carries information.  The transforms work on batches with
 the real-FFT pair: a ``(nodes,) + box`` coefficient array is synthesized
-with one ``irfftn`` of its half boxes, whose output is real by construction,
-and samples are analyzed with one ``rfftn``, whose half spectrum is
-completed to the full box by ``full_box`` from coeff(-k) = conj(coeff(k)).
+with one inverse real FFT of its half boxes, whose output is real by
+construction, and samples are analyzed with one forward real FFT, whose half
+spectrum is completed to the full box by ``full_box`` from
+coeff(-k) = conj(coeff(k)).  A half box fills only N+1 of the M//2+1 real-FFT
+columns, so in 2-D the complex pass along the first grid axis covers just
+those columns (the rest are all zeros on the way in and unread on the way
+out); the bytes are those of ``irfftn``/``rfftn`` on the whole spectrum.
 The |k|-power arrays that every multiplier is built from come from
 ``mode_grids``.  ``synthesize`` and ``analyze`` are the single-field forms of
 the batched pair, for ``multiply``.
@@ -357,7 +361,10 @@ def _check_resolution(m: int, truncation: int) -> None:
 
 @lru_cache(maxsize=None)
 def _half_index(dim: int, truncation: int, m: int) -> tuple:
-    """Index of the k_last >= 0 half boxes inside a batch of M^dim ``rfftn`` spectra."""
+    """Index of the k_last >= 0 half boxes inside a batch of real-FFT spectra.
+
+    A spectrum's last axis holds at least N+1 columns; in 2-D it has M rows.
+    """
     last = slice(0, truncation + 1)
     if dim == 1:
         return (slice(None), last)
@@ -399,27 +406,34 @@ def full_box(half: np.ndarray) -> np.ndarray:
 def synthesize_half(half: np.ndarray, m: int) -> np.ndarray:
     """sum_k coeff(k) exp(i k.x) on the M^dim grid for every half box of a batch.
 
-    One unscaled ``irfftn`` over the trailing axes; M >= 2N+1 is the caller's
-    to check.  The output is real by construction: the negative half of the
-    last axis is implied by Hermitian symmetry and never read.
+    The unscaled inverse real FFT over the trailing axes; M >= 2N+1 is the
+    caller's to check.  The output is real by construction: the negative half
+    of the last axis is implied by Hermitian symmetry and never read.  Only
+    the N+1 occupied columns are transformed along the first grid axis (in
+    2-D), and ``irfft`` zero-fills the other M//2 - N, which gives the bytes
+    of ``irfftn`` on the whole spectrum.
     """
     dim = half.ndim - 1
     truncation = half.shape[-1] - 1
-    spectrum = np.zeros((half.shape[0],) + (m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
-    spectrum[_half_index(dim, truncation, m)] = half
-    if dim == 1:  # irfftn's n-d argument handling costs more than the 1-D transform
-        return np.fft.irfft(spectrum, m, norm="forward")
-    return np.fft.irfftn(spectrum, s=(m, m), axes=(1, 2), norm="forward")
+    if dim == 2:
+        columns = np.zeros((half.shape[0], m, truncation + 1), dtype=complex)
+        columns[_half_index(dim, truncation, m)] = half
+        half = np.fft.ifft(columns, axis=1, norm="forward")
+    return np.fft.irfft(half, m, norm="forward")
 
 
 def analyze_half(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled half-box coefficients and zero modes of a ``(nodes,) + (M,)*dim`` batch.
 
-    One ``rfftn`` over the trailing axes; both results are M^dim times the
-    true coefficients, so a caller can fold that factor into a multiplier.
+    The forward real FFT over the trailing axes; both results are M^dim times
+    the true coefficients, so a caller can fold that factor into a multiplier.
+    In 2-D only the N+1 columns the half box reads go on to the complex pass
+    along the first grid axis, which gives the bytes of the full ``rfftn``.
     """
     dim = samples.ndim - 1
-    spectrum = np.fft.rfft(samples) if dim == 1 else np.fft.rfftn(samples, axes=(1, 2))
+    spectrum = np.fft.rfft(samples)
+    if dim == 2:
+        spectrum = np.fft.fft(spectrum[..., : truncation + 1], axis=1)
     half = spectrum[_half_index(dim, truncation, samples.shape[1])]
     return half, spectrum[(slice(None),) + (0,) * dim].real
 

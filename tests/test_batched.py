@@ -9,6 +9,7 @@ a complex FFT pair written here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from epitaxy.nonlinear import TaylorDepth, rhs_exponential, taylor_sum
 from epitaxy.norms import WeightParams, certify, spacetime_norm, wiener_norm
 from epitaxy.picard import solve_picard
 from epitaxy.presets import random_decay
-from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights
+from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
 from epitaxy.spectral import FourierField, mode_grids
 from epitaxy.stepper import SolverConfig, solve_timestep, step
 
@@ -77,6 +78,26 @@ def test_series_sum_chunks_agree_with_one_batch(rng, monkeypatch):
     chunked, chunked_means = taylor_sum(traj, TaylorDepth.adaptive())
     np.testing.assert_array_equal(chunked.coeffs, whole.coeffs)
     np.testing.assert_array_equal(chunked_means, whole_means)
+
+
+def test_series_sum_peak_memory_is_bounded_in_grid_arrays():
+    # the Horner sweep keeps one accumulator beside y = -lap h on the padded
+    # grid, and the transforms add at most a spectrum of about that size
+    truncation, nodes = 8, 21
+    traj = linear_trajectory(random_decay(truncation, 7, 0.2, dim=2), np.linspace(0.0, 0.1, nodes))
+    m = nonlinear.padded_grid_size(truncation, 2.0)
+    assert nodes * m**2 <= nonlinear._BATCH_GRID_POINTS  # one chunk
+    depth = TaylorDepth.adaptive()
+    taylor_sum(traj, depth)  # fills the caches the measured call reads
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        taylor_sum(traj, depth)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    grid_array = nodes * m**2 * np.dtype(float).itemsize
+    assert peak <= 5 * grid_array, f"peak {peak / grid_array:.2f} real grid arrays"
 
 
 def test_series_overflow_is_a_numerical_error():

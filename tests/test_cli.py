@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +539,18 @@ class TestConfigValidation:
         ),
         "padding-nan": ("solve", {"solver": {"truncation": 8, "padding": math.nan}}, "padding"),
         "tol-infinite": ("solve", {"solver": {"truncation": 8, "tol": math.inf}}, "tol"),
+        # float() would read a numeric string and take true as 1.0
+        "amplitude-string": (
+            "certify",
+            {"initial_data": {"preset": "single-mode", "amplitude": "0.2"}},
+            "initial_data.amplitude",
+        ),
+        "amplitude-bool": (
+            "certify",
+            {"initial_data": {"preset": "single-mode", "amplitude": True}},
+            "initial_data.amplitude",
+        ),
+        "dt-string": ("certify", {"solver": {"truncation": 8, "dt": "0.001"}}, "solver.dt"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -555,6 +568,24 @@ class TestConfigValidation:
         assert code == EXIT_VALIDATION
         assert status["error"]["type"] == "ValidationError"
         assert key in status["error"]["message"]
+
+    @pytest.mark.parametrize("decay", [math.inf, -1000.0, math.nan], ids=["inf", "negative", "nan"])
+    def test_random_decay_rate_is_checked_before_the_draw(self, tmp_path, capsys, decay):
+        # an infinite rate gave 0 * inf warnings and a misleading "zero field"
+        # refusal, a large negative one overflowed the envelope
+        cfg = write_config(
+            tmp_path / "run.json",
+            initial_data={"preset": "random-decay", "amplitude": 0.2, "decay": decay},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["certify", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        status = json.loads(captured.out.strip().splitlines()[-1])
+        assert code == EXIT_VALIDATION
+        assert "decay" in status["error"]["message"]
+        assert captured.err == ""
+        assert not caught, [str(w.message) for w in caught]
 
     def test_readme_example_config_certifies(self, tmp_path, capsys):
         readme = Path(__file__).resolve().parents[1] / "README.md"

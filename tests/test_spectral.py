@@ -11,12 +11,14 @@ from epitaxy.spectral import (
     FourierField,
     analyze,
     analyze_batch,
+    analyze_half,
     check_coefficients,
     embed,
     mode_grids,
     multiply,
     synthesize,
     synthesize_batch,
+    synthesize_half,
 )
 
 from conftest import random_field
@@ -301,3 +303,30 @@ def test_batch_round_trip_on_the_floor_and_above(rng, dim, truncation, m):
     back, means = analyze_batch(synthesize_batch(coeffs, m), truncation)
     assert np.max(np.abs(back - coeffs)) <= TRANSFORM_TOL * np.max(np.abs(coeffs))
     assert np.max(np.abs(means)) <= TRANSFORM_TOL * np.max(np.abs(coeffs))
+
+
+def real_spectrum_index(dim, truncation, m):
+    """Positions of the k_last >= 0 half box inside a batch of M x ... x (M//2+1) spectra."""
+    rows = (np.arange(-truncation, truncation + 1) % m,) * (dim - 1)
+    return (slice(None),) + rows + (slice(0, truncation + 1),)
+
+
+@pytest.mark.parametrize("nodes", [1, 5])
+@pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
+def test_half_transforms_give_the_bytes_of_the_full_real_fft(rng, dim, truncation, m, nodes):
+    # the 2-D pair skips the all-zero (or unread) columns k_last > N; that
+    # must change no bit against irfftn/rfftn on the whole spectrum
+    axes = tuple(range(1, dim + 1))
+    index = real_spectrum_index(dim, truncation, m)
+    shape = (nodes,) + (2 * truncation + 1,) * (dim - 1) + (truncation + 1,)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spectrum = np.zeros((nodes,) + (m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
+    spectrum[index] = half
+    full = np.fft.irfftn(spectrum, s=(m,) * dim, axes=axes, norm="forward")
+    assert np.array_equal(synthesize_half(half, m), full)
+
+    samples = rng.standard_normal((nodes,) + (m,) * dim)
+    spectrum = np.fft.rfftn(samples, axes=axes)
+    got, zero_modes = analyze_half(samples, truncation)
+    assert np.array_equal(got, spectrum[index])
+    assert np.array_equal(zero_modes, spectrum[(slice(None),) + (0,) * dim].real)

@@ -1,8 +1,8 @@
 """Source checks: invariants must survive ``python -O``, which strips ``assert``,
-every function the benchmark's tracer hooks must still exist, the README's
-memory estimate must be the one the guard applies, the README's library sketch
-must run, and every public name in the package must be used by it, exported or
-hooked."""
+the series route must not exponentiate, every function the benchmark's tracer
+hooks must still exist, the README's memory estimate must be the one the guard
+applies, the README's library sketch must run, and every public name in the
+package must be used by it, exported or hooked."""
 
 import ast
 import importlib
@@ -31,6 +31,26 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements vanish under python -O; raise instead: {found}"
+
+
+def test_series_route_never_exponentiates():
+    # the series route is the exponential route's independent oracle: an
+    # exp in it would make the engine cross-check compare a route with itself
+    tree = ast.parse((PACKAGE / "nonlinear.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_series_batch", "taylor_sum")
+    }
+    assert functions.keys() == {"_series_batch", "taylor_sum"}, sorted(functions)
+    found = [
+        f"{name}:{node.lineno}"
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("exp", "expm1")
+    ]
+    assert not found, f"the series route calls an exponential: {found}"
 
 
 def test_benchmark_hooks_resolve():
