@@ -34,7 +34,7 @@ import numpy as np
 
 from . import presets
 from .exceptions import CertificateError, NumericalError, PicardConvergenceError
-from .nonlinear import TaylorDepth
+from .nonlinear import TaylorDepth, padded_grid_size, series_chunk_nodes
 from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
 from .semigroup import Trajectory, operator_bound_probe, random_probe_trajectory
@@ -281,22 +281,27 @@ def build_initial_field(spec: RunSpec) -> FourierField:
 
 
 # Coefficient arrays of one trajectory's size alive at the peak of a Picard
-# iteration: the linear flow, the current iterate, the series sum with the
-# padded-grid arrays of one chunk, its Duhamel integral with the kernel
-# weights gathered per interval, and the new iterate.  Traced with tracemalloc
-# (random-decay data, seed 7, N = 16) at 1,001 nodes in 2-D and 20,001 nodes
-# in 1-D, the peak was 5.5 and 6.3 trajectory sizes at padding 2; the series
-# sum's grid arrays grow with the padding, and at padding 4 the 1-D peak was
-# 7.9 (10,001 nodes).
-PICARD_LIVE_TRAJECTORIES = 8
+# iteration: the linear flow, the current iterate, the series sum, its Duhamel
+# integral with the kernel weights gathered per interval, and the new
+# iterate.  Traced with tracemalloc (random-decay data, seed 7, N = 16) at
+# 100,001 nodes in 1-D and 5,001 nodes in 2-D, where the series sum's grid
+# arrays are small beside them, the peak was 5.6 and 5.5 trajectory sizes.
+PICARD_LIVE_TRAJECTORIES = 6
+
+# Real grid arrays of one series chunk (``series_chunk_nodes`` nodes of the
+# padded M^dim grid) alive at the peak of ``taylor_sum``, on top of the
+# coefficient arrays: they grow as padding^dim, not with the box.  Traced on
+# the same data at 11 nodes in 2-D and padding 4, where they dominate, the
+# Picard peak was 2.65 such arrays.
+SERIES_GRID_ARRAYS = 3
 
 # Coefficient arrays of one trajectory's size alive while a trajectory is
-# written: the Picard and stepper solutions, and the JSON form that
-# ``Trajectory.to_json_dict`` builds, one [k..., re, im] list per Hermitian
-# pair of modes.  Traced with tracemalloc at 20,001 nodes in 1-D and 501 nodes
-# in 2-D (N = 16, every mode nonzero), writing took 4.7 and 4.9 trajectory
-# sizes on top of the two solutions.
-WRITE_LIVE_TRAJECTORIES = 7
+# written: the Picard and stepper solutions, and the packed JSON form that
+# ``Trajectory.to_json_dict`` builds, a float list per node row of the half
+# box; the writer formats one row at a time.  Traced with tracemalloc at
+# 20,001 nodes in 1-D and 501 nodes in 2-D (N = 16, every mode nonzero),
+# writing took 2.7 and 2.5 trajectory sizes on top of the two solutions.
+WRITE_LIVE_TRAJECTORIES = 5
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
 # ``probe-operator`` case: the previous case's trajectory, the new one with
@@ -306,38 +311,45 @@ WRITE_LIVE_TRAJECTORIES = 7
 PROBE_LIVE_TRAJECTORIES = 4
 
 
-def _check_fits(nodes: int, modes: int, live: int, advice: str) -> None:
-    """Refuse (exit 2) ``live`` complex arrays of ``nodes`` x ``modes`` beyond physical memory.
+def _check_fits(nodes: int, modes: int, live: int, advice: str, grid_points: int = 0) -> None:
+    """Refuse (exit 2) ``live`` complex arrays of ``nodes`` x ``modes``, plus
+    ``grid_points`` real numbers, beyond physical memory.
 
     The estimate is an exact integer, so an absurd request is refused, never
     overflowed.
     """
-    estimate = nodes * modes * 16 * live
+    estimate = nodes * modes * 16 * live + grid_points * 8
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if estimate > physical:
         # a Decimal formats integers beyond a float's range; imported only
         # here because the import costs about 6 ms of every start-up
         from decimal import Decimal
 
+        grids = f" plus {grid_points} padded-grid points" if grid_points else ""
         raise ValidationError(
             f"run would need about {Decimal(estimate) / 2**30:.3g} GiB for {nodes} time "
-            f"nodes ({live} trajectories of {modes} modes), more than the "
+            f"nodes ({live} trajectories of {modes} modes{grids}), more than the "
             f"{physical / 2**30:.3g} GiB of physical memory; {advice}"
         )
 
 
 def check_memory(config: SolverConfig, dim: int, nodes: int | None = None) -> None:
-    """Refuse a run whose coefficient arrays would not fit in physical memory.
+    """Refuse a run whose arrays would not fit in physical memory.
 
-    ``nodes`` defaults to the time nodes of a solve; 1 sizes a single field
-    before it is built.
+    ``nodes`` defaults to the time nodes of a solve, whose estimate adds the
+    series sum's grid arrays of one chunk; 1 sizes a single field before it
+    is built.
     """
     if dim not in (1, 2):
         raise ValidationError(f"dim must be 1 or 2, got {dim}")
-    nodes = config.n_steps() + 1 if nodes is None else nodes
+    grid_points = 0
+    if nodes is None:
+        nodes = config.n_steps() + 1
+        m = padded_grid_size(config.truncation, config.padding)
+        grid_points = SERIES_GRID_ARRAYS * min(nodes, series_chunk_nodes(dim, m)) * m**dim
     modes = (2 * config.truncation + 1) ** dim
     live = max(PICARD_LIVE_TRAJECTORIES, WRITE_LIVE_TRAJECTORIES)
-    _check_fits(nodes, modes, live, "raise dt or lower t_final or truncation")
+    _check_fits(nodes, modes, live, "raise dt or lower t_final or truncation", grid_points)
 
 
 # -- deterministic artifact emission ------------------------------------------
@@ -350,19 +362,31 @@ def _runspec_comment(spec: RunSpec) -> str:
 # JSON artifacts have the layout of ``json.dumps(body, indent=2,
 # sort_keys=True)``, which always runs the pure-Python encoder.  The writer
 # below emits the same bytes as a stream of chunks.  Dicts and general lists
-# are walked here.  A list of finite numbers, or of nonempty lists of them
-# (the ``times`` grid and the per-node ``[k..., re, im]`` tables), is
-# formatted by one C-level ``repr`` and re-indented: ``json`` writes finite
-# floats with ``float.__repr__`` and ints with ``int.__repr__``, exactly as
-# ``repr`` does.  Anything else (bools, non-finite floats, subclasses,
-# tuples, empty containers, non-string keys) is written by ``json.dumps``.
+# are walked here.  A list of numbers, or of nonempty lists of them (the
+# ``times`` grid, a trajectory's ``modes`` list and its ``re`` and ``im``
+# tables), is formatted one row at a time by a C-level ``repr`` and
+# re-indented: ``json`` writes floats with ``float.__repr__`` and ints with
+# ``int.__repr__``, exactly as ``repr`` does, except that it spells nan and
+# inf as NaN and Infinity.  Anything else (bools, subclasses, tuples, empty
+# containers, non-string keys) is written by ``json.dumps``.
 
 _INDENT = "  "
 _NUMBER_TYPES = {int, float}
 
 
-def _number_list(items: list, pad: str) -> str | None:
-    """JSON text of a nonempty list of finite numbers or of nonempty such lists, else None."""
+def _json_numbers(numbers: list, separator: str) -> str:
+    """The items of a list of numbers as ``json`` writes them, joined by ``separator``."""
+    text = repr(numbers)[1:-1]
+    if "n" in text:  # nan or inf, which json writes as NaN or Infinity
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text.replace(", ", separator)
+
+
+def _number_list(items: list, pad: str):
+    """Chunks of JSON text of a nonempty list of numbers or of nonempty such lists, else None.
+
+    A table yields one chunk per row, so its text is never held whole.
+    """
     rows = type(items[0]) is list
     if rows:
         if not all(type(row) is list and row for row in items):
@@ -372,16 +396,20 @@ def _number_list(items: list, pad: str) -> str | None:
         kinds = set(map(type, items))
     if not kinds <= _NUMBER_TYPES:
         return None
-    text = repr(items)
-    if "n" in text:  # nan or inf, which json writes as NaN or Infinity
-        return None
     inner = pad + _INDENT
     if not rows:
-        return "[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]"
+        return ["[\n" + inner + _json_numbers(items, ",\n" + inner) + "\n" + pad + "]"]
+    return _row_chunks(items, pad)
+
+
+def _row_chunks(rows: list, pad: str):
+    inner = pad + _INDENT
     deeper = inner + _INDENT
-    body = text[2:-2].replace("], [", "\n" + inner + "],\n" + inner + "[\n" + deeper)
-    body = body.replace(", ", ",\n" + deeper)
-    return "[\n" + inner + "[\n" + deeper + body + "\n" + inner + "]\n" + pad + "]"
+    opener = "[\n" + inner + "[\n" + deeper
+    for row in rows:
+        yield opener + _json_numbers(row, ",\n" + deeper)
+        opener = "\n" + inner + "],\n" + inner + "[\n" + deeper
+    yield "\n" + inner + "]\n" + pad + "]"
 
 
 def _json_chunks(value, pad: str):
@@ -395,9 +423,9 @@ def _json_chunks(value, pad: str):
             opener = ",\n" + inner
         yield "\n" + pad + "}"
     elif type(value) is list and value:
-        text = _number_list(value, pad)
-        if text is not None:
-            yield text
+        chunks = _number_list(value, pad)
+        if chunks is not None:
+            yield from chunks
             return
         inner = pad + _INDENT
         opener = "[\n" + inner

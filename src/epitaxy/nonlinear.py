@@ -114,6 +114,11 @@ def padded_grid_size(truncation: int, padding_factor: float) -> int:
     return max(math.ceil(padding_factor * (2 * truncation + 1)), 2 * truncation + 1)
 
 
+def series_chunk_nodes(dim: int, m: int) -> int:
+    """Nodes the series sum takes per batch on the M^dim grid: at least one."""
+    return max(1, _BATCH_GRID_POINTS // m**dim)
+
+
 def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
     """sum_{j=2}^{J_i} F_j on the M^dim grid for node i of a batch; (coeffs, means).
 
@@ -159,7 +164,7 @@ def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0
     means = np.zeros(traj.times.size)
     if depths.max() >= 2:
         m = padded_grid_size(traj.truncation, padding_factor)
-        chunk = max(1, _BATCH_GRID_POINTS // m**traj.dim)
+        chunk = series_chunk_nodes(traj.dim, m)
         for lo in range(0, out.shape[0], chunk):
             hi = lo + chunk
             out[lo:hi], means[lo:hi] = _series_batch(traj.coeffs[lo:hi], depths[lo:hi], m)

@@ -1,9 +1,9 @@
 """Built-in mean-zero initial data families.
 
-Every preset is normalized so that its ``amplitude`` parameter equals the
-j = 2 Wiener norm of the generated field (the quantity the certificate
-thresholds), which makes sweeps across the smallness threshold read off
-directly in amplitude.
+Every preset is normalized so that its ``amplitude`` parameter, a finite
+real > 0, equals the j = 2 Wiener norm of the generated field (the quantity
+the certificate thresholds), which makes sweeps across the smallness
+threshold read off directly in amplitude.
 """
 
 from __future__ import annotations
@@ -16,8 +16,15 @@ from .norms import wiener_norm
 from .spectral import FourierField, mode_grids
 
 
+def _check_amplitude(amplitude: float) -> None:
+    """Refuse an amplitude that cannot be a j = 2 norm: it must be finite and positive."""
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError(f"amplitude must be a finite real > 0, got {amplitude}")
+
+
 def single_mode(truncation: int, amplitude: float = 0.2, k: int = 1, dim: int = 1) -> FourierField:
     """a * cos(k x1) scaled so the j = 2 norm equals ``amplitude``."""
+    _check_amplitude(amplitude)
     if k < 1 or k > truncation:
         raise ValueError(f"mode k = {k} must satisfy 1 <= k <= truncation {truncation}")
     half = amplitude / (2.0 * k * k)
@@ -33,6 +40,7 @@ def two_mode(truncation: int, amplitude: float = 0.2, dim: int = 1) -> FourierFi
     mode so that the default time grids resolve the relaxation of every
     component the data excites.
     """
+    _check_amplitude(amplitude)
     if truncation < 2:
         raise ValueError(f"two-mode preset needs truncation >= 2, got {truncation}")
     if dim == 1:
@@ -57,8 +65,7 @@ def random_decay(
     layer it excites stays resolved at the default time steps; the rate must
     be a finite real >= 0.
     """
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    _check_amplitude(amplitude)
     if not 0.0 <= decay < math.inf:
         raise ValueError(f"decay must be a finite real >= 0, got {decay}")
     rng = np.random.default_rng(seed)

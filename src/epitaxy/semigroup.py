@@ -13,8 +13,11 @@ measures this ratio numerically.
 
 A trajectory is a time grid plus one complex coefficient array of shape
 (nodes, 2N+1[, 2N+1]), piecewise-linear in time per mode, validated when
-built (finite, zero mode vanishing, Hermitian per node).  The Duhamel
-operator acts on the whole array; its result skips the checks (``_trusted``).
+built (finite, zero mode vanishing, Hermitian per node).  Its JSON form is
+packed: one list of the half-box modes per file, and one ``re`` and one ``im``
+row per node; the per-node ``fields`` form of earlier files is still read.
+The Duhamel operator acts on the whole array; its result skips the checks
+(``_trusted``).
 The Duhamel integral of the interpolant is evaluated in closed form on each
 subinterval (exponential moments of a linear function), with the kernel
 weights computed once per distinct step size, and accumulated with the
@@ -35,8 +38,9 @@ from .spectral import (
     FourierField,
     check_coefficients,
     coeffs_from_entries,
-    mode_entries,
+    coeffs_from_packed,
     mode_grids,
+    packed_modes,
 )
 
 
@@ -101,19 +105,34 @@ class Trajectory:
         return tuple(FourierField._trusted(dim, truncation, c) for c in self.coeffs)
 
     def to_json_dict(self) -> dict:
-        """JSON form: {"times": [...], "fields": [FourierField JSON form per node]}.
+        """Packed JSON form: {"dim", "truncation", "times", "modes", "re", "im"}.
 
-        Each node lists one mode of each Hermitian pair (``mode_entries``).
+        ``modes`` lists, once per file, one mode of each Hermitian pair that is
+        nonzero at some node (``packed_modes``); ``re`` and ``im`` hold one row
+        per node with one number per listed mode.
         """
-        head = {"dim": self.dim, "truncation": self.truncation}
+        modes, re, im = packed_modes(self.coeffs, self.truncation)
         return {
+            "dim": self.dim,
+            "truncation": self.truncation,
             "times": self.times.tolist(),
-            "fields": [{**head, "coeffs": e} for e in mode_entries(self.coeffs, self.truncation)],
+            "modes": modes,
+            "re": re,
+            "im": im,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Trajectory":
+        """Read the packed form (a ``modes`` key) or the per-node form (a ``fields`` key).
+
+        The per-node form holds one ``FourierField`` JSON form per node; both
+        its half-box and its older full-box lists are read.
+        """
         times = np.array([float(t) for t in data["times"]])
+        if "modes" in data:
+            dim, truncation = int(data["dim"]), int(data["truncation"])
+            packed = (data["modes"], data["re"], data["im"])
+            return cls(times, coeffs_from_packed(dim, truncation, times.size, *packed))
         fields = data["fields"]
         if not fields:
             return cls(times, ())

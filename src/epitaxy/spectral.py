@@ -120,18 +120,25 @@ def place_modes(
 ) -> np.ndarray:
     """Coefficient boxes for ``nodes`` nodes from (node, mode, amplitude) entries.
 
-    ``comps`` has one row of integer components per entry.  A Hermitian
-    partner -k that is not given is filled with conj(amplitude); one that is
-    given must agree with it.  The zero mode may not carry a nonzero amplitude.
-    Returns an array of shape (nodes,) + (2N+1,)*dim.
+    ``comps`` has one row of integer components per entry; a fractional or
+    non-finite component is refused, never truncated.  A mode may be given
+    once per node.  A Hermitian partner -k that is not given is filled with
+    conj(amplitude); one that is given must agree with it.  The zero mode may
+    not carry a nonzero amplitude.  Returns an array of shape
+    (nodes,) + (2N+1,)*dim.
     """
-    comps = np.asarray(comps, dtype=np.int64).reshape(-1, dim)
+    table = np.asarray(comps, dtype=float).reshape(-1, dim)
+    fractional = ~np.isfinite(table) | (table != np.round(table))
+    if np.any(fractional):
+        row = table[np.argmax(np.any(fractional, axis=1))]
+        raise ValueError(f"mode {tuple(row.tolist())} has a component that is not an integer")
     values = np.asarray(values, dtype=complex).reshape(-1)
     node = np.asarray(node, dtype=np.int64).reshape(-1)
-    outside = np.any(np.abs(comps) > truncation, axis=1)
+    outside = np.any(np.abs(table) > truncation, axis=1)
     if np.any(outside):
-        bad = tuple(int(c) for c in comps[np.argmax(outside)])
+        bad = tuple(int(c) for c in table[np.argmax(outside)])
         raise ValueError(f"mode {bad} lies outside truncation {truncation}")
+    comps = table.astype(np.int64)
     zero = np.all(comps == 0, axis=1)
     if np.any(values[zero] != 0):
         raise ValueError("zero mode must vanish (mean-zero reduction)")
@@ -142,6 +149,8 @@ def place_modes(
     index = (node,) + tuple((comps + truncation).T)
     given[index] = values
     explicit[index] = True
+    if np.count_nonzero(explicit) != values.size:
+        raise ValueError("a mode is given more than once at one node")
     partner = _conj_flip(given, dim)
     partner_given = _flip(explicit, dim)
     clash = (
@@ -176,35 +185,82 @@ def coeffs_from_entries(dim: int, truncation: int, entries_per_node) -> np.ndarr
     table = np.fromiter(numbers, float, sum(counts) * width).reshape(-1, width)
     node = np.repeat(np.arange(len(counts)), counts)
     values = np.ascontiguousarray(table[:, dim:]).view(complex).ravel()
-    comps = table[:, :dim].astype(np.int64)
-    return place_modes(dim, truncation, len(counts), node, comps, values)
+    return place_modes(dim, truncation, len(counts), node, table[:, :dim], values)
 
 
-def mode_entries(coeffs: np.ndarray, truncation: int) -> list[list[list]]:
-    """Per node of a ``(nodes,) + box`` batch: ``[k..., re, im]`` for each written mode.
+def coeffs_from_packed(dim: int, truncation: int, nodes: int, modes, re, im) -> np.ndarray:
+    """Inverse of ``packed_modes``: a ``(nodes,) + box`` batch from one mode list.
 
-    This is the serialized form of a field's coefficients.  Only one mode of
-    each Hermitian pair is written: the nonzero modes with k_last > 0, and on
-    the k_last = 0 line those whose leading component is positive (in 1-D,
-    k > 0).  The reader restores the partners as conj(coeff(k))
-    (``coeffs_from_entries``), so an exactly Hermitian box reads back equal;
-    one Hermitian only to HERMITIAN_RTOL reads back as the completion of its
-    written half.  Modes are listed in lexicographic order of their components.
+    ``modes`` holds ``[k...]`` per listed mode, and ``re`` and ``im`` one row
+    per node with one number per listed mode.  The entries go through
+    ``place_modes``, which restores omitted partners and refuses clashing
+    ones, fractional components, modes outside the box and a nonzero zero
+    mode.
     """
-    dim = coeffs.ndim - 1
-    # over the k_last >= 0 half box, where index i is k = i - N along a leading
-    # axis and k_last = i along the last, drop the k_last = 0 modes with k_0 <= 0
-    keep = np.ones(coeffs.shape[1:-1] + (truncation + 1,), dtype=bool)
+    comps = np.array(modes, dtype=float)
+    if comps.shape != (len(modes), dim) and len(modes):
+        raise ValueError(f"modes must list [k...] with {dim} integer components each")
+    shape = (nodes, len(modes))
+    parts = []
+    for name, rows in (("re", re), ("im", im)):
+        try:
+            part = np.array(rows, dtype=float)
+        except ValueError as err:
+            raise ValueError(f"{name} is not a table of numbers: {err}") from err
+        if part.shape != shape:
+            raise ValueError(
+                f"{name} has shape {part.shape}, expected {shape}: one row per time node "
+                "and one number per listed mode"
+            )
+        parts.append(part)
+    values = parts[0] + 1j * parts[1]
+    node = np.repeat(np.arange(nodes), shape[1])
+    table = np.tile(comps.reshape(shape[1], dim), (nodes, 1))
+    return place_modes(dim, truncation, nodes, node, table, values)
+
+
+@lru_cache(maxsize=None)
+def _written_half(dim: int, truncation: int) -> np.ndarray:
+    """Mask over the k_last >= 0 half box of the modes a serialized field may list.
+
+    One mode of each Hermitian pair: k_last > 0, and on the k_last = 0 line
+    those whose leading component is positive (in 1-D, k > 0).  Index i is
+    k = i - N along a leading axis and k_last = i along the last.
+    """
+    keep = np.ones((2 * truncation + 1,) * (dim - 1) + (truncation + 1,), dtype=bool)
     keep[(slice(truncation + 1),) * (dim - 1) + (0,)] = False
-    offset = np.array([truncation] * (dim - 1) + [0])
-    entries = []
-    for node in coeffs[..., truncation:]:
-        written = np.nonzero((node != 0) & keep)
-        values = node[written]
-        ks = (np.stack(written, axis=1) - offset).tolist()
-        re, im = values.real.tolist(), values.imag.tolist()
-        entries.append([k + [a, b] for k, a, b in zip(ks, re, im)])
-    return entries
+    keep.flags.writeable = False
+    return keep
+
+
+def packed_modes(coeffs: np.ndarray, truncation: int) -> tuple[list, list, list]:
+    """The written modes of a ``(nodes,) + box`` batch, once, and their re and im tables.
+
+    Only one mode of each Hermitian pair is written (``_written_half``), and
+    only if it is nonzero at some node; modes are listed in lexicographic
+    order of their components, and the tables have one row per node and one
+    column per listed mode.  The reader restores the partners as
+    conj(coeff(k)) (``coeffs_from_packed``), so an exactly Hermitian box reads
+    back equal; one Hermitian only to HERMITIAN_RTOL reads back as the
+    completion of its written half.
+    """
+    half = coeffs[..., truncation:]
+    dim = coeffs.ndim - 1
+    written = np.nonzero(np.any(half != 0, axis=0) & _written_half(dim, truncation))
+    values = half[(slice(None),) + written]
+    # index i is k = i - N along a leading axis and k_last = i along the last
+    modes = np.stack(written, axis=1) - np.array([truncation] * (dim - 1) + [0])
+    return modes.tolist(), values.real.tolist(), values.imag.tolist()
+
+
+def mode_entries(box: np.ndarray, truncation: int) -> list[list]:
+    """``[k..., re, im]`` for each written mode of one box: a field's serialized form.
+
+    The modes are those of ``packed_modes``; ``coeffs_from_entries`` reads
+    them back.
+    """
+    modes, re, im = packed_modes(box[None], truncation)
+    return [k + [a, b] for k, a, b in zip(modes, re[0], im[0])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +394,7 @@ class FourierField:
 
         ``coeffs`` lists one mode of each Hermitian pair (``mode_entries``).
         """
-        entries = mode_entries(self.coeffs[None], self.truncation)[0]
+        entries = mode_entries(self.coeffs, self.truncation)
         return {"dim": self.dim, "truncation": self.truncation, "coeffs": entries}
 
     @classmethod

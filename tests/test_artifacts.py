@@ -1,5 +1,5 @@
 """JSON artifact layout: ``write_json`` against ``json.dumps(indent=2, sort_keys=True)``,
-and the half-box coefficient lists of solved trajectories read back through the CLI.
+and the packed half-box tables of solved trajectories read back through the CLI.
 
 The writer streams its own chunks and formats number lists with ``repr``;
 ``json.dumps`` is the oracle it must match byte for byte.
@@ -17,7 +17,7 @@ from epitaxy.norms import certify
 from epitaxy.picard import solve_picard
 from epitaxy.presets import random_decay
 from epitaxy.semigroup import Trajectory, linear_trajectory
-from epitaxy.spectral import FourierField
+from epitaxy.spectral import FourierField, mode_entries
 from epitaxy.stepper import SolverConfig, solve_timestep
 
 
@@ -142,28 +142,38 @@ def test_files_read_back_to_the_solution(solved):
 def test_only_the_half_box_is_written(solved):
     # one mode per Hermitian pair: k_last > 0, or k_last = 0 and k_0 > 0
     _, out, _ = solved
-    nodes = [read_json(out / "initial_field.json")]
+    written = [entry[:-2] for entry in read_json(out / "initial_field.json")["coeffs"]]
     for name in TRAJECTORY_FILES:
-        nodes += read_json(out / name)["fields"]
-    written = [entry for node in nodes for entry in node["coeffs"]]
+        body = read_json(out / name)
+        modes = body["modes"]
+        # listed once per file, in lexicographic order, one column per node row
+        assert all(a < b for a, b in zip(modes, modes[1:]))
+        for table in (body["re"], body["im"]):
+            assert [len(row) for row in table] == [len(modes)] * len(body["times"])
+        written += modes
     assert written
-    outside = [e for e in written if not (e[-3] > 0 or (e[-3] == 0 and e[0] > 0))]
+    outside = [k for k in written if not (k[-1] > 0 or (k[-1] == 0 and k[0] > 0))]
     assert outside == []
 
 
 def test_full_box_files_still_load(solved, tmp_path):
+    # the per-node "fields" form the writer used before the packed one, with
+    # its half-box lists and with the full-box lists older files hold
     _, out, _ = solved
     traj = Trajectory.from_json_dict(read_json(out / TRAJECTORY_FILES[0]))
+    head = {"dim": traj.dim, "truncation": traj.truncation}
+    half = [{**head, "coeffs": mode_entries(box, traj.truncation)} for box in traj.coeffs]
     full = [
-        {"dim": f.dim, "truncation": f.truncation,
-         "coeffs": [list(k) + [a.real, a.imag] for k, a in f.nonzero_modes()]}
+        {**head, "coeffs": [list(k) + [a.real, a.imag] for k, a in f.nonzero_modes()]}
         for f in traj.fields
     ]
-    assert len(full[-1]["coeffs"]) == 2 * len(traj.to_json_dict()["fields"][-1]["coeffs"])
-    (tmp_path / "full.json").write_text(json.dumps({"times": traj.times.tolist(), "fields": full}))
-    back = Trajectory.from_json_dict(json.loads((tmp_path / "full.json").read_text()))
-    np.testing.assert_array_equal(back.coeffs, traj.coeffs)
-    np.testing.assert_array_equal(FourierField.from_json_dict(full[-1]).coeffs, traj.coeffs[-1])
+    assert len(full[-1]["coeffs"]) == 2 * len(half[-1]["coeffs"])
+    for fields in (half, full):
+        (tmp_path / "v1.json").write_text(json.dumps({"times": traj.times.tolist(), "fields": fields}))
+        back = Trajectory.from_json_dict(json.loads((tmp_path / "v1.json").read_text()))
+        np.testing.assert_array_equal(back.times, traj.times)
+        np.testing.assert_array_equal(back.coeffs, traj.coeffs)
+        np.testing.assert_array_equal(FourierField.from_json_dict(fields[-1]).coeffs, traj.coeffs[-1])
 
 
 def test_repeated_solve_is_byte_identical(solved):

@@ -267,18 +267,27 @@ def test_engines_converge_together_on_random_data(dim, seed):
 
 
 def test_json_nodes_keep_the_field_format(rng):
-    traj = random_trajectory(rng, 2, time_grid(rng, True))
+    # read against the file's one mode list, each node's re and im rows give
+    # that node's field entries: one mode per Hermitian pair (k_last > 0, or
+    # k_last = 0 and k_0 > 0), nonzero, in lexicographic order
+    n = TRUNCATION[2]
+    drawn = random_trajectory(rng, 2, time_grid(rng, True))
+    coeffs = drawn.coeffs.copy()
+    coeffs[:, n + 1, n + 2] = coeffs[:, n - 1, n - 2] = 0.0  # (1, 2) vanishes at every node
+    coeffs[::2, n + 2, n] = coeffs[::2, n - 2, n] = 0.0  # (2, 0) at every other node
+    traj = Trajectory(drawn.times, coeffs)
     data = traj.to_json_dict()
     assert data["times"] == [float(t) for t in traj.times]
-    for entry, field in zip(data["fields"], traj.fields):
-        assert entry["dim"] == 2 and entry["truncation"] == TRUNCATION[2]
-        # one mode per Hermitian pair: k_last > 0, or k_last = 0 and k_0 > 0
+    assert (data["dim"], data["truncation"]) == (2, n)
+    assert [1, 2] not in data["modes"] and [2, 0] in data["modes"]
+    for re, im, field in zip(data["re"], data["im"], traj.fields):
+        listed = [k + [a, b] for k, a, b in zip(data["modes"], re, im) if a or b]
         expected = [
             list(k) + [a.real, a.imag]
             for k, a in field.nonzero_modes()
             if k[1] > 0 or (k[1] == 0 and k[0] > 0)
         ]
-        assert entry["coeffs"] == expected
+        assert listed == expected
     back = Trajectory.from_json_dict(data)
     np.testing.assert_array_equal(back.coeffs, traj.coeffs)
 

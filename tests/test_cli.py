@@ -73,6 +73,15 @@ class TestCertifyMode:
         assert status["error"]["type"] == "ValidationError"
         assert "field.json" in status["error"]["message"]
 
+    def test_fractional_mode_in_initial_data_path_is_validation_error(self, tmp_path, capsys):
+        # int() read the mode 1.7 as k = 1 and certified that field
+        field = {"dim": 1, "truncation": 2, "coeffs": [[1.7, 0.25, 0.0]]}
+        (tmp_path / "field.json").write_text(json.dumps(field), encoding="utf-8")
+        cfg = write_config(tmp_path / "run.json", initial_data={"path": str(tmp_path / "field.json")})
+        code, status = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert "(1.7,) has a component that is not an integer" in status["error"]["message"]
+
     def test_alpha_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", alpha=0.1)
         code, _ = run_cli(capsys, "certify", "--config", str(cfg), "--alpha", "0.25")
@@ -275,15 +284,15 @@ class TestCompareMode:
         assert code == EXIT_VALIDATION
         assert "trajectory_a" in status["error"]["message"]
 
-    def test_ragged_coefficient_entry_is_validation_error(self, tmp_path, capsys):
+    @staticmethod
+    def compare_with_bad_b(tmp_path, capsys, bad):
         traj = linear_trajectory(
             FourierField.from_modes(1, 4, {(1,): 0.1}), np.linspace(0.0, 1.0, 11)
         )
-        good = traj.to_json_dict()
-        bad = traj.to_json_dict()
-        bad["fields"][3]["coeffs"][0].append(0.0)  # [k, re, im, extra] in 1-D
-        (tmp_path / "a.json").write_text(json.dumps(good))
-        (tmp_path / "b.json").write_text(json.dumps(bad))
+        data = traj.to_json_dict()
+        assert data["modes"] == [[1]]
+        (tmp_path / "a.json").write_text(json.dumps(data))
+        (tmp_path / "b.json").write_text(json.dumps(bad(data)))
         cfg = write_config(
             tmp_path / "run.json",
             mode_options={
@@ -295,7 +304,69 @@ class TestCompareMode:
         assert code == EXIT_VALIDATION
         assert status["error"]["type"] == "ValidationError"
         assert "b.json" in status["error"]["message"]
-        assert "has wrong length for dim=1" in status["error"]["message"]
+        return status["error"]["message"]
+
+    def test_ragged_coefficient_entry_is_validation_error(self, tmp_path, capsys):
+        def ragged(data):
+            data["re"][3].append(0.0)  # one node row longer than the mode list
+            return data
+
+        message = self.compare_with_bad_b(tmp_path, capsys, ragged)
+        assert "re is not a table of numbers" in message
+
+    # a packed body edited into a malformed one, and the words of the refusal;
+    # the linear flow of 0.1 cos(x) at N = 4 lists the one mode [1] at 11 nodes
+    MALFORMED_FILES = {
+        "re-wider-than-modes": (
+            lambda d: {**d, "re": [row + [0.0] for row in d["re"]]},
+            "re has shape (11, 2), expected (11, 1)",
+        ),
+        "im-shorter-than-times": (
+            lambda d: {**d, "im": d["im"][:-1]},
+            "im has shape (10, 1), expected (11, 1)",
+        ),
+        "partner-clash": (
+            lambda d: {
+                **d,
+                "modes": [[-1], [1]],
+                "re": [[row[0] + 0.5, row[0]] for row in d["re"]],
+                "im": [[-row[0], row[0]] for row in d["im"]],
+            },
+            "not conjugate partners",
+        ),
+        "mode-outside-box": (lambda d: {**d, "modes": [[5]]}, "outside truncation 4"),
+        "zero-mode": (lambda d: {**d, "modes": [[0]]}, "zero mode must vanish"),
+        "repeated-mode": (
+            lambda d: {
+                **d,
+                "modes": [[1], [1]],
+                "re": [row * 2 for row in d["re"]],
+                "im": [row * 2 for row in d["im"]],
+            },
+            "more than once",
+        ),
+        # int() read 1.7 as 1 and -0.5 as the zero mode
+        "packed-fractional-mode": (lambda d: {**d, "modes": [[1.7]]}, "not an integer"),
+        "fields-fractional-mode": (
+            lambda d: {
+                "times": [0.0, 0.1],
+                "fields": [{"dim": 1, "truncation": 4, "coeffs": [[1.7, 0.25, 0.0]]}] * 2,
+            },
+            "not an integer",
+        ),
+        "fields-ragged-entry": (
+            lambda d: {
+                "times": [0.0],
+                "fields": [{"dim": 1, "truncation": 4, "coeffs": [[1, 0.25, 0.0, 0.0]]}],
+            },
+            "has wrong length for dim=1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_malformed_trajectory_is_validation_error(self, tmp_path, capsys, case):
+        bad, words = self.MALFORMED_FILES[case]
+        assert words in self.compare_with_bad_b(tmp_path, capsys, bad)
 
     def test_scalar_coeffs_is_validation_error(self, tmp_path, capsys):
         good = linear_trajectory(FourierField.from_modes(1, 2, {(1,): 0.1}), [0.0])
@@ -396,21 +467,47 @@ class TestMemoryGuard:
         assert not (tmp_path / "out" / "certificates").exists()
 
     def test_write_peak_is_counted(self, tmp_path, capsys, monkeypatch):
-        # 51 nodes of 17 modes.  The guard counts the larger of the Picard peak
-        # and the write peak: one byte less than that estimate is refused even
-        # though it holds the smaller peak, and exactly that estimate fits
+        # 51 nodes of 17 modes, and the series sum's 3 grids of 51 x 34 points.
+        # The guard counts the larger of the Picard peak and the write peak:
+        # one byte less than that estimate is refused even though it holds the
+        # smaller peak, and exactly that estimate fits
         trajectory = 51 * 17 * 16
+        grids = cli.SERIES_GRID_ARRAYS * 51 * 34
         low, high = sorted((cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES))
         cfg = write_config(tmp_path / "run.json")  # N = 8, dt = 0.01, T = 0.5
-        pages = {"SC_PHYS_PAGES": high * trajectory - 1, "SC_PAGE_SIZE": 1}
+        pages = {"SC_PHYS_PAGES": high * trajectory + grids * 8 - 1, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        assert pages["SC_PHYS_PAGES"] >= low * trajectory
+        assert pages["SC_PHYS_PAGES"] >= low * trajectory + grids * 8
         code, status = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == EXIT_VALIDATION
-        assert f"51 time nodes ({high} trajectories of 17 modes)" in status["error"]["message"]
+        assert (
+            f"51 time nodes ({high} trajectories of 17 modes plus {grids} padded-grid points)"
+            in status["error"]["message"]
+        )
         assert not (tmp_path / "out" / "certificate.json").exists()
-        pages["SC_PHYS_PAGES"] = high * trajectory
+        pages["SC_PHYS_PAGES"] += 1
         cli.check_memory(SolverConfig(truncation=8, dt=0.01, t_final=0.5), dim=1)
+
+    def test_padded_grids_are_counted(self, tmp_path, capsys, monkeypatch):
+        # 11 nodes of a 2-D box at N = 16 and padding 4: the series sum's grids
+        # of 132^2 points each outweigh the coefficient arrays, and a Picard
+        # solve peaked at 21 trajectory sizes under tracemalloc.  The estimate
+        # of 8 trajectories that ignored the padding let it through
+        trajectory = 11 * 33**2 * 16
+        pages = {"SC_PHYS_PAGES": 8 * trajectory, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        cfg = write_config(
+            tmp_path / "run.json",
+            initial_data=self.TWO_D,
+            solver={"truncation": 16, "dt": 0.01, "t_final": 0.1, "padding": 4.0},
+        )
+        code, status = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert "11 time nodes" in status["error"]["message"]
+        assert f"plus {cli.SERIES_GRID_ARRAYS * 11 * 132**2} padded-grid points" in (
+            status["error"]["message"]
+        )
+        assert not (tmp_path / "out" / "certificate.json").exists()
 
     def test_certify_preset_refused_before_allocating(self, tmp_path, capsys):
         # one 2-D box at N = 10**8 is about 6e17 bytes
@@ -586,6 +683,22 @@ class TestConfigValidation:
         assert "decay" in status["error"]["message"]
         assert captured.err == ""
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("preset", ["single-mode", "two-mode", "random-decay"])
+    def test_preset_amplitude_must_be_finite_and_positive(self, tmp_path, capsys, preset):
+        # single-mode certified -0.1 as r0 = 0.1, and nan or inf ended in a
+        # "coefficients must all be finite" that did not name the key
+        for amplitude in (-0.1, 0.0, math.nan, math.inf):
+            cfg = write_config(
+                tmp_path / "run.json", initial_data={"preset": preset, "amplitude": amplitude}
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, status = run_cli(capsys, "certify", "--config", str(cfg))
+            assert code == EXIT_VALIDATION, (amplitude, status)
+            assert "amplitude must be a finite real > 0" in status["error"]["message"]
+            assert not caught, [str(w.message) for w in caught]
+            assert not (tmp_path / "out" / "certificate.json").exists()
 
     def test_readme_example_config_certifies(self, tmp_path, capsys):
         readme = Path(__file__).resolve().parents[1] / "README.md"

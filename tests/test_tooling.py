@@ -1,17 +1,24 @@
 """Source checks: invariants must survive ``python -O``, which strips ``assert``,
 the series route must not exponentiate, every function the benchmark's tracer
 hooks must still exist, the README's memory estimate must be the one the guard
-applies, the README's library sketch must run, and every public name in the
-package must be used by it, exported or hooked."""
+applies, the README's library sketch must run, every public name in the
+package must be used by it, exported or hooked, and a trajectory's tables must
+stay on the writer's ``repr`` path."""
 
 import ast
 import importlib
+import json
 import re
 import runpy
 from pathlib import Path
 
+import numpy as np
+
 import epitaxy
 from epitaxy import cli
+from epitaxy.presets import random_decay
+from epitaxy.semigroup import linear_trajectory
+from epitaxy.stepper import SolverConfig
 
 PACKAGE = Path(epitaxy.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,3 +131,35 @@ def test_public_names_are_used():
         and not any(ref[0] == name and ref[1:] != (module, name) for ref in references)
     ]
     assert not unused, f"public names that only tests use; move them to tests/: {unused}"
+
+
+def test_trajectory_writing_calls_json_dumps_independently_of_nodes(tmp_path, monkeypatch):
+    # the writer formats each row of a packed table with one repr; a table that
+    # fell back to json.dumps would cost calls per node (a corpus-1d pass made
+    # 15,840 when every node was a dict of its own)
+    spec = cli.RunSpec(
+        mode="solve",
+        initial_data={"preset": "random-decay", "amplitude": 0.2, "seed": 7, "dim": 2},
+        solver=SolverConfig(truncation=4, dt=0.01, t_final=1.0),
+        alpha=None,
+        seed=7,
+        output_dir=str(tmp_path),
+        mode_options={},
+        override_certificate=False,
+    )
+    h0 = random_decay(4, seed=7, amplitude=0.2, dim=2)
+    calls = []
+    dumps = json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    counts = []
+    for nodes in (11, 101):
+        calls.clear()
+        traj = linear_trajectory(h0, np.linspace(0.0, 1.0, nodes))
+        cli.write_json(tmp_path / "trajectory.json", traj.to_json_dict(), spec)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
