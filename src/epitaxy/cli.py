@@ -13,21 +13,21 @@ the same way before it is built.  Unknown ``solver`` keys, config values of
 the wrong type and an output directory that cannot be created are refused
 (exit 2) with the key or directory named.
 
-Artifacts are plain JSON and CSV; every artifact embeds the fully resolved
-run specification, and identical specifications (including the seed)
-reproduce byte-identical files.  JSON artifacts have the layout of
-``json.dumps(body, indent=2, sort_keys=True)`` and are written as a stream.
+Artifacts are JSON and CSV, plus the ``.npy`` tables of each trajectory,
+named with their sha256 digest by its JSON manifest.  Every JSON and CSV
+artifact embeds the fully resolved run specification, and identical
+specifications (including the seed) reproduce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .nonlinear import TaylorDepth, padded_grid_size, series_chunk_nodes
 from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
 from .semigroup import Trajectory, operator_bound_probe, random_probe_trajectory
-from .spectral import FourierField, embed
+from .spectral import FourierField, as_int, box_header, embed
 from .stepper import SolverConfig, solve_timestep
 
 MODES = ("solve", "certify", "probe-operator", "sweep", "compare", "radius")
@@ -151,15 +151,6 @@ def _float_or_none(value) -> float | None:
     return None if value is None else _float(value)
 
 
-def _int(value) -> int:
-    """``value`` if it is an integer or integral number such as 16.0; 8.7 and true are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("expected an integer")
-    return int(value)
-
-
 def _bool(value) -> bool:
     """``value`` if it is JSON ``true`` or ``false``; a string such as "false" is refused."""
     if type(value) is not bool:
@@ -181,18 +172,18 @@ def _solver_from_dict(d: dict) -> SolverConfig:
         raise ValidationError("solver config needs a 'truncation' entry")
     taylor_spec = _section(d, "taylor", {"tail_tol": 1e-12}, "solver.")
     if "max_j" in taylor_spec:
-        depth = {"max_j": _option(taylor_spec, "max_j", None, _int, "solver.taylor.")}
+        depth = {"max_j": _option(taylor_spec, "max_j", None, as_int, "solver.taylor.")}
     elif "tail_tol" in taylor_spec:
         depth = {"tail_tol": _option(taylor_spec, "tail_tol", None, _float, "solver.taylor.")}
     else:
         raise ValidationError("solver.taylor needs 'max_j' or 'tail_tol'")
     settings = {
-        "truncation": _option(d, "truncation", None, _int, "solver."),
+        "truncation": _option(d, "truncation", None, as_int, "solver."),
         "dt": _option(d, "dt", None, _float_or_none, "solver."),
         "t_final": _option(d, "t_final", 4.0, _float, "solver."),
         "padding": _option(d, "padding", 2.0, _float, "solver."),
         "tol": _option(d, "tol", 1e-10, _float, "solver."),
-        "max_iter": _option(d, "max_iter", 200, _int, "solver."),
+        "max_iter": _option(d, "max_iter", 200, as_int, "solver."),
     }
     try:
         return SolverConfig(taylor=TaylorDepth(**depth), **settings)
@@ -222,7 +213,7 @@ def build_runspec(mode: str, config: dict, args) -> RunSpec:
     alpha = args.alpha
     if alpha is None:
         alpha = _option(config, "alpha", None, _float_or_none, "")
-    seed = args.seed if args.seed is not None else _option(config, "seed", 0, _int, "")
+    seed = args.seed if args.seed is not None else _option(config, "seed", 0, as_int, "")
     out = args.out if args.out is not None else config.get("output_dir", "epitaxy-out")
     override = _option(config, "override_certificate", False, _bool, "")
     override = override or args.override_certificate
@@ -248,12 +239,12 @@ def build_initial_field(spec: RunSpec) -> FourierField:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            stored = int(data["truncation"])
+            dim, stored = box_header(data)
             if stored > truncation:
                 raise ValueError(
                     f"field truncation {stored} exceeds solver truncation {truncation}"
                 )
-            check_memory(spec.solver, int(data["dim"]), nodes=1)
+            check_memory(spec.solver, dim, nodes=1)
             field = FourierField.from_json_dict(data)
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise ValidationError(f"cannot load field from {path}: {err}") from err
@@ -266,12 +257,12 @@ def build_initial_field(spec: RunSpec) -> FourierField:
     where = "initial_data."
     options = {
         "amplitude": _option(init, "amplitude", 0.2, _float, where),
-        "dim": _option(init, "dim", 1, _int, where),
+        "dim": _option(init, "dim", 1, as_int, where),
     }
     if name == "single-mode":
-        options["k"] = _option(init, "k", 1, _int, where)
+        options["k"] = _option(init, "k", 1, as_int, where)
     elif name == "random-decay":
-        options["seed"] = _option(init, "seed", spec.seed, _int, where)
+        options["seed"] = _option(init, "seed", spec.seed, as_int, where)
         options["decay"] = _option(init, "decay", 3.0, _float, where)
     check_memory(spec.solver, options["dim"], nodes=1)
     try:
@@ -296,12 +287,19 @@ PICARD_LIVE_TRAJECTORIES = 6
 SERIES_GRID_ARRAYS = 3
 
 # Coefficient arrays of one trajectory's size alive while a trajectory is
-# written: the Picard and stepper solutions, and the packed JSON form that
-# ``Trajectory.to_json_dict`` builds, a float list per node row of the half
-# box; the writer formats one row at a time.  Traced with tracemalloc at
-# 20,001 nodes in 1-D and 501 nodes in 2-D (N = 16, every mode nonzero),
-# writing took 2.7 and 2.5 trajectory sizes on top of the two solutions.
-WRITE_LIVE_TRAJECTORIES = 5
+# written: the Picard and stepper solutions, the float64 table array of the
+# written half box, and the ``.npy`` file's bytes read back for its digest.
+# Traced with tracemalloc at 20,001 nodes in 1-D and 501 nodes in 2-D (N = 16,
+# every mode nonzero), writing took 1.03 and 1.01 trajectory sizes on top of
+# the two solutions.
+WRITE_LIVE_TRAJECTORIES = 4
+
+# Coefficient arrays of one trajectory's size alive while ``compare`` reads
+# two trajectory files (``radius`` reads one): the other trajectory, the file's
+# bytes, the box ``place_modes`` fills and the Hermitian check's temporaries.
+# Traced with tracemalloc on two files of the sizes above, the peak was 4.61
+# and 4.50 trajectory sizes.
+READ_LIVE_TRAJECTORIES = 5
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
 # ``probe-operator`` case: the previous case's trajectory, the new one with
@@ -359,98 +357,61 @@ def _runspec_comment(spec: RunSpec) -> str:
     return "# runspec: " + json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-# JSON artifacts have the layout of ``json.dumps(body, indent=2,
-# sort_keys=True)``, which always runs the pure-Python encoder.  The writer
-# below emits the same bytes as a stream of chunks.  Dicts and general lists
-# are walked here.  A list of numbers, or of nonempty lists of them (the
-# ``times`` grid, a trajectory's ``modes`` list and its ``re`` and ``im``
-# tables), is formatted one row at a time by a C-level ``repr`` and
-# re-indented: ``json`` writes floats with ``float.__repr__`` and ints with
-# ``int.__repr__``, exactly as ``repr`` does, except that it spells nan and
-# inf as NaN and Infinity.  Anything else (bools, subclasses, tuples, empty
-# containers, non-string keys) is written by ``json.dumps``.
+def _create(path: Path):
+    """``path`` opened as a new file: an existing one is unlinked, never truncated.
 
-_INDENT = "  "
-_NUMBER_TYPES = {int, float}
-
-
-def _json_numbers(numbers: list, separator: str) -> str:
-    """The items of a list of numbers as ``json`` writes them, joined by ``separator``."""
-    text = repr(numbers)[1:-1]
-    if "n" in text:  # nan or inf, which json writes as NaN or Infinity
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text.replace(", ", separator)
-
-
-def _number_list(items: list, pad: str):
-    """Chunks of JSON text of a nonempty list of numbers or of nonempty such lists, else None.
-
-    A table yields one chunk per row, so its text is never held whole.
+    A file rewritten in place was flushed on close, about 70 ms per file on
+    ext4.  So a read-only artifact is replaced, and so is a symlink, whose
+    target is left alone.
     """
-    rows = type(items[0]) is list
-    if rows:
-        if not all(type(row) is list and row for row in items):
-            return None
-        kinds = set(map(type, chain.from_iterable(items)))
-    else:
-        kinds = set(map(type, items))
-    if not kinds <= _NUMBER_TYPES:
-        return None
-    inner = pad + _INDENT
-    if not rows:
-        return ["[\n" + inner + _json_numbers(items, ",\n" + inner) + "\n" + pad + "]"]
-    return _row_chunks(items, pad)
-
-
-def _row_chunks(rows: list, pad: str):
-    inner = pad + _INDENT
-    deeper = inner + _INDENT
-    opener = "[\n" + inner + "[\n" + deeper
-    for row in rows:
-        yield opener + _json_numbers(row, ",\n" + deeper)
-        opener = "\n" + inner + "],\n" + inner + "[\n" + deeper
-    yield "\n" + inner + "]\n" + pad + "]"
-
-
-def _json_chunks(value, pad: str):
-    """Yield ``json.dumps(value, indent=2, sort_keys=True)`` nested ``pad`` deep, in pieces."""
-    if type(value) is dict and value and all(type(key) is str for key in value):
-        inner = pad + _INDENT
-        opener = "{\n" + inner
-        for key in sorted(value):
-            yield opener + json.dumps(key) + ": "
-            yield from _json_chunks(value[key], inner)
-            opener = ",\n" + inner
-        yield "\n" + pad + "}"
-    elif type(value) is list and value:
-        chunks = _number_list(value, pad)
-        if chunks is not None:
-            yield from chunks
-            return
-        inner = pad + _INDENT
-        opener = "[\n" + inner
-        for item in value:
-            yield opener
-            yield from _json_chunks(item, inner)
-            opener = ",\n" + inner
-        yield "\n" + pad + "]"
-    elif isinstance(value, (dict, list, tuple)):
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-    else:
-        yield json.dumps(value)
+    path.unlink(missing_ok=True)
+    return open(path, "wb")
 
 
 def write_json(path: Path, payload: dict, spec: RunSpec) -> None:
-    body = dict(payload)
-    body["runspec"] = spec.to_json_dict()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(body, ""))
-        fh.write("\n")
+    body = {**payload, "runspec": spec.to_json_dict()}
+    with _create(path) as fh:
+        fh.write((json.dumps(body, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_csv(path: Path, header: str, rows: list[str], spec: RunSpec) -> None:
     lines = [_runspec_comment(spec), header, *rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _create(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _sha256(data: bytes) -> str:
+    # imported here, not at the top, because certify-only runs never hash
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_trajectory(path: Path, traj: Trajectory, spec: RunSpec) -> None:
+    """The JSON manifest ``path`` of a trajectory, and its ``.npy`` tables beside it.
+
+    The manifest's ``tables`` holds the ``.npy`` file's name and sha256 digest.
+    """
+    body = traj.to_json_dict()
+    tables = path.with_suffix(".npy")
+    with _create(tables) as fh:
+        np.lib.format.write_array(fh, body["tables"], allow_pickle=False)
+    body["tables"] = {"file": tables.name, "sha256": _sha256(tables.read_bytes())}
+    write_json(path, body, spec)
+
+
+def _read_tables(folder: Path, reference: dict) -> np.ndarray:
+    """The table array a manifest's ``tables`` reference names, checked against its digest."""
+    name = reference["file"]
+    if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+        raise ValueError(f"tables.file must name a file beside the manifest, got {name!r}")
+    raw = (folder / name).read_bytes()
+    if _sha256(raw) != reference["sha256"]:
+        raise ValueError(f"{name} does not match the sha256 digest its manifest records")
+    try:
+        return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+    except (MemoryError, OverflowError) as err:  # its header claims a shape too large
+        raise ValueError(f"{name}: {err}") from err
 
 
 def _fmt(value: float) -> str:
@@ -494,8 +455,8 @@ def _run_solve(spec: RunSpec, out: Path) -> dict:
         )
     solution, diag = solve_picard(h0, cert, config, allow_uncertified=spec.override_certificate)
     marched = solve_timestep(h0, config)
-    write_json(out / "picard_trajectory.json", solution.to_json_dict(), spec)
-    write_json(out / "stepper_trajectory.json", marched.to_json_dict(), spec)
+    write_trajectory(out / "picard_trajectory.json", solution, spec)
+    write_trajectory(out / "stepper_trajectory.json", marched, spec)
     diag_lines = diag.csv_lines()
     write_csv(out / "picard_diagnostics.csv", diag_lines[0], diag_lines[1:], spec)
     rows, worst = _comparison(solution, marched)
@@ -513,7 +474,9 @@ def _run_solve(spec: RunSpec, out: Path) -> dict:
             "certificate.json",
             "initial_field.json",
             "picard_trajectory.json",
+            "picard_trajectory.npy",
             "stepper_trajectory.json",
+            "stepper_trajectory.npy",
             "picard_diagnostics.csv",
             "engine_comparison.csv",
             "summary.json",
@@ -526,10 +489,10 @@ def _run_solve(spec: RunSpec, out: Path) -> dict:
 def _run_probe(spec: RunSpec, out: Path) -> dict:
     opts = spec.mode_options
     where = "mode_options."
-    count = _option(opts, "trajectories", 100, _int, where)
+    count = _option(opts, "trajectories", 100, as_int, where)
     alphas = _list_option(opts, "alphas", [0.1, 0.5, 0.9], _float, where)
-    dims = _list_option(opts, "dims", [1, 2], _int, where)
-    max_truncation = _option(opts, "max_truncation", 16, _int, where)
+    dims = _list_option(opts, "dims", [1, 2], as_int, where)
+    max_truncation = _option(opts, "max_truncation", 16, as_int, where)
     t_final = _option(opts, "t_final", 2.0, _float, where)
     dt = _option(opts, "dt", 0.01, _float, where)
     if count < 1 or max_truncation < 2 or not alphas or not dims:
@@ -623,10 +586,26 @@ def _run_sweep(spec: RunSpec, out: Path) -> dict:
 
 
 def _load_trajectory(opts: dict, key: str) -> Trajectory:
-    path = _path_option(opts, key, "mode_options.")
+    """The trajectory of the manifest ``opts[key]`` and its tables, refused (exit 2)
+    before a box that cannot fit is built."""
+    path = Path(_path_option(opts, key, "mode_options."))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return Trajectory.from_json_dict(json.load(fh))
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "tables" not in data and ("fields" in data or "re" in data):
+            form = "per-node 'fields'" if "fields" in data else "packed JSON-table ('re' and 'im')"
+            raise ValueError(
+                f"it holds the {form} form written by an earlier version of epitaxy; "
+                "solve again to write it with .npy tables"
+            )
+        dim, truncation = box_header(data)
+        _check_fits(
+            len(data["times"]),
+            (2 * truncation + 1) ** dim,
+            READ_LIVE_TRAJECTORIES,
+            "the file's time grid and truncation are too large to load",
+        )
+        data["tables"] = _read_tables(path.parent, data["tables"])
+        return Trajectory.from_json_dict(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"cannot load trajectory from {path}: {err}") from err
 

@@ -81,7 +81,10 @@ def random_decay(
     norm = wiener_norm(field, 2)
     if norm == 0.0:
         raise ValueError("degenerate random draw produced the zero field")
-    return field * (amplitude / norm)
+    scale = amplitude / norm
+    if not math.isfinite(scale):
+        raise ValueError(f"amplitude {amplitude} is too large: scaling this draw to it overflows")
+    return field * scale
 
 
 PRESETS = {

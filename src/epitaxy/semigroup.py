@@ -13,9 +13,9 @@ measures this ratio numerically.
 
 A trajectory is a time grid plus one complex coefficient array of shape
 (nodes, 2N+1[, 2N+1]), piecewise-linear in time per mode, validated when
-built (finite, zero mode vanishing, Hermitian per node).  Its JSON form is
-packed: one list of the half-box modes per file, and one ``re`` and one ``im``
-row per node; the per-node ``fields`` form of earlier files is still read.
+built (finite, zero mode vanishing, Hermitian per node).  Its JSON form
+lists the half-box modes once, beside one float64 table array of their real
+and imaginary parts per node; ``cli`` stores that array in a ``.npy`` file.
 The Duhamel operator acts on the whole array; its result skips the checks
 (``_trusted``).
 The Duhamel integral of the interpolant is evaluated in closed form on each
@@ -36,8 +36,8 @@ import numpy as np
 from .norms import WeightParams, spacetime_norm
 from .spectral import (
     FourierField,
+    box_header,
     check_coefficients,
-    coeffs_from_entries,
     coeffs_from_packed,
     mode_grids,
     packed_modes,
@@ -105,42 +105,27 @@ class Trajectory:
         return tuple(FourierField._trusted(dim, truncation, c) for c in self.coeffs)
 
     def to_json_dict(self) -> dict:
-        """Packed JSON form: {"dim", "truncation", "times", "modes", "re", "im"}.
+        """JSON form with an array: {"dim", "truncation", "times", "modes", "tables"}.
 
-        ``modes`` lists, once per file, one mode of each Hermitian pair that is
-        nonzero at some node (``packed_modes``); ``re`` and ``im`` hold one row
-        per node with one number per listed mode.
+        ``modes`` and the float64 ``tables`` array are those of ``packed_modes``.
         """
-        modes, re, im = packed_modes(self.coeffs, self.truncation)
+        modes, tables = packed_modes(self.coeffs, self.truncation)
         return {
             "dim": self.dim,
             "truncation": self.truncation,
             "times": self.times.tolist(),
             "modes": modes,
-            "re": re,
-            "im": im,
+            "tables": tables,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Trajectory":
-        """Read the packed form (a ``modes`` key) or the per-node form (a ``fields`` key).
-
-        The per-node form holds one ``FourierField`` JSON form per node; both
-        its half-box and its older full-box lists are read.
-        """
+        """Inverse of ``to_json_dict``; ``tables`` must be the float64 array."""
+        dim, truncation = box_header(data)
         times = np.array([float(t) for t in data["times"]])
-        if "modes" in data:
-            dim, truncation = int(data["dim"]), int(data["truncation"])
-            packed = (data["modes"], data["re"], data["im"])
-            return cls(times, coeffs_from_packed(dim, truncation, times.size, *packed))
-        fields = data["fields"]
-        if not fields:
-            return cls(times, ())
-        dim, truncation = int(fields[0]["dim"]), int(fields[0]["truncation"])
-        if any(int(f["dim"]) != dim or int(f["truncation"]) != truncation for f in fields):
-            raise ValueError("all node fields must share dim and truncation")
-        entries = [f["coeffs"] for f in fields]
-        return cls(times, coeffs_from_entries(dim, truncation, entries))
+        return cls(
+            times, coeffs_from_packed(dim, truncation, times.size, data["modes"], data["tables"])
+        )
 
 
 def linear_trajectory(h0: FourierField, times) -> Trajectory:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -115,108 +114,111 @@ def check_coefficients(coeffs: np.ndarray, dim: int, truncation: int) -> None:
         )
 
 
-def place_modes(
-    dim: int, truncation: int, nodes: int, node: np.ndarray, comps: np.ndarray, values
-) -> np.ndarray:
-    """Coefficient boxes for ``nodes`` nodes from (node, mode, amplitude) entries.
+def place_modes(dim: int, truncation: int, comps, values) -> np.ndarray:
+    """Coefficient boxes, (nodes,) + (2N+1,)*dim, from one list of modes.
 
-    ``comps`` has one row of integer components per entry; a fractional or
-    non-finite component is refused, never truncated.  A mode may be given
-    once per node.  A Hermitian partner -k that is not given is filled with
-    conj(amplitude); one that is given must agree with it.  The zero mode may
-    not carry a nonzero amplitude.  Returns an array of shape
-    (nodes,) + (2N+1,)*dim.
+    ``comps`` has one row of integer components per listed mode, and
+    ``values`` one row per node with one amplitude per listed mode.  A
+    fractional component is refused, never truncated, and so are a mode
+    listed twice, a mode outside the box and a nonzero zero mode.  A partner
+    -k that is not listed is filled with conj(amplitude); one that is listed
+    must agree with it.
     """
     table = np.asarray(comps, dtype=float).reshape(-1, dim)
     fractional = ~np.isfinite(table) | (table != np.round(table))
     if np.any(fractional):
         row = table[np.argmax(np.any(fractional, axis=1))]
         raise ValueError(f"mode {tuple(row.tolist())} has a component that is not an integer")
-    values = np.asarray(values, dtype=complex).reshape(-1)
-    node = np.asarray(node, dtype=np.int64).reshape(-1)
     outside = np.any(np.abs(table) > truncation, axis=1)
     if np.any(outside):
         bad = tuple(int(c) for c in table[np.argmax(outside)])
         raise ValueError(f"mode {bad} lies outside truncation {truncation}")
     comps = table.astype(np.int64)
-    zero = np.all(comps == 0, axis=1)
-    if np.any(values[zero] != 0):
+    values = np.asarray(values, dtype=complex)
+    if np.any(values[:, np.all(comps == 0, axis=1)] != 0):
         raise ValueError("zero mode must vanish (mean-zero reduction)")
-    comps, values, node = comps[~zero], values[~zero], node[~zero]
-    shape = (nodes,) + (2 * truncation + 1,) * dim
-    given = np.zeros(shape, dtype=complex)
-    explicit = np.zeros(shape, dtype=bool)
-    index = (node,) + tuple((comps + truncation).T)
-    given[index] = values
-    explicit[index] = True
-    if np.count_nonzero(explicit) != values.size:
-        raise ValueError("a mode is given more than once at one node")
-    partner = _conj_flip(given, dim)
-    partner_given = _flip(explicit, dim)
-    clash = (
-        explicit
-        & partner_given
-        & (np.abs(partner - given) > HERMITIAN_RTOL * np.maximum(1.0, np.abs(given)))
-    )
+    n = 2 * truncation + 1
+    # flat box positions; k -> -k flips every axis, which maps f to n^dim - 1 - f
+    flat = np.ravel_multi_index(tuple((comps + truncation).T), (n,) * dim)
+    mirror = n**dim - 1 - flat
+    column = np.full(n**dim, -1)
+    column[flat] = np.arange(flat.size)
+    if np.count_nonzero(column >= 0) != flat.size:
+        raise ValueError("a mode is given more than once")
+    partner = column[mirror]
+    paired = partner >= 0
+    given = values[:, paired]
+    gap = np.abs(np.conj(values[:, partner[paired]]) - given)
+    clash = gap > HERMITIAN_RTOL * np.maximum(1.0, np.abs(given))
     if np.any(clash):
-        pos = np.argwhere(clash)[0][1:] - truncation
-        k = tuple(int(c) for c in pos)
-        raise ValueError(f"modes {k} and {tuple(-c for c in k)} are not conjugate partners")
-    return np.where(explicit, given, partner)
+        k = comps[paired][np.argmax(np.any(clash, axis=0))]
+        raise ValueError(
+            f"modes {tuple(k.tolist())} and {tuple((-k).tolist())} are not conjugate partners"
+        )
+    out = np.zeros((values.shape[0], n**dim), dtype=complex)
+    out[:, mirror] = np.conj(values)
+    out[:, flat] = values  # a listed partner keeps its own amplitude
+    return out.reshape((values.shape[0],) + (n,) * dim)
 
 
-def coeffs_from_entries(dim: int, truncation: int, entries_per_node) -> np.ndarray:
-    """Inverse of ``mode_entries``: a ``(nodes,) + box`` batch from ``[k..., re, im]`` lists.
+def as_int(value) -> int:
+    """``value`` if it is an integer or integral number such as 16.0; 8.7 and true are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
 
-    ``entries_per_node`` is a sequence holding one list of entries per node;
-    the numbers of all nodes are read into one table.  Hermitian partners may
-    be omitted from the entries; ``place_modes`` restores them and rejects
-    inconsistent ones.  So both the half-box lists that ``mode_entries``
-    writes and full-box lists, which give every partner, are read.
+
+def box_header(data: dict) -> tuple[int, int]:
+    """``dim`` and ``truncation`` of a serialized field or trajectory, refused
+    (never truncated) unless both are integers and ``dim`` is 1 or 2."""
+    try:
+        dim, truncation = as_int(data["dim"]), as_int(data["truncation"])
+    except (TypeError, ValueError) as err:
+        got = f"{data['dim']!r} and {data['truncation']!r}"
+        raise ValueError(f"dim and truncation must be integers, got {got}") from err
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    return dim, truncation
+
+
+def coeffs_from_entries(dim: int, truncation: int, entries) -> np.ndarray:
+    """One box from the ``[k..., re, im]`` entries of ``FourierField.to_json_dict``.
+
+    Hermitian partners may be omitted; ``place_modes`` restores them and
+    rejects inconsistent ones.
     """
     width = dim + 2
-    counts = []
-    for entries in entries_per_node:
-        if set(map(len, entries)) - {width}:
-            bad = next(entry for entry in entries if len(entry) != width)
-            raise ValueError(f"coefficient entry {bad} has wrong length for dim={dim}")
-        counts.append(len(entries))
-    numbers = chain.from_iterable(chain.from_iterable(entries_per_node))
-    table = np.fromiter(numbers, float, sum(counts) * width).reshape(-1, width)
-    node = np.repeat(np.arange(len(counts)), counts)
-    values = np.ascontiguousarray(table[:, dim:]).view(complex).ravel()
-    return place_modes(dim, truncation, len(counts), node, table[:, :dim], values)
+    bad = next((entry for entry in entries if len(entry) != width), None)
+    if bad is not None:
+        raise ValueError(f"coefficient entry {bad} has wrong length for dim={dim}")
+    table = np.array(entries, dtype=float).reshape(-1, width)
+    values = table[:, dim] + 1j * table[:, dim + 1]
+    return place_modes(dim, truncation, table[:, :dim], values[None])[0]
 
 
-def coeffs_from_packed(dim: int, truncation: int, nodes: int, modes, re, im) -> np.ndarray:
+def coeffs_from_packed(dim: int, truncation: int, nodes: int, modes, tables) -> np.ndarray:
     """Inverse of ``packed_modes``: a ``(nodes,) + box`` batch from one mode list.
 
-    ``modes`` holds ``[k...]`` per listed mode, and ``re`` and ``im`` one row
-    per node with one number per listed mode.  The entries go through
-    ``place_modes``, which restores omitted partners and refuses clashing
-    ones, fractional components, modes outside the box and a nonzero zero
-    mode.
+    ``modes`` holds ``[k...]`` per listed mode, and ``tables`` must be the
+    float64 array of shape (2, nodes, len(modes)).
     """
     comps = np.array(modes, dtype=float)
     if comps.shape != (len(modes), dim) and len(modes):
         raise ValueError(f"modes must list [k...] with {dim} integer components each")
-    shape = (nodes, len(modes))
-    parts = []
-    for name, rows in (("re", re), ("im", im)):
-        try:
-            part = np.array(rows, dtype=float)
-        except ValueError as err:
-            raise ValueError(f"{name} is not a table of numbers: {err}") from err
-        if part.shape != shape:
-            raise ValueError(
-                f"{name} has shape {part.shape}, expected {shape}: one row per time node "
-                "and one number per listed mode"
-            )
-        parts.append(part)
-    values = parts[0] + 1j * parts[1]
-    node = np.repeat(np.arange(nodes), shape[1])
-    table = np.tile(comps.reshape(shape[1], dim), (nodes, 1))
-    return place_modes(dim, truncation, nodes, node, table, values)
+    shape = (2, nodes, len(modes))
+    if not isinstance(tables, np.ndarray) or tables.dtype != np.dtype("<f8"):
+        found = getattr(tables, "dtype", type(tables).__name__)
+        raise ValueError(f"tables must be a little-endian float64 array, got {found}")
+    if tables.shape != shape:
+        raise ValueError(
+            f"tables have shape {tables.shape}, expected {shape}: re and im, one row per "
+            "time node and one number per listed mode"
+        )
+    values = np.empty(shape[1:], dtype=complex)
+    values.real, values.imag = tables
+    return place_modes(dim, truncation, comps, values)
 
 
 @lru_cache(maxsize=None)
@@ -233,16 +235,16 @@ def _written_half(dim: int, truncation: int) -> np.ndarray:
     return keep
 
 
-def packed_modes(coeffs: np.ndarray, truncation: int) -> tuple[list, list, list]:
-    """The written modes of a ``(nodes,) + box`` batch, once, and their re and im tables.
+def packed_modes(coeffs: np.ndarray, truncation: int) -> tuple[list, np.ndarray]:
+    """The written modes of a ``(nodes,) + box`` batch, once, and their tables.
 
     Only one mode of each Hermitian pair is written (``_written_half``), and
     only if it is nonzero at some node; modes are listed in lexicographic
-    order of their components, and the tables have one row per node and one
-    column per listed mode.  The reader restores the partners as
-    conj(coeff(k)) (``coeffs_from_packed``), so an exactly Hermitian box reads
-    back equal; one Hermitian only to HERMITIAN_RTOL reads back as the
-    completion of its written half.
+    order.  The tables are one little-endian float64 array of shape
+    (2, nodes, len(modes)): real parts, then imaginary parts.  The reader
+    restores the partners as conj(coeff(k)) (``coeffs_from_packed``), so an
+    exactly Hermitian box reads back equal; one Hermitian only to
+    HERMITIAN_RTOL reads back as the completion of its written half.
     """
     half = coeffs[..., truncation:]
     dim = coeffs.ndim - 1
@@ -250,17 +252,8 @@ def packed_modes(coeffs: np.ndarray, truncation: int) -> tuple[list, list, list]
     values = half[(slice(None),) + written]
     # index i is k = i - N along a leading axis and k_last = i along the last
     modes = np.stack(written, axis=1) - np.array([truncation] * (dim - 1) + [0])
-    return modes.tolist(), values.real.tolist(), values.imag.tolist()
-
-
-def mode_entries(box: np.ndarray, truncation: int) -> list[list]:
-    """``[k..., re, im]`` for each written mode of one box: a field's serialized form.
-
-    The modes are those of ``packed_modes``; ``coeffs_from_entries`` reads
-    them back.
-    """
-    modes, re, im = packed_modes(box[None], truncation)
-    return [k + [a, b] for k, a, b in zip(modes, re[0], im[0])]
+    tables = np.stack((values.real, values.imag)).astype("<f8", copy=False)
+    return modes.tolist(), tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,14 +320,7 @@ class FourierField:
             if len(comps) != dim:
                 raise ValueError(f"mode {comps} has wrong dimension for dim={dim}")
             explicit[comps] = complex(a)
-        coeffs = place_modes(
-            dim,
-            truncation,
-            1,
-            np.zeros(len(explicit), dtype=np.int64),
-            list(explicit.keys()),
-            list(explicit.values()),
-        )
+        coeffs = place_modes(dim, truncation, list(explicit), [list(explicit.values())])
         return cls(dim, truncation, coeffs[0])
 
     # -- access ------------------------------------------------------------
@@ -392,16 +378,18 @@ class FourierField:
     def to_json_dict(self) -> dict:
         """JSON form: {"dim", "truncation", "coeffs": [[k..., re, im], ...]}.
 
-        ``coeffs`` lists one mode of each Hermitian pair (``mode_entries``).
+        ``coeffs`` lists the written modes of ``packed_modes``: one mode of each
+        Hermitian pair, if nonzero, in lexicographic order.
         """
-        entries = mode_entries(self.coeffs, self.truncation)
+        modes, tables = packed_modes(self.coeffs[None], self.truncation)
+        re, im = tables[:, 0].tolist()
+        entries = [k + [a, b] for k, a, b in zip(modes, re, im)]
         return {"dim": self.dim, "truncation": self.truncation, "coeffs": entries}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourierField":
-        dim = int(data["dim"])
-        truncation = int(data["truncation"])
-        return cls(dim, truncation, coeffs_from_entries(dim, truncation, [data["coeffs"]])[0])
+        dim, truncation = box_header(data)
+        return cls(dim, truncation, coeffs_from_entries(dim, truncation, data["coeffs"]))
 
 
 # -- physical grid ----------------------------------------------------------

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,30 @@ def random_field_with_norm(rng, target, j=2, dim=1, truncation=8, decay=1.0):
 def trajectory_of(times, fields):
     """The trajectory whose node i holds ``fields[i]``."""
     return Trajectory(times, np.array([f.coeffs for f in fields]))
+
+
+def save_trajectory(path, data):
+    """Write a trajectory file as ``solve`` does, independently of the CLI.
+
+    The JSON manifest goes to ``path`` and the tables, by ``np.save``, beside
+    it with the suffix ``.npy``.  ``data`` is a ``Trajectory`` or its
+    ``to_json_dict()`` form, possibly edited; its ``tables`` may be any array.
+    """
+    body = dict(data.to_json_dict() if isinstance(data, Trajectory) else data)
+    tables = path.with_suffix(".npy")
+    np.save(tables, body["tables"], allow_pickle=True)
+    digest = hashlib.sha256(tables.read_bytes()).hexdigest()
+    body["tables"] = {"file": tables.name, "sha256": digest}
+    path.write_text(json.dumps(body), encoding="utf-8")
+    return path
+
+
+def load_trajectory(path):
+    """Read a trajectory file as the README tells a user to: ``np.load`` the tables."""
+    body = json.loads(path.read_text(encoding="utf-8"))
+    tables = path.parent / body["tables"]["file"]
+    assert hashlib.sha256(tables.read_bytes()).hexdigest() == body["tables"]["sha256"]
+    return Trajectory.from_json_dict({**body, "tables": np.load(tables, allow_pickle=False)})
 
 
 @pytest.fixture

@@ -1,23 +1,23 @@
-"""JSON artifact layout: ``write_json`` against ``json.dumps(indent=2, sort_keys=True)``,
-and the packed half-box tables of solved trajectories read back through the CLI.
-
-The writer streams its own chunks and formats number lists with ``repr``;
-``json.dumps`` is the oracle it must match byte for byte.
+"""Artifact layout: ``write_json`` against ``json.dumps(indent=2, sort_keys=True)``,
+trajectory manifests and their ``.npy`` tables against ``np.save``, and the
+half-box tables of solved trajectories read back through the CLI.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
-from epitaxy.cli import RunSpec, main, write_json
+from conftest import load_trajectory
+from epitaxy.cli import RunSpec, main, write_json, write_trajectory
 from epitaxy.norms import certify
 from epitaxy.picard import solve_picard
 from epitaxy.presets import random_decay
-from epitaxy.semigroup import Trajectory, linear_trajectory
-from epitaxy.spectral import FourierField, mode_entries
+from epitaxy.semigroup import linear_trajectory
+from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig, solve_timestep
 
 
@@ -34,24 +34,37 @@ def make_spec(output_dir="out"):
     )
 
 
+def oracle_bytes(payload, spec):
+    body = {**payload, "runspec": spec.to_json_dict()}
+    return (json.dumps(body, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def assert_oracle_layout(tmp_path, payload, spec=None):
     spec = spec or make_spec()
     path = tmp_path / "artifact.json"
     write_json(path, payload, spec)
-    body = {**payload, "runspec": spec.to_json_dict()}
-    expected = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert path.read_bytes() == oracle_bytes(payload, spec)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_trajectory_layout(tmp_path, dim):
+    # the manifest is the json.dumps layout of the trajectory's JSON form with
+    # the table array swapped for the .npy file's name and digest, and the
+    # .npy file holds the bytes np.save writes for that array
     h0 = random_decay(6, seed=3, amplitude=0.2, dim=dim)
-    # the stepper fills every mode; the linear flow underflows the high ones,
-    # so its later nodes hold fewer entries than its first
+    spec = make_spec()
+    # the stepper fills every mode; the linear flow underflows the high ones
     marched = solve_timestep(h0, SolverConfig(truncation=6, dt=0.01, t_final=0.05))
-    assert_oracle_layout(tmp_path, marched.to_json_dict())
     linear = linear_trajectory(h0, np.linspace(0.0, 2.0, 5))
-    assert_oracle_layout(tmp_path, linear.to_json_dict())
+    for traj in (marched, linear):
+        write_trajectory(tmp_path / "traj.json", traj, spec)
+        body = traj.to_json_dict()
+        np.save(tmp_path / "oracle.npy", body["tables"])
+        table_bytes = (tmp_path / "oracle.npy").read_bytes()
+        assert (tmp_path / "traj.npy").read_bytes() == table_bytes
+        digest = hashlib.sha256(table_bytes).hexdigest()
+        manifest = {**body, "tables": {"file": "traj.npy", "sha256": digest}}
+        assert (tmp_path / "traj.json").read_bytes() == oracle_bytes(manifest, spec)
 
 
 def test_field_and_certificate_layout(tmp_path):
@@ -132,7 +145,7 @@ def test_files_read_back_to_the_solution(solved):
     picard, _ = solve_picard(h0, certify(h0), config)
     marched = solve_timestep(h0, config)
     for name, solution in zip(TRAJECTORY_FILES, (picard, marched)):
-        back = Trajectory.from_json_dict(read_json(out / name))
+        back = load_trajectory(out / name)
         np.testing.assert_array_equal(back.times, solution.times)
         np.testing.assert_array_equal(back.coeffs, solution.coeffs)
     field = FourierField.from_json_dict(read_json(out / "initial_field.json"))
@@ -148,32 +161,12 @@ def test_only_the_half_box_is_written(solved):
         modes = body["modes"]
         # listed once per file, in lexicographic order, one column per node row
         assert all(a < b for a, b in zip(modes, modes[1:]))
-        for table in (body["re"], body["im"]):
-            assert [len(row) for row in table] == [len(modes)] * len(body["times"])
+        tables = np.load(out / body["tables"]["file"], allow_pickle=False)
+        assert tables.shape == (2, len(body["times"]), len(modes))
         written += modes
     assert written
     outside = [k for k in written if not (k[-1] > 0 or (k[-1] == 0 and k[0] > 0))]
     assert outside == []
-
-
-def test_full_box_files_still_load(solved, tmp_path):
-    # the per-node "fields" form the writer used before the packed one, with
-    # its half-box lists and with the full-box lists older files hold
-    _, out, _ = solved
-    traj = Trajectory.from_json_dict(read_json(out / TRAJECTORY_FILES[0]))
-    head = {"dim": traj.dim, "truncation": traj.truncation}
-    half = [{**head, "coeffs": mode_entries(box, traj.truncation)} for box in traj.coeffs]
-    full = [
-        {**head, "coeffs": [list(k) + [a.real, a.imag] for k, a in f.nonzero_modes()]}
-        for f in traj.fields
-    ]
-    assert len(full[-1]["coeffs"]) == 2 * len(half[-1]["coeffs"])
-    for fields in (half, full):
-        (tmp_path / "v1.json").write_text(json.dumps({"times": traj.times.tolist(), "fields": fields}))
-        back = Trajectory.from_json_dict(json.loads((tmp_path / "v1.json").read_text()))
-        np.testing.assert_array_equal(back.times, traj.times)
-        np.testing.assert_array_equal(back.coeffs, traj.coeffs)
-        np.testing.assert_array_equal(FourierField.from_json_dict(fields[-1]).coeffs, traj.coeffs[-1])
 
 
 def test_repeated_solve_is_byte_identical(solved):

@@ -267,8 +267,8 @@ def test_engines_converge_together_on_random_data(dim, seed):
 
 
 def test_json_nodes_keep_the_field_format(rng):
-    # read against the file's one mode list, each node's re and im rows give
-    # that node's field entries: one mode per Hermitian pair (k_last > 0, or
+    # read against the file's one mode list, each node's rows of the re and
+    # im tables give that node's field entries: one mode per Hermitian pair (k_last > 0, or
     # k_last = 0 and k_0 > 0), nonzero, in lexicographic order
     n = TRUNCATION[2]
     drawn = random_trajectory(rng, 2, time_grid(rng, True))
@@ -280,7 +280,9 @@ def test_json_nodes_keep_the_field_format(rng):
     assert data["times"] == [float(t) for t in traj.times]
     assert (data["dim"], data["truncation"]) == (2, n)
     assert [1, 2] not in data["modes"] and [2, 0] in data["modes"]
-    for re, im, field in zip(data["re"], data["im"], traj.fields):
+    assert data["tables"].dtype == np.dtype("<f8")
+    assert data["tables"].shape == (2, traj.times.size, len(data["modes"]))
+    for re, im, field in zip(*data["tables"].tolist(), traj.fields):
         listed = [k + [a, b] for k, a, b in zip(data["modes"], re, im) if a or b]
         expected = [
             list(k) + [a.real, a.imag]
@@ -293,21 +295,20 @@ def test_json_nodes_keep_the_field_format(rng):
 
 
 def test_json_reader_fills_partners_and_rejects_clashes():
-    def data(*fields):
-        return {"times": [0.1 * i for i in range(len(fields))], "fields": list(fields)}
+    def data(modes, re, im):
+        tables = np.array([[re, re], [im, im]], dtype=float)  # two nodes
+        return {"dim": 1, "truncation": 2, "times": [0.0, 0.1], "modes": modes, "tables": tables}
 
-    node = {"dim": 1, "truncation": 2, "coeffs": [[1, 0.25, -0.5]]}
-    traj = Trajectory.from_json_dict(data(node, node))
+    traj = Trajectory.from_json_dict(data([[1]], [0.25], [-0.5]))
     assert traj.fields[1].coeff(-1) == 0.25 + 0.5j
-    clash = {"dim": 1, "truncation": 2, "coeffs": [[1, 0.25, 0.0], [-1, 0.5, 0.0]]}
     with pytest.raises(ValueError, match="conjugate"):
-        Trajectory.from_json_dict(data(node, clash))
-    wider = {"dim": 1, "truncation": 3, "coeffs": [[1, 0.25, 0.0]]}
-    with pytest.raises(ValueError, match="share"):
-        Trajectory.from_json_dict(data(node, wider))
-    outside = {"dim": 1, "truncation": 2, "coeffs": [[3, 0.25, 0.0]]}
+        Trajectory.from_json_dict(data([[-1], [1]], [0.5, 0.25], [0.0, 0.0]))
     with pytest.raises(ValueError, match="outside"):
-        Trajectory.from_json_dict(data(node, outside))
+        Trajectory.from_json_dict(data([[3]], [0.25], [0.0]))
+    # the tables are the array the CLI loads from the .npy file, not JSON lists
+    listed = data([[1]], [0.25], [-0.5])
+    with pytest.raises(ValueError, match="float64 array"):
+        Trajectory.from_json_dict({**listed, "tables": listed["tables"].tolist()})
 
 
 def test_array_construction_validates_every_node():

@@ -1,5 +1,7 @@
 """End-to-end CLI runs: modes, exit codes, artifacts, determinism."""
 
+import hashlib
+import io
 import json
 import math
 import os
@@ -10,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import load_trajectory, save_trajectory
 from epitaxy import cli
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from epitaxy.semigroup import Trajectory, linear_trajectory
+from epitaxy.semigroup import linear_trajectory
 from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig
 
@@ -41,8 +44,15 @@ SCALAR_COEFFS = {"dim": 1, "truncation": 2, "coeffs": 5}
 
 
 def write_scalar_trajectory(path):
-    path.write_text(json.dumps({"times": [0.0], "fields": [SCALAR_COEFFS]}), encoding="utf-8")
-    return path
+    # the trajectory counterpart: a mode list that is a number has no length
+    body = {"dim": 1, "truncation": 2, "times": [0.0], "modes": 5, "tables": np.zeros((2, 1, 0))}
+    return save_trajectory(path, body)
+
+
+def small_trajectory(nodes=5, truncation=4):
+    """The linear flow of 0.1 cos(x) on ``nodes`` nodes of [0, 1]: one listed mode, [1]."""
+    h0 = FourierField.from_modes(1, truncation, {(1,): 0.1})
+    return linear_trajectory(h0, np.linspace(0.0, 1.0, nodes))
 
 
 class TestCertifyMode:
@@ -81,6 +91,23 @@ class TestCertifyMode:
         code, status = run_cli(capsys, "certify", "--config", str(cfg))
         assert code == EXIT_VALIDATION
         assert "(1.7,) has a component that is not an integer" in status["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "field,words",
+        [
+            ({"dim": 1, "truncation": 2, "coeffs": [[1, 0.25, 0.0, 0.0]]}, "wrong length for dim=1"),
+            # int() read dim 1.9 as 1 and took true as truncation 1
+            ({"dim": 1.9, "truncation": 2, "coeffs": []}, "must be integers, got 1.9 and 2"),
+            ({"dim": 1, "truncation": True, "coeffs": []}, "must be integers, got 1 and True"),
+        ],
+        ids=["ragged-entry", "fractional-dim", "bool-truncation"],
+    )
+    def test_malformed_initial_data_path_is_validation_error(self, tmp_path, capsys, field, words):
+        (tmp_path / "field.json").write_text(json.dumps(field), encoding="utf-8")
+        cfg = write_config(tmp_path / "run.json", initial_data={"path": str(tmp_path / "field.json")})
+        code, status = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert words in status["error"]["message"]
 
     def test_alpha_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", alpha=0.1)
@@ -185,19 +212,20 @@ class TestSolveMode:
             "certificate.json",
             "initial_field.json",
             "picard_trajectory.json",
+            "picard_trajectory.npy",
             "stepper_trajectory.json",
+            "stepper_trajectory.npy",
             "picard_diagnostics.csv",
             "engine_comparison.csv",
             "summary.json",
         ):
             assert (out / name).exists()
+        assert sorted(status["artifacts"]) == sorted(path.name for path in out.iterdir())
         summary = json.loads((out / "summary.json").read_text())
         # quadrature error scales with dt^2; the tight 1e-6 agreement is
         # checked at dt = 1e-3 in the acceptance suite
         assert summary["max_engine_difference"] <= 1e-5
-        picard = Trajectory.from_json_dict(
-            json.loads((out / "picard_trajectory.json").read_text())
-        )
+        picard = load_trajectory(out / "picard_trajectory.json")
         assert picard.times[-1] == pytest.approx(0.3)
 
     def test_failing_certificate_exits_three(self, tmp_path, capsys):
@@ -265,8 +293,8 @@ class TestCompareMode:
         times = np.linspace(0.0, 1.0, 11)
         a = linear_trajectory(h0, times)
         b = linear_trajectory(h0 * 1.001, times)
-        (tmp_path / "a.json").write_text(json.dumps(a.to_json_dict()))
-        (tmp_path / "b.json").write_text(json.dumps(b.to_json_dict()))
+        save_trajectory(tmp_path / "a.json", a)
+        save_trajectory(tmp_path / "b.json", b)
         cfg = write_config(
             tmp_path / "run.json",
             mode_options={
@@ -285,14 +313,14 @@ class TestCompareMode:
         assert "trajectory_a" in status["error"]["message"]
 
     @staticmethod
-    def compare_with_bad_b(tmp_path, capsys, bad):
-        traj = linear_trajectory(
-            FourierField.from_modes(1, 4, {(1,): 0.1}), np.linspace(0.0, 1.0, 11)
-        )
+    def compare_with_bad_b(tmp_path, capsys, write_bad):
+        """Run ``compare`` on a good file a.json and a file b.json that
+        ``write_bad(path, data)`` writes from the good file's JSON form."""
+        traj = small_trajectory(nodes=11)
         data = traj.to_json_dict()
         assert data["modes"] == [[1]]
-        (tmp_path / "a.json").write_text(json.dumps(data))
-        (tmp_path / "b.json").write_text(json.dumps(bad(data)))
+        save_trajectory(tmp_path / "a.json", traj)
+        write_bad(tmp_path / "b.json", data)
         cfg = write_config(
             tmp_path / "run.json",
             mode_options={
@@ -307,70 +335,158 @@ class TestCompareMode:
         return status["error"]["message"]
 
     def test_ragged_coefficient_entry_is_validation_error(self, tmp_path, capsys):
-        def ragged(data):
-            data["re"][3].append(0.0)  # one node row longer than the mode list
-            return data
+        # a ragged table can only be saved as an object array, which the
+        # reader refuses rather than unpickle
+        def ragged(path, data):
+            rows = data["tables"].tolist()
+            rows[0][3].append(0.0)  # one node row longer than the mode list
+            save_trajectory(path, {**data, "tables": np.array(rows, dtype=object)})
 
         message = self.compare_with_bad_b(tmp_path, capsys, ragged)
-        assert "re is not a table of numbers" in message
+        assert "Object arrays cannot be loaded when allow_pickle=False" in message
 
-    # a packed body edited into a malformed one, and the words of the refusal;
-    # the linear flow of 0.1 cos(x) at N = 4 lists the one mode [1] at 11 nodes
+    @staticmethod
+    def saving(edit):
+        """A writer of b.json, and b.npy beside it, from ``edit(data)``."""
+        return lambda path, data: save_trajectory(path, edit(data))
+
+    @staticmethod
+    def editing_manifest(edit):
+        """A writer of a good b.json whose manifest is then replaced by ``edit(manifest)``."""
+
+        def write(path, data):
+            save_trajectory(path, data)
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+        return write
+
+    @staticmethod
+    def with_reference(**changes):
+        return lambda m: {**m, "tables": {**m["tables"], **changes}}
+
+    @staticmethod
+    def header_claiming(shape):
+        """A writer of a b.npy whose NPY header claims ``shape`` over the good data."""
+
+        def write(path, data):
+            header = io.BytesIO()
+            fields = {"descr": "<f8", "fortran_order": False, "shape": shape}
+            np.lib.format.write_array_header_1_0(header, fields)
+            path.with_suffix(".npy").write_bytes(header.getvalue() + data["tables"].tobytes())
+            digest = hashlib.sha256(path.with_suffix(".npy").read_bytes()).hexdigest()
+            manifest = {**data, "tables": {"file": "b.npy", "sha256": digest}}
+            path.write_text(json.dumps(manifest))
+
+        return write
+
+    @staticmethod
+    def writing(body):
+        return lambda path, data: path.write_text(json.dumps(body))
+
+    @staticmethod
+    def clashing_partners(data):
+        # mode -1 listed beside 1 with a real part 0.5 off conj(coeff(1))
+        re, im = data["tables"]
+        tables = np.stack((np.hstack((re + 0.5, re)), np.hstack((-im, im))))
+        return {**data, "modes": [[-1], [1]], "tables": tables}
+
+    # a good trajectory file edited into a malformed one, and the words of the
+    # refusal; the linear flow of 0.1 cos(x) at N = 4 lists the one mode [1]
+    # at 11 nodes, so its tables have shape (2, 11, 1)
     MALFORMED_FILES = {
+        # the re and the im rows of a table are one array, so both have the wrong shape
         "re-wider-than-modes": (
-            lambda d: {**d, "re": [row + [0.0] for row in d["re"]]},
-            "re has shape (11, 2), expected (11, 1)",
+            saving(lambda d: {**d, "tables": np.concatenate((d["tables"],) * 2, axis=2)}),
+            "tables have shape (2, 11, 2), expected (2, 11, 1)",
         ),
         "im-shorter-than-times": (
-            lambda d: {**d, "im": d["im"][:-1]},
-            "im has shape (10, 1), expected (11, 1)",
+            saving(lambda d: {**d, "tables": d["tables"][:, :-1]}),
+            "tables have shape (2, 10, 1), expected (2, 11, 1)",
         ),
-        "partner-clash": (
-            lambda d: {
-                **d,
-                "modes": [[-1], [1]],
-                "re": [[row[0] + 0.5, row[0]] for row in d["re"]],
-                "im": [[-row[0], row[0]] for row in d["im"]],
-            },
-            "not conjugate partners",
+        "float32-table": (
+            saving(lambda d: {**d, "tables": d["tables"].astype(np.float32)}),
+            "tables must be a little-endian float64 array, got float32",
         ),
-        "mode-outside-box": (lambda d: {**d, "modes": [[5]]}, "outside truncation 4"),
-        "zero-mode": (lambda d: {**d, "modes": [[0]]}, "zero mode must vanish"),
+        "big-endian-table": (
+            saving(lambda d: {**d, "tables": d["tables"].astype(">f8")}),
+            "tables must be a little-endian float64 array, got >f8",
+        ),
+        # NPY headers that claim more data than the file holds
+        "header-beyond-address-space": (header_claiming((2, 10**15, 1)), "Unable to allocate"),
+        "header-beyond-int64": (header_claiming((2, 10**30, 1)), "too large to convert"),
+        "partner-clash": (saving(clashing_partners), "not conjugate partners"),
+        "mode-outside-box": (saving(lambda d: {**d, "modes": [[5]]}), "outside truncation 4"),
+        "zero-mode": (saving(lambda d: {**d, "modes": [[0]]}), "zero mode must vanish"),
         "repeated-mode": (
-            lambda d: {
-                **d,
-                "modes": [[1], [1]],
-                "re": [row * 2 for row in d["re"]],
-                "im": [row * 2 for row in d["im"]],
-            },
+            saving(
+                lambda d: {
+                    **d,
+                    "modes": [[1], [1]],
+                    "tables": np.concatenate((d["tables"],) * 2, axis=2),
+                }
+            ),
             "more than once",
         ),
         # int() read 1.7 as 1 and -0.5 as the zero mode
-        "packed-fractional-mode": (lambda d: {**d, "modes": [[1.7]]}, "not an integer"),
-        "fields-fractional-mode": (
-            lambda d: {
-                "times": [0.0, 0.1],
-                "fields": [{"dim": 1, "truncation": 4, "coeffs": [[1.7, 0.25, 0.0]]}] * 2,
-            },
-            "not an integer",
+        "packed-fractional-mode": (saving(lambda d: {**d, "modes": [[1.7]]}), "not an integer"),
+        # int() read dim 1.9 as 1 and took true as truncation 1
+        "fractional-dim": (saving(lambda d: {**d, "dim": 1.9}), "must be integers, got 1.9 and 4"),
+        "bool-truncation": (
+            saving(lambda d: {**d, "truncation": True}),
+            "dim and truncation must be integers, got 1 and True",
         ),
-        "fields-ragged-entry": (
-            lambda d: {
-                "times": [0.0],
-                "fields": [{"dim": 1, "truncation": 4, "coeffs": [[1, 0.25, 0.0, 0.0]]}],
-            },
-            "has wrong length for dim=1",
+        "digest-mismatch": (
+            editing_manifest(with_reference(sha256="0" * 64)),
+            "b.npy does not match the sha256 digest its manifest records",
+        ),
+        "missing-table-file": (
+            editing_manifest(with_reference(file="gone.npy")),
+            "No such file or directory",
+        ),
+        "table-file-in-subfolder": (
+            editing_manifest(with_reference(file="sub/b.npy")),
+            "tables.file must name a file beside the manifest, got 'sub/b.npy'",
+        ),
+        "table-file-in-parent": (
+            editing_manifest(with_reference(file="../b.npy")),
+            "tables.file must name a file beside the manifest, got '../b.npy'",
+        ),
+        "table-file-dotdot": (
+            editing_manifest(with_reference(file="..")),
+            "tables.file must name a file beside the manifest, got '..'",
+        ),
+        "earlier-fields-form": (
+            writing(
+                {
+                    "times": [0.0, 0.1],
+                    "fields": [{"dim": 1, "truncation": 4, "coeffs": [[1, 0.25, 0.0]]}] * 2,
+                }
+            ),
+            "holds the per-node 'fields' form written by an earlier version",
+        ),
+        "earlier-packed-json-form": (
+            writing(
+                {
+                    "dim": 1,
+                    "truncation": 4,
+                    "times": [0.0, 0.1],
+                    "modes": [[1]],
+                    "re": [[0.25], [0.2]],
+                    "im": [[0.0], [0.0]],
+                }
+            ),
+            "holds the packed JSON-table ('re' and 'im') form written by an earlier version",
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
     def test_malformed_trajectory_is_validation_error(self, tmp_path, capsys, case):
-        bad, words = self.MALFORMED_FILES[case]
-        assert words in self.compare_with_bad_b(tmp_path, capsys, bad)
+        write_bad, words = self.MALFORMED_FILES[case]
+        assert words in self.compare_with_bad_b(tmp_path, capsys, write_bad)
 
     def test_scalar_coeffs_is_validation_error(self, tmp_path, capsys):
         good = linear_trajectory(FourierField.from_modes(1, 2, {(1,): 0.1}), [0.0])
-        (tmp_path / "a.json").write_text(json.dumps(good.to_json_dict()))
+        save_trajectory(tmp_path / "a.json", good)
         cfg = write_config(
             tmp_path / "run.json",
             mode_options={
@@ -414,7 +530,7 @@ class TestRadiusMode:
         traj = linear_trajectory(
             FourierField.from_modes(1, 4, {(1,): 0.1}), np.linspace(0, 1, 5)
         )
-        (tmp_path / "t.json").write_text(json.dumps(traj.to_json_dict()))
+        save_trajectory(tmp_path / "t.json", traj)
         cfg = write_config(
             tmp_path / "run.json", mode_options={"trajectory": str(tmp_path / "t.json")}
         )
@@ -559,6 +675,30 @@ class TestMemoryGuard:
         assert reason in status["error"]["message"]
         assert not (tmp_path / "out" / "operator_probe.csv").exists()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trajectory_file_refused_before_allocating(self, tmp_path, capsys, monkeypatch, dim):
+        # a 1-D file with truncation 10**12 died in numpy with "Unable to
+        # allocate 14.2 PiB" and exit code 1
+        save_trajectory(tmp_path / "t.json", {**small_trajectory().to_json_dict(), "dim": dim})
+        manifest = json.loads((tmp_path / "t.json").read_text())
+        (tmp_path / "t.json").write_text(json.dumps({**manifest, "truncation": 10**12}))
+
+        def unread(*args):
+            pytest.fail("the tables were read for a trajectory the guard should refuse")
+
+        monkeypatch.setattr(cli, "_read_tables", unread)
+        cfg = write_config(
+            tmp_path / "run.json", alpha=0.5, mode_options={"trajectory": str(tmp_path / "t.json")}
+        )
+        code, status = run_cli(capsys, "radius", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        modes = (2 * 10**12 + 1) ** dim
+        reads = cli.READ_LIVE_TRAJECTORIES
+        assert f"GiB for 5 time nodes ({reads} trajectories of {modes} modes)" in (
+            status["error"]["message"]
+        )
+
     def test_certificate_sweep_is_not_guarded(self, tmp_path, capsys):
         # without solving, a sweep builds no trajectory and needs no estimate
         cfg = write_config(
@@ -657,7 +797,7 @@ class TestConfigValidation:
             traj = linear_trajectory(
                 FourierField.from_modes(1, 4, {(1,): 0.1}), np.linspace(0, 1, 5)
             )
-            (tmp_path / "t.json").write_text(json.dumps(traj.to_json_dict()))
+            save_trajectory(tmp_path / "t.json", traj)
             extra = {"trajectory": str(tmp_path / "t.json"), "alpha": 0.5}
             overrides = {"mode_options": {**extra, **overrides["mode_options"]}}
         cfg = write_config(tmp_path / "run.json", **overrides)
@@ -700,6 +840,20 @@ class TestConfigValidation:
             assert not caught, [str(w.message) for w in caught]
             assert not (tmp_path / "out" / "certificate.json").exists()
 
+    def test_random_decay_amplitude_that_overflows_is_refused_quietly(self, tmp_path, capfd):
+        # 1e308 is finite, but scaling the draw to it overflowed: numpy warned
+        # on stderr and the refusal named no key
+        cfg = write_config(
+            tmp_path / "run.json",
+            initial_data={"preset": "random-decay", "amplitude": 1e308},
+        )
+        code = main(["certify", "--config", str(cfg)])
+        captured = capfd.readouterr()
+        status = json.loads(captured.out.strip().splitlines()[-1])
+        assert code == EXIT_VALIDATION
+        assert "amplitude 1e+308 is too large" in status["error"]["message"]
+        assert captured.err == ""
+
     def test_readme_example_config_certifies(self, tmp_path, capsys):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")
@@ -736,7 +890,7 @@ class TestValidationAndDeterminism:
     def test_non_string_path_is_refused(self, tmp_path, capsys, mode, section, key):
         # 0 would open file descriptor 0: read stdin, then close it
         traj = linear_trajectory(FourierField.from_modes(1, 2, {(1,): 0.1}), [0.0, 1.0])
-        (tmp_path / "t.json").write_text(json.dumps(traj.to_json_dict()))
+        save_trajectory(tmp_path / "t.json", traj)
         paths = {"trajectory_a": str(tmp_path / "t.json"), "trajectory_b": str(tmp_path / "t.json")}
         settings = {"initial_data": {}, "mode_options": paths}
         settings[section][key] = 0
@@ -777,6 +931,41 @@ class TestValidationAndDeterminism:
         a = (tmp_path / "one" / "sweep.csv").read_text().splitlines()
         b = (tmp_path / "two" / "sweep.csv").read_text().splitlines()
         assert a[1:] == b[1:]  # identical apart from the embedded output path
+
+    def test_rerun_replaces_artifacts_instead_of_rewriting_them(self, tmp_path, capsys):
+        # each artifact is unlinked before it is written: a hard link to the
+        # old file keeps the old bytes, and the new file is a new inode
+        cfg = write_config(tmp_path / "run.json", solver={"truncation": 4, "dt": 0.02, "t_final": 0.1})
+        assert run_cli(capsys, "solve", "--config", str(cfg))[0] == EXIT_OK
+        out = tmp_path / "out"
+        names = sorted(path.name for path in out.iterdir())
+        assert "picard_trajectory.npy" in names and "engine_comparison.csv" in names
+        (tmp_path / "old").mkdir()
+        for name in names:
+            os.link(out / name, tmp_path / "old" / name)
+        run_json = (out / "run.json").read_bytes()
+        assert run_cli(capsys, "solve", "--config", str(cfg), "--seed", "8")[0] == EXIT_OK
+        for name in names:
+            assert os.stat(out / name).st_ino != os.stat(tmp_path / "old" / name).st_ino, name
+        assert (tmp_path / "old" / "run.json").read_bytes() == run_json
+        assert (out / "run.json").read_bytes() != run_json  # it records seed 8
+
+    def test_rerun_replaces_read_only_and_symlinked_artifacts(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json")
+        assert run_cli(capsys, "certify", "--config", str(cfg))[0] == EXIT_OK
+        out = tmp_path / "out"
+        # a read-only artifact in a writable directory is replaced
+        (out / "certificate.json").chmod(0o444)
+        # a symlinked artifact is replaced by a regular file; its target stays
+        target = tmp_path / "elsewhere.json"
+        target.write_text("keep me")
+        (out / "run.json").unlink()
+        (out / "run.json").symlink_to(target)
+        assert run_cli(capsys, "certify", "--config", str(cfg), "--seed", "8")[0] == EXIT_OK
+        assert json.loads((out / "certificate.json").read_text())["runspec"]["seed"] == 8
+        assert not (out / "run.json").is_symlink()
+        assert json.loads((out / "run.json").read_text())["runspec"]["seed"] == 8
+        assert target.read_text() == "keep me"
 
     def test_true_byte_determinism_same_spec(self, tmp_path, capsys):
         cfg = write_config(

@@ -55,6 +55,16 @@ class TestTrajectory:
             np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0, atol=1e-15)
 
 
+    @pytest.mark.parametrize(
+        "key,value", [("dim", 1.9), ("dim", True), ("truncation", 3.5), ("truncation", "3")]
+    )
+    def test_json_header_must_be_integers(self, key, value):
+        # int() read dim 1.9 as 1, and radius ran on the result
+        data = linear_trajectory(cosine(), [0.0, 1.0]).to_json_dict()
+        with pytest.raises(ValueError, match="dim and truncation must be integers"):
+            Trajectory.from_json_dict({**data, key: value})
+
+
 class TestPropagate:
     """The linear flow exp(-|k|^4 t) per mode, as ``linear_trajectory`` evaluates it."""
 

@@ -216,6 +216,14 @@ class TestSerialization:
         assert f.coeff(2) == 0.25 - 0.5j
         assert f.coeff(-2) == 0.25 + 0.5j
 
+    @pytest.mark.parametrize(
+        "key,value", [("dim", 1.9), ("dim", True), ("truncation", 3.5), ("truncation", "3")]
+    )
+    def test_header_must_be_integers(self, key, value):
+        data = {"dim": 1, "truncation": 3, "coeffs": [[2, 0.25, -0.5]], key: value}
+        with pytest.raises(ValueError, match="dim and truncation must be integers"):
+            FourierField.from_json_dict(data)
+
     def test_only_nonzero_modes_emitted(self):
         f = FourierField.from_modes(1, 5, {(1,): 0.5})
         entries = f.to_json_dict()["coeffs"]

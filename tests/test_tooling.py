@@ -2,8 +2,8 @@
 the series route must not exponentiate, every function the benchmark's tracer
 hooks must still exist, the README's memory estimate must be the one the guard
 applies, the README's library sketch must run, every public name in the
-package must be used by it, exported or hooked, and a trajectory's tables must
-stay on the writer's ``repr`` path."""
+package must be used by it, exported or hooked, and no number of a
+trajectory's tables may pass through ``json``."""
 
 import ast
 import importlib
@@ -75,12 +75,15 @@ def test_benchmark_hooks_resolve():
 
 
 def test_readme_memory_estimate_matches_guard():
-    # "... × 16 bytes × <live>", once for solve and once for probe-operator
+    # "... × 16 bytes × <live>", once each for solve, probe-operator and a
+    # stored trajectory
     text = " ".join(README.read_text(encoding="utf-8").split())
-    found = dict(re.findall(r"\(2(N|·max_truncation)\+1\)\^\S+ × 16 bytes × (\d+)", text))
-    assert found.keys() == {"N", "·max_truncation"}, f"README estimates found: {found}"
+    pattern = r"\(2(N|·max_truncation|·truncation)\+1\)\^\S+ × 16 bytes × (\d+)"
+    found = dict(re.findall(pattern, text))
+    assert found.keys() == {"N", "·max_truncation", "·truncation"}, f"README estimates: {found}"
     assert int(found["N"]) == max(cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES)
     assert int(found["·max_truncation"]) == cli.PROBE_LIVE_TRAJECTORIES
+    assert int(found["·truncation"]) == cli.READ_LIVE_TRAJECTORIES
 
 
 def _readme_sketch() -> str:
@@ -133,10 +136,9 @@ def test_public_names_are_used():
     assert not unused, f"public names that only tests use; move them to tests/: {unused}"
 
 
-def test_trajectory_writing_calls_json_dumps_independently_of_nodes(tmp_path, monkeypatch):
-    # the writer formats each row of a packed table with one repr; a table that
-    # fell back to json.dumps would cost calls per node (a corpus-1d pass made
-    # 15,840 when every node was a dict of its own)
+def test_trajectory_tables_never_pass_through_json(tmp_path, monkeypatch):
+    # the tables go to the .npy file as binary; formatting them as JSON text
+    # was the largest single cost of a 2-D solve
     spec = cli.RunSpec(
         mode="solve",
         initial_data={"preset": "random-decay", "amplitude": 0.2, "seed": 7, "dim": 2},
@@ -147,19 +149,25 @@ def test_trajectory_writing_calls_json_dumps_independently_of_nodes(tmp_path, mo
         mode_options={},
         override_certificate=False,
     )
-    h0 = random_decay(4, seed=7, amplitude=0.2, dim=2)
-    calls = []
+    traj = linear_trajectory(random_decay(4, seed=7, amplitude=0.2, dim=2), np.linspace(0.0, 1.0, 11))
+    table_numbers = set(traj.to_json_dict()["tables"].ravel().tolist()) - {0.0}
+    assert len(table_numbers) > 100
+    encoded = []
     dumps = json.dumps
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return dumps(*args, **kwargs)
+    def recording(value, *args, **kwargs):
+        encoded.append(value)
+        return dumps(value, *args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", counting)
-    counts = []
-    for nodes in (11, 101):
-        calls.clear()
-        traj = linear_trajectory(h0, np.linspace(0.0, 1.0, nodes))
-        cli.write_json(tmp_path / "trajectory.json", traj.to_json_dict(), spec)
-        counts.append(len(calls))
-    assert counts[0] == counts[1], counts
+    def numbers(value):
+        if isinstance(value, dict):
+            return set().union(*map(numbers, value.values()))
+        if isinstance(value, (list, tuple)):
+            return set().union(*map(numbers, value))
+        return {value} if isinstance(value, float) else set()
+
+    monkeypatch.setattr(json, "dumps", recording)
+    cli.write_trajectory(tmp_path / "trajectory.json", traj, spec)
+    assert encoded, "the manifest was not written by json.dumps"
+    assert not any(isinstance(value, np.ndarray) for value in encoded)
+    assert not set().union(*map(numbers, encoded)) & table_numbers
