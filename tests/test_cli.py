@@ -464,6 +464,17 @@ class TestCompareMode:
             ),
             "holds the per-node 'fields' form written by an earlier version",
         ),
+        # the form is refused before any entry is read, so a malformed entry
+        # does not turn the refusal into a parse error
+        "fields-fractional-mode": (
+            writing(
+                {
+                    "times": [0.0, 0.1],
+                    "fields": [{"dim": 1, "truncation": 4, "coeffs": [[1.7, 0.25, 0.0]]}] * 2,
+                }
+            ),
+            "holds the per-node 'fields' form written by an earlier version",
+        ),
         "earlier-packed-json-form": (
             writing(
                 {
