@@ -38,7 +38,7 @@ from .nonlinear import TaylorDepth, padded_grid_size, series_chunk_nodes
 from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
 from .semigroup import Trajectory, operator_bound_probe, random_probe_trajectory
-from .spectral import FourierField, as_int, box_header, embed
+from .spectral import FourierField, as_int, box_header, embed, full_box
 from .stepper import SolverConfig, solve_timestep
 
 MODES = ("solve", "certify", "probe-operator", "sweep", "compare", "radius")
@@ -91,6 +91,8 @@ def load_config(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError as err:
         raise ValidationError(f"config file not found: {path}") from err
+    except OSError as err:  # a directory, say, or a file it may not read
+        raise ValidationError(f"cannot read config file {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ValidationError(f"config file is not valid JSON: {err}") from err
     if not isinstance(data, dict):
@@ -214,7 +216,9 @@ def build_runspec(mode: str, config: dict, args) -> RunSpec:
     if alpha is None:
         alpha = _option(config, "alpha", None, _float_or_none, "")
     seed = args.seed if args.seed is not None else _option(config, "seed", 0, as_int, "")
-    out = args.out if args.out is not None else config.get("output_dir", "epitaxy-out")
+    out = args.out
+    if out is None:
+        out = _path_option(config, "output_dir", "") if "output_dir" in config else "epitaxy-out"
     override = _option(config, "override_certificate", False, _bool, "")
     override = override or args.override_certificate
     initial = _section(config, "initial_data", {"preset": "single-mode", "amplitude": 0.2})
@@ -224,7 +228,7 @@ def build_runspec(mode: str, config: dict, args) -> RunSpec:
         solver=solver,
         alpha=alpha,
         seed=seed,
-        output_dir=str(out),
+        output_dir=out,
         mode_options=_section(config, "mode_options", {}),
         override_certificate=override,
     )
@@ -271,13 +275,22 @@ def build_initial_field(spec: RunSpec) -> FourierField:
         raise ValidationError(f"invalid initial data: {err}") from err
 
 
-# Coefficient arrays of one trajectory's size alive at the peak of a Picard
-# iteration: the linear flow, the current iterate, the series sum, its Duhamel
-# integral with the kernel weights gathered per interval, and the new
-# iterate.  Traced with tracemalloc (random-decay data, seed 7, N = 16) at
-# 100,001 nodes in 1-D and 5,001 nodes in 2-D, where the series sum's grid
-# arrays are small beside them, the peak was 5.6 and 5.5 trajectory sizes.
-PICARD_LIVE_TRAJECTORIES = 6
+# The live-array counts below are in units of one trajectory's whole boxes,
+# nodes x (2N+1)^dim complex numbers, although trajectories hold half boxes:
+# a half box is (N+1)/(2N+1) of that, 0.52 at N = 16 and 2/3 at N = 1.  Each
+# was traced with tracemalloc (random-decay data, seed 7) at N = 16 over
+# 20,001 nodes in 1-D and 1,001 in 2-D, at N = 2 over 100,001 and 20,001, and
+# at N = 1 over 100,001 and 300,001 in 1-D and 20,001 in 2-D.  At N = 1 the
+# per-node Python objects of a manifest's ``times`` (the float list and its
+# JSON text) weigh most beside the small boxes.  Each count is its largest
+# peak rounded up, but for the write count (see there).
+
+# Coefficient arrays alive at the peak of a Picard iteration: the linear
+# flow, the current iterate, the series sum, its Duhamel integral with the
+# kernel weights gathered per interval, and the new iterate.  With the series
+# sum's grid arrays kept small, the peak was 2.91 and 2.85 at N = 16, 3.73 and
+# 3.40 at N = 2, and 4.38, 4.36 and 3.94 at N = 1.
+PICARD_LIVE_TRAJECTORIES = 5
 
 # Real grid arrays of one series chunk (``series_chunk_nodes`` nodes of the
 # padded M^dim grid) alive at the peak of ``taylor_sum``, on top of the
@@ -286,27 +299,28 @@ PICARD_LIVE_TRAJECTORIES = 6
 # Picard peak was 2.65 such arrays.
 SERIES_GRID_ARRAYS = 3
 
-# Coefficient arrays of one trajectory's size alive while a trajectory is
-# written: the Picard and stepper solutions, the float64 table array of the
-# written half box, and the ``.npy`` file's bytes read back for its digest.
-# Traced with tracemalloc at 20,001 nodes in 1-D and 501 nodes in 2-D (N = 16,
-# every mode nonzero), writing took 1.03 and 1.01 trajectory sizes on top of
-# the two solutions.
+# Coefficient arrays alive while a trajectory is written: the Picard and
+# stepper solutions, the float64 table array of the written modes, the
+# ``.npy`` file's bytes read back for its digest, and the manifest's text.
+# The peak, solutions included, was 2.06 and 2.03 at N = 16, 2.76 and 2.24 at
+# N = 2, and 3.93, 4.17 and 2.45 at N = 1, where the 4.17 of 300,001 nodes
+# (times of 17 digits) is covered by the solve estimate's larger Picard count.
 WRITE_LIVE_TRAJECTORIES = 4
 
-# Coefficient arrays of one trajectory's size alive while ``compare`` reads
-# two trajectory files (``radius`` reads one): the other trajectory, the file's
-# bytes, the box ``place_modes`` fills and the Hermitian check's temporaries.
-# Traced with tracemalloc on two files of the sizes above, the peak was 4.61
-# and 4.50 trajectory sizes.
-READ_LIVE_TRAJECTORIES = 5
+# Coefficient arrays alive while ``compare`` reads two trajectory files
+# (``radius`` reads one, and builds one node's whole box at a time): the other
+# trajectory, the file's bytes, the table array, the half boxes
+# ``place_modes`` fills and the check's temporaries.  The ``compare`` peak was
+# 2.58 and 2.54 at N = 16, 3.50 and 2.76 at N = 2, and 5.18, 5.54 and 3.01 at
+# N = 1; the ``radius`` peak was at most 2.51.
+READ_LIVE_TRAJECTORIES = 6
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
 # ``probe-operator`` case: the previous case's trajectory, the new one with
-# its validation temporaries, and its Duhamel image.  Traced with tracemalloc
-# at N = 16 over 20,001 nodes in 1-D and 1,001 nodes in 2-D, the peak was 3.6
-# and 3.5 trajectory sizes.
-PROBE_LIVE_TRAJECTORIES = 4
+# its validation temporaries, and its Duhamel image.  The peak was 1.88 and
+# 1.82 at a largest truncation of 16, and 2.53 and 2.20 at 2, the least the
+# probe takes.
+PROBE_LIVE_TRAJECTORIES = 3
 
 
 def _check_fits(nodes: int, modes: int, live: int, advice: str, grid_points: int = 0) -> None:
@@ -436,7 +450,8 @@ def _comparison(a: Trajectory, b: Trajectory) -> tuple[list[str], float]:
     if a.dim != b.dim or a.truncation != b.truncation:
         raise ValidationError("trajectories must share dim and truncation")
     times, ia, ib = np.intersect1d(a.times, b.times, assume_unique=True, return_indices=True)
-    gaps = wiener_norm(Trajectory(times, a.coeffs[ia] - b.coeffs[ib]), 2)
+    # the difference of two valid trajectories needs no check of its own
+    gaps = wiener_norm(Trajectory._trusted(times, a.coeffs[ia] - b.coeffs[ib]), 2)
     rows = [f"{_fmt(t)},{_fmt(gap)}" for t, gap in zip(times, gaps)]
     return rows, float(np.max(gaps))
 
@@ -645,7 +660,10 @@ def _run_radius(spec: RunSpec, out: Path) -> dict:
     t_lo, t_hi = window
     rows = []
     fit_points = []
-    for t, field in zip(traj.times, traj.fields):
+    for i, t in enumerate(traj.times):
+        # one whole box at a time: ``traj.fields`` would hold every node's
+        whole = full_box(traj.coeffs[i : i + 1])[0]
+        field = FourierField._trusted(traj.dim, traj.truncation, whole)
         try:
             fit = analyticity_radius(field, floor)
         except ValueError:

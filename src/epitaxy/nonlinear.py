@@ -16,9 +16,9 @@ The polynomial is evaluated in physical space on the padded grid: one
 synthesis, J pointwise multiply-accumulates and one analysis, instead of J
 spectral convolutions.
 
-The series route sums a whole trajectory as one batch (``taylor_sum``), as
-the Picard iteration needs it.  The exponential route works on k_last >= 0
-half boxes with constants built once per (dim, N, padding)
+Both routes work on k_last >= 0 half boxes.  The series route sums a whole
+trajectory as one batch (``taylor_sum``), as the Picard iteration needs it.
+The exponential route has constants built once per (dim, N, padding)
 (``exponential_route``); the time stepper marches through the same object,
 and ``rhs_exponential`` is its single-field form.
 """
@@ -36,9 +36,9 @@ from .norms import wiener_norm
 from .semigroup import Trajectory
 from .spectral import (
     FourierField,
-    analyze_batch,
     analyze_half,
     full_box,
+    hermitian_k0_line,
     mode_grids,
     synthesize_half,
 )
@@ -119,8 +119,8 @@ def series_chunk_nodes(dim: int, m: int) -> int:
     return max(1, _BATCH_GRID_POINTS // m**dim)
 
 
-def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
-    """sum_{j=2}^{J_i} F_j on the M^dim grid for node i of a batch; (coeffs, means).
+def _series_batch(half: np.ndarray, depths: np.ndarray, m: int):
+    """sum_{j=2}^{J_i} F_j on the M^dim grid for node i of a half-box batch; (half, means).
 
     One Horner sweep from the batch's top depth down to j = 2, on
     y = -lap h: acc = c_j + y * acc, then acc * y^2.  The coefficient column
@@ -128,10 +128,9 @@ def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
     holds an exact 0 until its own depth is reached and each node's sum is
     its own depth-J_i polynomial.
     """
-    truncation = (coeffs.shape[1] - 1) // 2
-    half_ksq = mode_grids(coeffs.ndim - 1, truncation).ksq[..., truncation:]
-    y = synthesize_half(half_ksq * coeffs[..., truncation:], m)
-    column = depths.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    dim, truncation = half.ndim - 1, half.shape[-1] - 1
+    y = synthesize_half(mode_grids(dim, truncation, half=True).ksq * half, m)
+    column = depths.reshape((-1,) + (1,) * dim)
     acc = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(int(depths.max()), 1, -1):
@@ -146,7 +145,10 @@ def _series_batch(coeffs: np.ndarray, depths: np.ndarray, m: int):
             f"max |lap h| on the grid is {float(np.max(np.abs(y[np.argmax(bad)]))):.6g}"
         )
     del y  # the analysis's spectra take its place
-    return analyze_batch(acc, truncation)
+    half, zero_modes = analyze_half(acc, truncation)
+    series = half / m**dim  # a new array: in 1-D, half and zero_modes view one spectrum
+    hermitian_k0_line(series)
+    return series, zero_modes / m**dim
 
 
 def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0):
@@ -168,7 +170,7 @@ def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0
         for lo in range(0, out.shape[0], chunk):
             hi = lo + chunk
             out[lo:hi], means[lo:hi] = _series_batch(traj.coeffs[lo:hi], depths[lo:hi], m)
-    # every box comes from full_box, and _series_batch refused a non-finite sum
+    # every k_last = 0 line is exact, and _series_batch refused a non-finite sum
     return Trajectory._trusted(traj.times, out), means
 
 
@@ -186,7 +188,7 @@ class _ExponentialRoute:
     def __init__(self, dim: int, truncation: int, padding_factor: float):
         self.m = padded_grid_size(truncation, padding_factor)
         self.truncation = truncation
-        ksq = mode_grids(dim, truncation).ksq[..., truncation:]
+        ksq = mode_grids(dim, truncation, half=True).ksq
         self.to_grid = ksq
         self.from_grid = -ksq / self.m**dim
 

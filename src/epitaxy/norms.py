@@ -57,14 +57,15 @@ def wiener_norm(h, j: int = 0):
     """sum_k |k|^j |coeff(k)|; j = 2 equals the Wiener norm of the Laplacian.
 
     ``h`` is a FourierField (the result is a float) or a Trajectory (the
-    result is an array with one norm per node).
+    result is an array with one norm per node, summed over its half boxes).
     """
     if j < 0:
         raise ValueError(f"j must be nonnegative, got {j}")
-    kmag = mode_grids(h.dim, h.truncation).kmag
+    field = isinstance(h, FourierField)
+    grids = mode_grids(h.dim, h.truncation, half=not field)
     box_axes = tuple(range(-h.dim, 0))
-    norms = np.sum(kmag**j * np.abs(h.coeffs), axis=box_axes)
-    return float(norms) if isinstance(h, FourierField) else norms
+    norms = np.sum(grids.pairs * grids.kmag**j * np.abs(h.coeffs), axis=box_axes)
+    return float(norms) if field else norms
 
 
 def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
@@ -75,7 +76,7 @@ def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
     the maximum is taken; the result may still be ``inf`` if the norm itself
     is not finite at this alpha.  Trajectories are finite by construction.
     """
-    grids = mode_grids(traj.dim, traj.truncation)
+    grids = mode_grids(traj.dim, traj.truncation, half=True)
     times = traj.times.reshape((-1,) + (1,) * traj.dim)
     with np.errstate(divide="ignore"):
         logamp = np.log(np.abs(traj.coeffs))
@@ -83,7 +84,7 @@ def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
     peak = weighted.max(axis=0)
     with np.errstate(over="ignore"):
         amps = np.exp(peak)
-    return float(np.sum(grids.kmag**params.j * amps))
+    return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
 
 
 def _line_fit(x, y) -> tuple[float, float, float]:

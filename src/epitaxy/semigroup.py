@@ -11,11 +11,11 @@ j = 2 is bounded by 1 / (1 - alpha) for alpha in (0, 1); the per-mode bound
 is 1 / (1 - alpha / |k|^3), largest at |k| = 1.  ``operator_bound_probe``
 measures this ratio numerically.
 
-A trajectory is a time grid plus one complex coefficient array of shape
-(nodes, 2N+1[, 2N+1]), piecewise-linear in time per mode, validated when
-built (finite, zero mode vanishing, Hermitian per node).  Its JSON form
-lists the half-box modes once, beside one float64 table array of their real
-and imaginary parts per node; ``cli`` stores that array in a ``.npy`` file.
+A trajectory is a time grid plus one complex array of k_last >= 0 half
+boxes, shape (nodes,) + (2N+1,)*(dim-1) + (N+1,), piecewise-linear in time
+per mode, validated when built (``check_half``).  Its JSON form lists the
+written modes once, beside one float64 table array of their real and
+imaginary parts per node; ``cli`` stores that array in a ``.npy`` file.
 The Duhamel operator acts on the whole array; its result skips the checks
 (``_trusted``).
 The Duhamel integral of the interpolant is evaluated in closed form on each
@@ -37,8 +37,10 @@ from .norms import WeightParams, spacetime_norm
 from .spectral import (
     FourierField,
     box_header,
-    check_coefficients,
+    check_half,
     coeffs_from_packed,
+    full_box,
+    hermitian_k0_line,
     mode_grids,
     packed_modes,
 )
@@ -46,18 +48,18 @@ from .spectral import (
 
 @dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """A time grid with one coefficient box per node, piecewise-linear in t per mode.
+    """A time grid with one half box per node, piecewise-linear in t per mode.
 
     Attributes:
         times: strictly increasing nodes starting at exactly t = 0
-        coeffs: complex array of shape (nodes,) + (2N+1,)*dim; immutable
+        coeffs: complex half boxes, (nodes,) + (2N+1,)*(dim-1) + (N+1,); immutable
     """
 
     times: np.ndarray
     coeffs: np.ndarray
 
     def __init__(self, times, coeffs):
-        """``coeffs`` is a ``(nodes,) + box`` array, one box per time node."""
+        """``coeffs`` holds one half box per time node."""
         times = np.ascontiguousarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty 1-d grid")
@@ -71,10 +73,7 @@ class Trajectory:
             raise ValueError(f"first node must sit at exactly t = 0, got {times[0]}")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        dim = coeffs.ndim - 1
-        if dim not in (1, 2) or coeffs.shape[1] < 3 or coeffs.shape[1] % 2 == 0:
-            raise ValueError(f"coefficient array of shape {coeffs.shape} is not a batch of boxes")
-        check_coefficients(coeffs, dim, (coeffs.shape[1] - 1) // 2)
+        check_half(coeffs)
         times.flags.writeable = False
         coeffs.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -96,20 +95,22 @@ class Trajectory:
 
     @property
     def truncation(self) -> int:
-        return (self.coeffs.shape[1] - 1) // 2
+        return self.coeffs.shape[-1] - 1
 
     @cached_property
     def fields(self) -> tuple[FourierField, ...]:
-        """One FourierField per node, each a read-only view into ``coeffs``."""
+        """One FourierField per node, over the read-only whole boxes of ``coeffs``."""
         dim, truncation = self.dim, self.truncation
-        return tuple(FourierField._trusted(dim, truncation, c) for c in self.coeffs)
+        boxes = full_box(self.coeffs)
+        boxes.flags.writeable = False
+        return tuple(FourierField._trusted(dim, truncation, c) for c in boxes)
 
     def to_json_dict(self) -> dict:
         """JSON form with an array: {"dim", "truncation", "times", "modes", "tables"}.
 
         ``modes`` and the float64 ``tables`` array are those of ``packed_modes``.
         """
-        modes, tables = packed_modes(self.coeffs, self.truncation)
+        modes, tables = packed_modes(self.coeffs)
         return {
             "dim": self.dim,
             "truncation": self.truncation,
@@ -122,7 +123,11 @@ class Trajectory:
     def from_json_dict(cls, data: dict) -> "Trajectory":
         """Inverse of ``to_json_dict``; ``tables`` must be the float64 array."""
         dim, truncation = box_header(data)
-        times = np.array([float(t) for t in data["times"]])
+        times = data["times"]
+        # a string such as "0.5" or a bool is refused, never converted
+        if not isinstance(times, list) or not all(type(t) in (int, float) for t in times):
+            raise ValueError("times must be a list of JSON numbers")
+        times = np.array(times, dtype=float)
         return cls(
             times, coeffs_from_packed(dim, truncation, times.size, data["modes"], data["tables"])
         )
@@ -131,9 +136,9 @@ class Trajectory:
 def linear_trajectory(h0: FourierField, times) -> Trajectory:
     """Trajectory whose node i holds the linear flow of ``h0`` at times[i]."""
     times = np.ascontiguousarray(times, dtype=float)
-    k4 = mode_grids(h0.dim, h0.truncation).k4
+    k4 = mode_grids(h0.dim, h0.truncation, half=True).k4
     column = times.reshape((-1,) + (1,) * h0.dim)
-    return Trajectory(times, h0.coeffs * np.exp(-k4 * column))
+    return Trajectory(times, h0.coeffs[..., h0.truncation:] * np.exp(-k4 * column))
 
 
 # -- exponential moments of a linear function ---------------------------------
@@ -191,7 +196,7 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
     interval's local term is formed in one array operation; only the
     accumulation runs node by node.
     """
-    grids = mode_grids(traj.dim, traj.truncation)
+    grids = mode_grids(traj.dim, traj.truncation, half=True)
     stacked = traj.coeffs
     steps = np.diff(traj.times)
     # distinct step sizes, sorted, and each interval's index among them
@@ -215,7 +220,7 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
         acc[i + 1] += decay[w] * acc[i]
     acc *= -grids.ksq
     acc[0] = 0.0
-    acc[(slice(None),) + (traj.truncation,) * traj.dim] = 0.0
+    acc[(slice(None),) + (traj.truncation,) * (traj.dim - 1) + (0,)] = 0.0
     # real multipliers that depend on |k| only keep a valid input valid
     return Trajectory._trusted(traj.times, acc)
 
@@ -238,7 +243,7 @@ def random_probe_trajectory(
     """
     times = np.ascontiguousarray(times, dtype=float)
     n = 2 * truncation + 1
-    stacked = np.zeros((times.size,) + (n,) * dim, dtype=complex)
+    half = np.zeros((times.size,) + (n,) * (dim - 1) + (truncation + 1,), dtype=complex)
     n_modes = int(rng.integers(1, _PROBE_MAX_MODES + 1))
     count = 0
     while count < n_modes:
@@ -249,11 +254,12 @@ def random_probe_trajectory(
         amp = complex(rng.standard_normal(), rng.standard_normal())
         gamma = float(rng.uniform(0.0, _PROBE_MAX_DECAY))
         profile = np.exp(-gamma * times)
-        idx = tuple(c + truncation for c in comps)
-        nidx = tuple(-c + truncation for c in comps)
-        stacked[(slice(None),) + idx] += amp * profile
-        stacked[(slice(None),) + nidx] += np.conj(amp) * profile
-    return Trajectory(times, stacked)
+        if comps[-1] < 0 or (comps[-1] == 0 and comps[0] < 0):  # -k is the half box's
+            comps, amp = tuple(-c for c in comps), np.conj(amp)
+        idx = tuple(c + truncation for c in comps[:-1]) + (comps[-1],)
+        half[(slice(None),) + idx] += amp * profile
+    hermitian_k0_line(half)
+    return Trajectory(times, half)
 
 
 @dataclass(frozen=True)

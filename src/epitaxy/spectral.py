@@ -15,19 +15,18 @@ conserved by the evolution and is factored out of every representation).
 The physical-space side is a uniform M^n grid over [0, 2*pi)^n; synthesis
 and analysis are exact inverses of each other whenever M >= 2N + 1.
 
-Because the fields are real, only the half box k_last >= 0 (the last axis
-from index N on) carries information.  The transforms work on batches with
-the real-FFT pair: a ``(nodes,) + box`` coefficient array is synthesized
-with one inverse real FFT of its half boxes, whose output is real by
-construction, and samples are analyzed with one forward real FFT, whose half
-spectrum is completed to the full box by ``full_box`` from
-coeff(-k) = conj(coeff(k)).  A half box fills only N+1 of the M//2+1 real-FFT
+Because the fields are real, only the half box k_last >= 0, shape
+(2N+1,)*(dim-1) + (N+1,), carries information (the r2c half spectrum of
+Frigo & Johnson, Proc. IEEE 93, 2005).  Trajectories, files and solvers hold
+half boxes, checked by ``check_half``; ``full_box`` rebuilds a whole box
+only for a single ``FourierField``.  The transforms are the real-FFT pair on
+batches of half boxes.  A half box fills only N+1 of the M//2+1 real-FFT
 columns, so in 2-D the complex pass along the first grid axis covers just
 those columns (the rest are all zeros on the way in and unread on the way
 out); the bytes are those of ``irfftn``/``rfftn`` on the whole spectrum.
 The |k|-power arrays that every multiplier is built from come from
 ``mode_grids``.  ``synthesize`` and ``analyze`` are the single-field forms of
-the batched pair, for ``multiply``.
+the pair, for ``multiply``.
 """
 
 from __future__ import annotations
@@ -48,28 +47,31 @@ def _as_components(k) -> tuple[int, ...]:
 
 
 class _ModeGrids:
-    """Cached |k|-power arrays over the (2N+1)^dim coefficient box."""
+    """Cached |k|-power arrays over the (2N+1)^dim box or its half box, and
+    ``pairs``, the modes an entry stands for: 2 in a half box off k_last = 0, else 1."""
 
-    __slots__ = ("ksq", "kmag", "k4")
+    __slots__ = ("ksq", "kmag", "k4", "pairs")
 
-    def __init__(self, dim, truncation):
+    def __init__(self, dim, truncation, half):
         axis = np.arange(-truncation, truncation + 1, dtype=float)
+        last = axis[truncation:] if half else axis
         if dim == 1:
-            ksq = axis**2
+            ksq = last**2
         else:
-            kx, ky = np.meshgrid(axis, axis, indexing="ij")
+            kx, ky = np.meshgrid(axis, last, indexing="ij")
             ksq = kx**2 + ky**2
         self.ksq = ksq
         self.kmag = np.sqrt(ksq)
         self.k4 = ksq**2
+        self.pairs = np.broadcast_to(np.where(last == 0, 1.0, 2.0) if half else 1.0, ksq.shape)
         for a in (self.ksq, self.kmag, self.k4):
             a.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
-def mode_grids(dim: int, truncation: int) -> _ModeGrids:
-    """Arrays of |k|^2, |k| and |k|^4 laid out like the coefficient box."""
-    return _ModeGrids(dim, truncation)
+def mode_grids(dim: int, truncation: int, half: bool = False) -> _ModeGrids:
+    """Arrays of |k|^2, |k| and |k|^4 laid out like the coefficient box, or its half box."""
+    return _ModeGrids(dim, truncation, half)
 
 
 def _flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -77,36 +79,36 @@ def _flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return coeffs[(Ellipsis,) + (slice(None, None, -1),) * dim]
 
 
-def _conj_flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """conj(coeff(-k)) over the last ``dim`` axes."""
-    return np.conj(_flip(coeffs, dim))
+def check_half(half: np.ndarray, whole: np.ndarray | None = None) -> None:
+    """Raise ValueError unless every half box in ``half`` is that of a real mean-zero field.
 
-
-def check_coefficients(coeffs: np.ndarray, dim: int, truncation: int) -> None:
-    """Raise ValueError unless every box in ``coeffs`` represents a real mean-zero field.
-
-    ``coeffs`` holds one box, shape (2N+1,)*dim, or a batch with any leading
-    axes.  Each box must be finite, have a vanishing zero mode and be
-    Hermitian-symmetric to HERMITIAN_RTOL relative to max(1, its largest
-    amplitude).
+    ``half`` is a ``(nodes,) + (2N+1,)*(dim-1) + (N+1,)`` batch.  Each half box
+    must be finite, have a vanishing zero mode, and be Hermitian to
+    HERMITIAN_RTOL relative to max(1, its largest amplitude): its k_last = 0
+    line, or, given the ``whole`` box of a one-box batch, all of ``whole``
+    against ``full_box(half)``.
     """
-    n = 2 * truncation + 1
-    if coeffs.ndim < dim or coeffs.shape[coeffs.ndim - dim:] != (n,) * dim:
+    dim = half.ndim - 1
+    if dim not in (1, 2) or half.shape[-1] < 2 or (
+        half.shape[1:-1] != (2 * half.shape[-1] - 1,) * (dim - 1)
+    ):
         raise ValueError(
-            f"coefficient array has shape {coeffs.shape}, expected {(n,) * dim}"
-            + (" per node" if coeffs.ndim > dim else "")
+            f"coefficient array of shape {half.shape} is not a batch of half boxes "
+            "(nodes,) + (2N+1,)*(dim-1) + (N+1,)"
         )
-    if not np.all(np.isfinite(coeffs)):
+    truncation = half.shape[-1] - 1
+    if not np.all(np.isfinite(half)):
         raise ValueError("coefficients must all be finite")
-    zero_mode = coeffs[(Ellipsis,) + (truncation,) * dim]
+    zero_mode = half[(slice(None),) + (truncation,) * (dim - 1) + (0,)]
     if np.any(zero_mode != 0):
-        bad = np.ravel(zero_mode)[np.flatnonzero(zero_mode)[0]]
+        bad = zero_mode[np.flatnonzero(zero_mode)[0]]
         raise ValueError(f"zero mode must vanish (mean-zero reduction), got {bad}")
-    box_axes = tuple(range(coeffs.ndim - dim, coeffs.ndim))
-    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=box_axes))
-    deviation = _conj_flip(coeffs, dim)
-    deviation -= coeffs
-    asym = np.max(np.abs(deviation), axis=box_axes)
+    if whole is None:
+        line = half[..., 0]
+        asym = np.max(np.abs(np.conj(_flip(line, dim - 1)) - line), axis=tuple(range(1, dim)))
+    else:
+        asym = np.max(np.abs(full_box(half)[0] - whole))
+    scale = np.maximum(1.0, np.max(np.abs(half), axis=tuple(range(1, dim + 1))))
     if np.any(asym > HERMITIAN_RTOL * scale):
         raise ValueError(
             f"coefficients are not Hermitian-symmetric (deviation {np.max(asym):.3e}); "
@@ -115,14 +117,16 @@ def check_coefficients(coeffs: np.ndarray, dim: int, truncation: int) -> None:
 
 
 def place_modes(dim: int, truncation: int, comps, values) -> np.ndarray:
-    """Coefficient boxes, (nodes,) + (2N+1,)*dim, from one list of modes.
+    """Half boxes, (nodes,) + (2N+1,)*(dim-1) + (N+1,), from one list of modes.
 
     ``comps`` has one row of integer components per listed mode, and
     ``values`` one row per node with one amplitude per listed mode.  A
     fractional component is refused, never truncated, and so are a mode
-    listed twice, a mode outside the box and a nonzero zero mode.  A partner
-    -k that is not listed is filled with conj(amplitude); one that is listed
-    must agree with it.
+    listed twice, a mode outside the box and a nonzero zero mode.  Each mode
+    goes to its written-half representative (``_written_half``): k itself,
+    or -k with conj(amplitude).  A partner listed beside it must agree with
+    it, and the written one is kept.  ``hermitian_k0_line`` fills the rest
+    of the k_last = 0 line.
     """
     table = np.asarray(comps, dtype=float).reshape(-1, dim)
     fractional = ~np.isfinite(table) | (table != np.round(table))
@@ -140,12 +144,11 @@ def place_modes(dim: int, truncation: int, comps, values) -> np.ndarray:
     n = 2 * truncation + 1
     # flat box positions; k -> -k flips every axis, which maps f to n^dim - 1 - f
     flat = np.ravel_multi_index(tuple((comps + truncation).T), (n,) * dim)
-    mirror = n**dim - 1 - flat
     column = np.full(n**dim, -1)
     column[flat] = np.arange(flat.size)
     if np.count_nonzero(column >= 0) != flat.size:
         raise ValueError("a mode is given more than once")
-    partner = column[mirror]
+    partner = column[n**dim - 1 - flat]
     paired = partner >= 0
     given = values[:, paired]
     gap = np.abs(np.conj(values[:, partner[paired]]) - given)
@@ -155,10 +158,17 @@ def place_modes(dim: int, truncation: int, comps, values) -> np.ndarray:
         raise ValueError(
             f"modes {tuple(k.tolist())} and {tuple((-k).tolist())} are not conjugate partners"
         )
-    out = np.zeros((values.shape[0], n**dim), dtype=complex)
-    out[:, mirror] = np.conj(values)
-    out[:, flat] = values  # a listed partner keeps its own amplitude
-    return out.reshape((values.shape[0],) + (n,) * dim)
+    # -k is written for k_last < 0, and on the k_last = 0 line for a negative leading component
+    flip = (comps[:, -1] < 0) | ((comps[:, -1] == 0) & (comps[:, 0] < 0))
+    written = np.where(flip[:, None], -comps, comps) + ([truncation] * (dim - 1) + [0])
+    shape = (n,) * (dim - 1) + (truncation + 1,)
+    position = np.ravel_multi_index(tuple(written.T), shape)
+    out = np.zeros((values.shape[0], n ** (dim - 1) * (truncation + 1)), dtype=complex)
+    out[:, position[flip]] = np.conj(values[:, flip])
+    out[:, position[~flip]] = values[:, ~flip]  # of a listed pair, the written mode is kept
+    out = out.reshape((values.shape[0],) + shape)
+    hermitian_k0_line(out)
+    return out
 
 
 def as_int(value) -> int:
@@ -184,10 +194,10 @@ def box_header(data: dict) -> tuple[int, int]:
 
 
 def coeffs_from_entries(dim: int, truncation: int, entries) -> np.ndarray:
-    """One box from the ``[k..., re, im]`` entries of ``FourierField.to_json_dict``.
+    """One whole box from the ``[k..., re, im]`` entries of ``FourierField.to_json_dict``.
 
-    Hermitian partners may be omitted; ``place_modes`` restores them and
-    rejects inconsistent ones.
+    Hermitian partners may be omitted; ``place_modes`` places each mode and
+    rejects inconsistent partners, and ``full_box`` restores the rest.
     """
     width = dim + 2
     bad = next((entry for entry in entries if len(entry) != width), None)
@@ -195,11 +205,11 @@ def coeffs_from_entries(dim: int, truncation: int, entries) -> np.ndarray:
         raise ValueError(f"coefficient entry {bad} has wrong length for dim={dim}")
     table = np.array(entries, dtype=float).reshape(-1, width)
     values = table[:, dim] + 1j * table[:, dim + 1]
-    return place_modes(dim, truncation, table[:, :dim], values[None])[0]
+    return full_box(place_modes(dim, truncation, table[:, :dim], values[None]))[0]
 
 
 def coeffs_from_packed(dim: int, truncation: int, nodes: int, modes, tables) -> np.ndarray:
-    """Inverse of ``packed_modes``: a ``(nodes,) + box`` batch from one mode list.
+    """Inverse of ``packed_modes``: a batch of half boxes from one mode list.
 
     ``modes`` holds ``[k...]`` per listed mode, and ``tables`` must be the
     float64 array of shape (2, nodes, len(modes)).
@@ -235,19 +245,19 @@ def _written_half(dim: int, truncation: int) -> np.ndarray:
     return keep
 
 
-def packed_modes(coeffs: np.ndarray, truncation: int) -> tuple[list, np.ndarray]:
-    """The written modes of a ``(nodes,) + box`` batch, once, and their tables.
+def packed_modes(half: np.ndarray) -> tuple[list, np.ndarray]:
+    """The written modes of a batch of half boxes, once, and their tables.
 
     Only one mode of each Hermitian pair is written (``_written_half``), and
     only if it is nonzero at some node; modes are listed in lexicographic
     order.  The tables are one little-endian float64 array of shape
     (2, nodes, len(modes)): real parts, then imaginary parts.  The reader
-    restores the partners as conj(coeff(k)) (``coeffs_from_packed``), so an
-    exactly Hermitian box reads back equal; one Hermitian only to
-    HERMITIAN_RTOL reads back as the completion of its written half.
+    restores the rest of the k_last = 0 line as conj(coeff(-k))
+    (``coeffs_from_packed``), so a half box with an exactly Hermitian line
+    reads back equal; one Hermitian only to HERMITIAN_RTOL reads back as the
+    completion of its written modes.
     """
-    half = coeffs[..., truncation:]
-    dim = coeffs.ndim - 1
+    dim, truncation = half.ndim - 1, half.shape[-1] - 1
     written = np.nonzero(np.any(half != 0, axis=0) & _written_half(dim, truncation))
     values = half[(slice(None),) + written]
     # index i is k = i - N along a leading axis and k_last = i along the last
@@ -276,15 +286,14 @@ class FourierField:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not isinstance(self.truncation, (int, np.integer)) or self.truncation < 1:
             raise ValueError(f"truncation must be a positive integer, got {self.truncation}")
+        truncation = int(self.truncation)
         coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
-        if coeffs.ndim != self.dim:
-            n = 2 * self.truncation + 1
-            raise ValueError(
-                f"coefficient array has shape {coeffs.shape}, expected {(n,) * self.dim}"
-            )
-        check_coefficients(coeffs, self.dim, int(self.truncation))
+        expected = (2 * truncation + 1,) * self.dim
+        if coeffs.shape != expected:
+            raise ValueError(f"coefficient array has shape {coeffs.shape}, expected {expected}")
+        check_half(coeffs[None, ..., truncation:], coeffs)
         coeffs.flags.writeable = False
-        object.__setattr__(self, "truncation", int(self.truncation))
+        object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ------------------------------------------------------
@@ -320,8 +329,8 @@ class FourierField:
             if len(comps) != dim:
                 raise ValueError(f"mode {comps} has wrong dimension for dim={dim}")
             explicit[comps] = complex(a)
-        coeffs = place_modes(dim, truncation, list(explicit), [list(explicit.values())])
-        return cls(dim, truncation, coeffs[0])
+        half = place_modes(dim, truncation, list(explicit), [list(explicit.values())])
+        return cls(dim, truncation, full_box(half)[0])
 
     # -- access ------------------------------------------------------------
 
@@ -381,7 +390,7 @@ class FourierField:
         ``coeffs`` lists the written modes of ``packed_modes``: one mode of each
         Hermitian pair, if nonzero, in lexicographic order.
         """
-        modes, tables = packed_modes(self.coeffs[None], self.truncation)
+        modes, tables = packed_modes(self.coeffs[None, ..., self.truncation:])
         re, im = tables[:, 0].tolist()
         entries = [k + [a, b] for k, a, b in zip(modes, re, im)]
         return {"dim": self.dim, "truncation": self.truncation, "coeffs": entries}
@@ -482,42 +491,19 @@ def analyze_half(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.n
     return half, spectrum[(slice(None),) + (0,) * dim].real
 
 
-def synthesize_batch(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Real samples on the M^dim grid for every box of a ``(nodes,) + box`` batch.
-
-    One inverse real FFT of the k_last >= 0 half boxes (``synthesize_half``);
-    the samples are real by construction, so there is no imaginary residue
-    to check or discard.
-    """
-    truncation = (coeffs.shape[1] - 1) // 2
-    _check_resolution(m, truncation)
-    return synthesize_half(coeffs[..., truncation:], m)
-
-
-def analyze_batch(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Box coefficients and means of every node of a ``(nodes,) + (M,)*dim`` sample batch.
-
-    One forward real FFT over the trailing axes (``analyze_half``).  The zero
-    mode is split off as the mean, and the rest of the box is rebuilt from
-    the half spectrum by ``full_box``, so every box is exactly Hermitian.
-    """
-    dim = samples.ndim - 1
-    m = samples.shape[1]
-    _check_resolution(m, truncation)
-    half, zero_modes = analyze_half(samples, truncation)
-    scale = m**dim
-    return full_box(half / scale), zero_modes / scale
-
-
 def synthesize(field: FourierField, m: int) -> np.ndarray:
     """Real samples of sum_k coeff(k) exp(i k.x) on the M^dim grid, M >= 2N+1."""
-    return synthesize_batch(field.coeffs[None], m)[0]
+    _check_resolution(m, field.truncation)
+    return synthesize_half(field.coeffs[None, ..., field.truncation:], m)[0]
 
 
 def analyze(samples: np.ndarray, truncation: int) -> tuple[FourierField, float]:
     """The mean-zero field of the box coefficients of M^dim samples, and their mean."""
-    coeffs, means = analyze_batch(samples[None], truncation)
-    return FourierField(samples.ndim, truncation, coeffs[0]), float(means[0])
+    dim, m = samples.ndim, samples.shape[0]
+    _check_resolution(m, truncation)
+    half, zero_modes = analyze_half(samples[None], truncation)
+    scale = m**dim
+    return FourierField(dim, truncation, full_box(half / scale)[0]), float(zero_modes[0] / scale)
 
 
 def embed(field: FourierField, truncation: int) -> FourierField:

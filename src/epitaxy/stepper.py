@@ -14,9 +14,9 @@ One kernel per (dim, N, padding), built once, is shared by
 ``solve_timestep`` and its single-step form ``step``.  It marches only the
 half box k_last >= 0 of the real field, through the half-box exponential
 route of ``nonlinear``, with |k|^4 on the half box fixed and the decay
-weights built once per distinct step size of a march.  The full box of each
-recorded node is written once, from Hermitian symmetry, and the trajectory
-validates it.
+weights built once per distinct step size of a march.  The recorded half
+boxes are the trajectory, which validates them; only ``step`` rebuilds a
+whole box, for the field it returns.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class _Kernel:
     def __init__(self, dim: int, truncation: int, padding: float):
         self.truncation = truncation
         self.route = exponential_route(dim, truncation, padding)
-        self.k4 = mode_grids(dim, truncation).k4[..., truncation:]
+        self.k4 = mode_grids(dim, truncation, half=True).k4
 
     def start(self, coeffs: np.ndarray) -> np.ndarray:
         """The half-box state of one full coefficient box."""
@@ -170,4 +170,4 @@ def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
                 f"{err}; last good time t = {float(times[i])!r}"
             ) from err
         states.append(state)
-    return Trajectory(times, full_box(np.concatenate(states)))
+    return Trajectory(times, np.concatenate(states))

@@ -31,8 +31,8 @@ def random_field_with_norm(rng, target, j=2, dim=1, truncation=8, decay=1.0):
 
 
 def trajectory_of(times, fields):
-    """The trajectory whose node i holds ``fields[i]``."""
-    return Trajectory(times, np.array([f.coeffs for f in fields]))
+    """The trajectory whose node i holds ``fields[i]``, by its k_last >= 0 half box."""
+    return Trajectory(times, np.array([f.coeffs[..., f.truncation:] for f in fields]))
 
 
 def save_trajectory(path, data):

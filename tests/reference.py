@@ -12,7 +12,7 @@ import math
 
 from epitaxy.nonlinear import padded_grid_size, taylor_sum
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, linear_trajectory
-from epitaxy.spectral import FourierField, analyze_batch, mode_grids, synthesize_batch
+from epitaxy.spectral import FourierField, analyze, mode_grids, synthesize
 
 
 def taylor_term(field, j, padding_factor=2.0):
@@ -23,15 +23,16 @@ def taylor_term(field, j, padding_factor=2.0):
     """
     dim, n = field.dim, field.truncation
     m = padded_grid_size(n, padding_factor)
-    lap = synthesize_batch(-mode_grids(dim, n).ksq * field.coeffs[None], m)
-    coeffs, means = analyze_batch(((-1.0) ** j / math.factorial(j)) * lap**j, n)
-    return FourierField(dim, n, coeffs[0]), float(means[0])
+    lap = synthesize(FourierField(dim, n, -mode_grids(dim, n).ksq * field.coeffs), m)
+    return analyze(((-1.0) ** j / math.factorial(j)) * lap**j, n)
 
 
 def series_sum(field, depth, padding_factor=2.0):
     """``taylor_sum`` of the one-node trajectory holding ``field``; (field, mean)."""
-    series, means = taylor_sum(Trajectory([0.0], field.coeffs[None]), depth, padding_factor)
-    return FourierField(field.dim, field.truncation, series.coeffs[0]), float(means[0])
+    n = field.truncation
+    one_node = Trajectory([0.0], field.coeffs[None, ..., n:])
+    series, means = taylor_sum(one_node, depth, padding_factor)
+    return series.fields[0], float(means[0])
 
 
 def rhs_series(field, depth, padding_factor=2.0):

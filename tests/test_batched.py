@@ -3,9 +3,10 @@
 Trajectories hold one coefficient array, and the series sum, the Duhamel
 operator, the spacetime norm and the stepper act on it as a whole.  Each is
 checked here against the node-by-node (or mode-by-mode) definition it
-replaces, on uniform and thinned time grids in 1-D and 2-D.  The stepper,
-which marches half boxes, is checked against full-box stages built through
-a complex FFT pair written here.
+replaces, on uniform and thinned time grids in 1-D and 2-D.  Trajectories
+hold k_last >= 0 half boxes; the references work on whole boxes, through
+``Trajectory.fields``.  The stepper is checked against full-box stages built
+through a complex FFT pair written here.
 """
 
 import math
@@ -66,7 +67,7 @@ def test_series_sum_matches_per_node_terms(rng, dim, thinned):
     assert np.array_equal(batched.times, traj.times)
     for i, field in enumerate(traj.fields):
         terms = [taylor_term(field, j) for j in range(2, depths[i] + 1)]
-        assert_close(batched.coeffs[i], sum(term.coeffs for term, _ in terms))
+        assert_close(batched.fields[i].coeffs, sum(term.coeffs for term, _ in terms))
         assert means[i] == pytest.approx(sum(mean for _, mean in terms), rel=RTOL)
 
 
@@ -109,7 +110,7 @@ def test_series_overflow_is_a_numerical_error():
 
 def reference_duhamel(traj):
     """The Duhamel recurrence mode by mode, one scalar interval integral at a time."""
-    grids = mode_grids(traj.dim, traj.truncation)
+    grids = mode_grids(traj.dim, traj.truncation, half=True)
     out = np.zeros_like(traj.coeffs)
     for mode in np.ndindex(grids.k4.shape):
         lam = float(grids.k4[mode])
@@ -137,14 +138,15 @@ def test_duhamel_matches_per_mode_recurrence(rng, dim, thinned):
 
 @pytest.mark.parametrize("dim,thinned", GRIDS)
 def test_spacetime_norm_matches_direct_sum(rng, dim, thinned):
+    # the definition sums over every mode of the whole boxes
     traj = random_trajectory(rng, dim, time_grid(rng, thinned, t_final=2.0))
     kmag = mode_grids(dim, traj.truncation).kmag
     for alpha, j in ((0.0, 0), (0.3, 2), (0.9, 1)):
         ref = 0.0
         for mode in np.ndindex(kmag.shape):
             peak = max(
-                math.exp(alpha * t * kmag[mode]) * abs(traj.coeffs[(i,) + mode])
-                for i, t in enumerate(traj.times)
+                math.exp(alpha * t * kmag[mode]) * abs(field.coeffs[mode])
+                for field, t in zip(traj.fields, traj.times)
             )
             ref += kmag[mode] ** j * peak
         assert spacetime_norm(traj, WeightParams(alpha, j)) == pytest.approx(ref, rel=RTOL)
@@ -211,12 +213,9 @@ def test_march_matches_reference_chain(rng, dim):
     ref = h0.coeffs
     for i, dt in enumerate(np.diff(traj.times)):
         ref = reference_step(ref, dt)
-        assert_close(traj.coeffs[i + 1], ref)
-    # every node: zero mode exactly 0 and Hermitian bit for bit
-    coeffs = traj.coeffs
-    assert np.all(coeffs[(slice(None),) + (truncation,) * dim] == 0.0)
-    flipped = np.conj(coeffs[(slice(None),) + (slice(None, None, -1),) * dim])
-    assert np.array_equal(coeffs, flipped)
+        assert_close(traj.fields[i + 1].coeffs, ref)
+    # every node: zero mode exactly 0 and k_last = 0 line Hermitian bit for bit
+    assert_exact_k0_line(traj.coeffs)
 
 
 @STEPPER_DIMS
@@ -229,7 +228,7 @@ def test_march_is_a_chain_of_steps(rng, dim):
     state = h0
     for i, dt in enumerate(np.diff(traj.times)):
         state = step(state, dt, config)
-        assert np.array_equal(state.coeffs, traj.coeffs[i + 1])
+        assert np.array_equal(state.coeffs, traj.fields[i + 1].coeffs)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -240,11 +239,11 @@ def test_picard_nodes_are_mean_zero_and_hermitian(rng, dim):
     solution, diag = solve_picard(h0, certify(h0), config)
     assert diag.converged
     coeffs = solution.coeffs
-    assert np.all(coeffs[(slice(None),) + (truncation,) * dim] == 0.0)
-    flipped = np.conj(coeffs[(slice(None),) + (slice(None, None, -1),) * dim])
-    box = tuple(range(1, dim + 1))
-    asym = np.max(np.abs(coeffs - flipped), axis=box)
-    assert np.all(asym <= 1e-15 * np.max(np.abs(coeffs), axis=box))
+    assert np.all(coeffs[(slice(None),) + (truncation,) * (dim - 1) + (0,)] == 0.0)
+    line = coeffs[..., 0]
+    flipped = np.conj(line[(slice(None),) + (slice(None, None, -1),) * (dim - 1)])
+    asym = np.max(np.abs(line - flipped), axis=tuple(range(1, dim)))
+    assert np.all(asym <= 1e-15 * np.max(np.abs(coeffs), axis=tuple(range(1, dim + 1))))
 
 
 def engine_gap(h0, dt):
@@ -273,8 +272,8 @@ def test_json_nodes_keep_the_field_format(rng):
     n = TRUNCATION[2]
     drawn = random_trajectory(rng, 2, time_grid(rng, True))
     coeffs = drawn.coeffs.copy()
-    coeffs[:, n + 1, n + 2] = coeffs[:, n - 1, n - 2] = 0.0  # (1, 2) vanishes at every node
-    coeffs[::2, n + 2, n] = coeffs[::2, n - 2, n] = 0.0  # (2, 0) at every other node
+    coeffs[:, n + 1, 2] = 0.0  # (1, 2) vanishes at every node
+    coeffs[::2, n + 2, 0] = coeffs[::2, n - 2, 0] = 0.0  # (2, 0) at every other node
     traj = Trajectory(drawn.times, coeffs)
     data = traj.to_json_dict()
     assert data["times"] == [float(t) for t in traj.times]
@@ -312,20 +311,83 @@ def test_json_reader_fills_partners_and_rejects_clashes():
 
 
 def test_array_construction_validates_every_node():
-    good = FourierField.from_modes(1, 2, {(1,): 0.5}).coeffs
+    # a half box can break Hermitian symmetry only on its k_last = 0 line,
+    # where -k is stored too
+    good = FourierField.from_modes(2, 2, {(1, 0): 0.5, (1, 1): 0.25}).coeffs[..., 2:]
     bad = good.copy()
-    bad[3] = 0.7  # k = +1 without its partner
+    bad[3, 0] = 0.7  # k = (1, 0) without its partner (-1, 0)
     with pytest.raises(ValueError, match="Hermitian"):
         Trajectory(np.array([0.0, 1.0]), np.stack([good, bad]))
     bad = good.copy()
-    bad[2] = 1.0
+    bad[2, 0] = 1.0
     with pytest.raises(ValueError, match="zero mode"):
         Trajectory(np.array([0.0, 1.0]), np.stack([good, bad]))
     bad = good.copy()
-    bad[1] = bad[3] = np.inf
+    bad[1, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
         Trajectory(np.array([0.0, 1.0]), np.stack([good, bad]))
     traj = Trajectory(np.array([0.0, 1.0]), np.stack([good, good]))
     with pytest.raises(ValueError):
-        traj.coeffs[0, 3] = 1.0  # read-only, shared with the node views
-    assert traj.fields[1].coeff(1) == 0.5
+        traj.coeffs[0, 3, 0] = 1.0  # read-only
+    with pytest.raises(ValueError):
+        traj.fields[1].coeffs[3, 2] = 1.0  # the node views are read-only too
+    assert traj.fields[1].coeff((1, 0)) == 0.5
+    assert traj.fields[1].coeff((-1, -1)) == 0.25
+
+
+def test_a_whole_1d_box_is_not_taken_for_a_half_box():
+    # a 1-D box of N has the shape of a half box of 2N, and its first entry,
+    # c(-N), sits where that half box keeps its zero mode
+    field = FourierField.from_modes(1, 4, {(4,): 0.5, (1,): 0.25})
+    with pytest.raises(ValueError, match="zero mode"):
+        Trajectory([0.0, 0.1], np.stack([field.coeffs, field.coeffs]))
+
+
+def assert_exact_k0_line(half):
+    """Zero mode exactly 0 and the k_last = 0 line exactly Hermitian at every node."""
+    dim, truncation = half.ndim - 1, half.shape[-1] - 1
+    assert half.shape[1:] == (2 * truncation + 1,) * (dim - 1) + (truncation + 1,)
+    assert np.all(half[(slice(None),) + (truncation,) * (dim - 1) + (0,)] == 0.0)
+    line = half[..., 0]
+    flipped = line[(slice(None),) + (slice(None, None, -1),) * (dim - 1)]
+    assert np.array_equal(line, np.conj(flipped))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_producer_returns_half_boxes_with_an_exact_k0_line(rng, dim, tmp_path):
+    truncation = TRUNCATION[dim]
+    h0 = random_field_with_norm(rng, 0.2, dim=dim, truncation=truncation)
+    config = SolverConfig(truncation=truncation, dt=0.01, t_final=0.1)
+    linear = linear_trajectory(h0, config.time_grid())
+    series, _ = taylor_sum(linear, TaylorDepth.adaptive())
+    picard, _ = solve_picard(h0, certify(h0), config)
+    produced = {
+        "linear_trajectory": linear,
+        "taylor_sum": series,
+        "duhamel_Iplus": duhamel_Iplus(series),
+        "solve_picard": picard,
+        "solve_timestep": solve_timestep(h0, config),
+        "read back": Trajectory.from_json_dict(picard.to_json_dict()),
+    }
+    for name, traj in produced.items():
+        assert traj.truncation == truncation and traj.dim == dim, name
+        assert_exact_k0_line(traj.coeffs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_half_box_norms_match_whole_box_sums(rng, dim):
+    # each k_last > 0 entry stands for itself and its partner; the k_last = 0
+    # line holds both of each pair
+    truncation = TRUNCATION[dim]
+    traj = random_trajectory(rng, dim, time_grid(rng, True, t_final=1.0))
+    boxes = np.array([field.coeffs for field in traj.fields])
+    kmag = mode_grids(dim, truncation).kmag
+    box = tuple(range(1, dim + 1))
+    for j in (0, 1, 2):
+        ref = np.sum(kmag**j * np.abs(boxes), axis=box)
+        np.testing.assert_allclose(wiener_norm(traj, j), ref, rtol=1e-15, atol=0)
+        for alpha in (0.0, 0.5):
+            weighted = np.exp(alpha * traj.times.reshape((-1,) + (1,) * dim) * kmag)
+            ref = float(np.sum(kmag**j * np.max(weighted * np.abs(boxes), axis=0)))
+            got = spacetime_norm(traj, WeightParams(alpha, j))
+            assert got == pytest.approx(ref, rel=1e-15, abs=0)

@@ -15,7 +15,8 @@ import pytest
 from conftest import load_trajectory, save_trajectory
 from epitaxy import cli
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from epitaxy.semigroup import linear_trajectory
+from epitaxy.norms import wiener_norm
+from epitaxy.semigroup import Trajectory, linear_trajectory
 from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig
 
@@ -306,6 +307,21 @@ class TestCompareMode:
         assert code == EXIT_OK
         assert status["max_wiener2_diff"] == pytest.approx(2e-4, rel=1e-6)
 
+    def test_only_shared_nodes_are_compared(self):
+        h0 = FourierField.from_modes(1, 4, {(1,): 0.1})
+        a = linear_trajectory(h0, np.linspace(0.0, 1.0, 11))
+        b = linear_trajectory(h0 * 1.001, np.linspace(0.0, 1.0, 11))
+        expected = wiener_norm(Trajectory(a.times, a.coeffs - b.coeffs), 2)
+        rows, worst = cli._comparison(a, b)
+        assert rows == [f"{t!r},{gap!r}" for t, gap in zip(a.times.tolist(), expected.tolist())]
+        assert worst == max(expected)
+        # a coarser grid: only the nodes both hold are compared
+        coarse = linear_trajectory(h0 * 1.001, np.linspace(0.0, 1.0, 6))
+        rows, worst = cli._comparison(a, coarse)
+        shared = zip(a.times.tolist()[::2], expected[::2].tolist())
+        assert rows == [f"{t!r},{gap!r}" for t, gap in shared]
+        assert worst == max(expected[::2])
+
     def test_missing_option_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", mode_options={})
         code, status = run_cli(capsys, "compare", "--config", str(cfg))
@@ -415,6 +431,15 @@ class TestCompareMode:
         "header-beyond-address-space": (header_claiming((2, 10**15, 1)), "Unable to allocate"),
         "header-beyond-int64": (header_claiming((2, 10**30, 1)), "too large to convert"),
         "partner-clash": (saving(clashing_partners), "not conjugate partners"),
+        # float() read "0.1" as 0.1, and true as 1.0
+        "string-times": (
+            saving(lambda d: {**d, "times": [repr(t) for t in d["times"]]}),
+            "times must be a list of JSON numbers",
+        ),
+        "bool-times": (
+            saving(lambda d: {**d, "times": [False] + [True] * (len(d["times"]) - 1)}),
+            "times must be a list of JSON numbers",
+        ),
         "mode-outside-box": (saving(lambda d: {**d, "modes": [[5]]}), "outside truncation 4"),
         "zero-mode": (saving(lambda d: {**d, "modes": [[0]]}), "zero mode must vanish"),
         "repeated-mode": (
@@ -672,7 +697,7 @@ class TestMemoryGuard:
     @pytest.mark.parametrize(
         "options,reason",
         [
-            ({"dt": 1e-15, "t_final": 2.0}, "2000000000000001 time nodes (4 trajectories"),
+            ({"dt": 1e-15, "t_final": 2.0}, "2000000000000001 time nodes (3 trajectories"),
             ({"max_truncation": 1e308}, "trajectories of "),  # exact, not an overflow
         ],
         ids=["tiny-dt", "huge-truncation"],
@@ -888,6 +913,24 @@ class TestValidationAndDeterminism:
     def test_missing_config_file(self, tmp_path, capsys):
         code, status = run_cli(capsys, "certify", "--config", str(tmp_path / "nope.json"))
         assert code == EXIT_VALIDATION
+
+    def test_config_that_is_a_directory_is_validation_error(self, tmp_path, capsys):
+        # IsADirectoryError is an OSError, which exits 4 as a numerical failure
+        code, status = run_cli(capsys, "certify", "--config", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert f"cannot read config file {tmp_path}" in status["error"]["message"]
+
+    @pytest.mark.parametrize("value", [None, 12], ids=["null", "number"])
+    def test_non_string_output_dir_is_refused(self, tmp_path, capsys, monkeypatch, value):
+        # str() turned null into ./None and 12 into ./12
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "run.json", output_dir=value)
+        code, status = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        assert "output_dir must be a file path string" in status["error"]["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     @pytest.mark.parametrize(
         "mode,section,key",

@@ -169,13 +169,13 @@ class TestValidationAtTheBoundary:
 
     def test_check_count_does_not_grow_with_iterations(self, monkeypatch):
         calls = []
-        check = semigroup.check_coefficients
+        check = semigroup.check_half
 
         def counting(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(semigroup, "check_coefficients", counting)
+        monkeypatch.setattr(semigroup, "check_half", counting)
         h0 = cosine(0.2)
         cert = certify(h0)
         counts, iterations = [], []
@@ -192,14 +192,15 @@ class TestValidationAtTheBoundary:
         duhamel = semigroup.duhamel_Iplus
 
         def skewed(traj):
-            # mode k = 1 moves without its partner k = -1: not a real field
+            # mode k = (1, 0) moves without its partner k = (-1, 0), both on
+            # the half box's k_last = 0 line: not a real field
             coeffs = duhamel(traj).coeffs.copy()
-            coeffs[1:, 9] += 1e-3j
+            coeffs[1:, 5, 0] += 1e-3j
             return Trajectory._trusted(traj.times, coeffs)
 
         monkeypatch.setattr(picard, "duhamel_Iplus", skewed)
-        h0 = cosine(0.2)
-        config = SolverConfig(truncation=8, dt=0.01, t_final=0.5)
+        h0 = FourierField.from_modes(2, 4, {(1, 0): 0.1})
+        config = SolverConfig(truncation=4, dt=0.01, t_final=0.5)
         with pytest.raises(ValueError, match="not Hermitian"):
             solve_picard(h0, certify(h0), config)
 

@@ -70,7 +70,7 @@ class TestPropagate:
 
     def test_zero_time_is_identity(self, rng):
         f = random_field(rng, dim=2, truncation=3)
-        np.testing.assert_array_equal(linear_trajectory(f, [0.0]).coeffs[0], f.coeffs)
+        np.testing.assert_array_equal(linear_trajectory(f, [0.0]).coeffs[0], f.coeffs[..., 3:])
 
     def test_unit_mode_decay_factor(self):
         g = linear_trajectory(cosine(), [0.0, 1.0]).fields[1]

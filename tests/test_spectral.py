@@ -10,14 +10,14 @@ from epitaxy.nonlinear import padded_grid_size
 from epitaxy.spectral import (
     FourierField,
     analyze,
-    analyze_batch,
     analyze_half,
-    check_coefficients,
+    check_half,
     embed,
+    full_box,
+    hermitian_k0_line,
     mode_grids,
     multiply,
     synthesize,
-    synthesize_batch,
     synthesize_half,
 )
 
@@ -277,10 +277,16 @@ def test_padding_one_gives_the_floor_grid():
     assert padded_grid_size(5, 1.0) == 11 and padded_grid_size(3, 1.0) == 7
 
 
+def half_boxes(rng, dim, truncation, nodes, **kw):
+    """The half boxes of ``nodes`` random fields, and their whole boxes."""
+    coeffs = np.stack([random_field(rng, dim, truncation, **kw).coeffs for _ in range(nodes)])
+    return coeffs[..., truncation:], coeffs
+
+
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_synthesize_batch_matches_complex_ifft(rng, dim, truncation, m):
-    coeffs = np.stack([random_field(rng, dim, truncation, decay=0.3).coeffs for _ in range(4)])
-    got = synthesize_batch(coeffs, m)
+    half, coeffs = half_boxes(rng, dim, truncation, 4, decay=0.3)
+    got = synthesize_half(half, m)
     ref = complex_synthesis(coeffs, m)
     assert got.dtype == float and got.shape == ref.shape
     scale = np.max(np.abs(ref))
@@ -291,26 +297,33 @@ def test_synthesize_batch_matches_complex_ifft(rng, dim, truncation, m):
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_analyze_batch_matches_complex_fft(rng, dim, truncation, m):
     samples = rng.standard_normal((4,) + (m,) * dim) + rng.uniform(-2.0, 2.0, (4,) + (1,) * dim)
-    got, means = analyze_batch(samples, truncation)
+    got, means = analyze_half(samples, truncation)
+    got, means = got / m**dim, means / m**dim
+    hermitian_k0_line(got)
     ref, ref_means = complex_analysis(samples, truncation)
     ref[(slice(None),) + (truncation,) * dim] = 0.0
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(got - ref)) <= TRANSFORM_TOL * scale
+    assert np.max(np.abs(got - ref[..., truncation:])) <= TRANSFORM_TOL * scale
     np.testing.assert_allclose(means, ref_means.real, rtol=0, atol=TRANSFORM_TOL * scale)
     assert np.max(np.abs(ref_means.imag)) <= TRANSFORM_TOL * scale
-    # the rebuilt boxes are exactly Hermitian with a zero mode of exactly 0
-    check_coefficients(got, dim, truncation)
-    assert np.all(got[(slice(None),) + (truncation,) * dim] == 0.0)
-    flipped = np.conj(got[(slice(None),) + (slice(None, None, -1),) * dim])
-    assert np.array_equal(got, flipped)
+    # the half boxes pass the check, and rebuild exactly Hermitian whole boxes
+    # with a zero mode of exactly 0 that match the complex transform's
+    check_half(got)
+    boxes = full_box(got)
+    assert np.max(np.abs(boxes - ref)) <= TRANSFORM_TOL * scale
+    assert np.all(boxes[(slice(None),) + (truncation,) * dim] == 0.0)
+    flipped = np.conj(boxes[(slice(None),) + (slice(None, None, -1),) * dim])
+    assert np.array_equal(boxes, flipped)
 
 
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_batch_round_trip_on_the_floor_and_above(rng, dim, truncation, m):
-    coeffs = np.stack([random_field(rng, dim, truncation).coeffs for _ in range(3)])
-    back, means = analyze_batch(synthesize_batch(coeffs, m), truncation)
-    assert np.max(np.abs(back - coeffs)) <= TRANSFORM_TOL * np.max(np.abs(coeffs))
-    assert np.max(np.abs(means)) <= TRANSFORM_TOL * np.max(np.abs(coeffs))
+    half, _ = half_boxes(rng, dim, truncation, 3)
+    back, means = analyze_half(synthesize_half(half, m), truncation)
+    back /= m**dim
+    hermitian_k0_line(back)
+    assert np.max(np.abs(back - half)) <= TRANSFORM_TOL * np.max(np.abs(half))
+    assert np.max(np.abs(means)) <= TRANSFORM_TOL * m**dim * np.max(np.abs(half))
 
 
 def real_spectrum_index(dim, truncation, m):

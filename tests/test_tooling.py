@@ -171,3 +171,49 @@ def test_trajectory_tables_never_pass_through_json(tmp_path, monkeypatch):
     assert encoded, "the manifest was not written by json.dumps"
     assert not any(isinstance(value, np.ndarray) for value in encoded)
     assert not set().union(*map(numbers, encoded)) & table_numbers
+
+
+def test_artifact_gate_compares_two_solves(tmp_path, monkeypatch, capsys):
+    # the gate's comparison on two tiny in-process solves under the same
+    # relative output path: identical runs pass, and each kind of drift fails
+    gate = runpy.run_path(str(ROOT / "tools" / "artifact_gate.py"))
+    config = {
+        "schema_version": 1,
+        "initial_data": {"preset": "random-decay", "amplitude": 0.2, "seed": 7, "dim": 2},
+        "solver": {"truncation": 3, "dt": 0.01, "t_final": 0.05},
+        "output_dir": "out/solve",
+    }
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+        monkeypatch.chdir(tmp_path / tree)
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["solve", "--config", "config.json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    parent, change = tmp_path / "parent" / "out", tmp_path / "change" / "out"
+    passed, lines = gate["compare_outputs"](parent, change)
+    assert passed, lines
+    assert len(lines) == 11 and all("byte-identical" in line for line in lines[:10])
+    assert lines[10].startswith("ok   solve: Picard iterations")
+
+    summary = change / "solve" / "summary.json"
+    body = json.loads(summary.read_text(encoding="utf-8"))
+
+    def rewritten(**changes):
+        text = json.dumps({**body, **changes}, indent=2, sort_keys=True) + "\n"
+        summary.write_text(text, encoding="utf-8")
+        return gate["compare_outputs"](parent, change)
+
+    delta = body["final_delta"]
+    passed, lines = rewritten(final_delta=float(np.nextafter(delta, np.inf)))  # one ulp
+    assert passed and re.search(r"solve/summary\.json: numbers within \S+e-16", "\n".join(lines))
+    passed, lines = rewritten(final_delta=delta * (1.0 + 1e-12))
+    assert not passed and "above 1e-15" in "\n".join(lines)
+    passed, lines = rewritten(iterations=body["iterations"] + 1)
+    assert not passed and "FAIL solve: Picard iterations" in "\n".join(lines)
+    rewritten()
+    tables = change / "solve" / "picard_trajectory.npy"
+    raw = bytearray(tables.read_bytes())
+    raw[-1] ^= 1
+    tables.write_bytes(bytes(raw))
+    passed, lines = gate["compare_outputs"](parent, change)
+    assert not passed and "FAIL solve/picard_trajectory.npy: bytes differ" in lines
