@@ -317,9 +317,12 @@ READ_LIVE_TRAJECTORIES = 6
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
 # ``probe-operator`` case: the previous case's trajectory, the new one with
-# its validation temporaries, and its Duhamel image.  The peak was 1.88 and
-# 1.82 at a largest truncation of 16, and 2.53 and 2.20 at 2, the least the
-# probe takes.
+# its validation temporaries, and its Duhamel image, made once for every
+# alpha (the input's log-amplitude table is freed before the image is built).
+# A whole run peaked at 1.88 in 2-D and 1.67 in 1-D at a largest truncation
+# of 16 (1,001 and 20,001 nodes), and 2.20 and 2.52 at 2, the least the probe
+# takes (20,001 and 200,001 nodes).  The probe alone, not counting its
+# trajectory, peaked at 1.57, 1.35, 1.58 and 1.82.
 PROBE_LIVE_TRAJECTORIES = 3
 
 
@@ -514,6 +517,9 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
         raise ValidationError(
             "probe-operator needs trajectories >= 1, max_truncation >= 2, alphas and dims"
         )
+    for alpha in alphas:
+        if not (0.0 < alpha < 1.0):  # also refuses nan
+            raise ValidationError(f"{where}alphas must lie strictly in (0, 1), got {alpha}")
     if not set(dims) <= {1, 2}:
         raise ValidationError(f"{where}dims may hold only 1 and 2, got {dims}")
     if not (0 < dt < math.inf and 0 < t_final < math.inf and t_final / dt < math.inf):
@@ -521,7 +527,13 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
             "probe-operator needs positive finite dt and t_final with a finite t_final / dt, "
             f"got {dt} and {t_final}"
         )
-    nodes = int(round(t_final / dt)) + 1
+    steps = round(t_final / dt)
+    if steps < 1:  # a one-node grid weighs nothing, and every ratio would read 0
+        raise ValidationError(
+            f"probe-operator needs at least one time step: {where}t_final = {t_final} "
+            f"rounds to {steps} steps of {where}dt = {dt}"
+        )
+    nodes = steps + 1
     modes = (2 * max_truncation + 1) ** max(dims)
     _check_fits(
         nodes, modes, PROBE_LIVE_TRAJECTORIES, f"raise {where}dt or lower t_final or max_truncation"
@@ -534,8 +546,7 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
         dim = dims[index % len(dims)]
         truncation = int(rng.integers(2, max_truncation + 1))
         traj = random_probe_trajectory(rng, dim, truncation, times)
-        for alpha in alphas:
-            report = operator_bound_probe(traj, alpha)
+        for alpha, report in zip(alphas, operator_bound_probe(traj, alphas)):
             all_pass = all_pass and report.passed
             rows.append(
                 f"{index},{dim},{truncation},{_fmt(alpha)},"

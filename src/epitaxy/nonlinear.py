@@ -85,26 +85,34 @@ class TaylorDepth:
     def adaptive(cls, tail_tol: float = 1e-12) -> "TaylorDepth":
         return cls(tail_tol=tail_tol)
 
-    def resolve(self, r: float) -> int:
-        """Depth J such that the remainder bound r^(J+1)/(J+1)! is below tolerance.
+    def resolve(self, norms: np.ndarray) -> np.ndarray:
+        """Per-node depths J_i (int64) whose remainder bound r_i^(J+1)/(J+1)! is below tolerance.
 
-        ``r`` is the Wiener norm of lap(h) at the evaluation time; the bound
-        is the standard Taylor remainder of exp combined with the algebra
-        property of the norm.
+        ``norms`` holds one r_i per node, the Wiener norm of lap(h) at that
+        node; the bound is the standard Taylor remainder of exp combined with
+        the algebra property of the norm.  Every node runs the recurrence
+        tail = r^3 / 6, then tail *= r / (j + 1), until its tail is below the
+        tolerance; ``float_power`` is the C library's ``pow``, as Python's
+        ``r**3`` is (numpy's ``power`` may differ from it in the last bit).
         """
+        r = np.asarray(norms, dtype=float)
         if self.max_j is not None:
-            return self.max_j
+            return np.full(r.shape, self.max_j, dtype=np.int64)
+        depths = np.full(r.shape, 2, dtype=np.int64)
+        tail = np.float_power(r, 3) / 6.0  # r^(J+1) / (J+1)! at J = 2
+        active = np.flatnonzero(tail >= self.tail_tol)
         j = 2
-        tail = r**3 / 6.0  # r^(J+1) / (J+1)! at J = 2
-        while tail >= self.tail_tol:
+        while active.size:
             j += 1
             if j > DEPTH_HARD_CAP:
                 raise NumericalError(
                     f"adaptive depth exceeded the cap of {DEPTH_HARD_CAP} terms; "
-                    f"achieved tail bound {tail:.3e} >= tolerance {self.tail_tol:g}"
+                    f"achieved tail bound {tail[active[0]]:.3e} >= tolerance {self.tail_tol:g}"
                 )
-            tail *= r / (j + 1)
-        return j
+            depths[active] = j
+            tail[active] *= r[active] / (j + 1)
+            active = active[tail[active] >= self.tail_tol]
+        return depths
 
 
 def padded_grid_size(truncation: int, padding_factor: float) -> int:
@@ -161,7 +169,7 @@ def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0
     (generally nonzero) zero mode of its sum, which the Laplacian applied on
     top annihilates.  A non-finite sum raises NumericalError.
     """
-    depths = np.array([depth.resolve(float(r)) for r in wiener_norm(traj, 2)], dtype=np.int64)
+    depths = depth.resolve(wiener_norm(traj, 2))
     out = np.zeros_like(traj.coeffs)
     means = np.zeros(traj.times.size)
     if depths.max() >= 2:

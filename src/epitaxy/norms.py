@@ -76,10 +76,24 @@ def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
     the maximum is taken; the result may still be ``inf`` if the norm itself
     is not finite at this alpha.  Trajectories are finite by construction.
     """
-    grids = mode_grids(traj.dim, traj.truncation, half=True)
-    times = traj.times.reshape((-1,) + (1,) * traj.dim)
+    return _weighted_sup(_log_amplitudes(traj.coeffs), traj.times, params)
+
+
+def _log_amplitudes(coeffs: np.ndarray) -> np.ndarray:
+    """log|coeff|, with -inf at the zero modes."""
     with np.errstate(divide="ignore"):
-        logamp = np.log(np.abs(traj.coeffs))
+        return np.log(np.abs(coeffs))
+
+
+def _weighted_sup(logamp: np.ndarray, times: np.ndarray, params: WeightParams) -> float:
+    """``spacetime_norm`` from the table ``logamp`` = log|coeff| of (nodes,) + half box.
+
+    The operator probe builds a trajectory's table once and weighs it for
+    every alpha.
+    """
+    dim = logamp.ndim - 1
+    grids = mode_grids(dim, logamp.shape[-1] - 1, half=True)
+    times = times.reshape((-1,) + (1,) * dim)
     weighted = params.alpha * times * grids.kmag + logamp
     peak = weighted.max(axis=0)
     with np.errstate(over="ignore"):

@@ -2,17 +2,36 @@
 
 The package sums the series route over whole trajectories (``taylor_sum``).
 These are the definitions it is checked against, one field at a time: the
-series term F_j on the padded grid and the series route to the right-hand
-side.  The exponential route's single-field form, ``rhs_exponential``, stays
-in the package.  ``duhamel_map`` is one application of the fixed-point map,
+series term F_j on the padded grid, the series route to the right-hand
+side and the scalar loop that resolves one node's series depth.  The
+exponential route's single-field form, ``rhs_exponential``, stays in the
+package.  ``duhamel_map`` is one application of the fixed-point map,
 which ``solve_picard`` iterates on plain arrays.
 """
 
 import math
 
-from epitaxy.nonlinear import padded_grid_size, taylor_sum
+from epitaxy.exceptions import NumericalError
+from epitaxy.nonlinear import DEPTH_HARD_CAP, padded_grid_size, taylor_sum
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, linear_trajectory
 from epitaxy.spectral import FourierField, analyze, mode_grids, synthesize
+
+
+def resolve_depth(depth, r):
+    """One node's depth J, for ``TaylorDepth.resolve``: r^(J+1)/(J+1)! below tolerance."""
+    if depth.max_j is not None:
+        return depth.max_j
+    j = 2
+    tail = r**3 / 6.0  # r^(J+1) / (J+1)! at J = 2
+    while tail >= depth.tail_tol:
+        j += 1
+        if j > DEPTH_HARD_CAP:
+            raise NumericalError(
+                f"adaptive depth exceeded the cap of {DEPTH_HARD_CAP} terms; "
+                f"achieved tail bound {tail:.3e} >= tolerance {depth.tail_tol:g}"
+            )
+        tail *= r / (j + 1)
+    return j
 
 
 def taylor_term(field, j, padding_factor=2.0):

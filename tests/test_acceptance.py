@@ -91,8 +91,7 @@ def test_criterion_2_operator_bound():
         dim = 1 if index % 2 == 0 else 2
         truncation = int(rng.integers(2, 17))
         traj = random_probe_trajectory(rng, dim, truncation, times)
-        for alpha in (0.1, 0.5, 0.9):
-            rep = operator_bound_probe(traj, alpha)
+        for rep in operator_bound_probe(traj, (0.1, 0.5, 0.9)):
             worst = max(worst, rep.ratio / rep.bound)
             failures += 0 if rep.passed else 1
     elapsed = time.perf_counter() - start

@@ -26,7 +26,7 @@ from epitaxy.spectral import FourierField, mode_grids
 from epitaxy.stepper import SolverConfig, solve_timestep, step
 
 from conftest import random_field_with_norm, trajectory_of
-from reference import taylor_term
+from reference import resolve_depth, taylor_term
 
 RTOL = 1e-13
 TRUNCATION = {1: 8, 2: 3}
@@ -61,7 +61,7 @@ def assert_close(got, ref):
 def test_series_sum_matches_per_node_terms(rng, dim, thinned):
     depth = TaylorDepth.adaptive(1e-12)
     traj = random_trajectory(rng, dim, time_grid(rng, thinned))
-    depths = [depth.resolve(wiener_norm(f, 2)) for f in traj.fields]
+    depths = [resolve_depth(depth, wiener_norm(f, 2)) for f in traj.fields]
     assert len(set(depths)) > 1  # the batch really mixes depths
     batched, means = taylor_sum(traj, depth)
     assert np.array_equal(batched.times, traj.times)

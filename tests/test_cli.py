@@ -287,6 +287,33 @@ class TestProbeMode:
         assert rows[1] == "index,dim,truncation,alpha,ratio,bound,pass"
         assert len(rows) == 2 + 6 * 3
 
+    @pytest.mark.parametrize("dt,t_final", [(5.0, 0.5), (1.0, 0.4)], ids=["dt-5", "dt-1"])
+    def test_one_node_grid_is_refused(self, tmp_path, capsys, dt, t_final):
+        # t_final / dt rounds to 0 steps: on one node every ratio read 0.0,
+        # and the run passed with all_pass true
+        cfg = write_config(tmp_path / "run.json", mode_options={"dt": dt, "t_final": t_final})
+        code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        message = status["error"]["message"]
+        assert "mode_options.dt" in message and "mode_options.t_final" in message
+        assert not (tmp_path / "out" / "operator_probe.csv").exists()
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 1.5], ids=["nan", "0", "1", "1.5"])
+    def test_alpha_outside_unit_interval_refused_before_probing(
+        self, tmp_path, capsys, monkeypatch, alpha
+    ):
+        def undrawn(*args):
+            pytest.fail("a probe trajectory was drawn before the alphas were checked")
+
+        monkeypatch.setattr(cli, "random_probe_trajectory", undrawn)
+        cfg = write_config(tmp_path / "run.json", mode_options={"alphas": [0.5, alpha]})
+        code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert status["error"]["type"] == "ValidationError"
+        message = status["error"]["message"]
+        assert "mode_options.alphas" in message and f"got {alpha}" in message
+
 
 class TestCompareMode:
     def test_difference_norms(self, tmp_path, capsys):

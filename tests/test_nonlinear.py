@@ -12,7 +12,7 @@ from epitaxy.norms import wiener_norm
 from epitaxy.spectral import FourierField
 
 from conftest import random_field_with_norm
-from reference import rhs_series, series_sum, taylor_term
+from reference import resolve_depth, rhs_series, series_sum, taylor_term
 
 
 def cosine(truncation=8, amplitude=1.0):
@@ -32,10 +32,10 @@ class TestTaylorDepth:
             TaylorDepth(max_j=3, tail_tol=1e-10)
 
     def test_fixed_depth_resolves_to_itself(self):
-        assert TaylorDepth.fixed(7).resolve(0.4) == 7
+        assert TaylorDepth.fixed(7).resolve(np.array([0.4])).tolist() == [7]
 
     def test_linear_sentinel_allowed(self):
-        assert TaylorDepth.fixed(1).resolve(10.0) == 1
+        assert TaylorDepth.fixed(1).resolve(np.array([10.0])).tolist() == [1]
 
     def test_fixed_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -43,8 +43,8 @@ class TestTaylorDepth:
 
     def test_adaptive_respects_remainder_bound(self):
         depth = TaylorDepth.adaptive(1e-12)
-        for r in (0.0, 0.1, 0.5, 0.9, 2.0):
-            j = depth.resolve(r)
+        norms = (0.0, 0.1, 0.5, 0.9, 2.0)
+        for r, j in zip(norms, depth.resolve(np.array(norms)).tolist()):
             assert j >= 2
             assert r ** (j + 1) / math.factorial(j + 1) < 1e-12
             if j > 2:  # minimality: one term fewer violates the tolerance
@@ -52,8 +52,76 @@ class TestTaylorDepth:
 
     def test_adaptive_cap_reports_tail(self):
         with pytest.raises(NumericalError, match="tail bound"):
-            TaylorDepth.adaptive(1e-12).resolve(20.0)
+            TaylorDepth.adaptive(1e-12).resolve(np.array([0.5, 20.0]))
         assert DEPTH_HARD_CAP == 64
+
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-3, 1e-15])
+    def test_array_resolve_matches_scalar_oracle(self, rng, tail_tol):
+        depth = TaylorDepth.adaptive(tail_tol)
+        norms = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 500), rng.lognormal(-2.0, 2.0, 500)])
+        norms = norms[norms < 10.0]
+        got = depth.resolve(norms)
+        assert got.dtype == np.int64
+        assert got.tolist() == [resolve_depth(depth, float(r)) for r in norms]
+        assert got[0] == 2  # r = 0
+
+    @staticmethod
+    def _edge(below, above, differs):
+        """Adjacent floats lo < hi with ``differs(lo, hi)``, bisected from (below, above)."""
+        lo, hi = below, above
+        while np.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            mid = min(max(mid, np.nextafter(lo, math.inf)), np.nextafter(hi, -math.inf))
+            if differs(lo, mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-3])
+    def test_array_resolve_matches_oracle_at_tolerance_edges(self, tail_tol):
+        # the two floats on either side of each r where the oracle's depth steps
+        depth = TaylorDepth.adaptive(tail_tol)
+
+        def oracle(r):
+            return resolve_depth(depth, float(r))
+
+        edges = []
+        for j in range(2, 12):
+            # smallest r with depth > j lies where r^(j+1)/(j+1)! = tail_tol
+            guess = (tail_tol * math.factorial(j + 1)) ** (1.0 / (j + 1))
+            lo, hi = self._edge(guess * 0.5, guess * 2.0, lambda a, b: oracle(b) > j)
+            assert oracle(lo) == j and oracle(hi) > j
+            edges += [lo, hi]
+        norms = np.array(edges)
+        assert depth.resolve(norms).tolist() == [oracle(r) for r in norms]
+
+    def test_array_resolve_matches_oracle_at_the_cap(self):
+        depth = TaylorDepth.adaptive(1e-12)
+
+        def over_cap(r):
+            try:
+                resolve_depth(depth, float(r))
+            except NumericalError:
+                return True
+            return False
+
+        lo, hi = self._edge(1.0, 100.0, lambda a, b: over_cap(b))
+        assert resolve_depth(depth, lo) == DEPTH_HARD_CAP
+        assert depth.resolve(np.array([0.0, lo])).tolist() == [2, DEPTH_HARD_CAP]
+        with pytest.raises(NumericalError) as scalar:
+            resolve_depth(depth, hi)
+        # the message names the tail of the first node over the cap
+        with pytest.raises(NumericalError) as batch:
+            depth.resolve(np.array([lo, hi, 2.0 * hi]))
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("max_j", [1, 7])
+    def test_fixed_resolve_ignores_norms(self, rng, max_j):
+        norms = np.concatenate([[0.0, 30.0], rng.uniform(0.0, 10.0, 50)])
+        got = TaylorDepth.fixed(max_j).resolve(norms)
+        assert got.dtype == np.int64
+        assert got.tolist() == [resolve_depth(TaylorDepth.fixed(max_j), r) for r in norms]
 
     def test_padded_grid_size(self):
         assert padded_grid_size(8, 2.0) == 34

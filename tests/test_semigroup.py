@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+from epitaxy import semigroup
+from epitaxy.norms import WeightParams, spacetime_norm
 from epitaxy.semigroup import (
     Trajectory,
     duhamel_Iplus,
@@ -225,7 +227,7 @@ class TestOperatorBoundProbe:
         alpha = 0.5
         times = np.linspace(0.0, 4.0, 401)
         traj = single_mode_trajectory(times, lambda t: 0.5 * math.exp(-alpha * t))
-        report = operator_bound_probe(traj, alpha)
+        (report,) = operator_bound_probe(traj, (alpha,))
         expected = (1.0 - math.exp(-(1.0 - alpha) * 4.0)) / (1.0 - alpha)
         assert report.ratio == pytest.approx(expected, rel=1e-3)
         assert report.passed
@@ -237,7 +239,7 @@ class TestOperatorBoundProbe:
         times = np.linspace(0.0, 4.0, 401)
         decay = alpha * 2
         traj = single_mode_trajectory(times, lambda t: 0.5 * math.exp(-decay * t), k=2)
-        report = operator_bound_probe(traj, alpha)
+        (report,) = operator_bound_probe(traj, (alpha,))
         # the piecewise-linear chord overshoots the convex profile by up to
         # (decay*dt)^2/8 relative, which inflates the measured ratio slightly
         slack = (decay * dt) ** 2 / 4.0
@@ -246,14 +248,54 @@ class TestOperatorBoundProbe:
 
     def test_alpha_09_bound_is_ten(self, rng):
         traj = random_probe_trajectory(rng, 1, 8, np.linspace(0.0, 2.0, 201))
-        report = operator_bound_probe(traj, 0.9)
+        (report,) = operator_bound_probe(traj, (0.9,))
         assert report.bound == pytest.approx(10.0)
         assert report.passed
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reports_equal_the_per_alpha_norm_ratios(self, rng, dim):
+        # one Duhamel image and one table per trajectory take the same
+        # floating-point operations as two spacetime norms per alpha
+        alphas = (0.1, 0.5, 0.5, 0.9, 0.1, 0.37)
+        for truncation in (2, 5):
+            traj = random_probe_trajectory(rng, dim, truncation, np.linspace(0.0, 2.0, 201))
+            image = duhamel_Iplus(traj)
+            reports = operator_bound_probe(traj, alphas)
+            assert len(reports) == len(alphas)
+            for alpha, report in zip(alphas, reports):
+                ratio = spacetime_norm(image, WeightParams(alpha, 2)) / spacetime_norm(
+                    traj, WeightParams(alpha, 0)
+                )
+                assert report.ratio == ratio  # bit for bit
+                assert report.bound == 1.0 / (1.0 - alpha)
+                assert report.passed == (ratio <= report.bound * (1.0 + 1e-6))
+
+    def test_one_duhamel_image_per_trajectory(self, rng, monkeypatch):
+        calls = []
+
+        def counted(traj):
+            calls.append(traj)
+            return duhamel_Iplus(traj)
+
+        monkeypatch.setattr(semigroup, "duhamel_Iplus", counted)
+        traj = random_probe_trajectory(rng, 2, 4, np.linspace(0.0, 1.0, 51))
+        assert len(operator_bound_probe(traj, (0.1, 0.5, 0.9))) == 3
+        assert calls == [traj]
+
+    @pytest.mark.parametrize("alphas", [(0.5, 1.5), (0.5, 0.0), (math.nan,), ()])
+    def test_alphas_checked_before_any_work(self, rng, monkeypatch, alphas):
+        def unused(traj):
+            pytest.fail("the Duhamel image was built before the alphas were checked")
+
+        monkeypatch.setattr(semigroup, "duhamel_Iplus", unused)
+        traj = random_probe_trajectory(rng, 1, 4, np.linspace(0.0, 1.0, 11))
+        with pytest.raises(ValueError, match="alpha"):
+            operator_bound_probe(traj, alphas)
 
     def test_zero_trajectory_rejected(self):
         traj = linear_trajectory(FourierField.zero(1, 3), np.linspace(0, 1, 5))
         with pytest.raises(ValueError, match="nonzero"):
-            operator_bound_probe(traj, 0.5)
+            operator_bound_probe(traj, (0.1, 0.5))
 
     def test_randomized_suite(self, rng):
         times = np.linspace(0.0, 2.0, 201)
@@ -261,5 +303,4 @@ class TestOperatorBoundProbe:
             dim = 1 if i % 2 == 0 else 2
             truncation = int(rng.integers(2, 9))
             traj = random_probe_trajectory(rng, dim, truncation, times)
-            for alpha in (0.1, 0.5, 0.9):
-                assert operator_bound_probe(traj, alpha).passed
+            assert all(report.passed for report in operator_bound_probe(traj, (0.1, 0.5, 0.9)))

@@ -217,3 +217,37 @@ def test_artifact_gate_compares_two_solves(tmp_path, monkeypatch, capsys):
     tables.write_bytes(bytes(raw))
     passed, lines = gate["compare_outputs"](parent, change)
     assert not passed and "FAIL solve/picard_trajectory.npy: bytes differ" in lines
+
+
+def test_artifact_gate_compares_two_probes(tmp_path, monkeypatch, capsys):
+    # two tiny in-process probe runs under the same relative output path:
+    # the table is byte-identical, and a one-ulp change of a ratio is a
+    # difference within the gate's tolerance
+    gate = runpy.run_path(str(ROOT / "tools" / "artifact_gate.py"))
+    config = {
+        "schema_version": 1,
+        "seed": 42,
+        "mode_options": {"trajectories": 4, "max_truncation": 4, "t_final": 0.2, "dt": 0.01},
+        "output_dir": "out/probe",
+    }
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+        monkeypatch.chdir(tmp_path / tree)
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["probe-operator", "--config", "config.json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    parent, change = tmp_path / "parent" / "out", tmp_path / "change" / "out"
+    passed, lines = gate["compare_outputs"](parent, change)
+    assert passed, lines
+    assert "ok   probe/operator_probe.csv: byte-identical" in lines
+    assert len(lines) == 3 and all("byte-identical" in line for line in lines)
+
+    table = change / "probe" / "operator_probe.csv"
+    text = table.read_text(encoding="utf-8")
+    header, row = text.splitlines()[1:3]
+    ratio = row.split(",")[header.split(",").index("ratio")]
+    bumped = repr(float(np.nextafter(float(ratio), np.inf)))
+    table.write_text(text.replace(f",{ratio},", f",{bumped},", 1), encoding="utf-8")
+    passed, lines = gate["compare_outputs"](parent, change)
+    report = "\n".join(lines)
+    assert passed and re.search(r"probe/operator_probe\.csv: numbers within \S+e-16", report)
