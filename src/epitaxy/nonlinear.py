@@ -50,9 +50,14 @@ DEPTH_HARD_CAP = 64
 _EXP_ARG_LIMIT = 700.0
 
 #: A batched series sum works on at most this many padded grid points at a
-#: time (8 MiB per real float64 grid array); longer trajectories are summed
-#: in chunks.
-_BATCH_GRID_POINTS = 1 << 20
+#: time; longer trajectories are summed in chunks.  At 512 KiB per real
+#: float64 grid array, a chunk's grid arrays and spectra fit in a 2 MiB
+#: per-core L2 cache through the Horner sweep and the transforms, instead of
+#: streaming through memory once per pass.  On a 2-core Xeon, a 2-D sum of
+#: 101 nodes at N = 16 took 11-16 ms, against 18-23 ms at 1 << 20 (1 << 15
+#: and 1 << 17 were alike).  Each node's sum depends on that node only, so
+#: the chunking leaves every value unchanged.
+_BATCH_GRID_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,7 @@ def _series_batch(half: np.ndarray, depths: np.ndarray, m: int):
         )
     del y  # the analysis's spectra take its place
     half, zero_modes = analyze_half(acc, truncation)
+    del acc  # and the scaled sum takes the samples' place
     series = half / m**dim  # a new array: in 1-D, half and zero_modes view one spectrum
     hermitian_k0_line(series)
     return series, zero_modes / m**dim

@@ -195,7 +195,8 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
     weights are evaluated once per distinct step size (a uniform grid built
     by ``linspace`` has only a few, differing in the last bits), and every
     interval's local term is formed in one array operation; only the
-    accumulation runs node by node.
+    accumulation runs node by node, over row views taken in turn, with the
+    decay rows cast to complex once rather than at every node.
     """
     grids = mode_grids(traj.dim, traj.truncation, half=True)
     stacked = traj.coeffs
@@ -209,7 +210,9 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
     which = np.searchsorted(distinct, steps)
     z = distinct.reshape((-1,) + (1,) * traj.dim) * grids.k4
     wa, wb = exp_moment_weights(z)
-    decay = np.exp(-z)
+    # cast once, not at every node: numpy multiplies a real row into a complex
+    # one by the same complex loop, so the products keep their bits
+    decay_rows = list(np.exp(-z).astype(complex))
     # acc[i + 1] starts as interval i's local term and then absorbs the
     # decayed acc[i]; the products are formed in place to bound temporaries
     acc = np.empty_like(stacked)
@@ -217,8 +220,11 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
     np.multiply(stacked[1:], wb[which], out=acc[1:])
     acc[1:] += stacked[:-1] * wa[which]
     acc[1:] *= steps.reshape((-1,) + (1,) * traj.dim)
-    for i, w in enumerate(which):
-        acc[i + 1] += decay[w] * acc[i]
+    rows = iter(acc)  # one view at a time, no list of every row
+    prev = next(rows)
+    for row, w in zip(rows, which.tolist()):
+        row += decay_rows[w] * prev
+        prev = row
     acc *= -grids.ksq
     acc[0] = 0.0
     acc[(slice(None),) + (traj.truncation,) * (traj.dim - 1) + (0,)] = 0.0

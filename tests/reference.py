@@ -6,14 +6,18 @@ series term F_j on the padded grid, the series route to the right-hand
 side and the scalar loop that resolves one node's series depth.  The
 exponential route's single-field form, ``rhs_exponential``, stays in the
 package.  ``duhamel_map`` is one application of the fixed-point map,
-which ``solve_picard`` iterates on plain arrays.
+which ``solve_picard`` iterates on plain arrays.  ``duhamel_scan`` is the
+Duhamel operator with its node-by-node scan written as plain indexing, the
+exact (bit for bit) oracle of ``duhamel_Iplus``.
 """
 
 import math
 
+import numpy as np
+
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, padded_grid_size, taylor_sum
-from epitaxy.semigroup import Trajectory, duhamel_Iplus, linear_trajectory
+from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
 from epitaxy.spectral import FourierField, analyze, mode_grids, synthesize
 
 
@@ -70,3 +74,25 @@ def duhamel_map(h0, h, depth, padding_factor=2.0):
     series, _means = taylor_sum(h, depth, padding_factor)
     linear = linear_trajectory(h0, h.times).coeffs
     return Trajectory(h.times, linear + duhamel_Iplus(series).coeffs)
+
+
+def duhamel_scan(traj):
+    """``duhamel_Iplus(traj).coeffs`` with the scan indexed by node: the same operations."""
+    grids = mode_grids(traj.dim, traj.truncation, half=True)
+    stacked = traj.coeffs
+    steps = np.diff(traj.times)
+    distinct, which = np.unique(steps, return_inverse=True)
+    z = distinct.reshape((-1,) + (1,) * traj.dim) * grids.k4
+    wa, wb = exp_moment_weights(z)
+    decay = np.exp(-z)
+    acc = np.empty_like(stacked)
+    acc[0] = 0.0
+    np.multiply(stacked[1:], wb[which], out=acc[1:])
+    acc[1:] += stacked[:-1] * wa[which]
+    acc[1:] *= steps.reshape((-1,) + (1,) * traj.dim)
+    for i, w in enumerate(which):
+        acc[i + 1] += decay[w] * acc[i]
+    acc *= -grids.ksq
+    acc[0] = 0.0
+    acc[(slice(None),) + (traj.truncation,) * (traj.dim - 1) + (0,)] = 0.0
+    return acc

@@ -26,7 +26,7 @@ from epitaxy.spectral import FourierField, mode_grids
 from epitaxy.stepper import SolverConfig, solve_timestep, step
 
 from conftest import random_field_with_norm, trajectory_of
-from reference import resolve_depth, taylor_term
+from reference import duhamel_scan, resolve_depth, taylor_term
 
 RTOL = 1e-13
 TRUNCATION = {1: 8, 2: 3}
@@ -71,14 +71,17 @@ def test_series_sum_matches_per_node_terms(rng, dim, thinned):
         assert means[i] == pytest.approx(sum(mean for _, mean in terms), rel=RTOL)
 
 
-def test_series_sum_chunks_agree_with_one_batch(rng, monkeypatch):
-    traj = random_trajectory(rng, 1, time_grid(rng, False))
+@pytest.mark.parametrize("dim", (1, 2))
+def test_series_sum_chunks_agree_with_one_batch(rng, monkeypatch, dim):
+    traj = random_trajectory(rng, dim, time_grid(rng, False))
+    m = nonlinear.padded_grid_size(TRUNCATION[dim], 2.0)
+    assert traj.times.size <= nonlinear.series_chunk_nodes(dim, m)  # one batch
     whole, whole_means = taylor_sum(traj, TaylorDepth.adaptive())
-    m = nonlinear.padded_grid_size(TRUNCATION[1], 2.0)
-    monkeypatch.setattr(nonlinear, "_BATCH_GRID_POINTS", 3 * m)  # chunks of 3 nodes
+    monkeypatch.setattr(nonlinear, "_BATCH_GRID_POINTS", 3 * m**dim)  # chunks of 3 nodes
+    assert traj.times.size % 3  # and a ragged last one
     chunked, chunked_means = taylor_sum(traj, TaylorDepth.adaptive())
-    np.testing.assert_array_equal(chunked.coeffs, whole.coeffs)
-    np.testing.assert_array_equal(chunked_means, whole_means)
+    assert np.array_equal(chunked.coeffs.view(np.uint64), whole.coeffs.view(np.uint64))
+    assert np.array_equal(chunked_means.view(np.uint64), whole_means.view(np.uint64))
 
 
 def test_series_sum_peak_memory_is_bounded_in_grid_arrays():
@@ -134,6 +137,29 @@ def test_duhamel_matches_per_mode_recurrence(rng, dim, thinned):
     assert np.all(got[0] == 0.0)
     for i in range(1, traj.times.size):
         assert_close(got[i], ref[i])
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_duhamel_scan_is_bit_identical_to_indexed_scan(rng, dim):
+    # several step sizes, and half the modes held at exact zeros of both
+    # signs and subnormals, whose products round to zeros: the sign of such a
+    # zero depends on how decay * acc[i] is formed (scaling the real and
+    # imaginary parts by the real decay instead differs in the bits here)
+    times = np.concatenate([[0.0], np.cumsum(np.tile([0.01, 0.004, 0.0125], 30))])
+    assert np.unique(np.diff(times)).size >= 3
+    coeffs = random_trajectory(rng, dim, times).coeffs.copy()
+    pool = np.concatenate([[0.0, -0.0] * 100, np.arange(-200, 201) * 5e-324])
+    tiny = rng.choice(pool, coeffs.shape) + 1j * rng.choice(pool, coeffs.shape)
+    modes = rng.random(coeffs.shape[1:]) < 0.5
+    coeffs[:, modes] = tiny[:, modes]
+    coeffs[5] = tiny[5] * 0.0  # a whole node of signed zeros
+    coeffs[..., 0] = 0.0  # a real k_last = 0 line stays Hermitian
+    traj = Trajectory(times, coeffs)
+    got = duhamel_Iplus(traj).coeffs
+    ref = duhamel_scan(traj)
+    parts = ref.view(float)
+    assert np.signbit(parts[parts == 0.0]).any()  # the image holds -0.0 too
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("dim,thinned", GRIDS)

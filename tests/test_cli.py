@@ -15,6 +15,7 @@ import pytest
 from conftest import load_trajectory, save_trajectory
 from epitaxy import cli
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from epitaxy.nonlinear import series_chunk_nodes
 from epitaxy.norms import wiener_norm
 from epitaxy.semigroup import Trajectory, linear_trajectory
 from epitaxy.spectral import FourierField
@@ -668,12 +669,15 @@ class TestMemoryGuard:
         cli.check_memory(SolverConfig(truncation=8, dt=0.01, t_final=0.5), dim=1)
 
     def test_padded_grids_are_counted(self, tmp_path, capsys, monkeypatch):
-        # 11 nodes of a 2-D box at N = 16 and padding 4: the series sum's grids
-        # of 132^2 points each outweigh the coefficient arrays, and a Picard
-        # solve peaked at 21 trajectory sizes under tracemalloc.  The estimate
-        # of 8 trajectories that ignored the padding let it through
+        # 11 nodes of a 2-D box at N = 16 and padding 4: the series sum works on
+        # chunks of 132^2-point grids, and a Picard solve peaked at 6.54
+        # trajectory sizes under tracemalloc.  With room for 6, an estimate of
+        # the coefficient arrays alone would let it through; the grids refuse it
         trajectory = 11 * 33**2 * 16
-        pages = {"SC_PHYS_PAGES": 8 * trajectory, "SC_PAGE_SIZE": 1}
+        grids = cli.SERIES_GRID_ARRAYS * series_chunk_nodes(2, 132) * 132**2
+        live = max(cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES)
+        pages = {"SC_PHYS_PAGES": 6 * trajectory, "SC_PAGE_SIZE": 1}
+        assert live * trajectory <= pages["SC_PHYS_PAGES"] < live * trajectory + grids * 8
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         cfg = write_config(
             tmp_path / "run.json",
@@ -682,9 +686,9 @@ class TestMemoryGuard:
         )
         code, status = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == EXIT_VALIDATION
-        assert "11 time nodes" in status["error"]["message"]
-        assert f"plus {cli.SERIES_GRID_ARRAYS * 11 * 132**2} padded-grid points" in (
-            status["error"]["message"]
+        assert (
+            f"11 time nodes ({live} trajectories of 1089 modes plus {grids} padded-grid points)"
+            in status["error"]["message"]
         )
         assert not (tmp_path / "out" / "certificate.json").exists()
 

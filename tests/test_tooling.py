@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import epitaxy
-from epitaxy import cli
+from epitaxy import cli, nonlinear
 from epitaxy.presets import random_decay
 from epitaxy.semigroup import linear_trajectory
 from epitaxy.stepper import SolverConfig
@@ -84,6 +84,12 @@ def test_readme_memory_estimate_matches_guard():
     assert int(found["N"]) == max(cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES)
     assert int(found["·max_truncation"]) == cli.PROBE_LIVE_TRAJECTORIES
     assert int(found["·truncation"]) == cli.READ_LIVE_TRAJECTORIES
+    # and the series sum's term: "plus <k> real grid arrays", each of one
+    # chunk of "⌊2^<e> / M^dim⌋" nodes
+    grids = re.findall(r"plus (\d+) real grid arrays", text)
+    assert [int(k) for k in grids] == [cli.SERIES_GRID_ARRAYS], f"README grid arrays: {grids}"
+    exponents = re.findall(r"⌊2\^(\d+) / M\^dim⌋", text)
+    assert [2 ** int(e) for e in exponents] == [nonlinear._BATCH_GRID_POINTS], exponents
 
 
 def _readme_sketch() -> str:
