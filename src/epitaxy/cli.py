@@ -38,7 +38,7 @@ from .nonlinear import TaylorDepth, padded_grid_size, series_chunk_nodes
 from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
 from .semigroup import Trajectory, operator_bound_probe, random_probe_trajectory
-from .spectral import FourierField, as_int, box_header, embed, full_box
+from .spectral import FourierField, as_int, box_header, embed
 from .stepper import SolverConfig, solve_timestep
 
 MODES = ("solve", "certify", "probe-operator", "sweep", "compare", "radius")
@@ -310,11 +310,12 @@ SERIES_GRID_ARRAYS = 3
 WRITE_LIVE_TRAJECTORIES = 4
 
 # Coefficient arrays alive while ``compare`` reads two trajectory files
-# (``radius`` reads one, and builds one node's whole box at a time): the other
+# (``radius`` reads one, and holds a field view of each node): the other
 # trajectory, the file's bytes, the table array, the half boxes
 # ``place_modes`` fills and the check's temporaries.  The ``compare`` peak was
 # 2.58 and 2.54 at N = 16, 3.50 and 2.76 at N = 2, and 5.18, 5.54 and 3.01 at
-# N = 1; the ``radius`` peak was at most 2.51.
+# N = 1; the ``radius`` peak was 1.11 and 0.78 at N = 16, 3.42 and 1.21 at
+# N = 2, and 5.36, 5.36 and 2.35 at N = 1, where a node's view outweighs its box.
 READ_LIVE_TRAJECTORIES = 6
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
@@ -659,24 +660,26 @@ def _run_radius(spec: RunSpec, out: Path) -> dict:
     opts = spec.mode_options
     if "trajectory" not in opts:
         raise ValidationError("radius needs mode_options.trajectory")
-    traj = _load_trajectory(opts, "trajectory")
     where = "mode_options."
-    alpha = spec.alpha
+    alpha, key = spec.alpha, "alpha"
     if alpha is None:
-        alpha = _option(opts, "alpha", None, _float_or_none, where)
+        alpha, key = _option(opts, "alpha", None, _float_or_none, where), f"{where}alpha"
     if alpha is None:
         raise ValidationError("radius needs an alpha (flag, config or mode_options)")
+    if not 0.0 < alpha < 1.0:  # also refuses nan, which radius_fit.json could not hold
+        raise ValidationError(f"{key} must lie strictly in (0, 1), got {alpha}")
     floor = _option(opts, "floor", 1e-12, _float, where)
+    if not 0.0 < floor < math.inf:
+        raise ValidationError(f"{where}floor must be a finite real > 0, got {floor}")
+    traj = _load_trajectory(opts, "trajectory")
     window = _list_option(opts, "fit_window", [0.5, float(traj.times[-1])], _float, where)
     if len(window) != 2:
         raise ValidationError(f"mode_options.fit_window must be [t_lo, t_hi], got {window}")
     t_lo, t_hi = window
     rows = []
     fit_points = []
-    for i, t in enumerate(traj.times):
-        # one whole box at a time: ``traj.fields`` would hold every node's
-        whole = full_box(traj.coeffs[i : i + 1])[0]
-        field = FourierField._trusted(traj.dim, traj.truncation, whole)
+    for t, field in zip(traj.times, traj.fields):
+        # the floor is valid, so a refused fit is a node with under 3 shells above it
         try:
             fit = analyticity_radius(field, floor)
         except ValueError:

@@ -37,7 +37,6 @@ from .semigroup import Trajectory
 from .spectral import (
     FourierField,
     analyze_half,
-    full_box,
     hermitian_k0_line,
     mode_grids,
     synthesize_half,
@@ -64,7 +63,7 @@ _BATCH_GRID_POINTS = 1 << 16
 class TaylorDepth:
     """Series depth: a fixed highest term, or adaptive with a tail tolerance.
 
-    ``fixed(1)`` is the linear-only sentinel: the j >= 2 sum is empty, which
+    ``max_j=1`` is the linear-only sentinel: the j >= 2 sum is empty, which
     switches the nonlinearity off entirely (used by the time stepper to test
     exact linear integration).
     """
@@ -81,10 +80,6 @@ class TaylorDepth:
             object.__setattr__(self, "max_j", int(self.max_j))
         if self.tail_tol is not None and not (0.0 < self.tail_tol < math.inf):
             raise ValueError(f"tail_tol must be a positive real, got {self.tail_tol}")
-
-    @classmethod
-    def fixed(cls, max_j: int) -> "TaylorDepth":
-        return cls(max_j=max_j)
 
     @classmethod
     def adaptive(cls, tail_tol: float = 1e-12) -> "TaylorDepth":
@@ -142,7 +137,7 @@ def _series_batch(half: np.ndarray, depths: np.ndarray, m: int):
     its own depth-J_i polynomial.
     """
     dim, truncation = half.ndim - 1, half.shape[-1] - 1
-    y = synthesize_half(mode_grids(dim, truncation, half=True).ksq * half, m)
+    y = synthesize_half(mode_grids(dim, truncation).ksq * half, m)
     column = depths.reshape((-1,) + (1,) * dim)
     acc = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,7 +197,7 @@ class _ExponentialRoute:
     def __init__(self, dim: int, truncation: int, padding_factor: float):
         self.m = padded_grid_size(truncation, padding_factor)
         self.truncation = truncation
-        ksq = mode_grids(dim, truncation, half=True).ksq
+        ksq = mode_grids(dim, truncation).ksq
         self.to_grid = ksq
         self.from_grid = -ksq / self.m**dim
 
@@ -227,6 +222,7 @@ def exponential_route(dim: int, truncation: int, padding_factor: float) -> _Expo
 
 def rhs_exponential(field: FourierField, padding_factor: float = 2.0) -> FourierField:
     """lap(exp(-lap h)) via the pointwise exponential on a padded grid."""
-    n = field.truncation
-    route = exponential_route(field.dim, n, float(padding_factor))
-    return FourierField(field.dim, n, full_box(route(field.coeffs[None, ..., n:]))[0])
+    route = exponential_route(field.dim, field.truncation, float(padding_factor))
+    out = route(field.coeffs[None])
+    hermitian_k0_line(out)
+    return FourierField(field.dim, field.truncation, out[0])

@@ -56,16 +56,14 @@ class WeightParams:
 def wiener_norm(h, j: int = 0):
     """sum_k |k|^j |coeff(k)|; j = 2 equals the Wiener norm of the Laplacian.
 
-    ``h`` is a FourierField (the result is a float) or a Trajectory (the
-    result is an array with one norm per node, summed over its half boxes).
+    ``h`` is a FourierField (the result is a numpy float) or a Trajectory (an
+    array with one norm per node).  The sum runs over the half box, where each
+    k_last > 0 entry stands for its conjugate partner too.
     """
     if j < 0:
         raise ValueError(f"j must be nonnegative, got {j}")
-    field = isinstance(h, FourierField)
-    grids = mode_grids(h.dim, h.truncation, half=not field)
-    box_axes = tuple(range(-h.dim, 0))
-    norms = np.sum(grids.pairs * grids.kmag**j * np.abs(h.coeffs), axis=box_axes)
-    return float(norms) if field else norms
+    grids = mode_grids(h.dim, h.truncation)
+    return np.sum(grids.pairs * grids.kmag**j * np.abs(h.coeffs), axis=tuple(range(-h.dim, 0)))
 
 
 def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
@@ -92,7 +90,7 @@ def _weighted_sup(logamp: np.ndarray, times: np.ndarray, params: WeightParams) -
     every alpha.
     """
     dim = logamp.ndim - 1
-    grids = mode_grids(dim, logamp.shape[-1] - 1, half=True)
+    grids = mode_grids(dim, logamp.shape[-1] - 1)
     times = times.reshape((-1,) + (1,) * dim)
     weighted = params.alpha * times * grids.kmag + logamp
     peak = weighted.max(axis=0)
@@ -127,13 +125,15 @@ def analyticity_radius(field: FourierField, floor: float = 1e-13) -> RadiusFit:
     """Estimate the analyticity radius from the decay of the coefficients.
 
     Modes are grouped into shells of equal |k| (equal integer |k|^2), each
-    shell represented by its largest amplitude; shells below ``floor`` are
-    dropped.  The slope of -log(amplitude) against |k| over the surviving
-    shells is the radius estimate; the fit R^2 is reported alongside because
-    truncation noise can corrupt the smallest coefficients.
+    shell represented by its largest amplitude; shells below ``floor``, a
+    finite real > 0, are dropped.  The half box holds every shell, and its
+    maxima are those of the whole box, since |conj z| == |z|.  The slope of
+    -log(amplitude) against |k| over the surviving shells is the radius
+    estimate; the fit R^2 is reported alongside because truncation noise can
+    corrupt the smallest coefficients.
     """
-    if floor <= 0:
-        raise ValueError(f"floor must be positive, got {floor}")
+    if not 0.0 < floor < math.inf:
+        raise ValueError(f"floor must be a finite real > 0, got {floor}")
     grids = mode_grids(field.dim, field.truncation)
     ksq_int = np.rint(grids.ksq).astype(np.int64).ravel()
     amps = np.abs(field.coeffs).ravel()
@@ -215,7 +215,7 @@ def certify(h0: FourierField, alpha: float | None = None) -> Certificate:
     speed; data at or past the threshold gets alpha = 0.5 purely to fill in
     the report (such certificates always fail).
     """
-    r0 = wiener_norm(h0, 2)
+    r0 = float(wiener_norm(h0, 2))
     below_threshold = r0 < SMALLNESS_THRESHOLD
     if alpha is None:
         alpha = max_alpha(r0) / 2.0 if below_threshold else 0.5

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .norms import wiener_norm
-from .spectral import FourierField, mode_grids
+from .spectral import FourierField
 
 
 def _check_amplitude(amplitude: float) -> None:
@@ -59,8 +58,10 @@ def random_decay(
 ) -> FourierField:
     """Random phases under an exp(-decay |k|) envelope, rescaled to ``amplitude``.
 
-    The draw is deterministic in ``seed``; the rescaling fixes the j = 2 norm
-    exactly, so certificates on this preset are reproducible.  The default
+    The draw is deterministic in ``seed``, and the rescaling fixes the j = 2
+    norm summed over the whole box (the half-box sum of ``wiener_norm`` may
+    differ in the last bits), so certificates on this preset are
+    reproducible.  The default
     envelope rate keeps high-mode content small enough that the transient
     layer it excites stays resolved at the default time steps; the rate must
     be a finite real >= 0.
@@ -68,17 +69,22 @@ def random_decay(
     _check_amplitude(amplitude)
     if not 0.0 <= decay < math.inf:
         raise ValueError(f"decay must be a finite real >= 0, got {decay}")
+    # the draw, its symmetrization and the normalizing sum run over a local
+    # whole (2N+1)^dim box, as the preset was first defined, so a seed's data
+    # keep their bits; the field holds the k_last >= 0 half
     rng = np.random.default_rng(seed)
     n = 2 * truncation + 1
     shape = (n,) * dim
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    grids = mode_grids(dim, truncation)
-    raw *= np.exp(-decay * grids.kmag)
+    axis = np.arange(-truncation, truncation + 1, dtype=float)
+    ksq = axis**2 if dim == 1 else axis[:, None] ** 2 + axis**2
+    kmag = np.sqrt(ksq)
+    raw *= np.exp(-decay * kmag)
     sl = tuple(slice(None, None, -1) for _ in range(dim))
     coeffs = 0.5 * (raw + np.conj(raw[sl]))
     coeffs[(truncation,) * dim] = 0.0
-    field = FourierField(dim, truncation, coeffs)
-    norm = wiener_norm(field, 2)
+    field = FourierField(dim, truncation, coeffs[..., truncation:])
+    norm = float(np.sum(kmag**2 * np.abs(coeffs)))
     if norm == 0.0:
         raise ValueError("degenerate random draw produced the zero field")
     scale = amplitude / norm

@@ -40,7 +40,6 @@ from .spectral import (
     box_header,
     check_half,
     coeffs_from_packed,
-    full_box,
     hermitian_k0_line,
     mode_grids,
     packed_modes,
@@ -100,11 +99,9 @@ class Trajectory:
 
     @cached_property
     def fields(self) -> tuple[FourierField, ...]:
-        """One FourierField per node, over the read-only whole boxes of ``coeffs``."""
+        """One FourierField per node, a view of its read-only half box in ``coeffs``."""
         dim, truncation = self.dim, self.truncation
-        boxes = full_box(self.coeffs)
-        boxes.flags.writeable = False
-        return tuple(FourierField._trusted(dim, truncation, c) for c in boxes)
+        return tuple(FourierField._trusted(dim, truncation, c) for c in self.coeffs)
 
     def to_json_dict(self) -> dict:
         """JSON form with an array: {"dim", "truncation", "times", "modes", "tables"}.
@@ -137,9 +134,9 @@ class Trajectory:
 def linear_trajectory(h0: FourierField, times) -> Trajectory:
     """Trajectory whose node i holds the linear flow of ``h0`` at times[i]."""
     times = np.ascontiguousarray(times, dtype=float)
-    k4 = mode_grids(h0.dim, h0.truncation, half=True).k4
+    k4 = mode_grids(h0.dim, h0.truncation).k4
     column = times.reshape((-1,) + (1,) * h0.dim)
-    return Trajectory(times, h0.coeffs[..., h0.truncation:] * np.exp(-k4 * column))
+    return Trajectory(times, h0.coeffs * np.exp(-k4 * column))
 
 
 # -- exponential moments of a linear function ---------------------------------
@@ -198,7 +195,7 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
     accumulation runs node by node, over row views taken in turn, with the
     decay rows cast to complex once rather than at every node.
     """
-    grids = mode_grids(traj.dim, traj.truncation, half=True)
+    grids = mode_grids(traj.dim, traj.truncation)
     stacked = traj.coeffs
     steps = np.diff(traj.times)
     # distinct step sizes, sorted, and each interval's index among them

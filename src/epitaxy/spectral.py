@@ -1,9 +1,7 @@
-"""Lattice bookkeeping, the coefficient box and its transforms on the torus.
+"""Lattice bookkeeping, the coefficient half box and its transforms on the torus.
 
-Real mean-zero fields on T^n (n in {1, 2}) are stored as truncated Fourier
-coefficient boxes: all modes k with max-norm |k_i| <= N are retained, in an
-array indexed so that position ``i`` along each axis holds wavenumber
-``i - N``.  The coefficient convention is
+Real mean-zero fields on T^n (n in {1, 2}) are truncated Fourier series over
+the modes k with max-norm |k_i| <= N.  The coefficient convention is
 
     coeff(k) = (2*pi)^(-n) * integral of h(x) exp(-i k.x) dx,
 
@@ -12,21 +10,23 @@ Realness of the represented function is the Hermitian symmetry
 coeff(-k) == conj(coeff(k)); the zero mode is identically zero (the mean is
 conserved by the evolution and is factored out of every representation).
 
-The physical-space side is a uniform M^n grid over [0, 2*pi)^n; synthesis
-and analysis are exact inverses of each other whenever M >= 2N + 1.
-
 Because the fields are real, only the half box k_last >= 0, shape
 (2N+1,)*(dim-1) + (N+1,), carries information (the r2c half spectrum of
-Frigo & Johnson, Proc. IEEE 93, 2005).  Trajectories, files and solvers hold
-half boxes, checked by ``check_half``; ``full_box`` rebuilds a whole box
-only for a single ``FourierField``.  The transforms are the real-FFT pair on
-batches of half boxes.  A half box fills only N+1 of the M//2+1 real-FFT
-columns, so in 2-D the complex pass along the first grid axis covers just
-those columns (the rest are all zeros on the way in and unread on the way
-out); the bytes are those of ``irfftn``/``rfftn`` on the whole spectrum.
-The |k|-power arrays that every multiplier is built from come from
-``mode_grids``.  ``synthesize`` and ``analyze`` are the single-field forms of
-the pair, for ``multiply``.
+Frigo & Johnson, Proc. IEEE 93, 2005), and it is the one layout: a
+``FourierField``, a trajectory's nodes, the files and the solvers all hold
+half boxes, checked by ``check_half``.  Index i is k = i - N along a leading
+axis and k_last = i along the last; on the k_last = 0 line -k is in the half
+box too, and ``hermitian_k0_line`` makes it exact.
+
+The physical-space side is a uniform M^n grid over [0, 2*pi)^n; synthesis
+and analysis are exact inverses of each other whenever M >= 2N + 1.  The
+transforms are the real-FFT pair on batches of half boxes.  A half box fills
+only N+1 of the M//2+1 real-FFT columns, so in 2-D the complex pass along
+the first grid axis covers just those columns (the rest are all zeros on the
+way in and unread on the way out); the bytes are those of
+``irfftn``/``rfftn`` on the whole spectrum.  The |k|-power arrays that every
+multiplier is built from come from ``mode_grids``.  ``synthesize`` and
+``analyze`` are the single-field forms of the pair, for ``multiply``.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ def _as_components(k) -> tuple[int, ...]:
 
 
 class _ModeGrids:
-    """Cached |k|-power arrays over the (2N+1)^dim box or its half box, and
-    ``pairs``, the modes an entry stands for: 2 in a half box off k_last = 0, else 1."""
+    """Cached |k|-power arrays over the half box, and ``pairs``, the modes an
+    entry stands for: 2 off the k_last = 0 line, else 1."""
 
     __slots__ = ("ksq", "kmag", "k4", "pairs")
 
-    def __init__(self, dim, truncation, half):
+    def __init__(self, dim, truncation):
         axis = np.arange(-truncation, truncation + 1, dtype=float)
-        last = axis[truncation:] if half else axis
+        last = axis[truncation:]
         if dim == 1:
             ksq = last**2
         else:
@@ -63,15 +63,15 @@ class _ModeGrids:
         self.ksq = ksq
         self.kmag = np.sqrt(ksq)
         self.k4 = ksq**2
-        self.pairs = np.broadcast_to(np.where(last == 0, 1.0, 2.0) if half else 1.0, ksq.shape)
+        self.pairs = np.broadcast_to(np.where(last == 0, 1.0, 2.0), ksq.shape)
         for a in (self.ksq, self.kmag, self.k4):
             a.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
-def mode_grids(dim: int, truncation: int, half: bool = False) -> _ModeGrids:
-    """Arrays of |k|^2, |k| and |k|^4 laid out like the coefficient box, or its half box."""
-    return _ModeGrids(dim, truncation, half)
+def mode_grids(dim: int, truncation: int) -> _ModeGrids:
+    """Arrays of |k|^2, |k| and |k|^4 laid out like the half box."""
+    return _ModeGrids(dim, truncation)
 
 
 def _flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -79,14 +79,12 @@ def _flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return coeffs[(Ellipsis,) + (slice(None, None, -1),) * dim]
 
 
-def check_half(half: np.ndarray, whole: np.ndarray | None = None) -> None:
+def check_half(half: np.ndarray) -> None:
     """Raise ValueError unless every half box in ``half`` is that of a real mean-zero field.
 
     ``half`` is a ``(nodes,) + (2N+1,)*(dim-1) + (N+1,)`` batch.  Each half box
-    must be finite, have a vanishing zero mode, and be Hermitian to
-    HERMITIAN_RTOL relative to max(1, its largest amplitude): its k_last = 0
-    line, or, given the ``whole`` box of a one-box batch, all of ``whole``
-    against ``full_box(half)``.
+    must be finite, have a vanishing zero mode, and have a k_last = 0 line
+    Hermitian to HERMITIAN_RTOL relative to max(1, its largest amplitude).
     """
     dim = half.ndim - 1
     if dim not in (1, 2) or half.shape[-1] < 2 or (
@@ -103,11 +101,8 @@ def check_half(half: np.ndarray, whole: np.ndarray | None = None) -> None:
     if np.any(zero_mode != 0):
         bad = zero_mode[np.flatnonzero(zero_mode)[0]]
         raise ValueError(f"zero mode must vanish (mean-zero reduction), got {bad}")
-    if whole is None:
-        line = half[..., 0]
-        asym = np.max(np.abs(np.conj(_flip(line, dim - 1)) - line), axis=tuple(range(1, dim)))
-    else:
-        asym = np.max(np.abs(full_box(half)[0] - whole))
+    line = half[..., 0]
+    asym = np.max(np.abs(np.conj(_flip(line, dim - 1)) - line), axis=tuple(range(1, dim)))
     scale = np.maximum(1.0, np.max(np.abs(half), axis=tuple(range(1, dim + 1))))
     if np.any(asym > HERMITIAN_RTOL * scale):
         raise ValueError(
@@ -194,10 +189,10 @@ def box_header(data: dict) -> tuple[int, int]:
 
 
 def coeffs_from_entries(dim: int, truncation: int, entries) -> np.ndarray:
-    """One whole box from the ``[k..., re, im]`` entries of ``FourierField.to_json_dict``.
+    """One half box from the ``[k..., re, im]`` entries of ``FourierField.to_json_dict``.
 
-    Hermitian partners may be omitted; ``place_modes`` places each mode and
-    rejects inconsistent partners, and ``full_box`` restores the rest.
+    Hermitian partners may be omitted; ``place_modes`` places each mode,
+    rejects inconsistent partners and completes the k_last = 0 line.
     """
     width = dim + 2
     bad = next((entry for entry in entries if len(entry) != width), None)
@@ -205,7 +200,7 @@ def coeffs_from_entries(dim: int, truncation: int, entries) -> np.ndarray:
         raise ValueError(f"coefficient entry {bad} has wrong length for dim={dim}")
     table = np.array(entries, dtype=float).reshape(-1, width)
     values = table[:, dim] + 1j * table[:, dim + 1]
-    return full_box(place_modes(dim, truncation, table[:, :dim], values[None]))[0]
+    return place_modes(dim, truncation, table[:, :dim], values[None])[0]
 
 
 def coeffs_from_packed(dim: int, truncation: int, nodes: int, modes, tables) -> np.ndarray:
@@ -272,9 +267,10 @@ class FourierField:
 
     Attributes:
         dim: spatial dimension, 1 or 2
-        truncation: box radius N; modes with max-norm |k_i| <= N are stored
-        coeffs: complex array of shape (2N+1,)*dim, index i -> k_i = i - N;
-            immutable after construction
+        truncation: box radius N; modes with max-norm |k_i| <= N are kept
+        coeffs: complex k_last >= 0 half box, shape (2N+1,)*(dim-1) + (N+1,),
+            index i -> k = i - N along a leading axis and k_last = i along the
+            last; coeff(-k) is conj(coeff(k)); immutable after construction
     """
 
     dim: int
@@ -288,19 +284,17 @@ class FourierField:
             raise ValueError(f"truncation must be a positive integer, got {self.truncation}")
         truncation = int(self.truncation)
         coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
-        expected = (2 * truncation + 1,) * self.dim
+        expected = (2 * truncation + 1,) * (self.dim - 1) + (truncation + 1,)
         if coeffs.shape != expected:
             raise ValueError(f"coefficient array has shape {coeffs.shape}, expected {expected}")
-        check_half(coeffs[None, ..., truncation:], coeffs)
+        check_half(coeffs[None])
         coeffs.flags.writeable = False
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "coeffs", coeffs)
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def _trusted(cls, dim: int, truncation: int, coeffs: np.ndarray) -> "FourierField":
-        """A field over a read-only box that its owner has already validated.
+        """A field over a read-only half box that its owner has already validated.
 
         Skips every check: for node views of a validated trajectory only.
         """
@@ -309,11 +303,6 @@ class FourierField:
         object.__setattr__(field, "truncation", truncation)
         object.__setattr__(field, "coeffs", coeffs)
         return field
-
-    @classmethod
-    def zero(cls, dim: int, truncation: int) -> "FourierField":
-        n = 2 * truncation + 1
-        return cls(dim, truncation, np.zeros((n,) * dim, dtype=complex))
 
     @classmethod
     def from_modes(cls, dim: int, truncation: int, modes) -> "FourierField":
@@ -330,51 +319,7 @@ class FourierField:
                 raise ValueError(f"mode {comps} has wrong dimension for dim={dim}")
             explicit[comps] = complex(a)
         half = place_modes(dim, truncation, list(explicit), [list(explicit.values())])
-        return cls(dim, truncation, full_box(half)[0])
-
-    # -- access ------------------------------------------------------------
-
-    def coeff(self, k) -> complex:
-        """Coefficient at mode ``k``, an int (1-d) or a tuple of ``dim`` ints."""
-        comps = _as_components(k)
-        if len(comps) != self.dim:
-            raise ValueError(f"mode {comps} has wrong dimension for dim={self.dim}")
-        if any(abs(c) > self.truncation for c in comps):
-            raise ValueError(f"mode {comps} outside truncation {self.truncation}")
-        return complex(self.coeffs[tuple(c + self.truncation for c in comps)])
-
-    def nonzero_modes(self):
-        """(components, amplitude) pairs for nonzero modes, lexicographic order."""
-        idx = np.argwhere(self.coeffs != 0)
-        out = []
-        for pos in idx:
-            comps = tuple(int(p) - self.truncation for p in pos)
-            out.append((comps, complex(self.coeffs[tuple(pos)])))
-        out.sort(key=lambda item: item[0])
-        return out
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    # -- arithmetic (pure; results are new fields) --------------------------
-
-    def _check_compatible(self, other: "FourierField"):
-        if self.dim != other.dim or self.truncation != other.truncation:
-            raise ValueError(
-                f"incompatible fields: dim/truncation ({self.dim},{self.truncation}) "
-                f"vs ({other.dim},{other.truncation})"
-            )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return FourierField(self.dim, self.truncation, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return FourierField(self.dim, self.truncation, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return FourierField(self.dim, self.truncation, -self.coeffs)
+        return cls(dim, truncation, half[0])
 
     def __mul__(self, scalar):
         s = float(scalar)
@@ -382,15 +327,13 @@ class FourierField:
 
     __rmul__ = __mul__
 
-    # -- serialization -------------------------------------------------------
-
     def to_json_dict(self) -> dict:
         """JSON form: {"dim", "truncation", "coeffs": [[k..., re, im], ...]}.
 
         ``coeffs`` lists the written modes of ``packed_modes``: one mode of each
         Hermitian pair, if nonzero, in lexicographic order.
         """
-        modes, tables = packed_modes(self.coeffs[None, ..., self.truncation:])
+        modes, tables = packed_modes(self.coeffs[None])
         re, im = tables[:, 0].tolist()
         entries = [k + [a, b] for k, a, b in zip(modes, re, im)]
         return {"dim": self.dim, "truncation": self.truncation, "coeffs": entries}
@@ -440,22 +383,6 @@ def hermitian_k0_line(half: np.ndarray) -> None:
     line[(slice(None),) + (truncation,) * (line.ndim - 1)] = 0.0
 
 
-def full_box(half: np.ndarray) -> np.ndarray:
-    """The ``(nodes,) + box`` batch whose k_last >= 0 half is ``half``.
-
-    Every other coefficient is written as conj(coeff(-k)) of the half box
-    (see ``hermitian_k0_line`` for the k_last = 0 line), so each box is
-    exactly Hermitian with a vanishing zero mode.
-    """
-    dim = half.ndim - 1
-    truncation = half.shape[-1] - 1
-    out = np.empty(half.shape[:-1] + (2 * truncation + 1,), dtype=complex)
-    out[..., truncation:] = half
-    hermitian_k0_line(out[..., truncation:])
-    out[..., :truncation] = np.conj(_flip(out, dim)[..., :truncation])
-    return out
-
-
 def synthesize_half(half: np.ndarray, m: int) -> np.ndarray:
     """sum_k coeff(k) exp(i k.x) on the M^dim grid for every half box of a batch.
 
@@ -494,7 +421,7 @@ def analyze_half(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.n
 def synthesize(field: FourierField, m: int) -> np.ndarray:
     """Real samples of sum_k coeff(k) exp(i k.x) on the M^dim grid, M >= 2N+1."""
     _check_resolution(m, field.truncation)
-    return synthesize_half(field.coeffs[None, ..., field.truncation:], m)[0]
+    return synthesize_half(field.coeffs[None], m)[0]
 
 
 def analyze(samples: np.ndarray, truncation: int) -> tuple[FourierField, float]:
@@ -503,7 +430,9 @@ def analyze(samples: np.ndarray, truncation: int) -> tuple[FourierField, float]:
     _check_resolution(m, truncation)
     half, zero_modes = analyze_half(samples[None], truncation)
     scale = m**dim
-    return FourierField(dim, truncation, full_box(half / scale)[0]), float(zero_modes[0] / scale)
+    coeffs = half / scale
+    hermitian_k0_line(coeffs)
+    return FourierField(dim, truncation, coeffs[0]), float(zero_modes[0] / scale)
 
 
 def embed(field: FourierField, truncation: int) -> FourierField:
@@ -515,10 +444,9 @@ def embed(field: FourierField, truncation: int) -> FourierField:
         )
     if n == field.truncation:
         return field
-    size = 2 * n + 1
-    coeffs = np.zeros((size,) * field.dim, dtype=complex)
+    coeffs = np.zeros((2 * n + 1,) * (field.dim - 1) + (n + 1,), dtype=complex)
     lo, hi = n - field.truncation, n + field.truncation + 1
-    coeffs[(slice(lo, hi),) * field.dim] = field.coeffs
+    coeffs[(slice(lo, hi),) * (field.dim - 1) + (slice(field.truncation + 1),)] = field.coeffs
     return FourierField(field.dim, n, coeffs)
 
 

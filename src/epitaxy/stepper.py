@@ -15,8 +15,7 @@ One kernel per (dim, N, padding), built once, is shared by
 half box k_last >= 0 of the real field, through the half-box exponential
 route of ``nonlinear``, with |k|^4 on the half box fixed and the decay
 weights built once per distinct step size of a march.  The recorded half
-boxes are the trajectory, which validates them; only ``step`` rebuilds a
-whole box, for the field it returns.
+boxes are the trajectory, which validates them.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .nonlinear import TaylorDepth, exponential_route
 from .semigroup import Trajectory
-from .spectral import FourierField, full_box, hermitian_k0_line, mode_grids
+from .spectral import FourierField, hermitian_k0_line, mode_grids
 
 def default_dt(truncation: int) -> float:
     """Accuracy-driven default step; stability is handled by the integrating factor."""
@@ -90,16 +89,15 @@ class _Kernel:
     line of the new state exactly Hermitian with a zero mode of 0.
     """
 
-    __slots__ = ("truncation", "route", "k4")
+    __slots__ = ("route", "k4")
 
     def __init__(self, dim: int, truncation: int, padding: float):
-        self.truncation = truncation
         self.route = exponential_route(dim, truncation, padding)
-        self.k4 = mode_grids(dim, truncation, half=True).k4
+        self.k4 = mode_grids(dim, truncation).k4
 
     def start(self, coeffs: np.ndarray) -> np.ndarray:
-        """The half-box state of one full coefficient box."""
-        state = coeffs[None, ..., self.truncation:].copy()
+        """The state of one field's half box, with its k_last = 0 line made exact."""
+        state = coeffs[None].copy()
         hermitian_k0_line(state)
         return state
 
@@ -148,7 +146,7 @@ def step(field: FourierField, dt: float, config: SolverConfig) -> FourierField:
     new = kernel.advance(
         kernel.start(field.coeffs), dt, kernel.weights(dt), config.taylor.max_j == 1
     )
-    return FourierField(field.dim, field.truncation, full_box(new)[0])
+    return FourierField(field.dim, field.truncation, new[0])
 
 
 def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:

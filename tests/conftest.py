@@ -8,18 +8,20 @@ import pytest
 
 from epitaxy.norms import wiener_norm
 from epitaxy.semigroup import Trajectory
-from epitaxy.spectral import FourierField, mode_grids
+from epitaxy.spectral import FourierField
+
+from reference import whole_ksq
 
 
 def random_field(rng, dim=1, truncation=8, decay=1.0, scale=1.0):
-    """Random Hermitian mean-zero field under an exponential envelope."""
+    """Random Hermitian mean-zero field under an exponential envelope, drawn on the whole box."""
     n = 2 * truncation + 1
     raw = rng.standard_normal((n,) * dim) + 1j * rng.standard_normal((n,) * dim)
-    raw *= np.exp(-decay * mode_grids(dim, truncation).kmag)
+    raw *= np.exp(-decay * np.sqrt(whole_ksq(dim, truncation)))
     sl = tuple(slice(None, None, -1) for _ in range(dim))
     coeffs = 0.5 * (raw + np.conj(raw[sl])) * scale
     coeffs[(truncation,) * dim] = 0.0
-    return FourierField(dim, truncation, coeffs)
+    return FourierField(dim, truncation, coeffs[..., truncation:])
 
 
 def random_field_with_norm(rng, target, j=2, dim=1, truncation=8, decay=1.0):
@@ -32,7 +34,7 @@ def random_field_with_norm(rng, target, j=2, dim=1, truncation=8, decay=1.0):
 
 def trajectory_of(times, fields):
     """The trajectory whose node i holds ``fields[i]``, by its k_last >= 0 half box."""
-    return Trajectory(times, np.array([f.coeffs[..., f.truncation:] for f in fields]))
+    return Trajectory(times, np.array([f.coeffs for f in fields]))
 
 
 def save_trajectory(path, data):

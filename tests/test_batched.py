@@ -4,8 +4,8 @@ Trajectories hold one coefficient array, and the series sum, the Duhamel
 operator, the spacetime norm and the stepper act on it as a whole.  Each is
 checked here against the node-by-node (or mode-by-mode) definition it
 replaces, on uniform and thinned time grids in 1-D and 2-D.  Trajectories
-hold k_last >= 0 half boxes; the references work on whole boxes, through
-``Trajectory.fields``.  The stepper is checked against full-box stages built
+hold k_last >= 0 half boxes; the references work on whole boxes, rebuilt by
+``reference.full_box``.  The stepper is checked against full-box stages built
 through a complex FFT pair written here.
 """
 
@@ -26,7 +26,15 @@ from epitaxy.spectral import FourierField, mode_grids
 from epitaxy.stepper import SolverConfig, solve_timestep, step
 
 from conftest import random_field_with_norm, trajectory_of
-from reference import duhamel_scan, resolve_depth, taylor_term
+from reference import (
+    coeff,
+    duhamel_scan,
+    full_box,
+    nonzero_modes,
+    resolve_depth,
+    taylor_term,
+    whole_ksq,
+)
 
 RTOL = 1e-13
 TRUNCATION = {1: 8, 2: 3}
@@ -108,12 +116,12 @@ def test_series_overflow_is_a_numerical_error():
     big = FourierField.from_modes(1, 8, {(1,): 1e10})  # y^40 / 40! overflows
     traj = trajectory_of([0.0, 0.1], (big, big))
     with pytest.raises(NumericalError, match="overflow"):
-        taylor_sum(traj, TaylorDepth.fixed(40))
+        taylor_sum(traj, TaylorDepth(max_j=40))
 
 
 def reference_duhamel(traj):
     """The Duhamel recurrence mode by mode, one scalar interval integral at a time."""
-    grids = mode_grids(traj.dim, traj.truncation, half=True)
+    grids = mode_grids(traj.dim, traj.truncation)
     out = np.zeros_like(traj.coeffs)
     for mode in np.ndindex(grids.k4.shape):
         lam = float(grids.k4[mode])
@@ -166,13 +174,14 @@ def test_duhamel_scan_is_bit_identical_to_indexed_scan(rng, dim):
 def test_spacetime_norm_matches_direct_sum(rng, dim, thinned):
     # the definition sums over every mode of the whole boxes
     traj = random_trajectory(rng, dim, time_grid(rng, thinned, t_final=2.0))
-    kmag = mode_grids(dim, traj.truncation).kmag
+    kmag = np.sqrt(whole_ksq(dim, traj.truncation))
+    boxes = full_box(traj.coeffs)
     for alpha, j in ((0.0, 0), (0.3, 2), (0.9, 1)):
         ref = 0.0
         for mode in np.ndindex(kmag.shape):
             peak = max(
-                math.exp(alpha * t * kmag[mode]) * abs(field.coeffs[mode])
-                for field, t in zip(traj.fields, traj.times)
+                math.exp(alpha * t * kmag[mode]) * abs(box[mode])
+                for box, t in zip(boxes, traj.times)
             )
             ref += kmag[mode] ** j * peak
         assert spacetime_norm(traj, WeightParams(alpha, j)) == pytest.approx(ref, rel=RTOL)
@@ -181,19 +190,24 @@ def test_spacetime_norm_matches_direct_sum(rng, dim, thinned):
 def reference_remainder(coeffs, padding=2.0):
     """rhs(h) + lap^2 h on a full box, through a full complex FFT pair on the padded grid."""
     dim, truncation = coeffs.ndim, (coeffs.shape[0] - 1) // 2
-    grids = mode_grids(dim, truncation)
+    ksq = whole_ksq(dim, truncation)
     m = math.ceil(padding * (2 * truncation + 1))
     box = np.ix_(*(np.arange(-truncation, truncation + 1) % m,) * dim)
     spectrum = np.zeros((m,) * dim, dtype=complex)
-    spectrum[box] = -grids.ksq * coeffs
+    spectrum[box] = -ksq * coeffs
     lap = (np.fft.ifftn(spectrum) * m**dim).real
     exp_coeffs = np.fft.fftn(np.exp(-lap))[box] / m**dim
-    return -grids.ksq * exp_coeffs + grids.k4 * coeffs
+    return -ksq * exp_coeffs + ksq**2 * coeffs
+
+
+def whole(field):
+    """The whole box of a field."""
+    return full_box(field.coeffs[None])[0]
 
 
 def reference_step(coeffs, dt):
     """One IF-RK4 step on the full box, every stage through ``reference_remainder``."""
-    k4 = mode_grids(coeffs.ndim, (coeffs.shape[0] - 1) // 2).k4
+    k4 = whole_ksq(coeffs.ndim, (coeffs.shape[0] - 1) // 2) ** 2
     half = np.exp(-k4 * (dt / 2.0))
     full = half * half
     a = coeffs
@@ -207,9 +221,9 @@ def reference_step(coeffs, dt):
 def test_reference_remainder_is_the_exponential_route(rng):
     for dim in (1, 2):
         h = random_field_with_norm(rng, 0.3, dim=dim, truncation=TRUNCATION[dim])
-        ref = reference_remainder(h.coeffs)
+        ref = reference_remainder(whole(h))
         k4 = mode_grids(dim, h.truncation).k4
-        assert_close(rhs_exponential(h).coeffs + k4 * h.coeffs, ref)
+        assert_close(rhs_exponential(h).coeffs + k4 * h.coeffs, ref[..., h.truncation :])
 
 
 @pytest.mark.parametrize("dim,thinned", GRIDS)
@@ -218,11 +232,11 @@ def test_step_matches_per_stage_reference(rng, dim, thinned):
     truncation = TRUNCATION[dim]
     config = SolverConfig(truncation=truncation, dt=0.05 / 40, t_final=0.05)
     state = random_field_with_norm(rng, 0.3, dim=dim, truncation=truncation)
-    ref = state.coeffs
+    ref = whole(state)
     for dt in np.diff(times):
         state = step(state, dt, config)
         ref = reference_step(ref, dt)
-        assert_close(state.coeffs, ref)
+        assert_close(state.coeffs, ref[..., truncation:])
 
 
 # the ids keep the IF-RK4 names these tests had when a second scheme existed
@@ -236,10 +250,10 @@ def test_march_matches_reference_chain(rng, dim):
     assert certify(h0).passed
     config = SolverConfig(truncation=truncation, dt=0.004, t_final=0.1)
     traj = solve_timestep(h0, config)
-    ref = h0.coeffs
+    ref = whole(h0)
     for i, dt in enumerate(np.diff(traj.times)):
         ref = reference_step(ref, dt)
-        assert_close(traj.fields[i + 1].coeffs, ref)
+        assert_close(traj.fields[i + 1].coeffs, ref[..., truncation:])
     # every node: zero mode exactly 0 and k_last = 0 line Hermitian bit for bit
     assert_exact_k0_line(traj.coeffs)
 
@@ -311,7 +325,7 @@ def test_json_nodes_keep_the_field_format(rng):
         listed = [k + [a, b] for k, a, b in zip(data["modes"], re, im) if a or b]
         expected = [
             list(k) + [a.real, a.imag]
-            for k, a in field.nonzero_modes()
+            for k, a in nonzero_modes(field)
             if k[1] > 0 or (k[1] == 0 and k[0] > 0)
         ]
         assert listed == expected
@@ -325,7 +339,7 @@ def test_json_reader_fills_partners_and_rejects_clashes():
         return {"dim": 1, "truncation": 2, "times": [0.0, 0.1], "modes": modes, "tables": tables}
 
     traj = Trajectory.from_json_dict(data([[1]], [0.25], [-0.5]))
-    assert traj.fields[1].coeff(-1) == 0.25 + 0.5j
+    assert coeff(traj.fields[1], -1) == 0.25 + 0.5j
     with pytest.raises(ValueError, match="conjugate"):
         Trajectory.from_json_dict(data([[-1], [1]], [0.5, 0.25], [0.0, 0.0]))
     with pytest.raises(ValueError, match="outside"):
@@ -339,7 +353,7 @@ def test_json_reader_fills_partners_and_rejects_clashes():
 def test_array_construction_validates_every_node():
     # a half box can break Hermitian symmetry only on its k_last = 0 line,
     # where -k is stored too
-    good = FourierField.from_modes(2, 2, {(1, 0): 0.5, (1, 1): 0.25}).coeffs[..., 2:]
+    good = FourierField.from_modes(2, 2, {(1, 0): 0.5, (1, 1): 0.25}).coeffs
     bad = good.copy()
     bad[3, 0] = 0.7  # k = (1, 0) without its partner (-1, 0)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -357,16 +371,16 @@ def test_array_construction_validates_every_node():
         traj.coeffs[0, 3, 0] = 1.0  # read-only
     with pytest.raises(ValueError):
         traj.fields[1].coeffs[3, 2] = 1.0  # the node views are read-only too
-    assert traj.fields[1].coeff((1, 0)) == 0.5
-    assert traj.fields[1].coeff((-1, -1)) == 0.25
+    assert coeff(traj.fields[1], (1, 0)) == 0.5
+    assert coeff(traj.fields[1], (-1, -1)) == 0.25
 
 
 def test_a_whole_1d_box_is_not_taken_for_a_half_box():
     # a 1-D box of N has the shape of a half box of 2N, and its first entry,
     # c(-N), sits where that half box keeps its zero mode
-    field = FourierField.from_modes(1, 4, {(4,): 0.5, (1,): 0.25})
+    box = whole(FourierField.from_modes(1, 4, {(4,): 0.5, (1,): 0.25}))
     with pytest.raises(ValueError, match="zero mode"):
-        Trajectory([0.0, 0.1], np.stack([field.coeffs, field.coeffs]))
+        Trajectory([0.0, 0.1], np.stack([box, box]))
 
 
 def assert_exact_k0_line(half):
@@ -406,8 +420,8 @@ def test_half_box_norms_match_whole_box_sums(rng, dim):
     # line holds both of each pair
     truncation = TRUNCATION[dim]
     traj = random_trajectory(rng, dim, time_grid(rng, True, t_final=1.0))
-    boxes = np.array([field.coeffs for field in traj.fields])
-    kmag = mode_grids(dim, truncation).kmag
+    boxes = full_box(traj.coeffs)
+    kmag = np.sqrt(whole_ksq(dim, truncation))
     box = tuple(range(1, dim + 1))
     for j in (0, 1, 2):
         ref = np.sum(kmag**j * np.abs(boxes), axis=box)

@@ -602,6 +602,30 @@ class TestRadiusMode:
         assert code == EXIT_VALIDATION
         assert "alpha" in status["error"]["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1.5"])
+    def test_alpha_flag_outside_unit_interval_refused(self, tmp_path, capsys, value):
+        # nan and inf exited 0, with NaN or Infinity in the status line and radius_fit.json
+        save_trajectory(tmp_path / "t.json", small_trajectory())
+        cfg = write_config(
+            tmp_path / "run.json", mode_options={"trajectory": str(tmp_path / "t.json")}
+        )
+        code, status = run_cli(capsys, "radius", "--config", str(cfg), "--alpha", value)
+        assert code == EXIT_VALIDATION
+        assert "alpha must lie strictly in (0, 1)" in status["error"]["message"]
+        assert not (tmp_path / "out" / "radius_fit.json").exists()
+
+    def test_nodes_with_too_few_shells_are_skipped(self, tmp_path, capsys):
+        # 0.1 cos(x) has one shell at every node: each node is skipped, and
+        # the refusal is the empty fit window, not the floor
+        save_trajectory(tmp_path / "t.json", small_trajectory())
+        cfg = write_config(
+            tmp_path / "run.json",
+            mode_options={"trajectory": str(tmp_path / "t.json"), "alpha": 0.5},
+        )
+        code, status = run_cli(capsys, "radius", "--config", str(cfg))
+        assert code == EXIT_VALIDATION
+        assert "contains 0 usable nodes" in status["error"]["message"]
+
     def test_scalar_coeffs_is_validation_error(self, tmp_path, capsys):
         path = write_scalar_trajectory(tmp_path / "t.json")
         cfg = write_config(
@@ -807,6 +831,17 @@ class TestConfigValidation:
         "sweep-amplitudes-scalar": ("sweep", {"mode_options": {"amplitudes": 5}}, "amplitudes"),
         "radius-window-short": ("radius", {"mode_options": {"fit_window": [0.1]}}, "fit_window"),
         "radius-window-scalar": ("radius", {"mode_options": {"fit_window": 3}}, "fit_window"),
+        # NaN and Infinity in radius_fit.json are not JSON
+        "radius-alpha-nan": ("radius", {"mode_options": {"alpha": math.nan}}, "mode_options.alpha"),
+        "radius-alpha-inf": ("radius", {"mode_options": {"alpha": math.inf}}, "mode_options.alpha"),
+        "radius-alpha-above-one": (
+            "radius", {"mode_options": {"alpha": 1.5}}, "mode_options.alpha"
+        ),
+        "radius-config-alpha-zero": ("radius", {"alpha": 0.0, "mode_options": {}}, "alpha"),
+        # a bad floor was swallowed at every node, then reported as 0 usable nodes
+        "radius-floor-negative": ("radius", {"mode_options": {"floor": -1}}, "mode_options.floor"),
+        "radius-floor-nan": ("radius", {"mode_options": {"floor": math.nan}}, "mode_options.floor"),
+        "radius-floor-inf": ("radius", {"mode_options": {"floor": math.inf}}, "mode_options.floor"),
         "initial-data-list": ("certify", {"initial_data": [1, 2]}, "initial_data"),
         "mode-options-list": ("certify", {"mode_options": [1]}, "mode_options"),
         "taylor-scalar": ("certify", {"solver": {"truncation": 8, "taylor": 5}}, "taylor"),
@@ -866,7 +901,7 @@ class TestConfigValidation:
             )
             save_trajectory(tmp_path / "t.json", traj)
             extra = {"trajectory": str(tmp_path / "t.json"), "alpha": 0.5}
-            overrides = {"mode_options": {**extra, **overrides["mode_options"]}}
+            overrides = {**overrides, "mode_options": {**extra, **overrides["mode_options"]}}
         cfg = write_config(tmp_path / "run.json", **overrides)
         code, status = run_cli(capsys, mode, "--config", str(cfg))
         assert code == EXIT_VALIDATION

@@ -15,10 +15,12 @@ from epitaxy.norms import (
     spacetime_norm,
     wiener_norm,
 )
+from epitaxy.presets import random_decay
 from epitaxy.semigroup import linear_trajectory
 from epitaxy.spectral import FourierField, multiply
 
 from conftest import random_field, random_field_with_norm, trajectory_of
+from reference import random_decay_whole, zero
 
 
 def cosine(truncation=4, amplitude=1.0, k=1):
@@ -210,7 +212,7 @@ class TestCertify:
         assert not cert.passed
 
     def test_zero_data_passes_any_alpha(self):
-        h0 = FourierField.zero(1, 4)
+        h0 = zero(1, 4)
         for alpha in (0.1, 0.5, 0.9):
             cert = certify(h0, alpha=alpha)
             assert cert.passed
@@ -225,7 +227,7 @@ class TestCertify:
         # redundant exponential condition e^{2 r0} < 2 - alpha whenever pass
         for _ in range(50):
             target = float(rng.uniform(0.0, 0.249))
-            h0 = random_field_with_norm(rng, target) if target > 0 else FourierField.zero(1, 8)
+            h0 = random_field_with_norm(rng, target) if target > 0 else zero(1, 8)
             cert = certify(h0)
             if cert.passed:
                 assert math.exp(2.0 * cert.r0) < 2.0 - cert.alpha
@@ -242,3 +244,22 @@ class TestCertify:
         data = cert.to_json_dict()
         assert data["smallness_threshold"] == SMALLNESS_THRESHOLD
         assert Certificate.from_json_dict(data) == cert
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_r0_is_the_first_node_norm_bit_for_bit(self, dim):
+        # one smallness number: the certificate and Picard's first node sum
+        # the same half box with the same pair weights
+        h0 = random_decay(16, seed=7, amplitude=0.2, dim=dim)
+        node = wiener_norm(linear_trajectory(h0, [0.0]), 2)[0]
+        assert certify(h0).r0 == node
+        assert type(certify(h0).r0) is float
+
+
+class TestRandomDecay:
+    @pytest.mark.parametrize("amplitude", [0.2, 0.249, 3.0])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_half_box_is_the_whole_draw_sliced(self, dim, seed, amplitude):
+        field = random_decay(16, seed=seed, amplitude=amplitude, dim=dim)
+        whole = random_decay_whole(16, seed=seed, amplitude=amplitude, dim=dim)
+        assert field.coeffs.tobytes() == whole[..., 16:].tobytes()

@@ -13,7 +13,6 @@ from epitaxy.spectral import (
     analyze_half,
     check_half,
     embed,
-    full_box,
     hermitian_k0_line,
     mode_grids,
     multiply,
@@ -22,6 +21,7 @@ from epitaxy.spectral import (
 )
 
 from conftest import random_field
+from reference import add, coeff, full_box, max_abs, zero
 
 
 def laplacian(field):
@@ -38,23 +38,27 @@ def bilaplacian_neg(field):
 
 class TestFourierFieldInvariants:
     def test_zero_mode_must_vanish(self):
-        coeffs = np.zeros(5, dtype=complex)
-        coeffs[2] = 1.0
+        coeffs = np.zeros(3, dtype=complex)
+        coeffs[0] = 1.0
         with pytest.raises(ValueError, match="zero mode"):
             FourierField(1, 2, coeffs)
 
     def test_hermitian_symmetry_enforced(self):
-        coeffs = np.zeros(5, dtype=complex)
-        coeffs[3] = 1.0  # k = +1 without its partner
+        # only the k_last = 0 line holds both k and -k of a half box
+        coeffs = np.zeros((5, 3), dtype=complex)
+        coeffs[3, 0] = 1.0  # k = (1, 0) without its partner (-1, 0)
         with pytest.raises(ValueError, match="Hermitian"):
-            FourierField(1, 2, coeffs)
+            FourierField(2, 2, coeffs)
 
     def test_non_finite_rejected(self):
-        coeffs = np.zeros(5, dtype=complex)
-        coeffs[3] = np.inf
+        coeffs = np.zeros(3, dtype=complex)
         coeffs[1] = np.inf
         with pytest.raises(ValueError, match="finite"):
             FourierField(1, 2, coeffs)
+
+    def test_whole_box_refused(self):
+        with pytest.raises(ValueError, match=r"shape \(5,\), expected \(3,\)"):
+            FourierField(1, 2, np.zeros(5, dtype=complex))
 
     def test_coeffs_are_immutable(self):
         f = FourierField.from_modes(1, 2, {(1,): 0.5})
@@ -63,8 +67,8 @@ class TestFourierFieldInvariants:
 
     def test_from_modes_fills_partner(self):
         f = FourierField.from_modes(1, 4, {(2,): 0.25 + 0.5j})
-        assert f.coeff(2) == 0.25 + 0.5j
-        assert f.coeff(-2) == 0.25 - 0.5j
+        assert coeff(f, 2) == 0.25 + 0.5j
+        assert coeff(f, -2) == 0.25 - 0.5j
 
     def test_from_modes_rejects_inconsistent_partner(self):
         with pytest.raises(ValueError, match="conjugate"):
@@ -84,7 +88,7 @@ class TestFourierFieldInvariants:
 
 class TestSynthesize:
     def test_zero_field_gives_zero_samples(self):
-        f = FourierField.zero(1, 3)
+        f = zero(1, 3)
         assert np.all(synthesize(f, 8) == 0.0)
 
     def test_cosine_two_mode_synthesis(self):
@@ -112,13 +116,13 @@ class TestAnalyze:
         x = 2.0 * np.pi * np.arange(16) / 16
         field, mean = analyze(np.cos(x), 2)
         assert mean == pytest.approx(0.0, abs=1e-15)
-        assert field.coeff(1) == pytest.approx(0.5, abs=1e-14)
-        assert field.coeff(-1) == pytest.approx(0.5, abs=1e-14)
+        assert coeff(field, 1) == pytest.approx(0.5, abs=1e-14)
+        assert coeff(field, -1) == pytest.approx(0.5, abs=1e-14)
 
     def test_constant_samples_are_pure_mean(self):
         field, mean = analyze(np.full(8, 3.0), 2)
         assert mean == pytest.approx(3.0, abs=1e-14)
-        assert field.max_abs() == pytest.approx(0.0, abs=1e-15)
+        assert max_abs(field) == pytest.approx(0.0, abs=1e-15)
 
     def test_resolution_too_small_refused(self):
         with pytest.raises(ValueError, match="too small"):
@@ -131,29 +135,29 @@ class TestAnalyze:
             back, mean = analyze(synthesize(f, m), truncation)
             assert mean == pytest.approx(0.0, abs=1e-14)
             err = np.max(np.abs(back.coeffs - f.coeffs))
-            assert err <= 1e-12 * max(1.0, f.max_abs())
+            assert err <= 1e-12 * max(1.0, max_abs(f))
 
 
 class TestMultipliers:
     def test_laplacian_of_cosine_is_minus_cosine(self):
         f = FourierField.from_modes(1, 2, {(1,): 0.5})
-        assert laplacian(f).coeff(1) == pytest.approx(-0.5)
+        assert coeff(laplacian(f), 1) == pytest.approx(-0.5)
 
     def test_laplacian_of_zero(self):
-        f = FourierField.zero(2, 3)
-        assert laplacian(f).max_abs() == 0.0
+        f = zero(2, 3)
+        assert max_abs(laplacian(f)) == 0.0
 
     def test_laplacian_diagonal_mode(self):
         f = FourierField.from_modes(2, 2, {(1, 1): 0.25})
-        assert laplacian(f).coeff((1, 1)) == pytest.approx(-0.5)  # |k|^2 = 2
+        assert coeff(laplacian(f), (1, 1)) == pytest.approx(-0.5)  # |k|^2 = 2
 
     def test_bilaplacian_on_cosine(self):
         f = FourierField.from_modes(1, 2, {(1,): 0.5})
-        assert bilaplacian_neg(f).coeff(1) == pytest.approx(-0.5)
+        assert coeff(bilaplacian_neg(f), 1) == pytest.approx(-0.5)
 
     def test_bilaplacian_mode_two(self):
         f = FourierField.from_modes(1, 4, {(2,): 0.5})
-        assert bilaplacian_neg(f).coeff(2) == pytest.approx(-8.0)  # -16 * 0.5
+        assert coeff(bilaplacian_neg(f), 2) == pytest.approx(-8.0)  # -16 * 0.5
 
     def test_laplacian_squared_equals_minus_bilaplacian(self, rng):
         f = random_field(rng, dim=2, truncation=4)
@@ -164,15 +168,15 @@ class TestMultipliers:
     def test_linearity(self, rng):
         f = random_field(rng, truncation=6)
         g = random_field(rng, truncation=6)
-        lhs = laplacian(2.5 * f + (-1.25) * g).coeffs
-        rhs = (2.5 * laplacian(f) + (-1.25) * laplacian(g)).coeffs
+        lhs = laplacian(add(2.5 * f, (-1.25) * g)).coeffs
+        rhs = add(2.5 * laplacian(f), (-1.25) * laplacian(g)).coeffs
         scale = max(np.max(np.abs(lhs)), 1e-30)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
     def test_mean_zero_and_hermitian_preserved(self, rng):
         f = random_field(rng, dim=2, truncation=3)
         for g in (laplacian(f), bilaplacian_neg(f)):
-            assert g.coeff((0, 0)) == 0.0  # constructor re-validates symmetry
+            assert coeff(g, (0, 0)) == 0.0  # constructor re-validates symmetry
 
 
 class TestEmbedAndMultiply:
@@ -181,7 +185,16 @@ class TestEmbedAndMultiply:
         g = embed(f, 6)
         assert g.truncation == 6
         for k in range(-3, 4):
-            assert g.coeff(k) == f.coeff(k)
+            assert coeff(g, k) == coeff(f, k)
+        assert all(coeff(g, k) == 0.0 for k in (-6, -4, 4, 6))
+
+    def test_embed_2d_places_the_half_box(self, rng):
+        f = random_field(rng, dim=2, truncation=2)
+        g = embed(f, 4)
+        assert g.coeffs.shape == (9, 5)
+        expected = np.zeros((9, 9), dtype=complex)
+        expected[2:7, 2:7] = full_box(f.coeffs[None])[0]
+        assert np.array_equal(full_box(g.coeffs[None])[0], expected)
 
     def test_embed_rejects_shrinking(self, rng):
         f = random_field(rng, truncation=4)
@@ -193,7 +206,7 @@ class TestEmbedAndMultiply:
         prod, mean = multiply(f, f)
         # cos^2 = 1/2 + cos(2x)/2
         assert mean == pytest.approx(0.5, abs=1e-14)
-        assert prod.coeff(2) == pytest.approx(0.25, abs=1e-14)
+        assert coeff(prod, 2) == pytest.approx(0.25, abs=1e-14)
         assert prod.truncation == 4
 
     def test_dimension_mismatch_rejected(self):
@@ -213,8 +226,8 @@ class TestSerialization:
     def test_omitted_hermitian_partner_reconstructed(self):
         data = {"dim": 1, "truncation": 3, "coeffs": [[2, 0.25, -0.5]]}
         f = FourierField.from_json_dict(data)
-        assert f.coeff(2) == 0.25 - 0.5j
-        assert f.coeff(-2) == 0.25 + 0.5j
+        assert coeff(f, 2) == 0.25 - 0.5j
+        assert coeff(f, -2) == 0.25 + 0.5j
 
     @pytest.mark.parametrize(
         "key,value", [("dim", 1.9), ("dim", True), ("truncation", 3.5), ("truncation", "3")]
@@ -233,12 +246,13 @@ class TestSerialization:
 def test_synthesis_imag_residue_guard():
     # A box that is not Hermitian never reaches the (real) inverse transform:
     # the field constructor refuses it.
-    f = FourierField.from_modes(1, 2, {(1,): 0.5})
+    # A half box is non-Hermitian only on its k_last = 0 line.
+    f = FourierField.from_modes(2, 2, {(1, 0): 0.5})
     broken = f.coeffs.copy()
-    broken[3] = 0.5 + 1e-3j
-    broken[1] = 0.5 + 1e-3j  # symmetric violation: conj partner should flip sign
+    broken[3, 0] = 0.5 + 1e-3j
+    broken[1, 0] = 0.5 + 1e-3j  # symmetric violation: conj partner should flip sign
     with pytest.raises((ValueError, NumericalError)):
-        synthesize(FourierField(1, 2, broken), 8)
+        synthesize(FourierField(2, 2, broken), 8)
 
 
 # -- the real-FFT pair against a full complex FFT written here -----------------
@@ -279,8 +293,8 @@ def test_padding_one_gives_the_floor_grid():
 
 def half_boxes(rng, dim, truncation, nodes, **kw):
     """The half boxes of ``nodes`` random fields, and their whole boxes."""
-    coeffs = np.stack([random_field(rng, dim, truncation, **kw).coeffs for _ in range(nodes)])
-    return coeffs[..., truncation:], coeffs
+    half = np.stack([random_field(rng, dim, truncation, **kw).coeffs for _ in range(nodes)])
+    return half, full_box(half)
 
 
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)

@@ -2,7 +2,8 @@
 the series route must not exponentiate, every function the benchmark's tracer
 hooks must still exist, the README's memory estimate must be the one the guard
 applies, the README's library sketch must run, every public name in the
-package must be used by it, exported or hooked, and no number of a
+package must be used by it, exported or hooked (every public method used by it
+or hooked), and no number of a
 trajectory's tables may pass through ``json``."""
 
 import ast
@@ -107,7 +108,8 @@ def test_readme_sketch_runs():
 
 def test_public_names_are_used():
     # code that only tests call belongs in tests/, so every public top-level
-    # def or class must be referenced by the package, exported or hooked
+    # def or class must be referenced by the package, exported or hooked, and
+    # every public method referenced by the package or hooked
     missing = [name for name in epitaxy.__all__ if not hasattr(epitaxy, name)]
     assert not missing, f"names in epitaxy.__all__ that do not resolve: {missing}"
     imported = {
@@ -119,25 +121,50 @@ def test_public_names_are_used():
     assert imported, "the library sketch imports nothing from epitaxy"
     assert imported <= set(epitaxy.__all__), f"not exported: {imported - set(epitaxy.__all__)}"
     hooks = runpy.run_path(str(TRACING))["SPAN_HOOKS"]
-    hooked = {(module, path.split(".")[0]) for _name, module, path in hooks}
-    # (identifier, module, top-level definition it appears in) for every name and attribute
+    hooked = {(module, path) for _name, module, path in hooks}
+    hooked |= {(module, path.split(".")[0]) for module, path in hooked}
+    # (identifier, module, definition it appears in) for every name and attribute,
+    # where a method's definition is "Class.method"
     references, defined = set(), []
+
+    def record(tree, module, owner):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                references.add((name, module, owner))
+
     for path in sorted(PACKAGE.glob("*.py")):
         module = f"epitaxy.{path.stem}"
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(statement, "name", None)
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and owner[0] != "_":
                 defined.append((module, owner))
-            for node in ast.walk(statement):
-                if isinstance(node, (ast.Name, ast.Attribute)):
-                    name = node.id if isinstance(node, ast.Name) else node.attr
-                    references.add((name, module, owner))
+            if not isinstance(statement, ast.ClassDef):
+                record(statement, module, owner)
+                continue
+            for node in statement.bases + statement.decorator_list:
+                record(node, module, owner)
+            for item in statement.body:
+                if isinstance(item, ast.FunctionDef):
+                    method = f"{owner}.{item.name}"
+                    if item.name[0] != "_":  # dunders and private helpers are exempt
+                        defined.append((module, method))
+                    record(item, module, method)
+                else:
+                    record(item, module, owner)
+    # a name counts as used when it appears outside its own definition; a
+    # public method (a property too) must be used as such, its class being
+    # exported does not count
     unused = [
         f"{module}.{name}"
         for module, name in defined
         if name not in epitaxy.__all__
         and (module, name) not in hooked
-        and not any(ref[0] == name and ref[1:] != (module, name) for ref in references)
+        and not any(
+            ref[0] == name.split(".")[-1]
+            and (ref[1], ref[2] if "." in name else str(ref[2]).split(".")[0]) != (module, name)
+            for ref in references
+        )
     ]
     assert not unused, f"public names that only tests use; move them to tests/: {unused}"
 
