@@ -225,8 +225,12 @@ def certify(h0: FourierField, alpha: float | None = None) -> Certificate:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     r1 = r0
     s = r0 + r1
-    contraction = math.expm1(s) / (1.0 - alpha)
-    mapping_lhs = (math.expm1(s) - s) / (1.0 - alpha)
+    try:
+        growth = math.expm1(s)
+    except OverflowError:  # e^s is past the float range: the certificate fails
+        growth = math.inf
+    contraction = growth / (1.0 - alpha)
+    mapping_lhs = (growth - s) / (1.0 - alpha)
     passed = (
         below_threshold
         and r0 <= (1.0 - alpha) / (2.0 * (2.0 - alpha))

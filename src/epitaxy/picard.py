@@ -26,7 +26,7 @@ from .exceptions import CertificateError, NumericalError, PicardConvergenceError
 from .nonlinear import taylor_sum
 from .norms import Certificate, WeightParams, spacetime_norm
 from .semigroup import Trajectory, duhamel_Iplus, linear_trajectory
-from .spectral import FourierField
+from .spectral import FourierField, read_only
 from .stepper import SolverConfig
 
 
@@ -108,7 +108,7 @@ def solve_picard(
             f"(last update norm {deltas[-1]:.3e}, tol {config.tol:g})",
             diag,
         )
-    solution = Trajectory(times, current)
+    solution = Trajectory(times, read_only(current))
     if cert.passed and balls[-1] > cert.r1:
         raise NumericalError(
             f"solution left the certificate ball: distance {balls[-1]:.6g} > r1 = "

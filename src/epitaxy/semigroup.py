@@ -43,6 +43,8 @@ from .spectral import (
     hermitian_k0_line,
     mode_grids,
     packed_modes,
+    read_only,
+    sealed,
 )
 
 
@@ -60,10 +62,10 @@ class Trajectory:
 
     def __init__(self, times, coeffs):
         """``coeffs`` holds one half box per time node."""
-        times = np.ascontiguousarray(times, dtype=float)
+        times = sealed(times, float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty 1-d grid")
-        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+        coeffs = sealed(coeffs, complex)
         nodes = coeffs.shape[0] if coeffs.ndim else 0
         if times.size != nodes:
             raise ValueError(f"{times.size} times but {nodes} fields")
@@ -74,19 +76,15 @@ class Trajectory:
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         check_half(coeffs)
-        times.flags.writeable = False
-        coeffs.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def _trusted(cls, times: np.ndarray, coeffs: np.ndarray) -> "Trajectory":
         """Read-only, unchecked: for the series sum, Duhamel image and Picard iterates only."""
-        times.flags.writeable = False
-        coeffs.flags.writeable = False
         traj = object.__new__(cls)
-        object.__setattr__(traj, "times", times)
-        object.__setattr__(traj, "coeffs", coeffs)
+        object.__setattr__(traj, "times", read_only(times))
+        object.__setattr__(traj, "coeffs", read_only(coeffs))
         return traj
 
     @property
@@ -125,7 +123,7 @@ class Trajectory:
         # a string such as "0.5" or a bool is refused, never converted
         if not isinstance(times, list) or not all(type(t) in (int, float) for t in times):
             raise ValueError("times must be a list of JSON numbers")
-        times = np.array(times, dtype=float)
+        times = read_only(np.array(times, dtype=float))
         return cls(
             times, coeffs_from_packed(dim, truncation, times.size, data["modes"], data["tables"])
         )
@@ -136,7 +134,7 @@ def linear_trajectory(h0: FourierField, times) -> Trajectory:
     times = np.ascontiguousarray(times, dtype=float)
     k4 = mode_grids(h0.dim, h0.truncation).k4
     column = times.reshape((-1,) + (1,) * h0.dim)
-    return Trajectory(times, h0.coeffs * np.exp(-k4 * column))
+    return Trajectory(times, read_only(h0.coeffs * np.exp(-k4 * column)))
 
 
 # -- exponential moments of a linear function ---------------------------------
@@ -263,7 +261,7 @@ def random_probe_trajectory(
         idx = tuple(c + truncation for c in comps[:-1]) + (comps[-1],)
         half[(slice(None),) + idx] += amp * profile
     hermitian_k0_line(half)
-    return Trajectory(times, half)
+    return Trajectory(times, read_only(half))
 
 
 @dataclass(frozen=True)

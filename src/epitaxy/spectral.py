@@ -60,12 +60,10 @@ class _ModeGrids:
         else:
             kx, ky = np.meshgrid(axis, last, indexing="ij")
             ksq = kx**2 + ky**2
-        self.ksq = ksq
-        self.kmag = np.sqrt(ksq)
-        self.k4 = ksq**2
+        self.ksq = read_only(ksq)
+        self.kmag = read_only(np.sqrt(ksq))
+        self.k4 = read_only(ksq**2)
         self.pairs = np.broadcast_to(np.where(last == 0, 1.0, 2.0), ksq.shape)
-        for a in (self.ksq, self.kmag, self.k4):
-            a.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -77,6 +75,22 @@ def mode_grids(dim: int, truncation: int) -> _ModeGrids:
 def _flip(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """View with k -> -k over the last ``dim`` axes."""
     return coeffs[(Ellipsis,) + (slice(None, None, -1),) * dim]
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: how the package hands over an array it made."""
+    array.setflags(write=False)  # ``flags.writeable = False`` keeps an allocation alive
+    return array
+
+
+def sealed(values, dtype) -> np.ndarray:
+    """``values`` as a read-only C-contiguous ``dtype`` array that no caller can write:
+    taken as it is if it owns its data and is read-only already (handed over
+    by ``read_only``), else copied (a view of a caller's array, say)."""
+    owned = isinstance(values, np.ndarray) and values.flags.owndata and values.flags.c_contiguous
+    if not owned or values.flags.writeable or values.dtype != dtype:
+        values = read_only(np.array(values, dtype=dtype, order="C"))
+    return values
 
 
 def check_half(half: np.ndarray) -> None:
@@ -158,12 +172,12 @@ def place_modes(dim: int, truncation: int, comps, values) -> np.ndarray:
     written = np.where(flip[:, None], -comps, comps) + ([truncation] * (dim - 1) + [0])
     shape = (n,) * (dim - 1) + (truncation + 1,)
     position = np.ravel_multi_index(tuple(written.T), shape)
-    out = np.zeros((values.shape[0], n ** (dim - 1) * (truncation + 1)), dtype=complex)
-    out[:, position[flip]] = np.conj(values[:, flip])
-    out[:, position[~flip]] = values[:, ~flip]  # of a listed pair, the written mode is kept
-    out = out.reshape((values.shape[0],) + shape)
+    out = np.zeros((values.shape[0],) + shape, dtype=complex)
+    flat = out.reshape(values.shape[0], -1)  # a view: out keeps its own data
+    flat[:, position[flip]] = np.conj(values[:, flip])
+    flat[:, position[~flip]] = values[:, ~flip]  # of a listed pair, the written mode is kept
     hermitian_k0_line(out)
-    return out
+    return read_only(out)  # a Trajectory takes it without a copy
 
 
 def as_int(value) -> int:
@@ -236,8 +250,7 @@ def _written_half(dim: int, truncation: int) -> np.ndarray:
     """
     keep = np.ones((2 * truncation + 1,) * (dim - 1) + (truncation + 1,), dtype=bool)
     keep[(slice(truncation + 1),) * (dim - 1) + (0,)] = False
-    keep.flags.writeable = False
-    return keep
+    return read_only(keep)
 
 
 def packed_modes(half: np.ndarray) -> tuple[list, np.ndarray]:
@@ -283,12 +296,11 @@ class FourierField:
         if not isinstance(self.truncation, (int, np.integer)) or self.truncation < 1:
             raise ValueError(f"truncation must be a positive integer, got {self.truncation}")
         truncation = int(self.truncation)
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
+        coeffs = sealed(self.coeffs, complex)
         expected = (2 * truncation + 1,) * (self.dim - 1) + (truncation + 1,)
         if coeffs.shape != expected:
             raise ValueError(f"coefficient array has shape {coeffs.shape}, expected {expected}")
         check_half(coeffs[None])
-        coeffs.flags.writeable = False
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .nonlinear import TaylorDepth, exponential_route
 from .semigroup import Trajectory
-from .spectral import FourierField, hermitian_k0_line, mode_grids
+from .spectral import FourierField, hermitian_k0_line, mode_grids, read_only
 
 def default_dt(truncation: int) -> float:
     """Accuracy-driven default step; stability is handled by the integrating factor."""
@@ -62,7 +62,8 @@ class SolverConfig:
             object.__setattr__(self, "dt", float(self.dt))
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive real, got {self.dt}")
-        if not (1.0 <= self.padding < math.inf):
+        # the padded grid, ceil(padding * (2N+1)) points a side, must be finite too
+        if not (1.0 <= self.padding and self.padding * (2 * self.truncation + 1) < math.inf):
             raise ValueError(f"padding must be a finite real >= 1, got {self.padding}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be a positive real, got {self.tol}")
@@ -168,4 +169,4 @@ def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
                 f"{err}; last good time t = {float(times[i])!r}"
             ) from err
         states.append(state)
-    return Trajectory(times, np.concatenate(states))
+    return Trajectory(times, read_only(np.concatenate(states)))

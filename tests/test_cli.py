@@ -754,8 +754,10 @@ class TestMemoryGuard:
         [
             ({"dt": 1e-15, "t_final": 2.0}, "2000000000000001 time nodes (3 trajectories"),
             ({"max_truncation": 1e308}, "trajectories of "),  # exact, not an overflow
+            # its table's rows grew without bound, one case after another
+            ({"trajectories": 10**18}, "plus 3000000000000000000 table rows"),
         ],
-        ids=["tiny-dt", "huge-truncation"],
+        ids=["tiny-dt", "huge-truncation", "huge-table"],
     )
     def test_probe_refused_before_allocating(self, tmp_path, capsys, options, reason):
         cfg = write_config(tmp_path / "run.json", mode_options=options)
@@ -819,8 +821,8 @@ class TestConfigValidation:
         assert status["error"]["type"] == "ValidationError"
         assert f"unknown solver key {key!r}" in status["error"]["message"]
 
-    # mode, config entries, and the key the refusal must name; a radius run
-    # also gets a stored trajectory and an alpha in its mode_options
+    # mode, config entries, the key the refusal must name, and any flags; a
+    # radius run also gets a stored trajectory and an alpha in its mode_options
     MALFORMED = {
         "probe-dt-zero": ("probe-operator", {"mode_options": {"dt": 0}}, "dt"),
         "probe-alphas-scalar": ("probe-operator", {"mode_options": {"alphas": 5}}, "alphas"),
@@ -890,11 +892,62 @@ class TestConfigValidation:
             "initial_data.amplitude",
         ),
         "dt-string": ("certify", {"solver": {"truncation": 8, "dt": "0.001"}}, "solver.dt"),
+        # numpy's "expected non-negative integer" came after run.json, naming no key
+        "seed-flag-negative": ("probe-operator", {}, "seed must be", "--seed", "-1"),
+        "seed-negative": ("certify", {"seed": -1}, "seed must be"),
+        # certify's own check raised a bare ValueError
+        "alpha-flag-above-one": ("certify", {}, "alpha must lie", "--alpha", "1.5"),
+        "alpha-above-one": ("certify", {"alpha": 1.5}, "alpha must lie"),
+        # a misspelt or misplaced key was ignored, and its default used
+        "amplitude-misspelt": (
+            "certify",
+            {"initial_data": {"preset": "single-mode", "amplitude": 0.2, "amplitud": 0.3}},
+            "unknown initial_data key 'amplitud'",
+        ),
+        "probe-trajectories-misspelt": (
+            "probe-operator", {"mode_options": {"trajectorie": 2}}, "key 'trajectorie'"
+        ),
+        "certify-options-misspelt": (
+            "certify", {"mode_options": {"trajectorie": 2}}, "key 'trajectorie'"
+        ),
+        "certify-options-out-of-range": (
+            "certify", {"mode_options": {"alphas": [1.5]}}, "mode_options.alphas"
+        ),
+        "seed-misspelt": ("certify", {"seeed": 3}, "unknown top-level key 'seeed'"),
+        "two-mode-k": (
+            "certify", {"initial_data": {"preset": "two-mode", "k": 2}}, "initial_data key 'k'"
+        ),
+        "two-mode-seed": (
+            "certify", {"initial_data": {"preset": "two-mode", "seed": 2}}, "data key 'seed'"
+        ),
+        "preset-beside-path": (
+            "certify",
+            {"initial_data": {"path": "field.json", "preset": "single-mode"}},
+            "initial_data key 'preset'",
+        ),
+        "sweep-solve-misspelt": (
+            "sweep", {"mode_options": {"amplitudes": [0.2], "solv": True}}, "key 'solv'"
+        ),
+        "max-j-misspelt": (
+            "certify", {"solver": {"truncation": 8, "taylor": {"max_jj": 4}}}, "key 'max_jj'"
+        ),
+        # max_j won, and tail_tol was ignored
+        "taylor-both": (
+            "certify",
+            {"solver": {"truncation": 8, "taylor": {"max_j": 4, "tail_tol": 1e-12}}},
+            "exactly one of max_j and tail_tol",
+        ),
+        # an int64 overflow escaped main; a depth of 10**18 never ended
+        "max-j-huge": (
+            "certify", {"solver": {"truncation": 8, "taylor": {"max_j": 1e18}}}, "taylor.max_j"
+        ),
+        # ceil(padding * (2N+1)) overflowed past main in the memory guard
+        "padding-huge": ("solve", {"solver": {"truncation": 8, "padding": 1e308}}, "padding"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_value_is_validation_error(self, tmp_path, capsys, case):
-        mode, overrides, key = self.MALFORMED[case]
+        mode, overrides, key, *flags = self.MALFORMED[case]
         if mode == "radius":
             traj = linear_trajectory(
                 FourierField.from_modes(1, 4, {(1,): 0.1}), np.linspace(0, 1, 5)
@@ -903,10 +956,12 @@ class TestConfigValidation:
             extra = {"trajectory": str(tmp_path / "t.json"), "alpha": 0.5}
             overrides = {**overrides, "mode_options": {**extra, **overrides["mode_options"]}}
         cfg = write_config(tmp_path / "run.json", **overrides)
-        code, status = run_cli(capsys, mode, "--config", str(cfg))
+        code, status = run_cli(capsys, mode, "--config", str(cfg), *flags)
         assert code == EXIT_VALIDATION
         assert status["error"]["type"] == "ValidationError"
         assert key in status["error"]["message"]
+        # only a check that spans keys runs after run.json is written
+        assert (tmp_path / "out" / "run.json").exists() == (case == "radius-window-short")
 
     @pytest.mark.parametrize("decay", [math.inf, -1000.0, math.nan], ids=["inf", "negative", "nan"])
     def test_random_decay_rate_is_checked_before_the_draw(self, tmp_path, capsys, decay):
@@ -967,6 +1022,46 @@ class TestConfigValidation:
         assert code == EXIT_OK, status
         assert status["pass"] is True
 
+    def test_readme_schema_table_lists_the_schema(self):
+        # the README's one table of config keys must hold exactly the keys of
+        # the schema's tables, section by section
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        header = r"\| section \| key \| default \| range \|\n\|.*\|\n"
+        table = re.search(header + r"((?:\|.*\|\n)+)", text)
+        assert table, "README has no table of config keys"
+        presets = [f"initial_data, {form}" for form in cli.INITIAL_DATA if form != "path"]
+        listed = set()
+        for line in table.group(1).splitlines():
+            section, key = (cell.strip().replace("`", "") for cell in line.split("|")[1:3])
+            sections = presets if "every preset" in section else [section]
+            listed |= {(name, key) for name in sections}
+        tables = {"top level": cli.TOP, "solver": cli.SOLVER, "solver.taylor": cli.TAYLOR}
+        tables |= {f"initial_data, {form}": table for form, table in cli.INITIAL_DATA.items()}
+        modes = {mode: table for mode, table in cli.MODE_OPTIONS.items() if mode != "certify"}
+        tables |= {f"mode_options, {mode}": table for mode, table in modes.items()}
+        schema = {(section, key) for section, table in tables.items() for key in table}
+        assert listed == schema, (sorted(listed - schema), sorted(schema - listed))
+        # certify takes every other mode's keys, none of them required
+        assert cli.MODE_OPTIONS["certify"].keys() == {k for t in modes.values() for k in t}
+        assert all(key.default is None for key in cli.MODE_OPTIONS["certify"].values())
+
+    def test_certify_takes_a_config_of_any_mode(self, tmp_path, capsys):
+        # a probe's config is certified as it stands, as perfbench's set-up does
+        options = {"trajectories": 2, "alphas": [0.5], "dims": [1], "t_final": 0.1, "dt": 0.01}
+        cfg = write_config(tmp_path / "run.json", mode_options=options)
+        code, status = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == EXIT_OK, status
+
+    def test_programming_error_is_not_a_validation_error(self, tmp_path, capsys, monkeypatch):
+        # every ValueError from inside the package exited 2, as if the user erred
+        def broken(*args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "certify", broken)
+        cfg = write_config(tmp_path / "run.json")
+        with pytest.raises(ValueError, match="a bug"):
+            main(["certify", "--config", str(cfg)])
+
 
 class TestValidationAndDeterminism:
     def test_bad_config_file(self, tmp_path, capsys):
@@ -1011,9 +1106,10 @@ class TestValidationAndDeterminism:
         # 0 would open file descriptor 0: read stdin, then close it
         traj = linear_trajectory(FourierField.from_modes(1, 2, {(1,): 0.1}), [0.0, 1.0])
         save_trajectory(tmp_path / "t.json", traj)
-        paths = {"trajectory_a": str(tmp_path / "t.json"), "trajectory_b": str(tmp_path / "t.json")}
-        settings = {"initial_data": {}, "mode_options": paths}
-        settings[section][key] = 0
+        # each mode gets only the path keys it reads: any other is refused as unknown
+        reads = {"compare": ["trajectory_a", "trajectory_b"], "radius": ["trajectory"]}
+        settings = {"mode_options": dict.fromkeys(reads.get(mode, []), str(tmp_path / "t.json"))}
+        settings.setdefault(section, {})[key] = 0
         cfg = write_config(tmp_path / "run.json", alpha=0.5, **settings)
         code, status = run_cli(capsys, mode, "--config", str(cfg))
         assert code == EXIT_VALIDATION

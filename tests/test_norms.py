@@ -211,6 +211,12 @@ class TestCertify:
         assert cert.r0 == pytest.approx(0.3)
         assert not cert.passed
 
+    def test_data_far_past_the_threshold_fails_without_overflow(self):
+        # math.expm1(2 r0) raised OverflowError for r0 = 1e18, past the CLI's main
+        cert = certify(cosine(amplitude=1e18))
+        assert not cert.passed
+        assert cert.contraction_constant == math.inf
+
     def test_zero_data_passes_any_alpha(self):
         h0 = zero(1, 4)
         for alpha in (0.1, 0.5, 0.9):

@@ -16,9 +16,11 @@ from epitaxy.spectral import (
     hermitian_k0_line,
     mode_grids,
     multiply,
+    place_modes,
     synthesize,
     synthesize_half,
 )
+from epitaxy.semigroup import Trajectory
 
 from conftest import random_field
 from reference import add, coeff, full_box, max_abs, zero
@@ -84,6 +86,37 @@ class TestFourierFieldInvariants:
         grid = synthesize(f, 16)
         x = 2.0 * np.pi * np.arange(16) / 16
         np.testing.assert_allclose(grid, np.cos(x), atol=1e-14)
+
+
+# a validated object built from a caller's array of the given shape: one
+# field at N = 2, or a one-node trajectory
+BUILT_FROM = pytest.mark.parametrize(
+    "build,shape",
+    [(lambda a: FourierField(1, 2, a), (3,)), (lambda a: Trajectory([0.0], a), (1, 3))],
+    ids=["field", "trajectory"],
+)
+
+
+class TestValidatedArrays:
+    @BUILT_FROM
+    def test_later_writes_to_the_callers_array_do_not_reach_it(self, build, shape):
+        # the object kept a view of the caller's array, so it changed past its check
+        base = np.zeros(shape, dtype=complex)
+        built = build(base[:])
+        base[..., 0] = 7.0  # a nonzero zero mode, which the check refuses
+        assert not np.any(built.coeffs)
+
+    @BUILT_FROM
+    def test_the_callers_array_stays_writeable(self, build, shape):
+        # building one cleared the writeable flag of the caller's own array
+        array = np.zeros(shape, dtype=complex)
+        build(array)
+        assert array.flags.writeable
+
+    def test_an_array_handed_over_is_taken_without_a_copy(self):
+        # the package's producers hand over arrays that own their data, read-only
+        half = place_modes(1, 2, [[1]], [[0.5], [0.25]])
+        assert Trajectory([0.0, 1.0], half).coeffs is half
 
 
 class TestSynthesize:

@@ -91,6 +91,9 @@ def test_readme_memory_estimate_matches_guard():
     assert [int(k) for k in grids] == [cli.SERIES_GRID_ARRAYS], f"README grid arrays: {grids}"
     exponents = re.findall(r"⌊2\^(\d+) / M\^dim⌋", text)
     assert [2 ** int(e) for e in exponents] == [nonlinear._BATCH_GRID_POINTS], exponents
+    # and the probe's table: "counts <b> bytes for each row"
+    rows = re.findall(r"counts (\d+) bytes for each row", text)
+    assert [int(b) for b in rows] == [cli.TABLE_ROW_BYTES], f"README row bytes: {rows}"
 
 
 def _readme_sketch() -> str:
