@@ -2,9 +2,9 @@
 
 The public names are the batched core that the command line runs: fields and
 trajectories, norms and the certificate, the series sum, the Duhamel operator
-and its bound probe, the Picard solve and the IF-RK4 cross-check, and
-``multiply`` for the algebra property.  A ``Trajectory`` is validated where
-it enters: built from arrays, read from JSON or returned by a solver.
+and its bound probe, the Picard solve and the IF-RK4 cross-check.  A
+``Trajectory`` is validated where it enters: built from arrays, read from
+JSON or returned by a solver.
 """
 
 from .exceptions import CertificateError, NumericalError, PicardConvergenceError
@@ -27,7 +27,7 @@ from .semigroup import (
     linear_trajectory,
     operator_bound_probe,
 )
-from .spectral import FourierField, multiply
+from .spectral import FourierField
 from .stepper import SolverConfig, solve_timestep
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "duhamel_Iplus",
     "linear_trajectory",
     "max_alpha",
-    "multiply",
     "operator_bound_probe",
     "solve_picard",
     "solve_timestep",

@@ -280,6 +280,9 @@ def build_runspec(mode: str, config: dict, args) -> RunSpec:
     options = spec.options
     initial = spec.initial_data
     if mode == "sweep":  # each row replaces the amplitude, so the base one is never read
+        base = initial.get("amplitude")
+        if isinstance(base, float) and not math.isfinite(base):  # but run.json holds it
+            raise ValidationError(f"initial_data.amplitude must be finite, got {base!r}")
         initial = {**initial, "amplitude": options["amplitudes"][0]}
     _field_options(initial, spec.seed)
     return spec
@@ -416,7 +419,8 @@ def check_memory(config: SolverConfig, dim: int, nodes: int | None = None) -> No
 
 
 def _runspec_comment(spec: RunSpec) -> str:
-    return "# runspec: " + json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return "# runspec: " + text
 
 
 def _create(path: Path):
@@ -432,8 +436,9 @@ def _create(path: Path):
 
 def write_json(path: Path, payload: dict, spec: RunSpec) -> None:
     body = {**payload, "runspec": spec.to_json_dict()}
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)  # NaN is not JSON
     with _create(path) as fh:
-        fh.write((json.dumps(body, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        fh.write((text + "\n").encode("utf-8"))
 
 
 def write_csv(path: Path, header: str, rows: list[str], spec: RunSpec) -> None:
@@ -485,9 +490,9 @@ def _fmt(value: float) -> str:
 
 def _run_certify(spec: RunSpec, out: Path) -> dict:
     h0 = build_initial_field(spec)
-    cert = certify(h0, spec.alpha)
-    write_json(out / "certificate.json", cert.to_json_dict(), spec)
-    return {"artifacts": ["certificate.json"], "pass": cert.passed, "r0": cert.r0}
+    report = certify(h0, spec.alpha).to_json_dict()
+    write_json(out / "certificate.json", report, spec)
+    return {"artifacts": ["certificate.json"], "pass": report["pass"], "r0": report["r0"]}
 
 
 def _comparison(a: Trajectory, b: Trajectory) -> tuple[list[str], float]:
@@ -755,7 +760,7 @@ def main(argv=None) -> int:
     except (NumericalError, OSError) as err:  # a full disk, say
         return _fail(mode, err, EXIT_NUMERICAL)
     payload = {"status": "ok", "mode": mode, "exit_code": EXIT_OK, **result}
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -766,7 +771,7 @@ def _fail(mode: str, err: Exception, code: int) -> int:
         "exit_code": code,
         "error": {"type": type(err).__name__, "message": str(err)},
     }
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return code
 
 

@@ -18,9 +18,9 @@ spectral convolutions.
 
 Both routes work on k_last >= 0 half boxes.  The series route sums a whole
 trajectory as one batch (``taylor_sum``), as the Picard iteration needs it.
-The exponential route has constants built once per (dim, N, padding)
-(``exponential_route``); the time stepper marches through the same object,
-and ``rhs_exponential`` is its single-field form.
+The exponential route, ``rhs_exponential``, takes its constants built once
+per (dim, N, padding) (``exponential_route``); the time stepper marches
+through it.
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .norms import wiener_norm
 from .semigroup import Trajectory
-from .spectral import (
-    FourierField,
-    analyze_half,
-    hermitian_k0_line,
-    mode_grids,
-    synthesize_half,
-)
+from .spectral import analyze, hermitian_k0_line, mode_grids, synthesize
 
 #: Adaptive depth resolution refuses to go past this many series terms.
 DEPTH_HARD_CAP = 64
@@ -137,7 +131,7 @@ def _series_batch(half: np.ndarray, depths: np.ndarray, m: int):
     its own depth-J_i polynomial.
     """
     dim, truncation = half.ndim - 1, half.shape[-1] - 1
-    y = synthesize_half(mode_grids(dim, truncation).ksq * half, m)
+    y = synthesize(mode_grids(dim, truncation).ksq * half, m)
     column = depths.reshape((-1,) + (1,) * dim)
     acc = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,7 +147,7 @@ def _series_batch(half: np.ndarray, depths: np.ndarray, m: int):
             f"max |lap h| on the grid is {float(np.max(np.abs(y[np.argmax(bad)]))):.6g}"
         )
     del y  # the analysis's spectra take its place
-    half, zero_modes = analyze_half(acc, truncation)
+    half, zero_modes = analyze(acc, truncation)
     del acc  # and the scaled sum takes the samples' place
     series = half / m**dim  # a new array: in 1-D, half and zero_modes view one spectrum
     hermitian_k0_line(series)
@@ -184,12 +178,11 @@ def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0
 
 
 class _ExponentialRoute:
-    """lap(exp(-lap h)) on a batch of k_last >= 0 half boxes of one (dim, N, padding).
+    """The constants of ``rhs_exponential`` for one (dim, N, padding).
 
-    The padded grid size and the Laplacian multipliers are fixed at
-    construction; the synthesis multiplier is |k|^2, giving -lap h on the
-    grid, and the analysis multiplier -|k|^2 / M^dim folds in the scale of
-    the unscaled forward transform.
+    The synthesis multiplier is |k|^2, giving -lap h on the padded grid, and
+    the analysis multiplier -|k|^2 / M^dim folds in the scale of the unscaled
+    forward transform.
     """
 
     __slots__ = ("m", "truncation", "to_grid", "from_grid")
@@ -201,28 +194,23 @@ class _ExponentialRoute:
         self.to_grid = ksq
         self.from_grid = -ksq / self.m**dim
 
-    def __call__(self, half: np.ndarray) -> np.ndarray:
-        if not half.any():
-            return np.zeros_like(half)  # exp(0) is constant; its Laplacian vanishes exactly
-        y = synthesize_half(self.to_grid * half, self.m)
-        if float(y.max()) > _EXP_ARG_LIMIT:
-            raise NumericalError(
-                f"pointwise exponential would overflow: max |lap h| on the grid is "
-                f"{float(np.max(np.abs(y))):.6g}"
-            )
-        transformed, _zero_modes = analyze_half(np.exp(y, out=y), self.truncation)
-        return self.from_grid * transformed
-
 
 @lru_cache(maxsize=None)
 def exponential_route(dim: int, truncation: int, padding_factor: float) -> _ExponentialRoute:
-    """The exponential route's half-box evaluator for one (dim, N, padding), built once."""
+    """The constants of the exponential route for one (dim, N, padding), built once."""
     return _ExponentialRoute(dim, truncation, padding_factor)
 
 
-def rhs_exponential(field: FourierField, padding_factor: float = 2.0) -> FourierField:
-    """lap(exp(-lap h)) via the pointwise exponential on a padded grid."""
-    route = exponential_route(field.dim, field.truncation, float(padding_factor))
-    out = route(field.coeffs[None])
-    hermitian_k0_line(out)
-    return FourierField(field.dim, field.truncation, out[0])
+def rhs_exponential(half: np.ndarray, route: _ExponentialRoute) -> np.ndarray:
+    """lap(exp(-lap h)) on a batch of k_last >= 0 half boxes, via the pointwise
+    exponential on the padded grid of ``route``."""
+    if not half.any():
+        return np.zeros_like(half)  # exp(0) is constant; its Laplacian vanishes exactly
+    y = synthesize(route.to_grid * half, route.m)
+    if float(y.max()) > _EXP_ARG_LIMIT:
+        raise NumericalError(
+            f"pointwise exponential would overflow: max |lap h| on the grid is "
+            f"{float(np.max(np.abs(y))):.6g}"
+        )
+    transformed, _zero_modes = analyze(np.exp(y, out=y), route.truncation)
+    return route.from_grid * transformed

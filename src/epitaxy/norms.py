@@ -185,26 +185,12 @@ class Certificate:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "r0": self.r0,
-            "alpha": self.alpha,
-            "r1": self.r1,
-            "contraction_constant": self.contraction_constant,
-            "mapping_lhs": self.mapping_lhs,
-            "pass": self.passed,
-            "smallness_threshold": SMALLNESS_THRESHOLD,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Certificate":
-        return cls(
-            r0=float(data["r0"]),
-            alpha=float(data["alpha"]),
-            r1=float(data["r1"]),
-            contraction_constant=float(data["contraction_constant"]),
-            mapping_lhs=float(data["mapping_lhs"]),
-            passed=bool(data["pass"]),
-        )
+        """The report as JSON; a number that is not finite (data far past the
+        threshold overflows ``r0 + r1``) is null, which JSON can hold."""
+        names = ("r0", "alpha", "r1", "contraction_constant", "mapping_lhs")
+        numbers = {name: getattr(self, name) for name in names}
+        body = {name: x if math.isfinite(x) else None for name, x in numbers.items()}
+        return {**body, "pass": self.passed, "smallness_threshold": SMALLNESS_THRESHOLD}
 
 
 def certify(h0: FourierField, alpha: float | None = None) -> Certificate:

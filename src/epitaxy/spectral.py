@@ -25,8 +25,7 @@ only N+1 of the M//2+1 real-FFT columns, so in 2-D the complex pass along
 the first grid axis covers just those columns (the rest are all zeros on the
 way in and unread on the way out); the bytes are those of
 ``irfftn``/``rfftn`` on the whole spectrum.  The |k|-power arrays that every
-multiplier is built from come from ``mode_grids``.  ``synthesize`` and
-``analyze`` are the single-field forms of the pair, for ``multiply``.
+multiplier is built from come from ``mode_grids``.
 """
 
 from __future__ import annotations
@@ -359,14 +358,6 @@ class FourierField:
 # -- physical grid ----------------------------------------------------------
 
 
-def _check_resolution(m: int, truncation: int) -> None:
-    if m < 2 * truncation + 1:
-        raise ValueError(
-            f"grid resolution {m} is too small for truncation {truncation}; "
-            f"need at least {2 * truncation + 1}"
-        )
-
-
 @lru_cache(maxsize=None)
 def _half_index(dim: int, truncation: int, m: int) -> tuple:
     """Index of the k_last >= 0 half boxes inside a batch of real-FFT spectra.
@@ -395,7 +386,7 @@ def hermitian_k0_line(half: np.ndarray) -> None:
     line[(slice(None),) + (truncation,) * (line.ndim - 1)] = 0.0
 
 
-def synthesize_half(half: np.ndarray, m: int) -> np.ndarray:
+def synthesize(half: np.ndarray, m: int) -> np.ndarray:
     """sum_k coeff(k) exp(i k.x) on the M^dim grid for every half box of a batch.
 
     The unscaled inverse real FFT over the trailing axes; M >= 2N+1 is the
@@ -414,7 +405,7 @@ def synthesize_half(half: np.ndarray, m: int) -> np.ndarray:
     return np.fft.irfft(half, m, norm="forward")
 
 
-def analyze_half(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+def analyze(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled half-box coefficients and zero modes of a ``(nodes,) + (M,)*dim`` batch.
 
     The forward real FFT over the trailing axes; both results are M^dim times
@@ -430,23 +421,6 @@ def analyze_half(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.n
     return half, spectrum[(slice(None),) + (0,) * dim].real
 
 
-def synthesize(field: FourierField, m: int) -> np.ndarray:
-    """Real samples of sum_k coeff(k) exp(i k.x) on the M^dim grid, M >= 2N+1."""
-    _check_resolution(m, field.truncation)
-    return synthesize_half(field.coeffs[None], m)[0]
-
-
-def analyze(samples: np.ndarray, truncation: int) -> tuple[FourierField, float]:
-    """The mean-zero field of the box coefficients of M^dim samples, and their mean."""
-    dim, m = samples.ndim, samples.shape[0]
-    _check_resolution(m, truncation)
-    half, zero_modes = analyze_half(samples[None], truncation)
-    scale = m**dim
-    coeffs = half / scale
-    hermitian_k0_line(coeffs)
-    return FourierField(dim, truncation, coeffs[0]), float(zero_modes[0] / scale)
-
-
 def embed(field: FourierField, truncation: int) -> FourierField:
     """Re-express a field in a larger coefficient box (zero padding)."""
     n = int(truncation)
@@ -460,17 +434,3 @@ def embed(field: FourierField, truncation: int) -> FourierField:
     lo, hi = n - field.truncation, n + field.truncation + 1
     coeffs[(slice(lo, hi),) * (field.dim - 1) + (slice(field.truncation + 1),)] = field.coeffs
     return FourierField(field.dim, n, coeffs)
-
-
-def multiply(f: FourierField, g: FourierField) -> tuple[FourierField, float]:
-    """Pointwise product of two fields, exact in the combined truncation.
-
-    The product of trigonometric polynomials with boxes N_f and N_g lives in
-    the box N_f + N_g; the grid is sized so no aliasing occurs.  Returns the
-    mean-zero part of the product and its mean.
-    """
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    n_out = f.truncation + g.truncation
-    m = 1 << (2 * n_out + 1).bit_length()  # a power of two above the 2 n_out + 1 floor
-    return analyze(synthesize(f, m) * synthesize(g, m), n_out)

@@ -10,26 +10,24 @@ With the nonlinearity switched off (Taylor depth fixed at 1) the stepper
 reproduces the exact linear flow to roundoff, which pins down the stiff part
 of the implementation in isolation.
 
-One kernel per (dim, N, padding), built once, is shared by
-``solve_timestep`` and its single-step form ``step``.  It marches only the
-half box k_last >= 0 of the real field, through the half-box exponential
-route of ``nonlinear``, with |k|^4 on the half box fixed and the decay
-weights built once per distinct step size of a march.  The recorded half
-boxes are the trajectory, which validates them.
+``solve_timestep`` marches only the half box k_last >= 0 of the real
+field, one ``step`` at a time, through the exponential route of
+``nonlinear``, with the decay weights built once per distinct step size of
+a march.  The recorded half boxes are the trajectory, which validates them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import NumericalError
-from .nonlinear import TaylorDepth, exponential_route
+from .nonlinear import TaylorDepth, exponential_route, rhs_exponential
 from .semigroup import Trajectory
 from .spectral import FourierField, hermitian_k0_line, mode_grids, read_only
+
 
 def default_dt(truncation: int) -> float:
     """Accuracy-driven default step; stability is handled by the integrating factor."""
@@ -83,87 +81,56 @@ class SolverConfig:
         return np.linspace(0.0, self.t_final, self.n_steps() + 1)
 
 
-class _Kernel:
-    """IF-RK4 steps on the k_last >= 0 half box for one (dim, N, padding).
+def step_weights(k4: np.ndarray, dt: float) -> tuple:
+    """The per-mode constants of one step of size ``dt``, for |k|^4 = ``k4``."""
+    half = np.exp(-k4 * (dt / 2.0))
+    return k4, half, half * half, dt * half, 2.0 * half
 
-    A state is a ``(1,) + half box`` array.  Each step leaves the k_last = 0
-    line of the new state exactly Hermitian with a zero mode of 0.
+
+def _remainder(half: np.ndarray, route, k4: np.ndarray) -> np.ndarray:
+    """rhs(h) + lap^2 h on the half box; zero for the linear-only sentinel, None."""
+    if route is None:
+        return np.zeros_like(half)
+    return rhs_exponential(half, route) + k4 * half
+
+
+def step(a: np.ndarray, dt: float, weights: tuple, remainder) -> np.ndarray:
+    """One IF-RK4 step from the ``(1,) + half box`` state ``a``.
+
+    ``weights`` are those of ``step_weights`` for ``dt``, and ``remainder`` is
+    the exponential route, or None for the linear-only sentinel.  The new
+    state's k_last = 0 line is exactly Hermitian with a zero mode of 0;
+    NumericalError if it is not finite.
     """
-
-    __slots__ = ("route", "k4")
-
-    def __init__(self, dim: int, truncation: int, padding: float):
-        self.route = exponential_route(dim, truncation, padding)
-        self.k4 = mode_grids(dim, truncation).k4
-
-    def start(self, coeffs: np.ndarray) -> np.ndarray:
-        """The state of one field's half box, with its k_last = 0 line made exact."""
-        state = coeffs[None].copy()
-        hermitian_k0_line(state)
-        return state
-
-    def remainder(self, half: np.ndarray, linear_only: bool) -> np.ndarray:
-        """rhs(h) + lap^2 h on the half box; zero for the linear-only sentinel."""
-        if linear_only:
-            return np.zeros_like(half)
-        return self.route(half) + self.k4 * half
-
-    def weights(self, dt: float) -> tuple:
-        """The per-mode constants of one step of size ``dt``."""
-        half = np.exp(-self.k4 * (dt / 2.0))
-        return half, half * half, dt * half, 2.0 * half
-
-    def advance(self, a: np.ndarray, dt: float, weights: tuple, linear_only: bool) -> np.ndarray:
-        """One step from state ``a``; NumericalError if the new state is not finite."""
-        remainder = self.remainder
-        half, full, dt_half, two_half = weights
-        full_a = full * a
-        na = remainder(a, linear_only)
-        nb = remainder(half * (a + (dt / 2.0) * na), linear_only)
-        nc = remainder(half * a + (dt / 2.0) * nb, linear_only)
-        nd = remainder(full_a + dt_half * nc, linear_only)
-        new = full_a + (dt / 6.0) * (full * na + two_half * (nb + nc) + nd)
-        if not np.isfinite(new).all():
-            raise NumericalError("step rejected: amplitudes became non-finite")
-        hermitian_k0_line(new)
-        return new
-
-
-@lru_cache(maxsize=None)
-def _kernel(dim: int, truncation: int, padding: float) -> _Kernel:
-    return _Kernel(dim, truncation, padding)
-
-
-def step(field: FourierField, dt: float, config: SolverConfig) -> FourierField:
-    """Advance one IF-RK4 time step.
-
-    The stages are formed on the half-box arrays of the shared kernel; only
-    the result is built (and checked) as a field.
-    """
-    dt = float(dt)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    kernel = _kernel(field.dim, field.truncation, config.padding)
-    new = kernel.advance(
-        kernel.start(field.coeffs), dt, kernel.weights(dt), config.taylor.max_j == 1
-    )
-    return FourierField(field.dim, field.truncation, new[0])
+    k4, half, full, dt_half, two_half = weights
+    full_a = full * a
+    na = _remainder(a, remainder, k4)
+    nb = _remainder(half * (a + (dt / 2.0) * na), remainder, k4)
+    nc = _remainder(half * a + (dt / 2.0) * nb, remainder, k4)
+    nd = _remainder(full_a + dt_half * nc, remainder, k4)
+    new = full_a + (dt / 6.0) * (full * na + two_half * (nb + nc) + nd)
+    if not np.isfinite(new).all():
+        raise NumericalError("step rejected: amplitudes became non-finite")
+    hermitian_k0_line(new)
+    return new
 
 
 def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
     """March from 0 to t_final, recording every node of the time grid."""
     times = config.time_grid()
-    kernel = _kernel(h0.dim, h0.truncation, config.padding)
-    linear_only = config.taylor.max_j == 1
+    k4 = mode_grids(h0.dim, h0.truncation).k4
+    route = exponential_route(h0.dim, h0.truncation, config.padding)
+    remainder = None if config.taylor.max_j == 1 else route  # the linear-only sentinel
     weights = {}
-    state = kernel.start(h0.coeffs)
+    state = h0.coeffs[None].copy()
+    hermitian_k0_line(state)
     states = [state]
     for i, dt in enumerate(np.diff(times).tolist()):
         w = weights.get(dt)
         if w is None:
-            w = weights[dt] = kernel.weights(dt)
+            w = weights[dt] = step_weights(k4, dt)
         try:
-            state = kernel.advance(state, dt, w, linear_only)
+            state = step(state, dt, w, remainder)
         except NumericalError as err:
             raise NumericalError(
                 f"{err}; last good time t = {float(times[i])!r}"

@@ -1,14 +1,18 @@
 """Oracles that the package is checked against.
 
-The package sums the series route over whole trajectories (``taylor_sum``).
-These are the definitions it is checked against, one field at a time: the
-series term F_j on the padded grid, the series route to the right-hand
-side and the scalar loop that resolves one node's series depth.  The
-exponential route's single-field form, ``rhs_exponential``, stays in the
-package.  ``duhamel_map`` is one application of the fixed-point map,
-which ``solve_picard`` iterates on plain arrays.  ``duhamel_scan`` is the
-Duhamel operator with its node-by-node scan written as plain indexing, the
-exact (bit for bit) oracle of ``duhamel_Iplus``.
+The package transforms, sums and steps whole batches of half boxes.  These
+are the definitions it is checked against, one field at a time:
+``synthesize`` and ``analyze``, the transform pair on one field, refusing a
+grid below the 2N+1 floor (``check_resolution``); ``multiply``, the exact
+product on a power-of-two grid (acceptance criterion 6); the exponential
+route to the right-hand side, ``rhs_exponential``; one IF-RK4 ``step`` of a
+field; the series term F_j on the padded grid, the series route to the
+right-hand side and the scalar loop that resolves one node's series depth.
+``duhamel_map`` is one application of the fixed-point map, which
+``solve_picard`` iterates on plain arrays.  ``duhamel_scan`` is the Duhamel
+operator with its node-by-node scan written as plain indexing, the exact
+(bit for bit) oracle of ``duhamel_Iplus``.  ``certificate_from_json_dict``
+reads a certificate back from its JSON form.
 
 The package holds every field as its k_last >= 0 half box.  ``full_box``
 rebuilds the whole (2N+1)^dim box, ``whole_ksq`` is its |k|^2, and
@@ -22,10 +26,91 @@ import math
 
 import numpy as np
 
+from epitaxy import nonlinear, spectral, stepper
 from epitaxy.exceptions import NumericalError
-from epitaxy.nonlinear import DEPTH_HARD_CAP, padded_grid_size, taylor_sum
+from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
+from epitaxy.norms import Certificate
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
-from epitaxy.spectral import FourierField, analyze, hermitian_k0_line, mode_grids, synthesize
+from epitaxy.spectral import FourierField, hermitian_k0_line, mode_grids
+
+
+def check_resolution(m, truncation):
+    """Refuse an M^dim grid below the 2N+1 floor, where the transforms stop being exact."""
+    if m < 2 * truncation + 1:
+        raise ValueError(
+            f"grid resolution {m} is too small for truncation {truncation}; "
+            f"need at least {2 * truncation + 1}"
+        )
+
+
+def synthesize(field, m):
+    """Real samples of sum_k coeff(k) exp(i k.x) on the M^dim grid, M >= 2N+1."""
+    check_resolution(m, field.truncation)
+    return spectral.synthesize(field.coeffs[None], m)[0]
+
+
+def analyze(samples, truncation):
+    """The mean-zero field of the box coefficients of M^dim samples, and their mean."""
+    dim, m = samples.ndim, samples.shape[0]
+    check_resolution(m, truncation)
+    half, zero_modes = spectral.analyze(samples[None], truncation)
+    scale = m**dim
+    coeffs = half / scale
+    hermitian_k0_line(coeffs)
+    return FourierField(dim, truncation, coeffs[0]), float(zero_modes[0] / scale)
+
+
+def multiply(f, g):
+    """Pointwise product of two fields, exact in the combined truncation.
+
+    The product of trigonometric polynomials with boxes N_f and N_g lives in
+    the box N_f + N_g; the grid is sized so no aliasing occurs.  Returns the
+    mean-zero part of the product and its mean.
+    """
+    if f.dim != g.dim:
+        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    n_out = f.truncation + g.truncation
+    m = 1 << (2 * n_out + 1).bit_length()  # a power of two above the 2 n_out + 1 floor
+    return analyze(synthesize(f, m) * synthesize(g, m), n_out)
+
+
+def rhs_exponential(field, padding_factor=2.0):
+    """lap(exp(-lap h)) via the pointwise exponential on a padded grid, as a field."""
+    route = exponential_route(field.dim, field.truncation, float(padding_factor))
+    out = nonlinear.rhs_exponential(field.coeffs[None], route)
+    hermitian_k0_line(out)
+    return FourierField(field.dim, field.truncation, out[0])
+
+
+def start(field):
+    """The stepper's state of one field: its half box, with an exact k_last = 0 line."""
+    state = field.coeffs[None].copy()
+    hermitian_k0_line(state)
+    return state
+
+
+def step(field, dt, config):
+    """One IF-RK4 step of ``field`` by ``dt``, formed as ``solve_timestep`` forms it."""
+    dt = float(dt)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    weights = stepper.step_weights(mode_grids(field.dim, field.truncation).k4, dt)
+    route = exponential_route(field.dim, field.truncation, config.padding)
+    remainder = None if config.taylor.max_j == 1 else route  # the linear-only sentinel
+    new = stepper.step(start(field), dt, weights, remainder)
+    return FourierField(field.dim, field.truncation, new[0])
+
+
+def certificate_from_json_dict(data):
+    """The certificate of ``Certificate.to_json_dict`` output."""
+    return Certificate(
+        r0=float(data["r0"]),
+        alpha=float(data["alpha"]),
+        r1=float(data["r1"]),
+        contraction_constant=float(data["contraction_constant"]),
+        mapping_lhs=float(data["mapping_lhs"]),
+        passed=bool(data["pass"]),
+    )
 
 
 def full_box(half):

@@ -28,11 +28,11 @@ from epitaxy.semigroup import (
     operator_bound_probe,
     random_probe_trajectory,
 )
-from epitaxy.spectral import FourierField, multiply
+from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig, solve_timestep
 
 from conftest import random_field, trajectory_of
-from reference import coeff, sub
+from reference import coeff, multiply, sub
 
 
 def report(index, name, passed, detail=""):

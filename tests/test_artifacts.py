@@ -1,4 +1,5 @@
-"""Artifact layout: ``write_json`` against ``json.dumps(indent=2, sort_keys=True)``,
+"""Artifact layout: ``write_json`` against ``json.dumps(indent=2, sort_keys=True)``
+(which refuses NaN and Infinity, as strict JSON does),
 trajectory manifests and their ``.npy`` tables against ``np.save``, and the
 half-box tables of solved trajectories read back through the CLI.
 """
@@ -36,14 +37,21 @@ def make_spec(output_dir="out"):
 
 def oracle_bytes(payload, spec):
     body = {**payload, "runspec": spec.to_json_dict()}
-    return (json.dumps(body, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def assert_oracle_layout(tmp_path, payload, spec=None):
     spec = spec or make_spec()
     path = tmp_path / "artifact.json"
+    try:
+        expected = oracle_bytes(payload, spec)
+    except ValueError:  # NaN and Infinity are not JSON: refused, and no file is left
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, payload, spec)
+        assert not path.exists()
+        return
     write_json(path, payload, spec)
-    assert path.read_bytes() == oracle_bytes(payload, spec)
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -17,13 +17,13 @@ import pytest
 
 from epitaxy import nonlinear
 from epitaxy.exceptions import NumericalError
-from epitaxy.nonlinear import TaylorDepth, rhs_exponential, taylor_sum
+from epitaxy.nonlinear import TaylorDepth, taylor_sum
 from epitaxy.norms import WeightParams, certify, spacetime_norm, wiener_norm
 from epitaxy.picard import solve_picard
 from epitaxy.presets import random_decay
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
 from epitaxy.spectral import FourierField, mode_grids
-from epitaxy.stepper import SolverConfig, solve_timestep, step
+from epitaxy.stepper import SolverConfig, solve_timestep
 
 from conftest import random_field_with_norm, trajectory_of
 from reference import (
@@ -32,6 +32,8 @@ from reference import (
     full_box,
     nonzero_modes,
     resolve_depth,
+    rhs_exponential,
+    step,
     taylor_term,
     whole_ksq,
 )

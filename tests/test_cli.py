@@ -77,6 +77,43 @@ class TestCertifyMode:
         assert code == EXIT_OK  # certify reports; it does not gate
         assert status["pass"] is False
 
+    @pytest.mark.parametrize(
+        "initial,nulls",
+        [
+            # r0 + r1 overflows, and then inf - inf: Infinity and NaN were written
+            (
+                {"preset": "single-mode", "amplitude": 1e308},
+                {"contraction_constant", "mapping_lhs"},
+            ),
+            # r0 itself overflows: "r0": Infinity in the file and the status line
+            (
+                {"path": "field.json"},
+                {"r0", "r1", "contraction_constant", "mapping_lhs"},
+            ),
+        ],
+        ids=["huge-amplitude", "huge-stored-coefficient"],
+    )
+    def test_overflowing_certificate_is_strict_json(self, tmp_path, capsys, initial, nulls):
+        # Python's json reads NaN and Infinity back; a strict parser refuses them
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        field = {"dim": 2, "truncation": 3, "coeffs": [[1, 1, 1e308, 0.0]]}
+        (tmp_path / "field.json").write_text(json.dumps(field), encoding="utf-8")
+        if "path" in initial:
+            initial = {"path": str(tmp_path / initial["path"])}
+        cfg = write_config(tmp_path / "run.json", initial_data=initial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the norm's sum overflows
+            code = main(["certify", "--config", str(cfg)])
+        status = json.loads(capsys.readouterr().out.strip().splitlines()[-1], parse_constant=refuse)
+        assert code == EXIT_OK and status["pass"] is False
+        text = (tmp_path / "out" / "certificate.json").read_text(encoding="utf-8")
+        cert = json.loads(text, parse_constant=refuse)
+        assert cert["pass"] is False
+        assert {key for key, value in cert.items() if value is None} == nulls
+        assert status["r0"] == cert["r0"]
+
     def test_scalar_coeffs_in_initial_data_path_is_validation_error(self, tmp_path, capsys):
         (tmp_path / "field.json").write_text(json.dumps(SCALAR_COEFFS), encoding="utf-8")
         cfg = write_config(tmp_path / "run.json", initial_data={"path": str(tmp_path / "field.json")})

@@ -1,12 +1,22 @@
-"""Seeded fuzzing of the config schema: one key path at a time gets a bad value.
+"""Seeded fuzzing of the config schema and of the stored files.
 
-The key paths are enumerated from the schema's tables in ``epitaxy.cli``, not
-from a hand-kept list, starting from the README's example config at N = 3 and
-T = 0.01.  Whatever the value, ``main`` must exit 0, 2, 3 or 4, print the JSON
-status object as its last line, and raise nothing.  The memory guard sees a
-64 MiB machine, so a case that asks for a huge run is refused, not run.
+Config: one key path at a time gets a bad value.  The key paths are
+enumerated from the schema's tables in ``epitaxy.cli``, not from a hand-kept
+list, starting from the README's example config at N = 3 and T = 0.01.
+
+Stored files: one key of a stored trajectory manifest or field file at a
+time gets a bad value or goes missing, or the manifest's ``.npy`` tables are
+rewritten with another dtype or shape and digested again, so that the
+reader's checks past the digest run.  The files are those of a tiny solve,
+read by ``compare``, ``radius``, ``certify`` and ``solve``.
+
+Whatever the value, ``main`` must exit 0, 2, 3 or 4, print the JSON status
+object as its last line, strict JSON without NaN or Infinity, and raise
+nothing.  The memory guard sees a 64 MiB machine, so a case that asks for a
+huge run is refused, not run.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -119,14 +129,19 @@ def small_machine(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
 
 
-def run(config: dict, mode: str, capsys) -> tuple[int, dict]:
+def strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def run(config: dict, mode: str, capsys, case=None) -> tuple[int, dict]:
     Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+    case = case or json.dumps(config)
     try:
         code = cli.main([mode, "--config", "config.json"])
     except Exception as err:  # anything raised past main is the failure
-        pytest.fail(f"{mode} raised {type(err).__name__}: {err} for {json.dumps(config)}")
+        pytest.fail(f"{mode} raised {type(err).__name__}: {err} for {case}")
     lines = capsys.readouterr().out.strip().splitlines()
-    status = json.loads(lines[-1]) if lines else None
+    status = json.loads(lines[-1], parse_constant=strict) if lines else None
     return code, status
 
 
@@ -154,5 +169,114 @@ def test_one_bad_key_exits_cleanly(small_machine, stored, capsys):
         assert isinstance(status, dict) and status["exit_code"] == code, where
         if value is MISSPELT:
             assert code == cli.EXIT_VALIDATION and path[-1] in status["error"]["message"], where
+        codes.add(code)
+    assert {0, 2} <= codes
+
+
+# -- stored files ---------------------------------------------------------------
+
+MISSING = object()
+STORED_CASES = 200
+
+# values for one key of a stored file beside the config pool: each is a form
+# the reader must refuse or a valid one it must take
+FILE_VALUES = {
+    "dim": [2, "1"],
+    "truncation": [1, 2, 10**6],
+    "times": [
+        [], [0.0], [0.0, 0.0], list(range(11)), list(range(10, -1, -1)), [math.nan] * 11,
+        [0.0] + [1e308] * 10, [10**400] * 11, ["0.0"] * 11, [[0.0]] * 11,
+    ],
+    "modes": [[[0]], [[1.5]], [[1, 1]], [[99]], [[1], [1], [2]], [[-1], [2], [3]], [["1"]]],
+    "file": ["", ".", "..", "../t.npy", "missing.npy", "t.json", "out", "/t.npy"],
+    "sha256": ["0" * 64, "", "T.NPY"],
+    "coeffs": [
+        [[1, 1e308, 0.0]], [[1, math.nan, 0.0]], [[0, 1.0, 0.0]], [[1.5, 1.0, 0.0]],
+        [[99, 1.0, 0.0]], [[1, 1.0]], [[1, 0.5, 0.0], [-1, 0.5, 0.1]], [["1", 1.0, 0.0]],
+        [5], [[]],
+    ],
+}
+
+# the stored tables in another dtype or shape; each is digested again
+TABLE_FORMS = {
+    "float32": lambda t: t.astype(np.float32),
+    "big-endian": lambda t: t.astype(">f8"),
+    "complex": lambda t: t.astype(complex),
+    "int64": lambda t: t.astype(np.int64),
+    "object": lambda t: t.astype(object),
+    "fortran": np.asfortranarray,
+    "first-table": lambda t: t[0],
+    "scalar": lambda t: t[0, 0, 0],
+    "extra-node": lambda t: np.concatenate([t, t[:, :1]], axis=1),
+    "extra-mode": lambda t: np.concatenate([t, t[:, :, :1]], axis=2),
+    "no-modes": lambda t: t[:, :, :0],
+    "nan": lambda t: np.where(t != 0, math.nan, t),
+    "huge": lambda t: t * 1e308,
+}
+
+
+def stored_cases():
+    """(mode, file kind, key path, value) for every stored-file case; the kind
+    "tables" is a trajectory whose tables take the form named by the value."""
+    keys = {
+        "trajectory": [("dim",), ("truncation",), ("times",), ("modes",), ("tables",),
+                       ("tables", "file"), ("tables", "sha256")],
+        "field": [("dim",), ("truncation",), ("coeffs",)],
+    }
+    modes = {"trajectory": ("compare", "radius"), "field": ("certify", "solve")}
+    cases = [
+        (mode, kind, path, value)
+        for kind, paths in keys.items()
+        for mode in modes[kind]
+        for path in paths
+        for value in [*POOL, *FILE_VALUES.get(path[-1], []), MISSING]
+    ]
+    return cases + [
+        (mode, "tables", (), form) for mode in modes["trajectory"] for form in TABLE_FORMS
+    ]
+
+
+def write_stored(stored: Path, kind: str, path: tuple[str, ...], value) -> str:
+    """The stored file of ``kind`` with ``value`` at ``path``, or missing it,
+    written to the working directory; its name."""
+    if kind == "field":
+        body = json.loads((stored / "initial_field.json").read_text(encoding="utf-8"))
+    else:
+        body = json.loads((stored / "picard_trajectory.json").read_text(encoding="utf-8"))
+        tables = np.load(stored / body["tables"]["file"], allow_pickle=False)
+        if kind == "tables":
+            tables = TABLE_FORMS[value](tables)
+        np.save("t.npy", tables, allow_pickle=True)
+        digest = hashlib.sha256(Path("t.npy").read_bytes()).hexdigest()
+        body["tables"] = {"file": "t.npy", "sha256": digest}
+    section = body
+    for key in path[:-1]:
+        section = section[key]
+    if path and value is MISSING:
+        del section[path[-1]]
+    elif path:
+        section[path[-1]] = value
+    name = "f.json" if kind == "field" else "t.json"
+    Path(name).write_text(json.dumps(body), encoding="utf-8")
+    return name
+
+
+def test_one_bad_stored_file_exits_cleanly(small_machine, stored, capsys):
+    cases = stored_cases()
+    rng = np.random.default_rng(SEED)
+    codes = set()
+    for index in sorted(rng.choice(len(cases), size=STORED_CASES, replace=False)):
+        mode, kind, path, value = cases[index]
+        name = write_stored(stored, kind, path, value)
+        config = base_config(mode, "path" if kind == "field" else "single-mode", stored)
+        if kind == "field":
+            config["initial_data"] = {"path": name}
+        else:
+            config["mode_options"]["trajectory_b" if mode == "compare" else "trajectory"] = name
+        shown = "missing" if value is MISSING else repr(value)
+        where = f"{mode} with the {kind} file's {'.'.join(path) or 'tables'} = {shown}"
+        code, status = run(config, mode, capsys, where)
+        assert code in (0, 2, 3, 4), where
+        assert isinstance(status, dict) and status["exit_code"] == code, where
         codes.add(code)
     assert {0, 2} <= codes

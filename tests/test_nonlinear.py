@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import simpson
 
 from epitaxy.exceptions import NumericalError
-from epitaxy.nonlinear import DEPTH_HARD_CAP, TaylorDepth, padded_grid_size, rhs_exponential
+from epitaxy.nonlinear import DEPTH_HARD_CAP, TaylorDepth, padded_grid_size
 from epitaxy.norms import wiener_norm
 from epitaxy.spectral import FourierField
 
@@ -16,6 +16,7 @@ from reference import (
     coeff,
     max_abs,
     resolve_depth,
+    rhs_exponential,
     rhs_series,
     series_sum,
     sub,

@@ -7,7 +7,6 @@ import pytest
 
 from epitaxy.norms import (
     SMALLNESS_THRESHOLD,
-    Certificate,
     WeightParams,
     analyticity_radius,
     certify,
@@ -17,10 +16,10 @@ from epitaxy.norms import (
 )
 from epitaxy.presets import random_decay
 from epitaxy.semigroup import linear_trajectory
-from epitaxy.spectral import FourierField, multiply
+from epitaxy.spectral import FourierField
 
 from conftest import random_field, random_field_with_norm, trajectory_of
-from reference import random_decay_whole, zero
+from reference import certificate_from_json_dict, multiply, random_decay_whole, zero
 
 
 def cosine(truncation=4, amplitude=1.0, k=1):
@@ -249,7 +248,7 @@ class TestCertify:
         cert = certify(cosine(amplitude=0.2))
         data = cert.to_json_dict()
         assert data["smallness_threshold"] == SMALLNESS_THRESHOLD
-        assert Certificate.from_json_dict(data) == cert
+        assert certificate_from_json_dict(data) == cert
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_r0_is_the_first_node_norm_bit_for_bit(self, dim):

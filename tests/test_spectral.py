@@ -5,25 +5,21 @@ import json
 import numpy as np
 import pytest
 
+from epitaxy import spectral
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import padded_grid_size
 from epitaxy.spectral import (
     FourierField,
-    analyze,
-    analyze_half,
     check_half,
     embed,
     hermitian_k0_line,
     mode_grids,
-    multiply,
     place_modes,
-    synthesize,
-    synthesize_half,
 )
 from epitaxy.semigroup import Trajectory
 
 from conftest import random_field
-from reference import add, coeff, full_box, max_abs, zero
+from reference import add, analyze, coeff, full_box, max_abs, multiply, synthesize, zero
 
 
 def laplacian(field):
@@ -333,7 +329,7 @@ def half_boxes(rng, dim, truncation, nodes, **kw):
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_synthesize_batch_matches_complex_ifft(rng, dim, truncation, m):
     half, coeffs = half_boxes(rng, dim, truncation, 4, decay=0.3)
-    got = synthesize_half(half, m)
+    got = spectral.synthesize(half, m)
     ref = complex_synthesis(coeffs, m)
     assert got.dtype == float and got.shape == ref.shape
     scale = np.max(np.abs(ref))
@@ -344,7 +340,7 @@ def test_synthesize_batch_matches_complex_ifft(rng, dim, truncation, m):
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_analyze_batch_matches_complex_fft(rng, dim, truncation, m):
     samples = rng.standard_normal((4,) + (m,) * dim) + rng.uniform(-2.0, 2.0, (4,) + (1,) * dim)
-    got, means = analyze_half(samples, truncation)
+    got, means = spectral.analyze(samples, truncation)
     got, means = got / m**dim, means / m**dim
     hermitian_k0_line(got)
     ref, ref_means = complex_analysis(samples, truncation)
@@ -366,7 +362,7 @@ def test_analyze_batch_matches_complex_fft(rng, dim, truncation, m):
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_batch_round_trip_on_the_floor_and_above(rng, dim, truncation, m):
     half, _ = half_boxes(rng, dim, truncation, 3)
-    back, means = analyze_half(synthesize_half(half, m), truncation)
+    back, means = spectral.analyze(spectral.synthesize(half, m), truncation)
     back /= m**dim
     hermitian_k0_line(back)
     assert np.max(np.abs(back - half)) <= TRANSFORM_TOL * np.max(np.abs(half))
@@ -391,10 +387,10 @@ def test_half_transforms_give_the_bytes_of_the_full_real_fft(rng, dim, truncatio
     spectrum = np.zeros((nodes,) + (m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
     spectrum[index] = half
     full = np.fft.irfftn(spectrum, s=(m,) * dim, axes=axes, norm="forward")
-    assert np.array_equal(synthesize_half(half, m), full)
+    assert np.array_equal(spectral.synthesize(half, m), full)
 
     samples = rng.standard_normal((nodes,) + (m,) * dim)
     spectrum = np.fft.rfftn(samples, axes=axes)
-    got, zero_modes = analyze_half(samples, truncation)
+    got, zero_modes = spectral.analyze(samples, truncation)
     assert np.array_equal(got, spectrum[index])
     assert np.array_equal(zero_modes, spectrum[(slice(None),) + (0,) * dim].real)

@@ -7,14 +7,14 @@ import pytest
 
 from epitaxy import stepper
 from epitaxy.exceptions import NumericalError
-from epitaxy.nonlinear import TaylorDepth
+from epitaxy.nonlinear import TaylorDepth, exponential_route
 from epitaxy.norms import wiener_norm
 from epitaxy.semigroup import linear_trajectory
 from epitaxy.spectral import FourierField, mode_grids
-from epitaxy.stepper import SolverConfig, default_dt, solve_timestep, step
+from epitaxy.stepper import SolverConfig, default_dt, solve_timestep
 
 from conftest import random_field_with_norm
-from reference import coeff, max_abs, series_sum, sub, zero
+from reference import coeff, max_abs, rhs_exponential, series_sum, start, step, sub, zero
 
 
 def cosine(amplitude, truncation=8):
@@ -25,12 +25,12 @@ LINEAR_ONLY = TaylorDepth(max_j=1)
 
 
 def nonlinear_remainder(field, depth, padding=2.0):
-    """rhs(h) + lap^2 h as the stepper's kernel forms it, as a field.
+    """rhs(h) + lap^2 h as the stepper forms it, as a field.
 
     ``depth`` only matters through the linear-only sentinel, which gives zero.
     """
-    kernel = stepper._kernel(field.dim, field.truncation, padding)
-    half = kernel.remainder(kernel.start(field.coeffs), depth.max_j == 1)
+    route = None if depth.max_j == 1 else exponential_route(field.dim, field.truncation, padding)
+    half = stepper._remainder(start(field), route, mode_grids(field.dim, field.truncation).k4)
     return FourierField(field.dim, field.truncation, half[0])
 
 
@@ -156,8 +156,6 @@ class TestSolveTimestep:
     def test_discrete_residual_second_order(self):
         # central difference of the marched trajectory against the
         # right-hand side, evaluated on the trajectory's own nodes
-        from epitaxy.nonlinear import rhs_exponential
-
         h0 = cosine(0.2, truncation=2)
 
         def residual(dt):

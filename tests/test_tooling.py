@@ -1,10 +1,10 @@
 """Source checks: invariants must survive ``python -O``, which strips ``assert``,
 the series route must not exponentiate, every function the benchmark's tracer
-hooks must still exist, the README's memory estimate must be the one the guard
-applies, the README's library sketch must run, every public name in the
-package must be used by it, exported or hooked (every public method used by it
-or hooked), and no number of a
-trajectory's tables may pass through ``json``."""
+hooks must still exist and be the one the engines call, the README's memory
+estimate must be the one the guard applies, the README's library sketch must
+run, every public name in the package must be used by it, exported or hooked
+(every public method used by it, through its own class when named by one, or
+hooked), and no number of a trajectory's tables may pass through ``json``."""
 
 import ast
 import importlib
@@ -75,6 +75,31 @@ def test_benchmark_hooks_resolve():
     assert not missing, f"benchmark hooks no longer resolve: {missing}"
 
 
+def test_tracer_sees_the_hot_paths(tmp_path, monkeypatch, capsys):
+    # the per-layer counts of steps, right-hand sides and transforms come from
+    # the functions the engines call: a twin that only tests call reads 0
+    tracing = runpy.run_path(str(TRACING))
+    config = {
+        "initial_data": {"preset": "random-decay", "amplitude": 0.2, "seed": 7},
+        "solver": {"truncation": 3, "dt": 1e-3, "t_final": 0.01},
+        "output_dir": "out",
+    }
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+    with tracing["Tracer"]().install() as tracer:
+        assert cli.main(["solve", "--config", "config.json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    values, _absent = tracer.metrics()
+    steps = 10
+    # 11 nodes fit one series chunk, so each series sum is one transform pair
+    assert nonlinear.series_chunk_nodes(1, nonlinear.padded_grid_size(3, 2.0)) > steps
+    pairs = values["nonlinear.rhs_exponential.calls"] + values["nonlinear.taylor_sum.calls"]
+    assert values["stepper.step.calls"] == steps
+    assert values["nonlinear.rhs_exponential.calls"] == 4 * steps
+    assert values["nonlinear.taylor_sum.calls"] > 0
+    assert values["spectral.synthesize.calls"] == values["spectral.analyze.calls"] == pairs
+
+
 def test_readme_memory_estimate_matches_guard():
     # "... × 16 bytes × <live>", once each for solve, probe-operator and a
     # stored trajectory
@@ -126,15 +151,18 @@ def test_public_names_are_used():
     hooks = runpy.run_path(str(TRACING))["SPAN_HOOKS"]
     hooked = {(module, path) for _name, module, path in hooks}
     hooked |= {(module, path.split(".")[0]) for module, path in hooked}
-    # (identifier, module, definition it appears in) for every name and attribute,
-    # where a method's definition is "Class.method"
-    references, defined = set(), []
+    # (identifier, module, definition it appears in, qualifier) for every name
+    # and attribute, where a method's definition is "Class.method" and the
+    # qualifier is the name an attribute is read from ("Class" in Class.method)
+    references, defined, classes = set(), [], set()
 
     def record(tree, module, owner):
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                references.add((name, module, owner))
+            if isinstance(node, ast.Name):
+                references.add((node.id, module, owner, None))
+            elif isinstance(node, ast.Attribute):
+                qualifier = node.value.id if isinstance(node.value, ast.Name) else None
+                references.add((node.attr, module, owner, qualifier))
 
     for path in sorted(PACKAGE.glob("*.py")):
         module = f"epitaxy.{path.stem}"
@@ -145,6 +173,7 @@ def test_public_names_are_used():
             if not isinstance(statement, ast.ClassDef):
                 record(statement, module, owner)
                 continue
+            classes.add(owner)
             for node in statement.bases + statement.decorator_list:
                 record(node, module, owner)
             for item in statement.body:
@@ -157,17 +186,23 @@ def test_public_names_are_used():
                     record(item, module, owner)
     # a name counts as used when it appears outside its own definition; a
     # public method (a property too) must be used as such, its class being
-    # exported does not count
+    # exported does not count, and a reference Class.method counts for that
+    # class alone
+    def uses(ref, module, name):
+        ident, ref_module, ref_owner, qualifier = ref
+        if ident != name.split(".")[-1]:
+            return False
+        if qualifier in classes and f"{qualifier}.{ident}" != name:
+            return False  # Other.method
+        where = ref_owner if "." in name else str(ref_owner).split(".")[0]
+        return (ref_module, where) != (module, name)
+
     unused = [
         f"{module}.{name}"
         for module, name in defined
         if name not in epitaxy.__all__
         and (module, name) not in hooked
-        and not any(
-            ref[0] == name.split(".")[-1]
-            and (ref[1], ref[2] if "." in name else str(ref[2]).split(".")[0]) != (module, name)
-            for ref in references
-        )
+        and not any(uses(ref, module, name) for ref in references)
     ]
     assert not unused, f"public names that only tests use; move them to tests/: {unused}"
 
