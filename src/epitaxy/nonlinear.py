@@ -1,7 +1,8 @@
 """The right-hand side lap(exp(-lap h)), evaluated two independent ways.
 
-The exponential route synthesizes lap(h) on a padded grid, exponentiates
-pointwise and transforms back.  The series route expands the exponential,
+The exponential route puts y = -lap h on a padded grid, exponentiates
+pointwise and takes the Laplacian of the result back in coefficient space.
+The series route expands the exponential,
 
     lap(exp(-lap h)) = -lap^2 h + sum_{j>=2} lap F_j,
     F_j = ((-1)^j / j!) (lap h)^j,
@@ -10,17 +11,20 @@ and sums the terms to a fixed or adaptive depth by Horner's rule in
 y = -lap h, never calling an exponential.  The two routes serve as mutual
 oracles: the exponential nonlinearity is not polynomial, so exact
 dealiasing is impossible, and the cross-check (rather than a masking rule)
-is the correctness guard for the default padding factor of 2.
+is the correctness guard for the default padding factor of 2.  They share no
+transform code.
 
 The polynomial is evaluated in physical space on the padded grid: one
-synthesis, J pointwise multiply-accumulates and one analysis, instead of J
-spectral convolutions.
+synthesis, J pointwise multiply-accumulates and one analysis (the real-FFT
+pair of ``spectral``), instead of J spectral convolutions.
 
 Both routes work on k_last >= 0 half boxes.  The series route sums a whole
 trajectory as one batch (``taylor_sum``), as the Picard iteration needs it.
-The exponential route, ``rhs_exponential``, takes its constants built once
-per (dim, N, padding) (``exponential_route``); the time stepper marches
-through it.
+The exponential route, ``rhs_exponential``, returns the remainder
+lap(exp(-lap h)) + lap^2 h that the time stepper integrates, formed on the
+grid as expm1(y) - y.  Its grids are tiny (66 points in 1-D at N = 16), so it
+runs on real DFT matrices built once per (dim, N, padding)
+(``exponential_route``), one small product each way per axis, and no FFT.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .norms import wiener_norm
 from .semigroup import Trajectory
-from .spectral import analyze, hermitian_k0_line, mode_grids, synthesize
+from .spectral import analyze, hermitian_k0_line, mode_grids, read_only, synthesize
 
 #: Adaptive depth resolution refuses to go past this many series terms.
 DEPTH_HARD_CAP = 64
@@ -177,40 +181,112 @@ def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0
     return Trajectory._trusted(traj.times, out), means
 
 
-class _ExponentialRoute:
-    """The constants of ``rhs_exponential`` for one (dim, N, padding).
+def _waves(modes: np.ndarray, m: int) -> np.ndarray:
+    """exp(-i k x_j) for each grid point x_j = 2 pi j / M (rows) and mode k (columns).
 
-    The synthesis multiplier is |k|^2, giving -lap h on the padded grid, and
-    the analysis multiplier -|k|^2 / M^dim folds in the scale of the unscaled
-    forward transform.
+    The phase k j is reduced modulo M in integers first, as 2 pi ((k j) mod M) / M,
+    so every phase lies in [0, 2 pi) and a high mode's waves are as accurate as
+    a low one's.
+    """
+    return np.exp(-2j * np.pi * (np.outer(np.arange(m), modes) % m) / m)
+
+
+def _as_real(waves: np.ndarray) -> np.ndarray:
+    """The real matrix of the product by complex ``waves``, on real parts stacked
+    over imaginary parts; the result interleaves them by row.
+
+    Row 2a of ``_as_real(w) @ [x.real; x.imag]`` is the real part of row a of
+    w x, and row 2a+1 its imaginary part.  The transpose is the product by the
+    conjugate transpose of ``waves``, from interleaved rows to stacked parts.
+    """
+    re, im = waves.real, waves.imag
+    return np.stack([np.hstack([re, -im]), np.hstack([im, re])], axis=1).reshape(2 * len(waves), -1)
+
+
+def route_floats(dim: int, truncation: int, m: int) -> int:
+    """The float64 numbers the DFT matrices of one exponential route hold."""
+    return 4 * m * (truncation + 1) + (dim - 1) * 8 * m * (2 * truncation + 1)
+
+
+class _ExponentialRoute:
+    """The real DFT matrices of ``rhs_exponential`` for one (dim, N, padding).
+
+    Along the last axis, ``trail_in`` takes the real and imaginary parts of
+    the N+1 half-box columns to the M grid points, summing each k_last > 0
+    column with its conjugate partner (weight 2, the real part taken), and
+    ``trail_out`` takes M grid points back to those parts, unscaled; both are
+    built from exp(-i k x).  In 1-D the parts are interleaved, as in the
+    float view of a complex array, and the multipliers are folded in: |k|^2
+    on the way in, which gives -lap h on the grid, and -|k|^2 / M on the way
+    out, which applies the Laplacian and the transform's scale.
+
+    In 2-D |k|^2 does not factor over the axes, so the multipliers
+    ``to_grid`` and ``from_grid`` act on the half box, and along the last
+    axis the parts are stacked, all real parts then all imaginary ones.  The
+    leading axis is a second real product: ``lead_in`` (``_as_real`` of
+    exp(i k x)) takes the 2N+1 rows k = -N..N, real parts stacked over
+    imaginary ones, to the M grid rows, and ``lead_out``, its transpose, takes
+    them back.  The products are real only: with a complex product on the
+    leading axis, paging in the complex BLAS kernels too raised a 2-D solve's
+    peak memory by about 0.2 MiB more.
     """
 
-    __slots__ = ("m", "truncation", "to_grid", "from_grid")
+    __slots__ = ("to_grid", "from_grid", "lead_in", "lead_out", "trail_in", "trail_out")
 
     def __init__(self, dim: int, truncation: int, padding_factor: float):
-        self.m = padded_grid_size(truncation, padding_factor)
-        self.truncation = truncation
-        ksq = mode_grids(dim, truncation).ksq
-        self.to_grid = ksq
-        self.from_grid = -ksq / self.m**dim
+        m = padded_grid_size(truncation, padding_factor)
+        last = np.arange(truncation + 1)
+        weight = np.where(last == 0, 1.0, 2.0)
+        waves = _waves(last, m)
+        if dim == 1:
+            into, back = weight * last**2.0, -(last**2.0) / m
+            self.to_grid = self.from_grid = self.lead_in = self.lead_out = None
+            self.trail_in = read_only(np.ascontiguousarray((into * waves).view(float).T))
+            self.trail_out = read_only((back * waves).view(float))
+        else:
+            ksq = mode_grids(dim, truncation).ksq
+            self.to_grid, self.from_grid = ksq, -ksq / m**dim
+            into = weight * waves
+            self.trail_in = read_only(np.concatenate((into.real.T, into.imag.T)))
+            self.trail_out = read_only(np.hstack((waves.real, waves.imag)))
+            lead = _as_real(np.conj(_waves(np.arange(-truncation, truncation + 1), m)))
+            self.lead_in = read_only(lead)
+            self.lead_out = read_only(np.ascontiguousarray(lead.T))
 
 
 @lru_cache(maxsize=None)
 def exponential_route(dim: int, truncation: int, padding_factor: float) -> _ExponentialRoute:
-    """The constants of the exponential route for one (dim, N, padding), built once."""
+    """The DFT matrices of the exponential route for one (dim, N, padding), built once."""
     return _ExponentialRoute(dim, truncation, padding_factor)
 
 
 def rhs_exponential(half: np.ndarray, route: _ExponentialRoute) -> np.ndarray:
-    """lap(exp(-lap h)) on a batch of k_last >= 0 half boxes, via the pointwise
-    exponential on the padded grid of ``route``."""
-    if not half.any():
-        return np.zeros_like(half)  # exp(0) is constant; its Laplacian vanishes exactly
-    y = synthesize(route.to_grid * half, route.m)
+    """lap(exp(-lap h)) + lap^2 h on a batch of k_last >= 0 half boxes.
+
+    The stiff linear part that the integrating factor takes exactly is
+    subtracted on the grid: with y = -lap h there, the remainder is
+    lap(exp(y) - y), and the constant 1 of exp(y) is annihilated by the
+    Laplacian, so the grid values are expm1(y) - y.  One product (two in
+    2-D) takes the half boxes to the padded grid of ``route`` and one (two)
+    takes them back; no FFT runs.  A zero half box gives exact zeros.
+    NumericalError if the pointwise exponential would overflow.
+    """
+    if route.lead_in is None:
+        rows = half.view(float)
+    else:
+        scaled = route.to_grid * half
+        rows = route.lead_in @ np.concatenate((scaled.real, scaled.imag), axis=-2)
+    y = rows.reshape(-1, route.trail_in.shape[0]) @ route.trail_in
     if float(y.max()) > _EXP_ARG_LIMIT:
         raise NumericalError(
             f"pointwise exponential would overflow: max |lap h| on the grid is "
             f"{float(np.max(np.abs(y))):.6g}"
         )
-    transformed, _zero_modes = analyze(np.exp(y, out=y), route.truncation)
-    return route.from_grid * transformed
+    grid = np.expm1(y)
+    grid -= y
+    parts = grid @ route.trail_out
+    if route.lead_out is None:
+        return parts.view(complex).reshape(half.shape)
+    parts = route.lead_out @ parts.reshape(half.shape[0], -1, half.shape[-1])
+    n = half.shape[-2]
+    return route.from_grid * (parts[:, :n] + 1j * parts[:, n:])

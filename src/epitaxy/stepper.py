@@ -11,9 +11,12 @@ reproduces the exact linear flow to roundoff, which pins down the stiff part
 of the implementation in isolation.
 
 ``solve_timestep`` marches only the half box k_last >= 0 of the real
-field, one ``step`` at a time, through the exponential route of
-``nonlinear``, with the decay weights built once per distinct step size of
-a march.  The recorded half boxes are the trajectory, which validates them.
+field, one ``step`` at a time, with the decay weights built once per
+distinct step size of a march.  Each stage takes R(h) whole from the
+exponential route of ``nonlinear``, ``rhs_exponential``, which forms it on
+the padded grid as lap(expm1(y) - y), y = -lap h, through precomputed DFT
+matrices and no FFT.  The recorded half boxes are the trajectory, which
+validates them.
 """
 
 from __future__ import annotations
@@ -82,33 +85,28 @@ class SolverConfig:
 
 
 def step_weights(k4: np.ndarray, dt: float) -> tuple:
-    """The per-mode constants of one step of size ``dt``, for |k|^4 = ``k4``."""
+    """The per-mode decay factors of one step of size ``dt``, for |k|^4 = ``k4``."""
     half = np.exp(-k4 * (dt / 2.0))
-    return k4, half, half * half, dt * half, 2.0 * half
+    return half, half * half, dt * half, 2.0 * half
 
 
-def _remainder(half: np.ndarray, route, k4: np.ndarray) -> np.ndarray:
-    """rhs(h) + lap^2 h on the half box; zero for the linear-only sentinel, None."""
-    if route is None:
-        return np.zeros_like(half)
-    return rhs_exponential(half, route) + k4 * half
-
-
-def step(a: np.ndarray, dt: float, weights: tuple, remainder) -> np.ndarray:
+def step(a: np.ndarray, dt: float, weights: tuple, route) -> np.ndarray:
     """One IF-RK4 step from the ``(1,) + half box`` state ``a``.
 
-    ``weights`` are those of ``step_weights`` for ``dt``, and ``remainder`` is
-    the exponential route, or None for the linear-only sentinel.  The new
-    state's k_last = 0 line is exactly Hermitian with a zero mode of 0;
-    NumericalError if it is not finite.
+    ``weights`` are those of ``step_weights`` for ``dt``.  Each stage's
+    remainder R = lap(exp(-lap h)) + lap^2 h is ``rhs_exponential`` on
+    ``route``; with ``route`` None (the linear-only sentinel) R is zero and
+    the step is the exact decay.  The new state's k_last = 0 line is exactly
+    Hermitian with a zero mode of 0; NumericalError if it is not finite.
     """
-    k4, half, full, dt_half, two_half = weights
-    full_a = full * a
-    na = _remainder(a, remainder, k4)
-    nb = _remainder(half * (a + (dt / 2.0) * na), remainder, k4)
-    nc = _remainder(half * a + (dt / 2.0) * nb, remainder, k4)
-    nd = _remainder(full_a + dt_half * nc, remainder, k4)
-    new = full_a + (dt / 6.0) * (full * na + two_half * (nb + nc) + nd)
+    half, full, dt_half, two_half = weights
+    new = full * a
+    if route is not None:
+        na = rhs_exponential(a, route)
+        nb = rhs_exponential(half * (a + (dt / 2.0) * na), route)
+        nc = rhs_exponential(half * a + (dt / 2.0) * nb, route)
+        nd = rhs_exponential(new + dt_half * nc, route)
+        new += (dt / 6.0) * (full * na + two_half * (nb + nc) + nd)
     if not np.isfinite(new).all():
         raise NumericalError("step rejected: amplitudes became non-finite")
     hermitian_k0_line(new)
@@ -119,8 +117,8 @@ def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
     """March from 0 to t_final, recording every node of the time grid."""
     times = config.time_grid()
     k4 = mode_grids(h0.dim, h0.truncation).k4
-    route = exponential_route(h0.dim, h0.truncation, config.padding)
-    remainder = None if config.taylor.max_j == 1 else route  # the linear-only sentinel
+    linear_only = config.taylor.max_j == 1  # the sentinel switches the nonlinearity off
+    route = None if linear_only else exponential_route(h0.dim, h0.truncation, config.padding)
     weights = {}
     state = h0.coeffs[None].copy()
     hermitian_k0_line(state)
@@ -130,7 +128,7 @@ def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
         if w is None:
             w = weights[dt] = step_weights(k4, dt)
         try:
-            state = step(state, dt, w, remainder)
+            state = step(state, dt, w, route)
         except NumericalError as err:
             raise NumericalError(
                 f"{err}; last good time t = {float(times[i])!r}"

@@ -5,8 +5,9 @@ operator, the spacetime norm and the stepper act on it as a whole.  Each is
 checked here against the node-by-node (or mode-by-mode) definition it
 replaces, on uniform and thinned time grids in 1-D and 2-D.  Trajectories
 hold k_last >= 0 half boxes; the references work on whole boxes, rebuilt by
-``reference.full_box``.  The stepper is checked against full-box stages built
-through a complex FFT pair written here.
+``reference.full_box``.  The stepper and its exponential route are checked
+against full-box stages built through a complex FFT pair,
+``reference.fft_remainder``.
 """
 
 import math
@@ -29,10 +30,10 @@ from conftest import random_field_with_norm, trajectory_of
 from reference import (
     coeff,
     duhamel_scan,
+    fft_remainder,
     full_box,
     nonzero_modes,
     resolve_depth,
-    rhs_exponential,
     step,
     taylor_term,
     whole_ksq,
@@ -189,43 +190,78 @@ def test_spacetime_norm_matches_direct_sum(rng, dim, thinned):
         assert spacetime_norm(traj, WeightParams(alpha, j)) == pytest.approx(ref, rel=RTOL)
 
 
-def reference_remainder(coeffs, padding=2.0):
-    """rhs(h) + lap^2 h on a full box, through a full complex FFT pair on the padded grid."""
-    dim, truncation = coeffs.ndim, (coeffs.shape[0] - 1) // 2
-    ksq = whole_ksq(dim, truncation)
-    m = math.ceil(padding * (2 * truncation + 1))
-    box = np.ix_(*(np.arange(-truncation, truncation + 1) % m,) * dim)
-    spectrum = np.zeros((m,) * dim, dtype=complex)
-    spectrum[box] = -ksq * coeffs
-    lap = (np.fft.ifftn(spectrum) * m**dim).real
-    exp_coeffs = np.fft.fftn(np.exp(-lap))[box] / m**dim
-    return -ksq * exp_coeffs + ksq**2 * coeffs
-
-
 def whole(field):
     """The whole box of a field."""
     return full_box(field.coeffs[None])[0]
 
 
 def reference_step(coeffs, dt):
-    """One IF-RK4 step on the full box, every stage through ``reference_remainder``."""
+    """One IF-RK4 step on the full box, every stage through ``fft_remainder``."""
     k4 = whole_ksq(coeffs.ndim, (coeffs.shape[0] - 1) // 2) ** 2
     half = np.exp(-k4 * (dt / 2.0))
     full = half * half
     a = coeffs
-    na = reference_remainder(a)
-    nb = reference_remainder(half * (a + (dt / 2.0) * na))
-    nc = reference_remainder(half * a + (dt / 2.0) * nb)
-    nd = reference_remainder(full * a + dt * half * nc)
+    na = fft_remainder(a)
+    nb = fft_remainder(half * (a + (dt / 2.0) * na))
+    nc = fft_remainder(half * a + (dt / 2.0) * nb)
+    nd = fft_remainder(full * a + dt * half * nc)
     return full * a + (dt / 6.0) * (full * na + 2.0 * half * (nb + nc) + nd)
 
 
 def test_reference_remainder_is_the_exponential_route(rng):
     for dim in (1, 2):
         h = random_field_with_norm(rng, 0.3, dim=dim, truncation=TRUNCATION[dim])
-        ref = reference_remainder(whole(h))
-        k4 = mode_grids(dim, h.truncation).k4
-        assert_close(rhs_exponential(h).coeffs + k4 * h.coeffs, ref[..., h.truncation :])
+        route = nonlinear.exponential_route(dim, h.truncation, 2.0)
+        got = nonlinear.rhs_exponential(h.coeffs[None], route)[0]
+        assert_close(got, fft_remainder(whole(h))[..., h.truncation :])
+
+
+@pytest.mark.parametrize("nodes", [1, 5])
+@pytest.mark.parametrize("padding", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("truncation", [1, 2, 7, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_matrix_route_matches_fft_remainder(rng, dim, truncation, padding, nodes):
+    # odd and even padded grids M, and the DFT matrices applied to a batch at once
+    fields = [
+        random_field_with_norm(rng, float(r), dim=dim, truncation=truncation)
+        for r in rng.uniform(0.05, 0.6, nodes)
+    ]
+    route = nonlinear.exponential_route(dim, truncation, padding)
+    got = nonlinear.rhs_exponential(np.array([f.coeffs for f in fields]), route)
+    for node, field in zip(got, fields):
+        assert_close(node, fft_remainder(whole(field), padding)[..., truncation:])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_route_floats_counts_the_matrices(dim):
+    # the memory guard sizes the route by route_floats before it is built
+    route = nonlinear._ExponentialRoute(dim, 7, 1.5)
+    held = [getattr(route, name) for name in ("lead_in", "lead_out", "trail_in", "trail_out")]
+    m = nonlinear.padded_grid_size(7, 1.5)
+    assert sum(a.nbytes for a in held if a is not None) == 8 * nonlinear.route_floats(dim, 7, m)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_matrix_route_gives_exact_zeros_for_zero_nodes(rng, dim):
+    # a zero node beside a nonzero one: no shortcut on the batch, exact zeros all the same
+    h = random_field_with_norm(rng, 0.3, dim=dim, truncation=TRUNCATION[dim])
+    batch = np.array([np.zeros_like(h.coeffs), h.coeffs, np.zeros_like(h.coeffs)])
+    got = nonlinear.rhs_exponential(batch, nonlinear.exponential_route(dim, h.truncation, 2.0))
+    assert np.all(got[[0, 2]] == 0.0)
+    assert np.any(got[1] != 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_matrix_route_refuses_overflow_before_expm1(monkeypatch, dim):
+    def expm1(*_args, **_kwargs):
+        raise AssertionError("expm1 ran on an overflowing grid")
+
+    half = np.zeros((1,) + (5,) * (dim - 1) + (3,), dtype=complex)
+    half[(0,) + (2,) * (dim - 1) + (1,)] = 400.0  # -lap h peaks at 2 * 400 on the grid
+    route = nonlinear.exponential_route(dim, 2, 2.0)
+    monkeypatch.setattr(np, "expm1", expm1)
+    with pytest.raises(NumericalError, match="pointwise exponential would overflow"):
+        nonlinear.rhs_exponential(half, route)
 
 
 @pytest.mark.parametrize("dim,thinned", GRIDS)

@@ -15,7 +15,7 @@ import pytest
 from conftest import load_trajectory, save_trajectory
 from epitaxy import cli
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from epitaxy.nonlinear import series_chunk_nodes
+from epitaxy.nonlinear import route_floats, series_chunk_nodes
 from epitaxy.norms import wiener_norm
 from epitaxy.semigroup import Trajectory, linear_trajectory
 from epitaxy.spectral import FourierField
@@ -104,7 +104,7 @@ class TestCertifyMode:
             initial = {"path": str(tmp_path / initial["path"])}
         cfg = write_config(tmp_path / "run.json", initial_data=initial)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the norm's sum overflows
+            warnings.simplefilter("error")  # an overflowing norm is inf, quietly
             code = main(["certify", "--config", str(cfg)])
         status = json.loads(capsys.readouterr().out.strip().splitlines()[-1], parse_constant=refuse)
         assert code == EXIT_OK and status["pass"] is False
@@ -708,12 +708,12 @@ class TestMemoryGuard:
         assert not (tmp_path / "out" / "certificates").exists()
 
     def test_write_peak_is_counted(self, tmp_path, capsys, monkeypatch):
-        # 51 nodes of 17 modes, and the series sum's 3 grids of 51 x 34 points.
-        # The guard counts the larger of the Picard peak and the write peak:
-        # one byte less than that estimate is refused even though it holds the
-        # smaller peak, and exactly that estimate fits
+        # 51 nodes of 17 modes, the series sum's 3 grids of 51 x 34 points and
+        # the route's matrices.  The guard counts the larger of the Picard peak
+        # and the write peak: one byte less than that estimate is refused even
+        # though it holds the smaller peak, and exactly that estimate fits
         trajectory = 51 * 17 * 16
-        grids = cli.SERIES_GRID_ARRAYS * 51 * 34
+        grids = cli.SERIES_GRID_ARRAYS * 51 * 34 + cli.ROUTE_BUILD_ARRAYS * 4 * 34 * 9
         low, high = sorted((cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES))
         cfg = write_config(tmp_path / "run.json")  # N = 8, dt = 0.01, T = 0.5
         pages = {"SC_PHYS_PAGES": high * trajectory + grids * 8 - 1, "SC_PAGE_SIZE": 1}
@@ -736,6 +736,7 @@ class TestMemoryGuard:
         # the coefficient arrays alone would let it through; the grids refuse it
         trajectory = 11 * 33**2 * 16
         grids = cli.SERIES_GRID_ARRAYS * series_chunk_nodes(2, 132) * 132**2
+        grids += cli.ROUTE_BUILD_ARRAYS * route_floats(2, 16, 132)
         live = max(cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES)
         pages = {"SC_PHYS_PAGES": 6 * trajectory, "SC_PAGE_SIZE": 1}
         assert live * trajectory <= pages["SC_PHYS_PAGES"] < live * trajectory + grids * 8
@@ -752,6 +753,19 @@ class TestMemoryGuard:
             in status["error"]["message"]
         )
         assert not (tmp_path / "out" / "certificate.json").exists()
+
+    def test_route_matrices_are_counted(self, monkeypatch):
+        # 2 nodes at N = 4096 in 1-D: the trajectories and the series grids take
+        # about 2 MB, but the route's DFT matrices grow as N^2: 4 x 16386 x 4097
+        # floats, counted twice for the build
+        config = SolverConfig(truncation=4096, dt=0.1, t_final=0.1)
+        route = cli.ROUTE_BUILD_ARRAYS * 4 * 16386 * 4097 * 8
+        pages = {"SC_PHYS_PAGES": route, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        with pytest.raises(cli.ValidationError, match="GiB"):
+            cli.check_memory(config, dim=1)
+        pages["SC_PHYS_PAGES"] += 2**22
+        cli.check_memory(config, dim=1)
 
     def test_certify_preset_refused_before_allocating(self, tmp_path, capsys):
         # one 2-D box at N = 10**8 is about 6e17 bytes

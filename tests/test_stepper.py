@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from epitaxy import stepper
+from epitaxy import nonlinear, stepper
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import TaylorDepth, exponential_route
 from epitaxy.norms import wiener_norm
@@ -24,13 +24,10 @@ def cosine(amplitude, truncation=8):
 LINEAR_ONLY = TaylorDepth(max_j=1)
 
 
-def nonlinear_remainder(field, depth, padding=2.0):
-    """rhs(h) + lap^2 h as the stepper forms it, as a field.
-
-    ``depth`` only matters through the linear-only sentinel, which gives zero.
-    """
-    route = None if depth.max_j == 1 else exponential_route(field.dim, field.truncation, padding)
-    half = stepper._remainder(start(field), route, mode_grids(field.dim, field.truncation).k4)
+def nonlinear_remainder(field, padding=2.0):
+    """rhs(h) + lap^2 h as the stepper forms it, as a field."""
+    route = exponential_route(field.dim, field.truncation, padding)
+    half = nonlinear.rhs_exponential(start(field), route)
     return FourierField(field.dim, field.truncation, half[0])
 
 
@@ -63,24 +60,28 @@ class TestSolverConfig:
 
 class TestNonlinearRemainder:
     def test_zero_field(self):
-        out = nonlinear_remainder(zero(1, 6), TaylorDepth.adaptive())
+        out = nonlinear_remainder(zero(1, 6))
         assert max_abs(out) == 0.0
 
     def test_leading_term_is_quadratic(self):
         eps = 0.05
-        out = nonlinear_remainder(cosine(eps), TaylorDepth.adaptive())
+        out = nonlinear_remainder(cosine(eps))
         # leading term -eps^2 cos(2x); next correction is O(eps^3)
         assert coeff(out, 2) == pytest.approx(-(eps**2) / 2.0, rel=5 * eps)
         assert abs(coeff(out, 1)) <= eps**3
 
     def test_linear_sentinel_switches_nonlinearity_off(self):
-        out = nonlinear_remainder(cosine(0.3), LINEAR_ONLY)
-        assert max_abs(out) == 0.0
+        # no remainder is formed: the step is the exact per-mode decay, bit for bit
+        h = cosine(0.3)
+        config = SolverConfig(truncation=8, dt=0.01, t_final=1.0, taylor=LINEAR_ONLY)
+        decay = stepper.step_weights(mode_grids(1, 8).k4, 0.01)[1]
+        assert max_abs(nonlinear_remainder(h)) > 0.0
+        assert np.array_equal(step(h, 0.01, config).coeffs, decay * h.coeffs)
 
     def test_matches_series_route(self, rng):
         for r in (0.1, 0.3, 0.5):
             h = random_field_with_norm(rng, r)
-            exp_route = nonlinear_remainder(h, TaylorDepth.adaptive())
+            exp_route = nonlinear_remainder(h)
             series, _ = series_sum(h, TaylorDepth.adaptive(1e-15))
             lap_series = -mode_grids(1, h.truncation).ksq * series.coeffs
             assert np.sum(np.abs(exp_route.coeffs - lap_series)) <= 1e-10
