@@ -11,11 +11,16 @@ and sums the terms to a fixed or adaptive depth by Horner's rule in
 y = -lap h, never calling an exponential.  The two routes serve as mutual
 oracles: the exponential nonlinearity is not polynomial, so exact
 dealiasing is impossible, and the cross-check (rather than a masking rule)
-is the correctness guard for the default padding factor of 2.  They share no
-transform code.
+is the correctness guard for the default padding factor of 2.  In 1-D they
+share no transform code.  In 2-D they share one set of DFT matrices,
+``spectral.dft_matrices``, built once per (N, M).  What still guards that
+set is that the routes evaluate the exponential differently (a pointwise
+expm1 against a Horner polynomial, the stiff part taken off on the grid
+against in coefficient space), and that the test suite checks the matrices
+against oracles on numpy's FFT.
 
 The polynomial is evaluated in physical space on the padded grid: one
-synthesis, J pointwise multiply-accumulates and one analysis (the real-FFT
+synthesis, J pointwise multiply-accumulates and one analysis (the transform
 pair of ``spectral``), instead of J spectral convolutions.
 
 Both routes work on k_last >= 0 half boxes.  The series route sums a whole
@@ -38,7 +43,15 @@ import numpy as np
 from .exceptions import NumericalError
 from .norms import wiener_norm
 from .semigroup import Trajectory
-from .spectral import analyze, hermitian_k0_line, mode_grids, read_only, synthesize
+from .spectral import (
+    _waves,
+    analyze,
+    dft_matrices,
+    hermitian_k0_line,
+    mode_grids,
+    read_only,
+    synthesize,
+)
 
 #: Adaptive depth resolution refuses to go past this many series terms.
 DEPTH_HARD_CAP = 64
@@ -181,28 +194,6 @@ def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0
     return Trajectory._trusted(traj.times, out), means
 
 
-def _waves(modes: np.ndarray, m: int) -> np.ndarray:
-    """exp(-i k x_j) for each grid point x_j = 2 pi j / M (rows) and mode k (columns).
-
-    The phase k j is reduced modulo M in integers first, as 2 pi ((k j) mod M) / M,
-    so every phase lies in [0, 2 pi) and a high mode's waves are as accurate as
-    a low one's.
-    """
-    return np.exp(-2j * np.pi * (np.outer(np.arange(m), modes) % m) / m)
-
-
-def _as_real(waves: np.ndarray) -> np.ndarray:
-    """The real matrix of the product by complex ``waves``, on real parts stacked
-    over imaginary parts; the result interleaves them by row.
-
-    Row 2a of ``_as_real(w) @ [x.real; x.imag]`` is the real part of row a of
-    w x, and row 2a+1 its imaginary part.  The transpose is the product by the
-    conjugate transpose of ``waves``, from interleaved rows to stacked parts.
-    """
-    re, im = waves.real, waves.imag
-    return np.stack([np.hstack([re, -im]), np.hstack([im, re])], axis=1).reshape(2 * len(waves), -1)
-
-
 def route_floats(dim: int, truncation: int, m: int) -> int:
     """The float64 numbers the DFT matrices of one exponential route hold."""
     return 4 * m * (truncation + 1) + (dim - 1) * 8 * m * (2 * truncation + 1)
@@ -211,22 +202,19 @@ def route_floats(dim: int, truncation: int, m: int) -> int:
 class _ExponentialRoute:
     """The real DFT matrices of ``rhs_exponential`` for one (dim, N, padding).
 
-    Along the last axis, ``trail_in`` takes the real and imaginary parts of
-    the N+1 half-box columns to the M grid points, summing each k_last > 0
-    column with its conjugate partner (weight 2, the real part taken), and
-    ``trail_out`` takes M grid points back to those parts, unscaled; both are
-    built from exp(-i k x).  In 1-D the parts are interleaved, as in the
-    float view of a complex array, and the multipliers are folded in: |k|^2
-    on the way in, which gives -lap h on the grid, and -|k|^2 / M on the way
-    out, which applies the Laplacian and the transform's scale.
+    In 1-D, ``trail_in`` takes the real and imaginary parts of the N+1
+    half-box columns, interleaved as in the float view of a complex array, to
+    the M grid points, summing each k > 0 column with its conjugate partner
+    (weight 2, the real part taken), and ``trail_out`` takes M grid points
+    back to those parts; both are built from exp(-i k x), with the
+    multipliers folded in: |k|^2 on the way in, which gives -lap h on the
+    grid, and -|k|^2 / M on the way out, which applies the Laplacian and the
+    transform's scale.
 
     In 2-D |k|^2 does not factor over the axes, so the multipliers
-    ``to_grid`` and ``from_grid`` act on the half box, and along the last
-    axis the parts are stacked, all real parts then all imaginary ones.  The
-    leading axis is a second real product: ``lead_in`` (``_as_real`` of
-    exp(i k x)) takes the 2N+1 rows k = -N..N, real parts stacked over
-    imaginary ones, to the M grid rows, and ``lead_out``, its transpose, takes
-    them back.  The products are real only: with a complex product on the
+    ``to_grid`` and ``from_grid`` act on the half box, and the four matrices
+    are the series sum's own, ``spectral.dft_matrices``: one set per (N, M)
+    in memory.  The products are real only: with a complex product on the
     leading axis, paging in the complex BLAS kernels too raised a 2-D solve's
     peak memory by about 0.2 MiB more.
     """
@@ -235,10 +223,10 @@ class _ExponentialRoute:
 
     def __init__(self, dim: int, truncation: int, padding_factor: float):
         m = padded_grid_size(truncation, padding_factor)
-        last = np.arange(truncation + 1)
-        weight = np.where(last == 0, 1.0, 2.0)
-        waves = _waves(last, m)
         if dim == 1:
+            last = np.arange(truncation + 1)
+            weight = np.where(last == 0, 1.0, 2.0)
+            waves = _waves(last, m)
             into, back = weight * last**2.0, -(last**2.0) / m
             self.to_grid = self.from_grid = self.lead_in = self.lead_out = None
             self.trail_in = read_only(np.ascontiguousarray((into * waves).view(float).T))
@@ -246,12 +234,7 @@ class _ExponentialRoute:
         else:
             ksq = mode_grids(dim, truncation).ksq
             self.to_grid, self.from_grid = ksq, -ksq / m**dim
-            into = weight * waves
-            self.trail_in = read_only(np.concatenate((into.real.T, into.imag.T)))
-            self.trail_out = read_only(np.hstack((waves.real, waves.imag)))
-            lead = _as_real(np.conj(_waves(np.arange(-truncation, truncation + 1), m)))
-            self.lead_in = read_only(lead)
-            self.lead_out = read_only(np.ascontiguousarray(lead.T))
+            self.lead_in, self.lead_out, self.trail_in, self.trail_out = dft_matrices(truncation, m)
 
 
 @lru_cache(maxsize=None)

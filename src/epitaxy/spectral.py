@@ -19,13 +19,16 @@ axis and k_last = i along the last; on the k_last = 0 line -k is in the half
 box too, and ``hermitian_k0_line`` makes it exact.
 
 The physical-space side is a uniform M^n grid over [0, 2*pi)^n; synthesis
-and analysis are exact inverses of each other whenever M >= 2N + 1.  The
-transforms are the real-FFT pair on batches of half boxes.  A half box fills
-only N+1 of the M//2+1 real-FFT columns, so in 2-D the complex pass along
-the first grid axis covers just those columns (the rest are all zeros on the
-way in and unread on the way out); the bytes are those of
-``irfftn``/``rfftn`` on the whole spectrum.  The |k|-power arrays that every
-multiplier is built from come from ``mode_grids``.
+and analysis are exact inverses of each other whenever M >= 2N + 1.  They
+work on batches of half boxes.  In 1-D they are the real-FFT pair.  In 2-D
+numpy's FFT runs one short line at a time, M + N + 1 lines a node each way,
+so there they are real DFT products instead, two per node each way, on the
+matrices of ``dft_matrices``, built once per (N, M); the exponential route
+of ``nonlinear`` takes the same matrices.  Each node gets its own product,
+so its bits do not depend on the batch it is summed in.  The split is by
+dimension, not size: in 1-D per-node products lose to the real FFT, by more
+as N grows.  The |k|-power arrays that every multiplier is built from come
+from ``mode_grids``.
 """
 
 from __future__ import annotations
@@ -358,19 +361,6 @@ class FourierField:
 # -- physical grid ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _half_index(dim: int, truncation: int, m: int) -> tuple:
-    """Index of the k_last >= 0 half boxes inside a batch of real-FFT spectra.
-
-    A spectrum's last axis holds at least N+1 columns; in 2-D it has M rows.
-    """
-    last = slice(0, truncation + 1)
-    if dim == 1:
-        return (slice(None), last)
-    rows = np.arange(-truncation, truncation + 1) % m
-    return (slice(None), rows, last)
-
-
 def hermitian_k0_line(half: np.ndarray) -> None:
     """Make the k_last = 0 line of every half box exactly Hermitian, in place.
 
@@ -386,39 +376,86 @@ def hermitian_k0_line(half: np.ndarray) -> None:
     line[(slice(None),) + (truncation,) * (line.ndim - 1)] = 0.0
 
 
+def _waves(modes: np.ndarray, m: int) -> np.ndarray:
+    """exp(-i k x_j) for each grid point x_j = 2 pi j / M (rows) and mode k (columns).
+
+    The phase k j is reduced modulo M in integers first, as 2 pi ((k j) mod M) / M,
+    so every phase lies in [0, 2 pi) and a high mode's waves are as accurate as
+    a low one's.
+    """
+    return np.exp(-2j * np.pi * (np.outer(np.arange(m), modes) % m) / m)
+
+
+def _as_real(waves: np.ndarray) -> np.ndarray:
+    """The real matrix of the product by complex ``waves``, on real parts stacked
+    over imaginary parts; the result interleaves them by row.
+
+    Row 2a of ``_as_real(w) @ [x.real; x.imag]`` is the real part of row a of
+    w x, and row 2a+1 its imaginary part.  The transpose is the product by the
+    conjugate transpose of ``waves``, from interleaved rows to stacked parts.
+    """
+    re, im = waves.real, waves.imag
+    return np.stack([np.hstack([re, -im]), np.hstack([im, re])], axis=1).reshape(2 * len(waves), -1)
+
+
+@lru_cache(maxsize=None)
+def dft_matrices(truncation: int, m: int) -> tuple:
+    """The real DFT matrices between 2-D half boxes and the M x M grid, built once
+    per (N, M): ``(lead_in, lead_out, trail_in, trail_out)``, all read-only.
+
+    Along the last axis, ``trail_in`` takes the N+1 half-box columns, real
+    parts stacked over imaginary ones, to the M grid points, summing each
+    k_last > 0 column with its conjugate partner (weight 2, the real part
+    taken); ``trail_out`` takes M grid points back to those parts, unscaled.
+    Along the leading axis, ``lead_in`` (``_as_real`` of exp(i k x)) takes the
+    2N+1 rows k = -N..N, real parts stacked over imaginary ones, to the M grid
+    rows with the parts interleaved, and ``lead_out``, its transpose, takes
+    them back.  ``synthesize``, ``analyze`` and the exponential route of
+    ``nonlinear`` share them.
+    """
+    last = np.arange(truncation + 1)
+    waves = _waves(last, m)
+    into = np.where(last == 0, 1.0, 2.0) * waves
+    trail_in = np.concatenate((into.real.T, into.imag.T))
+    trail_out = np.hstack((waves.real, waves.imag))
+    lead = _as_real(np.conj(_waves(np.arange(-truncation, truncation + 1), m)))
+    matrices = (lead, np.ascontiguousarray(lead.T), trail_in, trail_out)
+    return tuple(read_only(matrix) for matrix in matrices)
+
+
 def synthesize(half: np.ndarray, m: int) -> np.ndarray:
     """sum_k coeff(k) exp(i k.x) on the M^dim grid for every half box of a batch.
 
-    The unscaled inverse real FFT over the trailing axes; M >= 2N+1 is the
-    caller's to check.  The output is real by construction: the negative half
-    of the last axis is implied by Hermitian symmetry and never read.  Only
-    the N+1 occupied columns are transformed along the first grid axis (in
-    2-D), and ``irfft`` zero-fills the other M//2 - N, which gives the bytes
-    of ``irfftn`` on the whole spectrum.
+    Unscaled; M >= 2N+1 is the caller's to check.  The output is real by
+    construction: the negative half of the last axis is implied by Hermitian
+    symmetry and never read.  In 1-D this is the inverse real FFT.  In 2-D
+    each node takes two real products with ``dft_matrices``, the leading
+    axis first; numpy's stacked ``matmul`` makes one product per node, so a
+    node's bits do not depend on the batch it is in.
     """
-    dim = half.ndim - 1
-    truncation = half.shape[-1] - 1
-    if dim == 2:
-        columns = np.zeros((half.shape[0], m, truncation + 1), dtype=complex)
-        columns[_half_index(dim, truncation, m)] = half
-        half = np.fft.ifft(columns, axis=1, norm="forward")
-    return np.fft.irfft(half, m, norm="forward")
+    if half.ndim == 2:
+        return np.fft.irfft(half, m, norm="forward")
+    lead_in, _, trail_in, _ = dft_matrices(half.shape[-1] - 1, m)
+    rows = lead_in @ np.concatenate((half.real, half.imag), axis=1)
+    return rows.reshape(len(half), m, -1) @ trail_in
 
 
 def analyze(samples: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled half-box coefficients and zero modes of a ``(nodes,) + (M,)*dim`` batch.
 
-    The forward real FFT over the trailing axes; both results are M^dim times
-    the true coefficients, so a caller can fold that factor into a multiplier.
-    In 2-D only the N+1 columns the half box reads go on to the complex pass
-    along the first grid axis, which gives the bytes of the full ``rfftn``.
+    Both results are M^dim times the true coefficients, so a caller can fold
+    that factor into a multiplier.  In 1-D this is the forward real FFT.  In
+    2-D each node takes two real products with ``dft_matrices``, the last
+    axis first, one product per node as in ``synthesize``.
     """
-    dim = samples.ndim - 1
-    spectrum = np.fft.rfft(samples)
-    if dim == 2:
-        spectrum = np.fft.fft(spectrum[..., : truncation + 1], axis=1)
-    half = spectrum[_half_index(dim, truncation, samples.shape[1])]
-    return half, spectrum[(slice(None),) + (0,) * dim].real
+    if samples.ndim == 2:
+        spectrum = np.fft.rfft(samples)
+        return spectrum[:, : truncation + 1], spectrum[:, 0].real
+    _, lead_out, _, trail_out = dft_matrices(truncation, samples.shape[1])
+    parts = (samples @ trail_out).reshape(len(samples), -1, truncation + 1)
+    parts = lead_out @ parts
+    n = 2 * truncation + 1
+    return parts[:, :n] + 1j * parts[:, n:], parts[:, truncation, 0]
 
 
 def embed(field: FourierField, truncation: int) -> FourierField:

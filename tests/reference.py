@@ -2,8 +2,9 @@
 
 The package transforms, sums and steps whole batches of half boxes.  These
 are the definitions it is checked against, one field at a time:
-``synthesize`` and ``analyze``, the transform pair on one field, refusing a
-grid below the 2N+1 floor (``check_resolution``); ``multiply``, the exact
+``synthesize`` and ``analyze``, the transform pair on one field through
+numpy's real FFT (not the package's DFT products), refusing a grid below the
+2N+1 floor (``check_resolution``); ``multiply``, the exact
 product on a power-of-two grid (acceptance criterion 6); the exponential
 route to the right-hand side, ``rhs_exponential``, and the remainder the
 stepper integrates, through a full complex FFT pair, ``fft_remainder``; one
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from epitaxy import nonlinear, spectral, stepper
+from epitaxy import nonlinear, stepper
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
 from epitaxy.norms import Certificate
@@ -45,21 +46,37 @@ def check_resolution(m, truncation):
         )
 
 
+def _real_spectrum_index(dim, truncation, m):
+    """Positions of the k_last >= 0 half box inside an M x ... x (M//2+1) real-FFT spectrum."""
+    rows = (np.arange(-truncation, truncation + 1) % m,) * (dim - 1)
+    return rows + (slice(0, truncation + 1),)
+
+
 def synthesize(field, m):
-    """Real samples of sum_k coeff(k) exp(i k.x) on the M^dim grid, M >= 2N+1."""
+    """Real samples of sum_k coeff(k) exp(i k.x) on the M^dim grid, M >= 2N+1.
+
+    numpy's inverse real FFT of the zero-filled half spectrum, independent of
+    the package's transforms.
+    """
     check_resolution(m, field.truncation)
-    return spectral.synthesize(field.coeffs[None], m)[0]
+    dim = field.dim
+    spectrum = np.zeros((m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
+    spectrum[_real_spectrum_index(dim, field.truncation, m)] = field.coeffs
+    return np.fft.irfftn(spectrum, s=(m,) * dim, axes=tuple(range(dim)), norm="forward")
 
 
 def analyze(samples, truncation):
-    """The mean-zero field of the box coefficients of M^dim samples, and their mean."""
+    """The mean-zero field of the box coefficients of M^dim samples, and their mean.
+
+    numpy's forward real FFT, independent of the package's transforms.
+    """
     dim, m = samples.ndim, samples.shape[0]
     check_resolution(m, truncation)
-    half, zero_modes = spectral.analyze(samples[None], truncation)
+    spectrum = np.fft.rfftn(samples, axes=tuple(range(dim)))
     scale = m**dim
-    coeffs = half / scale
-    hermitian_k0_line(coeffs)
-    return FourierField(dim, truncation, coeffs[0]), float(zero_modes[0] / scale)
+    coeffs = spectrum[_real_spectrum_index(dim, truncation, m)] / scale
+    hermitian_k0_line(coeffs[None])
+    return FourierField(dim, truncation, coeffs), float(spectrum[(0,) * dim].real / scale)
 
 
 def multiply(f, g):

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from epitaxy import nonlinear
+from epitaxy import nonlinear, spectral
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import TaylorDepth, taylor_sum
 from epitaxy.norms import WeightParams, certify, spacetime_norm, wiener_norm
@@ -239,6 +239,27 @@ def test_route_floats_counts_the_matrices(dim):
     held = [getattr(route, name) for name in ("lead_in", "lead_out", "trail_in", "trail_out")]
     m = nonlinear.padded_grid_size(7, 1.5)
     assert sum(a.nbytes for a in held if a is not None) == 8 * nonlinear.route_floats(dim, 7, m)
+
+
+def test_2d_route_and_series_sum_hold_one_matrix_set(monkeypatch):
+    # the memory guard counts the matrices once, as ROUTE_BUILD_ARRAYS x
+    # route_floats: in 2-D the series sum's transforms take the very arrays
+    # the route holds, one set per (N, M)
+    truncation, padding = 6, 1.5
+    route = nonlinear.exponential_route(2, truncation, padding)
+    held = (route.lead_in, route.lead_out, route.trail_in, route.trail_out)
+    taken = []
+    build = spectral.dft_matrices
+
+    def recording(*key):
+        taken.append(build(*key))
+        return taken[-1]
+
+    monkeypatch.setattr(spectral, "dft_matrices", recording)
+    traj = linear_trajectory(random_decay(truncation, 7, 0.2, dim=2), np.linspace(0.0, 0.01, 5))
+    taylor_sum(traj, TaylorDepth.adaptive(), padding)
+    assert len(taken) == 2  # one synthesis and one analysis
+    assert all(a is b for matrices in taken for a, b in zip(matrices, held, strict=True))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

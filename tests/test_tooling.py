@@ -323,3 +323,26 @@ def test_artifact_gate_compares_two_probes(tmp_path, monkeypatch, capsys):
     passed, lines = gate["compare_outputs"](parent, change)
     report = "\n".join(lines)
     assert passed and re.search(r"probe/operator_probe\.csv: numbers within \S+e-16", report)
+
+
+def test_artifact_gate_sizes_a_changed_table(tmp_path):
+    # a changed .npy table still fails, and the report says by how much,
+    # relative to the parent table's largest entry
+    gate = runpy.run_path(str(ROOT / "tools" / "artifact_gate.py"))
+    table = np.array([[[1.0, -8.0], [2.0, 0.5]], [[0.0, 3.0], [-1.0, 0.25]]])
+    changed = table.copy()
+    changed[0, 1, 0] += 2.0**-40  # exactly representable: 2^-43 of the largest entry
+    for tree, values in (("parent", table), ("change", changed)):
+        (tmp_path / tree / "solve").mkdir(parents=True)
+        np.save(tmp_path / tree / "solve" / "picard_trajectory.npy", values)
+    passed, lines = gate["compare_outputs"](tmp_path / "parent", tmp_path / "change")
+    assert not passed
+    assert lines == [
+        "FAIL solve/picard_trajectory.npy: bytes differ",
+        f"     solve/picard_trajectory.npy: largest |change - parent| {2.0**-43:.2g} "
+        "of the parent's largest entry",
+    ]
+    np.save(tmp_path / "change" / "solve" / "picard_trajectory.npy", changed[:, :1])
+    _passed, lines = gate["compare_outputs"](tmp_path / "parent", tmp_path / "change")
+    shapes = "table shapes differ: (2, 2, 2) -> (2, 1, 2)"
+    assert lines[1] == f"     solve/picard_trajectory.npy: {shapes}"

@@ -19,8 +19,10 @@ Gates, one verdict per file:
   booleans and Picard iteration counts must be equal.
 
 The report lists each file's verdict, the Picard iteration counts and the
-largest relative difference per file.  Exit code 0 means every gate passed,
-1 that one failed, 2 that a run could not be made.
+largest relative difference per file.  A ``.npy`` table that differs fails,
+and the next line gives the size of the change: its largest
+|change - parent| relative to the parent table's largest entry.  Exit code 0
+means every gate passed, 1 that one failed, 2 that a run could not be made.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -144,6 +148,22 @@ def compare_file(name: str, parent: bytes, change: bytes):
     return worst <= RTOL, verdict + ("" if worst <= RTOL else f", above {RTOL:g}")
 
 
+def table_change(parent: bytes, change: bytes) -> str:
+    """How far a ``.npy`` table moved: its largest |change - parent| relative
+    to the parent's largest entry, or why that cannot be said."""
+    try:
+        a, b = (np.load(io.BytesIO(raw), allow_pickle=False) for raw in (parent, change))
+    except (ValueError, EOFError, OSError) as err:
+        return f"not comparable as tables: {err}"
+    if a.shape != b.shape:
+        return f"table shapes differ: {a.shape} -> {b.shape}"
+    worst = float(np.max(np.abs(b - a), initial=0.0))
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if scale == 0.0:
+        return f"largest |change - parent| {worst:.2g}, on a parent table of zeros"
+    return f"largest |change - parent| {worst / scale:.2g} of the parent's largest entry"
+
+
 def picard_iterations(out: Path) -> dict[str, int]:
     """Picard iteration count of every solve under ``out``, from its ``summary.json``."""
     counts = {}
@@ -171,6 +191,8 @@ def compare_outputs(parent: Path, change: Path) -> tuple[bool, list[str]]:
             ok, verdict = compare_file(Path(name).name, a.read_bytes(), b.read_bytes())
         passed = passed and ok
         lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {verdict}")
+        if not ok and name.endswith(".npy") and a.is_file() and b.is_file():
+            lines.append(f"     {name}: {table_change(a.read_bytes(), b.read_bytes())}")
     counts_a, counts_b = picard_iterations(parent), picard_iterations(change)
     for item in sorted(set(counts_a) | set(counts_b)):
         ok = counts_a.get(item) == counts_b.get(item)
