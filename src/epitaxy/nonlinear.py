@@ -24,12 +24,19 @@ synthesis, J pointwise multiply-accumulates and one analysis (the transform
 pair of ``spectral``), instead of J spectral convolutions.
 
 Both routes work on k_last >= 0 half boxes.  The series route sums a whole
-trajectory as one batch (``taylor_sum``), as the Picard iteration needs it.
-The exponential route, ``rhs_exponential``, returns the remainder
-lap(exp(-lap h)) + lap^2 h that the time stepper integrates, formed on the
-grid as expm1(y) - y.  Its grids are tiny (66 points in 1-D at N = 16), so it
-runs on real DFT matrices built once per (dim, N, padding)
-(``exponential_route``), one small product each way per axis, and no FFT.
+trajectory of complex boxes as one batch (``taylor_sum``), as the Picard
+iteration needs it.  The exponential route, ``rhs_exponential``, returns
+the remainder lap(exp(-lap h)) + lap^2 h that the time stepper integrates,
+formed on the grid as expm1(y) - y.  Its grids are tiny (66 points in 1-D
+at N = 16), so it runs on real DFT matrices built once per
+(dim, N, padding) (``exponential_route``), one small product each way per
+axis, and no FFT.  It takes and returns the boxes as real arrays in the
+layout its matrices read and write, which is the layout the stepper
+marches in (``as_parts``): in 1-D the float view of the boxes, real and
+imaginary parts interleaved; in 2-D the real parts stacked over the
+imaginary ones along the leading axis.  Per-mode multipliers are tiled to
+it (``tile_parts``), and ``hermitian_k0_parts`` makes a box's k_last = 0
+line exact in it.
 """
 
 from __future__ import annotations
@@ -199,12 +206,66 @@ def route_floats(dim: int, truncation: int, m: int) -> int:
     return 4 * m * (truncation + 1) + (dim - 1) * 8 * m * (2 * truncation + 1)
 
 
+def parts_view(half: np.ndarray) -> np.ndarray:
+    """A float view of a C-contiguous complex half-box batch in the layout of
+    ``as_parts``: ``(nodes, 2(N+1))`` in 1-D, and ``(nodes, 2, 2N+1, N+1)``
+    in 2-D, whose strides cannot merge the layout's ``2(2N+1)`` rows into
+    one axis."""
+    floats = half.view(float)
+    if half.ndim == 2:
+        return floats
+    return floats.reshape(half.shape + (2,)).transpose(0, 3, 1, 2)
+
+
+def as_parts(half: np.ndarray) -> np.ndarray:
+    """A new real array of a complex half-box batch, in the layout that the
+    exponential route and the stepper work on.
+
+    In 1-D it is ``(nodes, 2(N+1))``, each box's real and imaginary parts
+    interleaved: the float view of the boxes, which ``trail_in`` reads.  In
+    2-D it is ``(nodes, 2(2N+1), N+1)``, each box's real parts stacked over
+    its imaginary ones along the leading axis, which ``lead_in`` reads.
+    """
+    half = np.ascontiguousarray(half, dtype=complex)
+    return np.array(parts_view(half)).reshape((len(half), -1) + half.shape[2:])
+
+
+def tile_parts(grid: np.ndarray) -> np.ndarray:
+    """A real per-mode array over the half box (``|k|^4``, say) laid over both
+    parts of the layout of ``as_parts``, as a batch of one box.
+
+    Its shape is a one-box state's, so a product with one needs no
+    broadcasting, which cost about 0.7 µs more a product in 1-D at N = 16.
+    """
+    if grid.ndim == 1:
+        return np.repeat(grid, 2)[None]
+    return np.concatenate((grid, grid))[None]
+
+
+def hermitian_k0_parts(parts: np.ndarray) -> None:
+    """``spectral.hermitian_k0_line`` on a batch in the layout of ``as_parts``, in place.
+
+    In 1-D the k_last = 0 line is the zero mode alone, the first two floats
+    of a box.  In 2-D the line is column 0 of the real rows and of the
+    imaginary ones.
+    """
+    if parts.ndim == 2:
+        parts[:, :2] = 0.0
+        return
+    truncation = parts.shape[-1] - 1
+    line = parts[..., 0]
+    real, imag = line[:, : 2 * truncation + 1], line[:, 2 * truncation + 1 :]
+    real[:, :truncation] = real[:, : truncation : -1]
+    np.negative(imag[:, : truncation : -1], out=imag[:, :truncation])
+    real[:, truncation] = imag[:, truncation] = 0.0
+
+
 class _ExponentialRoute:
     """The real DFT matrices of ``rhs_exponential`` for one (dim, N, padding).
 
     In 1-D, ``trail_in`` takes the real and imaginary parts of the N+1
-    half-box columns, interleaved as in the float view of a complex array, to
-    the M grid points, summing each k > 0 column with its conjugate partner
+    half-box columns, interleaved as in the layout of ``as_parts``, to the M
+    grid points, summing each k > 0 column with its conjugate partner
     (weight 2, the real part taken), and ``trail_out`` takes M grid points
     back to those parts; both are built from exp(-i k x), with the
     multipliers folded in: |k|^2 on the way in, which gives -lap h on the
@@ -212,11 +273,12 @@ class _ExponentialRoute:
     transform's scale.
 
     In 2-D |k|^2 does not factor over the axes, so the multipliers
-    ``to_grid`` and ``from_grid`` act on the half box, and the four matrices
-    are the series sum's own, ``spectral.dft_matrices``: one set per (N, M)
-    in memory.  The products are real only: with a complex product on the
-    leading axis, paging in the complex BLAS kernels too raised a 2-D solve's
-    peak memory by about 0.2 MiB more.
+    ``to_grid`` and ``from_grid`` act on the half box, tiled over both parts
+    of the layout, and the four matrices are the series sum's own,
+    ``spectral.dft_matrices``: one set per (N, M) in memory.  The products
+    are real only: with a complex product on the leading axis, paging in the
+    complex BLAS kernels too raised a 2-D solve's peak memory by about
+    0.2 MiB more.
     """
 
     __slots__ = ("to_grid", "from_grid", "lead_in", "lead_out", "trail_in", "trail_out")
@@ -233,7 +295,8 @@ class _ExponentialRoute:
             self.trail_out = read_only((back * waves).view(float))
         else:
             ksq = mode_grids(dim, truncation).ksq
-            self.to_grid, self.from_grid = ksq, -ksq / m**dim
+            self.to_grid = read_only(tile_parts(ksq))
+            self.from_grid = read_only(tile_parts(-ksq / m**dim))
             self.lead_in, self.lead_out, self.trail_in, self.trail_out = dft_matrices(truncation, m)
 
 
@@ -243,33 +306,36 @@ def exponential_route(dim: int, truncation: int, padding_factor: float) -> _Expo
     return _ExponentialRoute(dim, truncation, padding_factor)
 
 
-def rhs_exponential(half: np.ndarray, route: _ExponentialRoute) -> np.ndarray:
-    """lap(exp(-lap h)) + lap^2 h on a batch of k_last >= 0 half boxes.
+def rhs_exponential(parts: np.ndarray, route: _ExponentialRoute) -> np.ndarray:
+    """lap(exp(-lap h)) + lap^2 h on a batch of half boxes h in the layout of
+    ``as_parts``, returned in that layout: ``(nodes, 2(N+1))`` with the real
+    and imaginary parts interleaved in 1-D, ``(nodes, 2(2N+1), N+1)`` with
+    the real parts stacked over the imaginary ones in 2-D.
 
     The stiff linear part that the integrating factor takes exactly is
     subtracted on the grid: with y = -lap h there, the remainder is
     lap(exp(y) - y), and the constant 1 of exp(y) is annihilated by the
     Laplacian, so the grid values are expm1(y) - y.  One product (two in
-    2-D) takes the half boxes to the padded grid of ``route`` and one (two)
-    takes them back; no FFT runs.  A zero half box gives exact zeros.
+    2-D) takes the boxes to the padded grid of ``route`` and one (two)
+    takes them back; no FFT runs.  A zero box gives exact zeros.
     NumericalError if the pointwise exponential would overflow.
     """
     if route.lead_in is None:
-        rows = half.view(float)
+        rows = parts
     else:
-        scaled = route.to_grid * half
-        rows = route.lead_in @ np.concatenate((scaled.real, scaled.imag), axis=-2)
-    y = rows.reshape(-1, route.trail_in.shape[0]) @ route.trail_in
-    if float(y.max()) > _EXP_ARG_LIMIT:
+        rows = (route.lead_in @ (route.to_grid * parts)).reshape(-1, route.trail_in.shape[0])
+    # ``dot`` makes the BLAS call of ``@`` (the same bits) with about 1 µs less dispatch
+    y = rows.dot(route.trail_in)
+    if y.max() > _EXP_ARG_LIMIT:
         raise NumericalError(
             f"pointwise exponential would overflow: max |lap h| on the grid is "
             f"{float(np.max(np.abs(y))):.6g}"
         )
     grid = np.expm1(y)
     grid -= y
-    parts = grid @ route.trail_out
+    out = grid.dot(route.trail_out)
     if route.lead_out is None:
-        return parts.view(complex).reshape(half.shape)
-    parts = route.lead_out @ parts.reshape(half.shape[0], -1, half.shape[-1])
-    n = half.shape[-2]
-    return route.from_grid * (parts[:, :n] + 1j * parts[:, n:])
+        return out
+    out = route.lead_out @ out.reshape(parts.shape[0], -1, parts.shape[-1])
+    out *= route.from_grid
+    return out

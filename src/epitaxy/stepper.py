@@ -11,12 +11,17 @@ reproduces the exact linear flow to roundoff, which pins down the stiff part
 of the implementation in isolation.
 
 ``solve_timestep`` marches only the half box k_last >= 0 of the real
-field, one ``step`` at a time, with the decay weights built once per
+field, one ``step`` at a time, as a real array in the layout that the DFT
+matrices of ``nonlinear``'s exponential route read and write
+(``nonlinear.as_parts``): in 1-D the float view of the box, real and
+imaginary parts interleaved; in 2-D its real parts stacked over its
+imaginary ones along the leading axis.  So no stage converts between
+complex and real.  The decay weights are built in the layout once per
 distinct step size of a march.  Each stage takes R(h) whole from the
-exponential route of ``nonlinear``, ``rhs_exponential``, which forms it on
-the padded grid as lap(expm1(y) - y), y = -lap h, through precomputed DFT
-matrices and no FFT.  The recorded half boxes are the trajectory, which
-validates them.
+route, ``rhs_exponential``, which forms it on the padded grid as
+lap(expm1(y) - y), y = -lap h, through the matrices and no FFT.  Each new
+state is copied exactly into its node of one complex trajectory array,
+which ``Trajectory`` validates.
 """
 
 from __future__ import annotations
@@ -27,9 +32,17 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exceptions import NumericalError
-from .nonlinear import TaylorDepth, exponential_route, rhs_exponential
+from .nonlinear import (
+    TaylorDepth,
+    as_parts,
+    exponential_route,
+    hermitian_k0_parts,
+    parts_view,
+    rhs_exponential,
+    tile_parts,
+)
 from .semigroup import Trajectory
-from .spectral import FourierField, hermitian_k0_line, mode_grids, read_only
+from .spectral import FourierField, mode_grids, read_only
 
 
 def default_dt(truncation: int) -> float:
@@ -85,19 +98,29 @@ class SolverConfig:
 
 
 def step_weights(k4: np.ndarray, dt: float) -> tuple:
-    """The per-mode decay factors of one step of size ``dt``, for |k|^4 = ``k4``."""
+    """The per-mode decay factors of one step of size ``dt``, for |k|^4 = ``k4``.
+
+    They come in the layout of ``k4``: the stepper passes ``nonlinear.tile_parts``
+    of the half box's |k|^4, ``(1, 2(N+1))`` with each factor twice in a row
+    in 1-D and ``(1, 2(2N+1), N+1)`` with the box's factors stacked twice in
+    2-D.
+    """
     half = np.exp(-k4 * (dt / 2.0))
     return half, half * half, dt * half, 2.0 * half
 
 
 def step(a: np.ndarray, dt: float, weights: tuple, route) -> np.ndarray:
-    """One IF-RK4 step from the ``(1,) + half box`` state ``a``.
+    """One IF-RK4 step from the state ``a``, one half box in the real layout of
+    ``nonlinear.as_parts``: ``(1, 2(N+1))`` with the real and imaginary parts
+    interleaved in 1-D, ``(1, 2(2N+1), N+1)`` with the real parts stacked over
+    the imaginary ones in 2-D.  The new state comes in the same layout.
 
-    ``weights`` are those of ``step_weights`` for ``dt``.  Each stage's
-    remainder R = lap(exp(-lap h)) + lap^2 h is ``rhs_exponential`` on
-    ``route``; with ``route`` None (the linear-only sentinel) R is zero and
-    the step is the exact decay.  The new state's k_last = 0 line is exactly
-    Hermitian with a zero mode of 0; NumericalError if it is not finite.
+    ``weights`` are those of ``step_weights`` for ``dt``, in that layout.
+    Each stage's remainder R = lap(exp(-lap h)) + lap^2 h is
+    ``rhs_exponential`` on ``route``; with ``route`` None (the linear-only
+    sentinel) R is zero and the step is the exact decay.  The new state's
+    k_last = 0 line is exactly Hermitian with a zero mode of 0;
+    NumericalError if it is not finite.
     """
     half, full, dt_half, two_half = weights
     new = full * a
@@ -109,20 +132,27 @@ def step(a: np.ndarray, dt: float, weights: tuple, route) -> np.ndarray:
         new += (dt / 6.0) * (full * na + two_half * (nb + nc) + nd)
     if not np.isfinite(new).all():
         raise NumericalError("step rejected: amplitudes became non-finite")
-    hermitian_k0_line(new)
+    hermitian_k0_parts(new)
     return new
 
 
 def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
-    """March from 0 to t_final, recording every node of the time grid."""
+    """March from 0 to t_final, recording every node of the time grid.
+
+    The march runs in the real layout of ``nonlinear.as_parts``; each new
+    node is copied exactly into its place in the complex trajectory.
+    """
     times = config.time_grid()
-    k4 = mode_grids(h0.dim, h0.truncation).k4
+    k4 = tile_parts(mode_grids(h0.dim, h0.truncation).k4)
     linear_only = config.taylor.max_j == 1  # the sentinel switches the nonlinearity off
     route = None if linear_only else exponential_route(h0.dim, h0.truncation, config.padding)
     weights = {}
-    state = h0.coeffs[None].copy()
-    hermitian_k0_line(state)
-    states = [state]
+    coeffs = np.empty((times.size,) + h0.coeffs.shape, dtype=complex)
+    nodes = parts_view(coeffs)
+    node_shape = nodes.shape[1:]
+    state = as_parts(h0.coeffs[None])
+    hermitian_k0_parts(state)
+    nodes[0] = state.reshape(node_shape)
     for i, dt in enumerate(np.diff(times).tolist()):
         w = weights.get(dt)
         if w is None:
@@ -133,5 +163,5 @@ def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
             raise NumericalError(
                 f"{err}; last good time t = {float(times[i])!r}"
             ) from err
-        states.append(state)
-    return Trajectory(times, read_only(np.concatenate(states)))
+        nodes[i + 1] = state.reshape(node_shape)
+    return Trajectory(times, read_only(coeffs))

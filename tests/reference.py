@@ -7,15 +7,20 @@ numpy's real FFT (not the package's DFT products), refusing a grid below the
 2N+1 floor (``check_resolution``); ``multiply``, the exact
 product on a power-of-two grid (acceptance criterion 6); the exponential
 route to the right-hand side, ``rhs_exponential``, and the remainder the
-stepper integrates, through a full complex FFT pair, ``fft_remainder``; one
-IF-RK4 ``step`` of a field; the series term F_j on the padded grid, the
-series route to the right-hand side and the scalar loop that resolves one
-node's series depth.
+stepper integrates, through a full complex FFT pair, ``fft_remainder``; the
+series term F_j on the padded grid, the series route to the right-hand side
+and the scalar loop that resolves one node's series depth.
 ``duhamel_map`` is one application of the fixed-point map, which
 ``solve_picard`` iterates on plain arrays.  ``duhamel_scan`` is the Duhamel
 operator with its node-by-node scan written as plain indexing, the exact
 (bit for bit) oracle of ``duhamel_Iplus``.  ``certificate_from_json_dict``
 reads a certificate back from its JSON form.
+
+The stepper marches real arrays in the layout of ``nonlinear.as_parts``.
+Its byte oracle is the complex formulation it replaced: the remainder on
+complex half boxes, ``complex_remainder``, one IF-RK4 ``complex_step`` of a
+batch on it, one ``step`` of a field and the whole ``march``.  ``as_half``
+reads complex half boxes back from the real layout.
 
 The package holds every field as its k_last >= 0 half box.  ``full_box``
 rebuilds the whole (2N+1)^dim box, ``whole_ksq`` is its |k|^2, and
@@ -29,7 +34,7 @@ import math
 
 import numpy as np
 
-from epitaxy import nonlinear, stepper
+from epitaxy import nonlinear
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
 from epitaxy.norms import Certificate
@@ -93,6 +98,42 @@ def multiply(f, g):
     return analyze(synthesize(f, m) * synthesize(g, m), n_out)
 
 
+def complex_remainder(half, route):
+    """The remainder lap(exp(-lap h)) + lap^2 h on a batch of complex half boxes,
+    complex in and out: the package's route as it was formed before it took
+    the real layout of ``nonlinear.as_parts``, on that route's matrices with
+    multipliers of its own.
+    """
+    if route.lead_in is None:
+        rows = half.view(float)
+    else:
+        scaled = mode_grids(2, half.shape[-1] - 1).ksq * half
+        rows = route.lead_in @ np.concatenate((scaled.real, scaled.imag), axis=-2)
+    y = rows.reshape(-1, route.trail_in.shape[0]) @ route.trail_in
+    if float(y.max()) > 700.0:
+        raise NumericalError("pointwise exponential would overflow")
+    grid = np.expm1(y)
+    grid -= y
+    parts = grid @ route.trail_out
+    if route.lead_out is None:
+        return parts.view(complex).reshape(half.shape)
+    parts = route.lead_out @ parts.reshape(half.shape[0], -1, half.shape[-1])
+    n = half.shape[-2]
+    m = route.lead_in.shape[0] // 2
+    from_grid = -mode_grids(2, half.shape[-1] - 1).ksq / m**2
+    return from_grid * (parts[:, :n] + 1j * parts[:, n:])
+
+
+def as_half(parts):
+    """The complex half boxes of a batch in the real layout of ``nonlinear.as_parts``."""
+    if parts.ndim == 2:
+        return np.ascontiguousarray(parts).view(complex)
+    n = parts.shape[1] // 2
+    half = np.empty((len(parts), n) + parts.shape[2:], dtype=complex)
+    half.real, half.imag = parts[:, :n], parts[:, n:]
+    return half
+
+
 def rhs_exponential(field, padding_factor=2.0):
     """lap(exp(-lap h)) via the pointwise exponential on a padded grid, as a field.
 
@@ -101,7 +142,8 @@ def rhs_exponential(field, padding_factor=2.0):
     """
     route = exponential_route(field.dim, field.truncation, float(padding_factor))
     k4 = mode_grids(field.dim, field.truncation).k4
-    out = nonlinear.rhs_exponential(field.coeffs[None], route) - k4 * field.coeffs
+    remainder = nonlinear.rhs_exponential(nonlinear.as_parts(field.coeffs[None]), route)
+    out = as_half(remainder) - k4 * field.coeffs
     hermitian_k0_line(out)
     return FourierField(field.dim, field.truncation, out[0])
 
@@ -133,16 +175,49 @@ def start(field):
     return state
 
 
+def complex_step(a, dt, k4, route):
+    """One IF-RK4 step of the complex half-box batch ``a``, stage by stage on
+    ``complex_remainder``: the package's step as it was formed before it
+    took the real layout, its decay weights its own.  ``route`` None is the
+    linear-only sentinel."""
+    half = np.exp(-k4 * (dt / 2.0))
+    full = half * half
+    new = full * a
+    if route is not None:
+        na = complex_remainder(a, route)
+        nb = complex_remainder(half * (a + (dt / 2.0) * na), route)
+        nc = complex_remainder(half * a + (dt / 2.0) * nb, route)
+        nd = complex_remainder(new + (dt * half) * nc, route)
+        new += (dt / 6.0) * (full * na + (2.0 * half) * (nb + nc) + nd)
+    if not np.isfinite(new).all():
+        raise NumericalError("step rejected: amplitudes became non-finite")
+    hermitian_k0_line(new)
+    return new
+
+
+def _route(field, config):
+    linear_only = config.taylor.max_j == 1  # the sentinel switches the nonlinearity off
+    return None if linear_only else exponential_route(field.dim, field.truncation, config.padding)
+
+
 def step(field, dt, config):
-    """One IF-RK4 step of ``field`` by ``dt``, formed as ``solve_timestep`` forms it."""
+    """One IF-RK4 step of ``field`` by ``dt``, by ``complex_step``."""
     dt = float(dt)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    weights = stepper.step_weights(mode_grids(field.dim, field.truncation).k4, dt)
-    linear_only = config.taylor.max_j == 1  # the sentinel switches the nonlinearity off
-    route = None if linear_only else exponential_route(field.dim, field.truncation, config.padding)
-    new = stepper.step(start(field), dt, weights, route)
+    k4 = mode_grids(field.dim, field.truncation).k4
+    new = complex_step(start(field), dt, k4, _route(field, config))
     return FourierField(field.dim, field.truncation, new[0])
+
+
+def march(field, config):
+    """The half boxes of ``solve_timestep``, one ``complex_step`` a node."""
+    k4 = mode_grids(field.dim, field.truncation).k4
+    route = _route(field, config)
+    states = [start(field)]
+    for dt in np.diff(config.time_grid()).tolist():
+        states.append(complex_step(states[-1], dt, k4, route))
+    return np.concatenate(states)
 
 
 def certificate_from_json_dict(data):

@@ -14,7 +14,18 @@ from epitaxy.spectral import FourierField, mode_grids
 from epitaxy.stepper import SolverConfig, default_dt, solve_timestep
 
 from conftest import random_field_with_norm
-from reference import coeff, max_abs, rhs_exponential, series_sum, start, step, sub, zero
+from reference import (
+    as_half,
+    coeff,
+    march,
+    max_abs,
+    rhs_exponential,
+    series_sum,
+    start,
+    step,
+    sub,
+    zero,
+)
 
 
 def cosine(amplitude, truncation=8):
@@ -27,7 +38,7 @@ LINEAR_ONLY = TaylorDepth(max_j=1)
 def nonlinear_remainder(field, padding=2.0):
     """rhs(h) + lap^2 h as the stepper forms it, as a field."""
     route = exponential_route(field.dim, field.truncation, padding)
-    half = nonlinear.rhs_exponential(start(field), route)
+    half = as_half(nonlinear.rhs_exponential(nonlinear.as_parts(start(field)), route))
     return FourierField(field.dim, field.truncation, half[0])
 
 
@@ -141,11 +152,13 @@ class TestSolveTimestep:
             rel = np.abs(f.coeffs[mask] - exact.coeffs[mask]) / np.abs(exact.coeffs[mask])
             assert np.max(rel) <= 1e-13
 
-    def test_blowup_reports_last_good_time(self):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_blowup_reports_last_good_time(self, dim):
         # amplitudes far past the threshold overflow the pointwise exponential
         config = SolverConfig(truncation=8, dt=0.1, t_final=1.0)
+        h0 = FourierField.from_modes(dim, 8, {(1,) + (0,) * (dim - 1): 450.0})
         with pytest.raises(NumericalError, match="last good time") as excinfo:
-            solve_timestep(cosine(900.0), config)
+            solve_timestep(h0, config)
         assert "np.float64" not in str(excinfo.value)  # a plain float, not a numpy repr
 
     def test_mean_conserved_along_march(self, rng):
@@ -171,3 +184,23 @@ class TestSolveTimestep:
 
         r1, r2 = residual(0.02), residual(0.01)
         assert math.log2(r1 / r2) == pytest.approx(2.0, abs=0.3)
+
+
+# nominal steps: 1e-3 over 0.01 gives 3 distinct float steps, 7e-4 over 0.049 gives 8
+ORACLE_GRIDS = {"dt1e-3": dict(dt=1e-3, t_final=0.01), "dt7e-4": dict(dt=7e-4, t_final=0.049)}
+
+
+@pytest.mark.parametrize("data", ["random", "one-mode"])
+@pytest.mark.parametrize("grid", list(ORACLE_GRIDS))
+@pytest.mark.parametrize("padding", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("truncation", [1, 2, 7, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_has_the_bytes_of_the_complex_oracle(rng, dim, truncation, padding, grid, data):
+    # the real layout moves where the parts sit, not one operation on them;
+    # one-mode data holds exact zeros, and in 2-D its mode is on the k_last = 0 line
+    if data == "random":
+        h0 = random_field_with_norm(rng, 0.3, dim=dim, truncation=truncation)
+    else:
+        h0 = FourierField.from_modes(dim, truncation, {(1,) + (0,) * (dim - 1): -0.1})
+    config = SolverConfig(truncation=truncation, padding=padding, **ORACLE_GRIDS[grid])
+    assert solve_timestep(h0, config).coeffs.tobytes() == march(h0, config).tobytes()

@@ -14,6 +14,7 @@ import runpy
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import epitaxy
 from epitaxy import cli, nonlinear
@@ -75,12 +76,13 @@ def test_benchmark_hooks_resolve():
     assert not missing, f"benchmark hooks no longer resolve: {missing}"
 
 
-def test_tracer_sees_the_hot_paths(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tracer_sees_the_hot_paths(tmp_path, monkeypatch, capsys, dim):
     # the per-layer counts of steps, right-hand sides and transforms come from
     # the functions the engines call: a twin that only tests call reads 0
     tracing = runpy.run_path(str(TRACING))
     config = {
-        "initial_data": {"preset": "random-decay", "amplitude": 0.2, "seed": 7},
+        "initial_data": {"preset": "random-decay", "amplitude": 0.2, "seed": 7, "dim": dim},
         "solver": {"truncation": 3, "dt": 1e-3, "t_final": 0.01},
         "output_dir": "out",
     }
@@ -92,7 +94,7 @@ def test_tracer_sees_the_hot_paths(tmp_path, monkeypatch, capsys):
     values, _absent = tracer.metrics()
     steps = 10
     # 11 nodes fit one series chunk, so each series sum is one transform pair
-    assert nonlinear.series_chunk_nodes(1, nonlinear.padded_grid_size(3, 2.0)) > steps
+    assert nonlinear.series_chunk_nodes(dim, nonlinear.padded_grid_size(3, 2.0)) > steps
     chunks = values["nonlinear.taylor_sum.calls"]
     assert values["stepper.step.calls"] == steps
     assert values["nonlinear.rhs_exponential.calls"] == 4 * steps
