@@ -361,12 +361,12 @@ ROUTE_BUILD_ARRAYS = 2
 WRITE_LIVE_TRAJECTORIES = 4
 
 # Coefficient arrays alive while ``compare`` reads two trajectory files
-# (``radius`` reads one, and holds a field view of each node): the other
-# trajectory, the file's bytes, the table array, the half boxes
-# ``place_modes`` fills and the check's temporaries.  The ``compare`` peak was
-# 2.58 and 2.54 at N = 16, 3.50 and 2.76 at N = 2, and 5.18, 5.54 and 3.01 at
-# N = 1; the ``radius`` peak was 1.11 and 0.78 at N = 16, 3.42 and 1.21 at
-# N = 2, and 5.36, 5.36 and 2.35 at N = 1, where a node's view outweighs its box.
+# (``radius`` reads one, and fits every node at once): the other trajectory,
+# the file's bytes, the table array, the half boxes ``place_modes`` fills and
+# the check's temporaries.  The ``compare`` peak was 2.58 and 2.54 at N = 16,
+# 3.50 and 2.76 at N = 2, and 5.18, 5.54 and 3.01 at N = 1; a whole ``radius``
+# run peaked at 2.07 and 2.03 at N = 16, 2.33 and 2.17 at N = 2, and 2.73,
+# 2.70 and 2.35 at N = 1, where its fit alone peaked at 1.85 in 1-D.
 READ_LIVE_TRAJECTORIES = 6
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
@@ -689,23 +689,20 @@ def _run_radius(spec: RunSpec, out: Path) -> dict:
         raise ValidationError(f"mode_options.fit_window must be [t_lo, t_hi], got {window}")
     traj = _load_trajectory(opts["trajectory"])
     t_lo, t_hi = window or (0.5, float(traj.times[-1]))
-    rows = []
-    fit_points = []
-    for t, field in zip(traj.times, traj.fields):
-        # the floor is valid, so a refused fit is a node with under 3 shells above it
-        try:
-            fit = analyticity_radius(field, floor)
-        except ValueError:
-            continue
-        rows.append(f"{_fmt(t)},{_fmt(fit.rho)},{_fmt(fit.r_squared)},{fit.n_shells}")
-        if t_lo <= t <= t_hi:
-            fit_points.append((float(t), fit.rho))
-    if len(fit_points) < 2:
+    fit = analyticity_radius(traj, floor)
+    usable = fit.n_shells >= 3
+    columns = (traj.times, fit.rho, fit.r_squared, fit.n_shells)
+    rows = [
+        f"{_fmt(t)},{_fmt(rho)},{_fmt(r_squared)},{n}"
+        for t, rho, r_squared, n in zip(*(column[usable] for column in columns))
+    ]
+    in_window = usable & (t_lo <= traj.times) & (traj.times <= t_hi)
+    n_points = int(in_window.sum())
+    if n_points < 2:
         raise ValidationError(
-            f"radius fit window [{t_lo}, {t_hi}] contains {len(fit_points)} usable nodes; need >= 2"
+            f"radius fit window [{t_lo}, {t_hi}] contains {n_points} usable nodes; need >= 2"
         )
-    fit_times, fit_radii = zip(*fit_points)
-    intercept, slope, r_squared = _line_fit(fit_times, fit_radii)
+    intercept, slope, r_squared = map(float, _line_fit(traj.times, fit.rho, in_window))
     summary = {
         "alpha": alpha,
         "slope": slope,
@@ -713,7 +710,7 @@ def _run_radius(spec: RunSpec, out: Path) -> dict:
         "r_squared": r_squared,
         "slope_minus_alpha": slope - alpha,
         "fit_window": [t_lo, t_hi],
-        "n_points": len(fit_points),
+        "n_points": n_points,
     }
     write_csv(out / "radius.csv", "t,rho,r_squared,n_shells", rows, spec)
     write_json(out / "radius_fit.json", summary, spec)

@@ -9,6 +9,11 @@ exponential weight exp(alpha * t * |k|) and takes the supremum over the time
 grid before summing; a finite value forces analyticity of the represented
 function with strip radius at least alpha * t.
 
+``analyticity_radius`` fits |coeff(k)| ~ exp(-rho |k|) on the trailing
+half-box axes, like ``wiener_norm``: one fit for a FourierField, and for a
+Trajectory one per node, from one shell-maximum reduction over modes sorted
+by shell (``_shells``) and one closed-form line per node (``_line_fit``).
+
 ``certify`` packages the quantitative smallness conditions that make the
 Duhamel fixed-point map a contraction: writing r0 for the j = 2 norm of the
 initial data and r1 = r0 for the ball radius, the map is admissible when
@@ -23,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import NumericalError
-from .spectral import FourierField, mode_grids
+from .spectral import FourierField, mode_grids, read_only
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
     from .semigroup import Trajectory
@@ -100,58 +106,66 @@ def _weighted_sup(logamp: np.ndarray, times: np.ndarray, params: WeightParams) -
     return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
 
 
-def _line_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line y ~ intercept + slope * x; returns (intercept, slope, R^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r_squared
+def _line_fit(x, y, kept) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares lines y ~ intercept + slope * x through the points ``kept`` marks,
+    one per row of the last axis, in closed form: (intercept, slope, R^2) arrays.
+    R^2 is 1 where the kept y are constant; under two points the slope is NaN."""
+    count = kept.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_mean = np.where(kept, x, 0.0).sum(axis=-1) / count
+        y_mean = np.where(kept, y, 0.0).sum(axis=-1) / count
+        dx = np.where(kept, x - x_mean[..., None], 0.0)
+        dy = np.where(kept, y - y_mean[..., None], 0.0)
+        slope = np.einsum("...i,...i", dx, dy) / np.einsum("...i,...i", dx, dx)
+        ss_tot = np.einsum("...i,...i", dy, dy)
+        dy -= slope[..., None] * dx  # the residuals
+        r_squared = np.where(ss_tot > 0, 1.0 - np.einsum("...i,...i", dy, dy) / ss_tot, 1.0)
+    return y_mean - slope * x_mean, slope, r_squared
+
+
+@lru_cache(maxsize=None)
+def _shells(dim: int, truncation: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The half box's flat mode indices sorted by |k|^2 (an integer), k = 0 left
+    out; where each shell of equal |k| starts in that order; and each shell's |k|."""
+    ksq = np.rint(mode_grids(dim, truncation).ksq).astype(np.int64).ravel()
+    order = np.argsort(ksq, kind="stable")[1:]  # k = 0 sorts first, alone
+    shell_ksq, starts = np.unique(ksq[order], return_index=True)
+    return read_only(order), read_only(starts), read_only(np.sqrt(shell_ksq))
 
 
 @dataclass(frozen=True)
 class RadiusFit:
-    """Least-squares decay-rate estimate: |coeff(k)| ~ exp(-rho |k|)."""
+    """Decay-rate fits |coeff(k)| ~ exp(-rho |k|): numpy scalars, or one per node."""
 
-    rho: float
-    r_squared: float
-    n_shells: int
+    rho: np.ndarray
+    r_squared: np.ndarray
+    n_shells: np.ndarray
 
 
-def analyticity_radius(field: FourierField, floor: float = 1e-13) -> RadiusFit:
+def analyticity_radius(h, floor: float = 1e-13) -> RadiusFit:
     """Estimate the analyticity radius from the decay of the coefficients.
 
-    Modes are grouped into shells of equal |k| (equal integer |k|^2), each
-    shell represented by its largest amplitude; shells below ``floor``, a
-    finite real > 0, are dropped.  The half box holds every shell, and its
-    maxima are those of the whole box, since |conj z| == |z|.  The slope of
-    -log(amplitude) against |k| over the surviving shells is the radius
-    estimate; the fit R^2 is reported alongside because truncation noise can
-    corrupt the smallest coefficients.
+    ``h`` is a FourierField (one fit) or a Trajectory (one per node, in one
+    pass).  Modes are grouped into shells of equal |k|, each represented by its
+    largest amplitude; shells below ``floor``, a finite real > 0, are dropped.
+    The half box holds every shell, and its maxima are those of the whole box,
+    since |conj z| == |z|.  The slope of -log(amplitude) against |k| over the
+    surviving ``n_shells`` is the radius estimate, with the fit's R^2 because
+    truncation noise can corrupt the smallest coefficients; both are NaN
+    where ``n_shells`` < 3.
     """
     if not 0.0 < floor < math.inf:
         raise ValueError(f"floor must be a finite real > 0, got {floor}")
-    grids = mode_grids(field.dim, field.truncation)
-    ksq_int = np.rint(grids.ksq).astype(np.int64).ravel()
-    amps = np.abs(field.coeffs).ravel()
-    shells: dict[int, float] = {}
-    for r2, a in zip(ksq_int, amps):
-        if r2 == 0:
-            continue
-        if a > shells.get(r2, 0.0):
-            shells[r2] = a
-    points = [(math.sqrt(r2), a) for r2, a in shells.items() if a > floor]
-    if len(points) < 3:
-        raise ValueError(
-            f"radius fit needs at least 3 shells above floor {floor:g}, got {len(points)}"
-        )
-    points.sort()
-    _, rho, r_squared = _line_fit([p[0] for p in points], [-math.log(p[1]) for p in points])
-    return RadiusFit(rho=rho, r_squared=r_squared, n_shells=len(points))
+    order, starts, radii = _shells(h.dim, h.truncation)
+    flat = h.coeffs.reshape(h.coeffs.shape[: h.coeffs.ndim - h.dim] + (-1,))
+    peaks = np.maximum.reduceat(np.abs(flat)[..., order], starts, axis=-1)
+    kept = peaks > floor
+    # log in place where kept; a dropped shell keeps its amplitude, which the fit ignores
+    _, slope, r_squared = _line_fit(radii, np.log(peaks, out=peaks, where=kept), kept)
+    n_shells = kept.sum(axis=-1)
+    few = n_shells < 3
+    rho = np.where(few, np.nan, -slope)[()]  # [()] makes a field's 0-d results scalars
+    return RadiusFit(rho, np.where(few, np.nan, r_squared)[()], n_shells)
 
 
 def max_alpha(r0: float) -> float:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -94,12 +93,6 @@ class Trajectory:
     @property
     def truncation(self) -> int:
         return self.coeffs.shape[-1] - 1
-
-    @cached_property
-    def fields(self) -> tuple[FourierField, ...]:
-        """One FourierField per node, a view of its read-only half box in ``coeffs``."""
-        dim, truncation = self.dim, self.truncation
-        return tuple(FourierField._trusted(dim, truncation, c) for c in self.coeffs)
 
     def to_json_dict(self) -> dict:
         """JSON form with an array: {"dim", "truncation", "times", "modes", "tables"}.

@@ -307,18 +307,6 @@ class FourierField:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def _trusted(cls, dim: int, truncation: int, coeffs: np.ndarray) -> "FourierField":
-        """A field over a read-only half box that its owner has already validated.
-
-        Skips every check: for node views of a validated trajectory only.
-        """
-        field = object.__new__(cls)
-        object.__setattr__(field, "dim", dim)
-        object.__setattr__(field, "truncation", truncation)
-        object.__setattr__(field, "coeffs", coeffs)
-        return field
-
-    @classmethod
     def from_modes(cls, dim: int, truncation: int, modes) -> "FourierField":
         """Build a field from {k: amplitude}, filling Hermitian partners.
 

@@ -22,7 +22,12 @@ complex half boxes, ``complex_remainder``, one IF-RK4 ``complex_step`` of a
 batch on it, one ``step`` of a field and the whole ``march``.  ``as_half``
 reads complex half boxes back from the real layout.
 
-The package holds every field as its k_last >= 0 half box.  ``full_box``
+``radius_fit`` is ``analyticity_radius`` of one field, from a dict of its
+``shell_peaks`` built mode by mode, with its line through ``lstsq``
+(``line_fit``).
+
+The package holds every field as its k_last >= 0 half box.  ``fields``
+views a trajectory's nodes as fields.  ``full_box``
 rebuilds the whole (2N+1)^dim box, ``whole_ksq`` is its |k|^2, and
 ``random_decay_whole`` is the
 ``random-decay`` preset's whole-box draw as it was first defined.  The
@@ -37,7 +42,7 @@ import numpy as np
 from epitaxy import nonlinear
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
-from epitaxy.norms import Certificate
+from epitaxy.norms import Certificate, RadiusFit
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
 from epitaxy.spectral import FourierField, hermitian_k0_line, mode_grids
 
@@ -232,6 +237,59 @@ def certificate_from_json_dict(data):
     )
 
 
+def line_fit(x, y):
+    """Least-squares line y ~ intercept + slope * x; returns (intercept, slope, R^2)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    design = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    fitted = design @ coef
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(coef[0]), float(coef[1]), r_squared
+
+
+def shell_peaks(field):
+    """{integer |k|^2: largest amplitude} over the shells of one field, mode by mode;
+    k = 0 and shells of zero amplitude are left out."""
+    grids = mode_grids(field.dim, field.truncation)
+    ksq_int = np.rint(grids.ksq).astype(np.int64).ravel()
+    amps = np.abs(field.coeffs).ravel()
+    shells = {}
+    for r2, a in zip(ksq_int.tolist(), amps.tolist()):
+        if r2 == 0:
+            continue
+        if a > shells.get(r2, 0.0):
+            shells[r2] = a
+    return shells
+
+
+def radius_fit(field, floor):
+    """``analyticity_radius`` of one field, from its ``shell_peaks``: NaN rho and
+    R^2 when fewer than 3 shells clear ``floor``."""
+    points = sorted((math.sqrt(r2), a) for r2, a in shell_peaks(field).items() if a > floor)
+    if len(points) < 3:
+        return RadiusFit(rho=math.nan, r_squared=math.nan, n_shells=len(points))
+    _, rho, r_squared = line_fit([p[0] for p in points], [-math.log(p[1]) for p in points])
+    return RadiusFit(rho=rho, r_squared=r_squared, n_shells=len(points))
+
+
+def fields(traj):
+    """One FourierField per node of ``traj``, a view of its read-only half box.
+
+    The views skip the field checks, which the trajectory has made.
+    """
+    views = []
+    for half in traj.coeffs:
+        field = object.__new__(FourierField)
+        object.__setattr__(field, "dim", traj.dim)
+        object.__setattr__(field, "truncation", traj.truncation)
+        object.__setattr__(field, "coeffs", half)
+        views.append(field)
+    return tuple(views)
+
+
 def full_box(half):
     """The ``(nodes,) + (2N+1,)*dim`` batch whose k_last >= 0 half is ``half``.
 
@@ -373,7 +431,7 @@ def series_sum(field, depth, padding_factor=2.0):
     """``taylor_sum`` of the one-node trajectory holding ``field``; (field, mean)."""
     one_node = Trajectory([0.0], field.coeffs[None])
     series, means = taylor_sum(one_node, depth, padding_factor)
-    return series.fields[0], float(means[0])
+    return fields(series)[0], float(means[0])
 
 
 def rhs_series(field, depth, padding_factor=2.0):

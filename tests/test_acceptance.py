@@ -32,7 +32,7 @@ from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig, solve_timestep
 
 from conftest import random_field, trajectory_of
-from reference import coeff, multiply, sub
+from reference import coeff, fields, multiply, sub
 
 
 def report(index, name, passed, detail=""):
@@ -130,7 +130,7 @@ def test_criterion_4_engine_cross_validation(corpus_runs):
     for name, run in corpus_runs.items():
         diffs = [
             wiener_norm(sub(a, b), 2)
-            for a, b in zip(run["picard"].fields, run["stepper"].fields)
+            for a, b in zip(fields(run["picard"]), fields(run["stepper"]))
         ]
         worst[name] = max(diffs)
     ok = all(v <= 1e-6 for v in worst.values())
@@ -142,12 +142,12 @@ def test_criterion_5_radius_growth(corpus_runs):
     run = corpus_runs["single-mode-0.2"]
     alpha = run["cert"].alpha
     traj = run["picard"]
+    fit = analyticity_radius(traj, floor=1e-12)  # one fit per node
     points = []
     for i in range(0, traj.times.size, 50):  # every 0.05 time units
         t = float(traj.times[i])
         if 0.5 <= t <= 2.0:
-            fit = analyticity_radius(traj.fields[i], floor=1e-12)
-            points.append((t, fit.rho))
+            points.append((t, fit.rho[i]))
     x = np.array([p[0] for p in points])
     y = np.array([p[1] for p in points])
     design = np.vstack([np.ones_like(x), x]).T
@@ -241,7 +241,7 @@ def test_criterion_9_linear_exactness():
     )
     traj = solve_timestep(h0, config)
     worst = 0.0
-    for t, f in zip(traj.times, traj.fields):
+    for t, f in zip(traj.times, fields(traj)):
         k4 = (np.arange(0, 5, dtype=float) ** 2) ** 2  # the half box k >= 0
         exact = h0.coeffs * np.exp(-k4 * t)
         mask = np.abs(exact) > 0
@@ -274,11 +274,11 @@ def test_criterion_10_convergence_orders():
 
     def residual(n):
         times = np.linspace(0.0, 1.0, n + 1)
-        fields = [FourierField.from_modes(1, 4, {(1,): 0.5 * math.exp(-0.3 * t)}) for t in times]
-        traj = trajectory_of(times, fields)
+        nodes = [FourierField.from_modes(1, 4, {(1,): 0.5 * math.exp(-0.3 * t)}) for t in times]
+        traj = trajectory_of(times, nodes)
         out = duhamel_Iplus(traj)
-        g = np.array([coeff(f, 1) for f in out.fields])
-        fv = np.array([coeff(f, 1) for f in traj.fields])
+        g = np.array([coeff(f, 1) for f in fields(out)])
+        fv = np.array([coeff(f, 1) for f in fields(traj)])
         dt = times[1] - times[0]
         res = (g[2:] - g[:-2]) / (2.0 * dt) + g[1:-1] + fv[1:-1]
         return float(np.max(np.abs(res)))
@@ -289,7 +289,7 @@ def test_criterion_10_convergence_orders():
     finals = []
     for dt in (0.02, 0.01, 0.005):
         config = SolverConfig(truncation=2, dt=dt, t_final=0.5)
-        finals.append(solve_timestep(presets.single_mode(2, 0.2), config).fields[-1])
+        finals.append(fields(solve_timestep(presets.single_mode(2, 0.2), config))[-1])
     e1 = wiener_norm(sub(finals[0], finals[1]), 0)
     e2 = wiener_norm(sub(finals[1], finals[2]), 0)
     rk4_order = math.log2(e1 / e2)

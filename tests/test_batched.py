@@ -19,7 +19,13 @@ import pytest
 from epitaxy import nonlinear, spectral
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import TaylorDepth, taylor_sum
-from epitaxy.norms import WeightParams, certify, spacetime_norm, wiener_norm
+from epitaxy.norms import (
+    WeightParams,
+    analyticity_radius,
+    certify,
+    spacetime_norm,
+    wiener_norm,
+)
 from epitaxy.picard import solve_picard
 from epitaxy.presets import random_decay
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
@@ -32,9 +38,12 @@ from reference import (
     coeff,
     duhamel_scan,
     fft_remainder,
+    fields,
     full_box,
     nonzero_modes,
+    radius_fit,
     resolve_depth,
+    shell_peaks,
     step,
     taylor_term,
     whole_ksq,
@@ -57,11 +66,11 @@ def time_grid(rng, thinned, t_final=0.2, n=41):
 def random_trajectory(rng, dim, times):
     """Independent random nodes with j = 2 norms spread over [0.05, 0.6]."""
     norms = rng.uniform(0.05, 0.6, times.size)
-    fields = [
+    nodes = [
         random_field_with_norm(rng, float(r), dim=dim, truncation=TRUNCATION[dim])
         for r in norms
     ]
-    return trajectory_of(times, fields)
+    return trajectory_of(times, nodes)
 
 
 def assert_close(got, ref):
@@ -73,13 +82,13 @@ def assert_close(got, ref):
 def test_series_sum_matches_per_node_terms(rng, dim, thinned):
     depth = TaylorDepth.adaptive(1e-12)
     traj = random_trajectory(rng, dim, time_grid(rng, thinned))
-    depths = [resolve_depth(depth, wiener_norm(f, 2)) for f in traj.fields]
+    depths = [resolve_depth(depth, wiener_norm(f, 2)) for f in fields(traj)]
     assert len(set(depths)) > 1  # the batch really mixes depths
     batched, means = taylor_sum(traj, depth)
     assert np.array_equal(batched.times, traj.times)
-    for i, field in enumerate(traj.fields):
+    for i, (field, summed) in enumerate(zip(fields(traj), fields(batched))):
         terms = [taylor_term(field, j) for j in range(2, depths[i] + 1)]
-        assert_close(batched.fields[i].coeffs, sum(term.coeffs for term, _ in terms))
+        assert_close(summed.coeffs, sum(term.coeffs for term, _ in terms))
         assert means[i] == pytest.approx(sum(mean for _, mean in terms), rel=RTOL)
 
 
@@ -191,6 +200,38 @@ def test_spacetime_norm_matches_direct_sum(rng, dim, thinned):
         assert spacetime_norm(traj, WeightParams(alpha, j)) == pytest.approx(ref, rel=RTOL)
 
 
+@pytest.mark.parametrize("kind", ["linear", "solved"])
+@pytest.mark.parametrize("truncation", [2, 8, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_radius_fit_matches_per_field_oracle(dim, truncation, kind):
+    # one pass over the trajectory against the dict-per-field fit, node by node
+    h0 = random_decay(truncation, seed=7, amplitude=0.2, dim=dim)
+    if kind == "linear":
+        traj = linear_trajectory(h0, np.linspace(0.0, 1.0, 21))
+    else:
+        traj = solve_timestep(h0, SolverConfig(truncation=truncation, dt=1e-3, t_final=0.02))
+    nodes = fields(traj)
+    # each node's third-largest shell peak: at their median, some nodes keep
+    # 3 shells and others do not
+    thirds = [sorted(peaks.values())[-3] for peaks in map(shell_peaks, nodes) if len(peaks) >= 3]
+    floors = [1e-13, 1e-8, 1e-4] + ([float(np.median(thirds))] if thirds else [])
+    mixed = False
+    for floor in floors:
+        fit = analyticity_radius(traj, floor)
+        oracle = [radius_fit(field, floor) for field in nodes]
+        assert fit.n_shells.tolist() == [o.n_shells for o in oracle]
+        skipped = np.isnan(fit.rho)
+        assert skipped.tolist() == [o.n_shells < 3 for o in oracle]
+        assert np.array_equal(np.isnan(fit.r_squared), skipped)
+        kept = [o for o in oracle if o.n_shells >= 3]
+        np.testing.assert_allclose(fit.rho[~skipped], [o.rho for o in kept], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            fit.r_squared[~skipped], [o.r_squared for o in kept], rtol=1e-12, atol=0
+        )
+        mixed |= 0 < skipped.sum() < skipped.size
+    assert mixed or (dim, truncation) == (1, 2)  # there, 2 shells in all: every node skipped
+
+
 def whole(field):
     """The whole box of a field."""
     return full_box(field.coeffs[None])[0]
@@ -228,13 +269,13 @@ def test_reference_remainder_is_the_exponential_route(rng):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_matrix_route_matches_fft_remainder(rng, dim, truncation, padding, nodes):
     # odd and even padded grids M, and the DFT matrices applied to a batch at once
-    fields = [
+    drawn = [
         random_field_with_norm(rng, float(r), dim=dim, truncation=truncation)
         for r in rng.uniform(0.05, 0.6, nodes)
     ]
     route = nonlinear.exponential_route(dim, truncation, padding)
-    got = remainder(np.array([f.coeffs for f in fields]), route)
-    for node, field in zip(got, fields):
+    got = remainder(np.array([f.coeffs for f in drawn]), route)
+    for node, field in zip(got, drawn):
         assert_close(node, fft_remainder(whole(field), padding)[..., truncation:])
 
 
@@ -318,7 +359,7 @@ def test_march_matches_reference_chain(rng, dim):
     ref = whole(h0)
     for i, dt in enumerate(np.diff(traj.times)):
         ref = reference_step(ref, dt)
-        assert_close(traj.fields[i + 1].coeffs, ref[..., truncation:])
+        assert_close(traj.coeffs[i + 1], ref[..., truncation:])
     # every node: zero mode exactly 0 and k_last = 0 line Hermitian bit for bit
     assert_exact_k0_line(traj.coeffs)
 
@@ -333,7 +374,7 @@ def test_march_is_a_chain_of_steps(rng, dim):
     state = h0
     for i, dt in enumerate(np.diff(traj.times)):
         state = step(state, dt, config)
-        assert np.array_equal(state.coeffs, traj.fields[i + 1].coeffs)
+        assert np.array_equal(state.coeffs, traj.coeffs[i + 1])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -386,7 +427,7 @@ def test_json_nodes_keep_the_field_format(rng):
     assert [1, 2] not in data["modes"] and [2, 0] in data["modes"]
     assert data["tables"].dtype == np.dtype("<f8")
     assert data["tables"].shape == (2, traj.times.size, len(data["modes"]))
-    for re, im, field in zip(*data["tables"].tolist(), traj.fields):
+    for re, im, field in zip(*data["tables"].tolist(), fields(traj)):
         listed = [k + [a, b] for k, a, b in zip(data["modes"], re, im) if a or b]
         expected = [
             list(k) + [a.real, a.imag]
@@ -404,7 +445,7 @@ def test_json_reader_fills_partners_and_rejects_clashes():
         return {"dim": 1, "truncation": 2, "times": [0.0, 0.1], "modes": modes, "tables": tables}
 
     traj = Trajectory.from_json_dict(data([[1]], [0.25], [-0.5]))
-    assert coeff(traj.fields[1], -1) == 0.25 + 0.5j
+    assert coeff(fields(traj)[1], -1) == 0.25 + 0.5j
     with pytest.raises(ValueError, match="conjugate"):
         Trajectory.from_json_dict(data([[-1], [1]], [0.5, 0.25], [0.0, 0.0]))
     with pytest.raises(ValueError, match="outside"):
@@ -434,10 +475,11 @@ def test_array_construction_validates_every_node():
     traj = Trajectory(np.array([0.0, 1.0]), np.stack([good, good]))
     with pytest.raises(ValueError):
         traj.coeffs[0, 3, 0] = 1.0  # read-only
+    node = fields(traj)[1]
     with pytest.raises(ValueError):
-        traj.fields[1].coeffs[3, 2] = 1.0  # the node views are read-only too
-    assert coeff(traj.fields[1], (1, 0)) == 0.5
-    assert coeff(traj.fields[1], (-1, -1)) == 0.25
+        node.coeffs[3, 2] = 1.0  # the node views are read-only too
+    assert coeff(node, (1, 0)) == 0.5
+    assert coeff(node, (-1, -1)) == 0.25
 
 
 def test_a_whole_1d_box_is_not_taken_for_a_half_box():

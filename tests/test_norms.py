@@ -132,9 +132,10 @@ class TestAnalyticityRadius:
         assert fit.n_shells == 8
 
     def test_too_few_shells_errors_with_count(self):
-        f = cosine()
-        with pytest.raises(ValueError, match="got 1"):
-            analyticity_radius(f, floor=1e-13)
+        # a node under 3 shells is reported, not refused: its count and NaN
+        fit = analyticity_radius(cosine(), floor=1e-13)
+        assert fit.n_shells == 1
+        assert math.isnan(fit.rho) and math.isnan(fit.r_squared)
 
     def test_floor_drops_noise_shells(self):
         modes = {(k,): math.exp(-2.0 * k) for k in range(1, 5)}

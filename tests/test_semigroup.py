@@ -20,7 +20,7 @@ from epitaxy.semigroup import (
 from epitaxy.spectral import FourierField
 
 from conftest import random_field, trajectory_of
-from reference import coeff, max_abs, zero
+from reference import coeff, fields, max_abs, zero
 
 
 def cosine(truncation=4, amplitude=1.0):
@@ -29,8 +29,8 @@ def cosine(truncation=4, amplitude=1.0):
 
 def single_mode_trajectory(times, profile, k=1, truncation=4):
     """One real cosine mode whose coefficient follows ``profile(t)``."""
-    fields = [FourierField.from_modes(1, truncation, {(k,): profile(t)}) for t in times]
-    return trajectory_of(times, fields)
+    nodes = [FourierField.from_modes(1, truncation, {(k,): profile(t)}) for t in times]
+    return trajectory_of(times, nodes)
 
 
 def moment(lam, dt, f0, f1):
@@ -54,7 +54,7 @@ class TestTrajectory:
         traj = linear_trajectory(random_field(rng, truncation=3), np.linspace(0, 1, 5))
         back = Trajectory.from_json_dict(traj.to_json_dict())
         assert np.array_equal(back.times, traj.times)
-        for a, b in zip(back.fields, traj.fields):
+        for a, b in zip(fields(back), fields(traj)):
             np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0, atol=1e-15)
 
 
@@ -76,13 +76,13 @@ class TestPropagate:
         np.testing.assert_array_equal(linear_trajectory(f, [0.0]).coeffs[0], f.coeffs)
 
     def test_unit_mode_decay_factor(self):
-        g = linear_trajectory(cosine(), [0.0, 1.0]).fields[1]
+        g = fields(linear_trajectory(cosine(), [0.0, 1.0]))[1]
         assert coeff(g, 1) == pytest.approx(0.5 * 0.36787944117144233, rel=1e-15)
 
     def test_semigroup_law(self, rng):
         f = random_field(rng, truncation=5)
         once = linear_trajectory(f, [0.0, 0.7 + 0.4]).coeffs[1]
-        halfway = linear_trajectory(f, [0.0, 0.7]).fields[1]
+        halfway = fields(linear_trajectory(f, [0.0, 0.7]))[1]
         twice = linear_trajectory(halfway, [0.0, 0.4]).coeffs[1]
         scale = max(np.max(np.abs(once)), 1e-300)
         assert np.max(np.abs(once - twice)) <= 1e-13 * scale
@@ -95,16 +95,16 @@ class TestPropagate:
 class TestLinearTrajectory:
     def test_zero_data_stays_zero(self):
         traj = linear_trajectory(zero(1, 4), np.linspace(0, 1, 5))
-        assert all(max_abs(f) == 0.0 for f in traj.fields)
+        assert all(max_abs(f) == 0.0 for f in fields(traj))
 
     def test_two_node_values(self):
         traj = linear_trajectory(cosine(), np.array([0.0, 1.0]))
-        assert coeff(traj.fields[0], 1) == pytest.approx(0.5)
-        assert coeff(traj.fields[1], 1) == pytest.approx(0.5 * math.exp(-1.0))
+        assert coeff(fields(traj)[0], 1) == pytest.approx(0.5)
+        assert coeff(fields(traj)[1], 1) == pytest.approx(0.5 * math.exp(-1.0))
 
     def test_per_mode_monotone_decay(self, rng):
         traj = linear_trajectory(random_field(rng, truncation=4), np.linspace(0, 2, 9))
-        mags = np.stack([np.abs(f.coeffs) for f in traj.fields])
+        mags = np.stack([np.abs(f.coeffs) for f in fields(traj)])
         assert np.all(np.diff(mags, axis=0) <= 1e-300 + 0.0)
 
 
@@ -154,7 +154,7 @@ class TestDuhamelIplus:
     def test_zero_in_zero_out(self):
         traj = linear_trajectory(zero(1, 3), np.linspace(0, 1, 6))
         out = duhamel_Iplus(traj)
-        assert all(max_abs(f) == 0.0 for f in out.fields)
+        assert all(max_abs(f) == 0.0 for f in fields(out))
 
     def test_constant_profile_closed_form(self):
         # f(s, k) = c at |k| = 1: g(t) = -c (1 - e^{-t}); exact for the
@@ -163,13 +163,13 @@ class TestDuhamelIplus:
         times = np.linspace(0.0, 4.0, 41)
         traj = single_mode_trajectory(times, lambda t: c)
         out = duhamel_Iplus(traj)
-        for t, f in zip(out.times, out.fields):
+        for t, f in zip(out.times, fields(out)):
             assert coeff(f, 1) == pytest.approx(-c * (1.0 - math.exp(-t)), abs=1e-14)
         # long-time limit tends to -c
-        assert coeff(out.fields[-1], 1) == pytest.approx(-c, rel=1e-1)
+        assert coeff(fields(out)[-1], 1) == pytest.approx(-c, rel=1e-1)
         # independent quadrature oracle at the final node
         val, _ = quad(lambda s: math.exp(-(4.0 - s)) * c, 0.0, 4.0, epsabs=1e-14)
-        assert coeff(out.fields[-1], 1) == pytest.approx(-val, abs=1e-12)
+        assert coeff(fields(out)[-1], 1) == pytest.approx(-val, abs=1e-12)
 
     def test_exponential_profile_against_closed_form(self):
         # f(s, 1) = c e^{-s/2}: g(1) = -c (e^{-1/2} - e^{-1}) / (1 - 1/2)
@@ -179,7 +179,7 @@ class TestDuhamelIplus:
         for n in (40, 80, 160):
             times = np.linspace(0.0, 1.0, n + 1)
             traj = single_mode_trajectory(times, lambda t: c * math.exp(-0.5 * t))
-            got = coeff(duhamel_Iplus(traj).fields[-1], 1)
+            got = coeff(fields(duhamel_Iplus(traj))[-1], 1)
             errors.append(abs(got - closed))
         assert errors[0] <= 5e-5  # already accurate on the coarse grid
         # second-order refinement towards the closed form
@@ -195,8 +195,8 @@ class TestDuhamelIplus:
             times = np.linspace(0.0, 1.0, n + 1)
             return duhamel_Iplus(linear_trajectory(h0, times))
         coarse, mid, fine = result(20), result(40), result(80)
-        d1 = np.max(np.abs(coarse.fields[-1].coeffs - mid.fields[-1].coeffs))
-        d2 = np.max(np.abs(mid.fields[-1].coeffs - fine.fields[-1].coeffs))
+        d1 = np.max(np.abs(fields(coarse)[-1].coeffs - fields(mid)[-1].coeffs))
+        d2 = np.max(np.abs(fields(mid)[-1].coeffs - fields(fine)[-1].coeffs))
         assert math.log2(d1 / d2) == pytest.approx(2.0, abs=0.35)
 
     def test_discrete_residual_second_order(self):
@@ -205,8 +205,8 @@ class TestDuhamelIplus:
             times = np.linspace(0.0, 1.0, n + 1)
             traj = single_mode_trajectory(times, lambda t: 0.5 * math.exp(-0.3 * t))
             out = duhamel_Iplus(traj)
-            g = np.array([coeff(f, 1) for f in out.fields])
-            f = np.array([coeff(f, 1) for f in traj.fields])
+            g = np.array([coeff(f, 1) for f in fields(out)])
+            f = np.array([coeff(f, 1) for f in fields(traj)])
             dt = times[1] - times[0]
             dgdt = (g[2:] - g[:-2]) / (2.0 * dt)
             res = dgdt + g[1:-1] + f[1:-1]
@@ -217,7 +217,7 @@ class TestDuhamelIplus:
     def test_mean_zero_and_hermitian_preserved(self, rng):
         traj = linear_trajectory(random_field(rng, dim=2, truncation=3), np.linspace(0, 1, 9))
         out = duhamel_Iplus(traj)
-        for f in out.fields:
+        for f in fields(out):
             assert coeff(f, (0, 0)) == 0.0  # construction re-checks symmetry
 
 

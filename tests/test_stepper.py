@@ -17,6 +17,7 @@ from conftest import random_field_with_norm
 from reference import (
     as_half,
     coeff,
+    fields,
     march,
     max_abs,
     rhs_exponential,
@@ -115,7 +116,7 @@ class TestStep:
         config = self.config(taylor=taylor)
         f = random_field_with_norm(rng, 0.3, truncation=8)
         stepped = step(f, 0.01, config)
-        exact = linear_trajectory(f, [0.0, 0.01]).fields[1]
+        exact = fields(linear_trajectory(f, [0.0, 0.01]))[1]
         mask = np.abs(exact.coeffs) > 0
         rel = np.abs(stepped.coeffs[mask] - exact.coeffs[mask]) / np.abs(exact.coeffs[mask])
         assert np.max(rel) <= 1e-14
@@ -126,7 +127,7 @@ class TestStep:
         finals = []
         for dt in (0.02, 0.01, 0.005):
             config = SolverConfig(truncation=2, dt=dt, t_final=0.5)
-            finals.append(solve_timestep(h0, config).fields[-1])
+            finals.append(fields(solve_timestep(h0, config))[-1])
         e1 = wiener_norm(sub(finals[0], finals[1]), 0)
         e2 = wiener_norm(sub(finals[1], finals[2]), 0)
         assert math.log2(e1 / e2) == pytest.approx(4.0, abs=0.5)
@@ -136,18 +137,18 @@ class TestSolveTimestep:
     def test_zero_data(self):
         config = SolverConfig(truncation=4, dt=0.1, t_final=1.0)
         traj = solve_timestep(zero(1, 4), config)
-        assert all(max_abs(f) == 0.0 for f in traj.fields)
+        assert all(max_abs(f) == 0.0 for f in fields(traj))
 
     def test_small_solution_decays(self):
         config = SolverConfig(truncation=8, dt=0.01, t_final=1.0)
         traj = solve_timestep(cosine(0.1), config)
-        assert wiener_norm(traj.fields[-1], 0) < wiener_norm(traj.fields[0], 0)
+        assert wiener_norm(fields(traj)[-1], 0) < wiener_norm(fields(traj)[0], 0)
 
     def test_linear_trajectory_reproduced_exactly(self, rng):
         config = SolverConfig(truncation=4, dt=1e-3, t_final=0.1, taylor=LINEAR_ONLY)
         h0 = random_field_with_norm(rng, 0.3, truncation=4)
         traj = solve_timestep(h0, config)
-        for f, exact in zip(traj.fields, linear_trajectory(h0, traj.times).fields):
+        for f, exact in zip(fields(traj), fields(linear_trajectory(h0, traj.times))):
             mask = np.abs(exact.coeffs) > 0
             rel = np.abs(f.coeffs[mask] - exact.coeffs[mask]) / np.abs(exact.coeffs[mask])
             assert np.max(rel) <= 1e-13
@@ -165,7 +166,7 @@ class TestSolveTimestep:
         config = SolverConfig(truncation=6, dt=0.01, t_final=0.3)
         h0 = random_field_with_norm(rng, 0.2, truncation=6)
         traj = solve_timestep(h0, config)
-        assert all(coeff(f, 0) == 0.0 for f in traj.fields)
+        assert all(coeff(f, 0) == 0.0 for f in fields(traj))
 
     def test_discrete_residual_second_order(self):
         # central difference of the marched trajectory against the
@@ -175,10 +176,11 @@ class TestSolveTimestep:
         def residual(dt):
             config = SolverConfig(truncation=2, dt=dt, t_final=0.4)
             traj = solve_timestep(h0, config)
+            nodes = fields(traj)
             worst = 0.0
             for i in range(1, traj.times.size - 1):
-                dot = sub(traj.fields[i + 1], traj.fields[i - 1]) * (1.0 / (2.0 * dt))
-                res = sub(dot, rhs_exponential(traj.fields[i]))
+                dot = sub(nodes[i + 1], nodes[i - 1]) * (1.0 / (2.0 * dt))
+                res = sub(dot, rhs_exponential(nodes[i]))
                 worst = max(worst, wiener_norm(res, 0))
             return worst
 

@@ -4,7 +4,8 @@ hooks must still exist and be the one the engines call, the README's memory
 estimate must be the one the guard applies, the README's library sketch must
 run, every public name in the package must be used by it, exported or hooked
 (every public method used by it, through its own class when named by one, or
-hooked), and no number of a trajectory's tables may pass through ``json``."""
+hooked), every private function and method must be used by the package, and
+no number of a trajectory's tables may pass through ``json``."""
 
 import ast
 import importlib
@@ -137,23 +138,16 @@ def test_readme_sketch_runs():
     assert namespace["gap"] < 1e-6
 
 
-def test_public_names_are_used():
-    # code that only tests call belongs in tests/, so every public top-level
-    # def or class must be referenced by the package, exported or hooked, and
-    # every public method referenced by the package or hooked
-    missing = [name for name in epitaxy.__all__ if not hasattr(epitaxy, name)]
-    assert not missing, f"names in epitaxy.__all__ that do not resolve: {missing}"
-    imported = {
-        alias.name
-        for node in ast.walk(ast.parse(_readme_sketch()))
-        if isinstance(node, ast.ImportFrom) and node.module == "epitaxy"
-        for alias in node.names
-    }
-    assert imported, "the library sketch imports nothing from epitaxy"
-    assert imported <= set(epitaxy.__all__), f"not exported: {imported - set(epitaxy.__all__)}"
-    hooks = runpy.run_path(str(TRACING))["SPAN_HOOKS"]
-    hooked = {(module, path) for _name, module, path in hooks}
-    hooked |= {(module, path.split(".")[0]) for module, path in hooked}
+def _package_names():
+    """The package's definitions and the references to them.
+
+    Returns ``defined``, (module, name, is_class) for every top-level def or
+    class and every method other than a dunder, where a method's name is
+    "Class.method", and ``is_used(module, name)``: whether the name appears
+    in the package outside its own definition.  A method (a property too)
+    must be used as such, its class being used does not count, and a
+    reference Class.method counts for that class alone.
+    """
     # (identifier, module, definition it appears in, qualifier) for every name
     # and attribute, where a method's definition is "Class.method" and the
     # qualifier is the name an attribute is read from ("Class" in Class.method)
@@ -171,8 +165,8 @@ def test_public_names_are_used():
         module = f"epitaxy.{path.stem}"
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(statement, "name", None)
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and owner[0] != "_":
-                defined.append((module, owner))
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, owner, isinstance(statement, ast.ClassDef)))
             if not isinstance(statement, ast.ClassDef):
                 record(statement, module, owner)
                 continue
@@ -182,15 +176,12 @@ def test_public_names_are_used():
             for item in statement.body:
                 if isinstance(item, ast.FunctionDef):
                     method = f"{owner}.{item.name}"
-                    if item.name[0] != "_":  # dunders and private helpers are exempt
-                        defined.append((module, method))
+                    if not item.name.startswith("__"):  # dunders are exempt
+                        defined.append((module, method, False))
                     record(item, module, method)
                 else:
                     record(item, module, owner)
-    # a name counts as used when it appears outside its own definition; a
-    # public method (a property too) must be used as such, its class being
-    # exported does not count, and a reference Class.method counts for that
-    # class alone
+
     def uses(ref, module, name):
         ident, ref_module, ref_owner, qualifier = ref
         if ident != name.split(".")[-1]:
@@ -200,14 +191,53 @@ def test_public_names_are_used():
         where = ref_owner if "." in name else str(ref_owner).split(".")[0]
         return (ref_module, where) != (module, name)
 
+    def is_used(module, name):
+        return any(uses(ref, module, name) for ref in references)
+
+    return defined, is_used
+
+
+def test_public_names_are_used():
+    # code that only tests call belongs in tests/, so every public top-level
+    # def or class must be referenced by the package, exported or hooked, and
+    # every public method referenced by the package or hooked
+    missing = [name for name in epitaxy.__all__ if not hasattr(epitaxy, name)]
+    assert not missing, f"names in epitaxy.__all__ that do not resolve: {missing}"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(_readme_sketch()))
+        if isinstance(node, ast.ImportFrom) and node.module == "epitaxy"
+        for alias in node.names
+    }
+    assert imported, "the library sketch imports nothing from epitaxy"
+    assert imported <= set(epitaxy.__all__), f"not exported: {imported - set(epitaxy.__all__)}"
+    hooks = runpy.run_path(str(TRACING))["SPAN_HOOKS"]
+    hooked = {(module, path) for _name, module, path in hooks}
+    hooked |= {(module, path.split(".")[0]) for module, path in hooked}
+    defined, is_used = _package_names()
     unused = [
         f"{module}.{name}"
-        for module, name in defined
-        if name not in epitaxy.__all__
+        for module, name, _is_class in defined
+        if name.split(".")[-1][0] != "_"
+        and name not in epitaxy.__all__
         and (module, name) not in hooked
-        and not any(uses(ref, module, name) for ref in references)
+        and not is_used(module, name)
     ]
     assert not unused, f"public names that only tests use; move them to tests/: {unused}"
+
+
+def test_private_names_are_used():
+    # a private top-level function or private method is the package's own
+    # helper: nothing outside the package may be its only caller
+    defined, is_used = _package_names()
+    private = [
+        (module, name)
+        for module, name, is_class in defined
+        if name.split(".")[-1][0] == "_" and not is_class
+    ]
+    assert private, "no private functions or methods found"
+    unused = [f"{module}.{name}" for module, name in private if not is_used(module, name)]
+    assert not unused, f"private names the package never uses; move them to tests/: {unused}"
 
 
 def test_trajectory_tables_never_pass_through_json(tmp_path, monkeypatch):
