@@ -341,8 +341,8 @@ PICARD_LIVE_TRAJECTORIES = 5
 # padded M^dim grid) alive at the peak of ``taylor_sum``, on top of the
 # coefficient arrays: they grow as padding^dim, not with the box.  Traced on
 # the same data over 11 nodes in 2-D, in chunks of 3 nodes, the whole Picard
-# peak was 3.00 such arrays (6.54 trajectory sizes) at N = 16 and padding 4,
-# and 2.34, 2.18 and 2.16 at N = 8, 4 and 2 and padding 8, 16 and 32, where
+# peak was 2.85 such arrays (6.21 trajectory sizes) at N = 16 and padding 4,
+# and 2.32, 2.18 and 2.14 at N = 8, 4 and 2 and padding 8, 16 and 32, where
 # the grids dominate more and more.
 SERIES_GRID_ARRAYS = 3
 

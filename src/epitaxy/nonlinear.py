@@ -11,32 +11,27 @@ and sums the terms to a fixed or adaptive depth by Horner's rule in
 y = -lap h, never calling an exponential.  The two routes serve as mutual
 oracles: the exponential nonlinearity is not polynomial, so exact
 dealiasing is impossible, and the cross-check (rather than a masking rule)
-is the correctness guard for the default padding factor of 2.  In 1-D they
-share no transform code.  In 2-D they share one set of DFT matrices,
-``spectral.dft_matrices``, built once per (N, M).  What still guards that
-set is that the routes evaluate the exponential differently (a pointwise
-expm1 against a Horner polynomial, the stiff part taken off on the grid
-against in coefficient space), and that the test suite checks the matrices
-against oracles on numpy's FFT.
+is the correctness guard for the default padding factor of 2.
 
-The polynomial is evaluated in physical space on the padded grid: one
-synthesis, J pointwise multiply-accumulates and one analysis (the transform
-pair of ``spectral``), instead of J spectral convolutions.
+Both routes work on half boxes in the one real layout of
+``spectral.as_parts``.  In 1-D they share no transform code.  In 2-D they
+share one set of DFT matrices, ``spectral.dft_matrices``, built once per
+(N, M), but no product code: the series route transforms through
+``spectral.synthesize`` and ``analyze``, and the exponential route forms
+its own products.  What still guards that set is that the routes evaluate
+the exponential differently (a pointwise expm1 against a Horner polynomial,
+the stiff part taken off on the grid against in coefficient space), that
+the test suite checks the matrices against oracles on numpy's FFT, and
+that it checks both engines against symmetries of the equation.
 
-Both routes work on k_last >= 0 half boxes.  The series route sums a whole
-trajectory of complex boxes as one batch (``taylor_sum``), as the Picard
-iteration needs it.  The exponential route, ``rhs_exponential``, returns
-the remainder lap(exp(-lap h)) + lap^2 h that the time stepper integrates,
-formed on the grid as expm1(y) - y.  Its grids are tiny (66 points in 1-D
-at N = 16), so it runs on real DFT matrices built once per
-(dim, N, padding) (``exponential_route``), one small product each way per
-axis, and no FFT.  It takes and returns the boxes as real arrays in the
-layout its matrices read and write, which is the layout the stepper
-marches in (``as_parts``): in 1-D the float view of the boxes, real and
-imaginary parts interleaved; in 2-D the real parts stacked over the
-imaginary ones along the leading axis.  Per-mode multipliers are tiled to
-it (``tile_parts``), and ``hermitian_k0_parts`` makes a box's k_last = 0
-line exact in it.
+The series route, ``taylor_sum``, sums a whole trajectory in chunks, as the
+Picard iteration needs it: one synthesis, J pointwise multiply-accumulates
+and one analysis per chunk, instead of J spectral convolutions.  The
+exponential route, ``rhs_exponential``, returns the remainder
+lap(exp(-lap h)) + lap^2 h that the time stepper integrates, formed on the
+grid as expm1(y) - y.  Its grids are tiny (66 points in 1-D at N = 16), so
+it runs on real DFT matrices built once per (dim, N, padding)
+(``exponential_route``), one small product each way per axis, and no FFT.
 """
 
 from __future__ import annotations
@@ -53,11 +48,14 @@ from .semigroup import Trajectory
 from .spectral import (
     _waves,
     analyze,
+    as_parts,
     dft_matrices,
-    hermitian_k0_line,
+    hermitian_k0_parts,
     mode_grids,
+    parts_view,
     read_only,
     synthesize,
+    tile_parts,
 )
 
 #: Adaptive depth resolution refuses to go past this many series terms.
@@ -145,17 +143,20 @@ def series_chunk_nodes(dim: int, m: int) -> int:
     return max(1, _BATCH_GRID_POINTS // m**dim)
 
 
-def _series_batch(half: np.ndarray, depths: np.ndarray, m: int):
-    """sum_{j=2}^{J_i} F_j on the M^dim grid for node i of a half-box batch; (half, means).
+def _series_batch(half: np.ndarray, depths: np.ndarray, m: int) -> np.ndarray:
+    """sum_{j=2}^{J_i} F_j on the M^dim grid for node i of a complex half-box
+    batch, returned in the layout of ``spectral.as_parts``.
 
-    One Horner sweep from the batch's top depth down to j = 2, on
-    y = -lap h: acc = c_j + y * acc, then acc * y^2.  The coefficient column
-    c_j is 1/j! for the nodes with j <= J_i and 0 for the others, so a node
-    holds an exact 0 until its own depth is reached and each node's sum is
-    its own depth-J_i polynomial.
+    The batch is taken to the real layout and scaled by |k|^2 into
+    y = -lap h on the grid.  One Horner sweep runs from the batch's top
+    depth down to j = 2: acc = c_j + y * acc, then acc * y^2.  The
+    coefficient column c_j is 1/j! for the nodes with j <= J_i and 0 for the
+    others, so a node holds an exact 0 until its own depth is reached and
+    each node's sum is its own depth-J_i polynomial.  The sum's zero mode,
+    which the Laplacian applied on top annihilates, is set to 0.
     """
     dim, truncation = half.ndim - 1, half.shape[-1] - 1
-    y = synthesize(mode_grids(dim, truncation).ksq * half, m)
+    y = synthesize(tile_parts(mode_grids(dim, truncation).ksq) * as_parts(half), m)
     column = depths.reshape((-1,) + (1,) * dim)
     acc = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,34 +172,34 @@ def _series_batch(half: np.ndarray, depths: np.ndarray, m: int):
             f"max |lap h| on the grid is {float(np.max(np.abs(y[np.argmax(bad)]))):.6g}"
         )
     del y  # the analysis's spectra take its place
-    half, zero_modes = analyze(acc, truncation)
-    del acc  # and the scaled sum takes the samples' place
-    series = half / m**dim  # a new array: in 1-D, half and zero_modes view one spectrum
-    hermitian_k0_line(series)
-    return series, zero_modes / m**dim
+    series = analyze(acc, truncation)
+    del acc  # numpy scales a strided view of the 1-D spectrum through a copy
+    series *= 1.0 / m**dim  # by the reciprocal, as numpy's complex division by a real does
+    hermitian_k0_parts(series)
+    return series
 
 
-def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0):
-    """sum_{j=2}^{J} F_j at every node of ``traj``; (trajectory, one mean per node).
+def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0) -> Trajectory:
+    """sum_{j=2}^{J} F_j at every node of ``traj``, mean-zero.
 
-    The trajectory is summed as one batch: one transform pair over all nodes,
-    with J resolved per node from that node's norm and the polynomial summed
-    by one Horner sweep over those per-node depths.  With the linear-only
-    sentinel the sum is empty and zero is returned.  Each node's mean is the
-    (generally nonzero) zero mode of its sum, which the Laplacian applied on
-    top annihilates.  A non-finite sum raises NumericalError.
+    Each chunk of ``series_chunk_nodes`` nodes takes one transform pair,
+    with J resolved per node from that node's norm and one Horner sweep over
+    those per-node depths, and is written into the complex output through
+    ``parts_view``.  With the linear-only sentinel the sum is empty and zero
+    is returned.  A non-finite sum raises NumericalError.
     """
     depths = depth.resolve(wiener_norm(traj, 2))
     out = np.zeros_like(traj.coeffs)
-    means = np.zeros(traj.times.size)
     if depths.max() >= 2:
         m = padded_grid_size(traj.truncation, padding_factor)
         chunk = series_chunk_nodes(traj.dim, m)
+        nodes = parts_view(out)
         for lo in range(0, out.shape[0], chunk):
             hi = lo + chunk
-            out[lo:hi], means[lo:hi] = _series_batch(traj.coeffs[lo:hi], depths[lo:hi], m)
+            sums = nodes[lo:hi]
+            sums[...] = _series_batch(traj.coeffs[lo:hi], depths[lo:hi], m).reshape(sums.shape)
     # every k_last = 0 line is exact, and _series_batch refused a non-finite sum
-    return Trajectory._trusted(traj.times, out), means
+    return Trajectory._trusted(traj.times, out)
 
 
 def route_floats(dim: int, truncation: int, m: int) -> int:
@@ -206,68 +207,14 @@ def route_floats(dim: int, truncation: int, m: int) -> int:
     return 4 * m * (truncation + 1) + (dim - 1) * 8 * m * (2 * truncation + 1)
 
 
-def parts_view(half: np.ndarray) -> np.ndarray:
-    """A float view of a C-contiguous complex half-box batch in the layout of
-    ``as_parts``: ``(nodes, 2(N+1))`` in 1-D, and ``(nodes, 2, 2N+1, N+1)``
-    in 2-D, whose strides cannot merge the layout's ``2(2N+1)`` rows into
-    one axis."""
-    floats = half.view(float)
-    if half.ndim == 2:
-        return floats
-    return floats.reshape(half.shape + (2,)).transpose(0, 3, 1, 2)
-
-
-def as_parts(half: np.ndarray) -> np.ndarray:
-    """A new real array of a complex half-box batch, in the layout that the
-    exponential route and the stepper work on.
-
-    In 1-D it is ``(nodes, 2(N+1))``, each box's real and imaginary parts
-    interleaved: the float view of the boxes, which ``trail_in`` reads.  In
-    2-D it is ``(nodes, 2(2N+1), N+1)``, each box's real parts stacked over
-    its imaginary ones along the leading axis, which ``lead_in`` reads.
-    """
-    half = np.ascontiguousarray(half, dtype=complex)
-    return np.array(parts_view(half)).reshape((len(half), -1) + half.shape[2:])
-
-
-def tile_parts(grid: np.ndarray) -> np.ndarray:
-    """A real per-mode array over the half box (``|k|^4``, say) laid over both
-    parts of the layout of ``as_parts``, as a batch of one box.
-
-    Its shape is a one-box state's, so a product with one needs no
-    broadcasting, which cost about 0.7 µs more a product in 1-D at N = 16.
-    """
-    if grid.ndim == 1:
-        return np.repeat(grid, 2)[None]
-    return np.concatenate((grid, grid))[None]
-
-
-def hermitian_k0_parts(parts: np.ndarray) -> None:
-    """``spectral.hermitian_k0_line`` on a batch in the layout of ``as_parts``, in place.
-
-    In 1-D the k_last = 0 line is the zero mode alone, the first two floats
-    of a box.  In 2-D the line is column 0 of the real rows and of the
-    imaginary ones.
-    """
-    if parts.ndim == 2:
-        parts[:, :2] = 0.0
-        return
-    truncation = parts.shape[-1] - 1
-    line = parts[..., 0]
-    real, imag = line[:, : 2 * truncation + 1], line[:, 2 * truncation + 1 :]
-    real[:, :truncation] = real[:, : truncation : -1]
-    np.negative(imag[:, : truncation : -1], out=imag[:, :truncation])
-    real[:, truncation] = imag[:, truncation] = 0.0
-
-
 class _ExponentialRoute:
     """The real DFT matrices of ``rhs_exponential`` for one (dim, N, padding).
 
     In 1-D, ``trail_in`` takes the real and imaginary parts of the N+1
-    half-box columns, interleaved as in the layout of ``as_parts``, to the M
-    grid points, summing each k > 0 column with its conjugate partner
-    (weight 2, the real part taken), and ``trail_out`` takes M grid points
-    back to those parts; both are built from exp(-i k x), with the
+    half-box columns, interleaved as in the layout of ``spectral.as_parts``,
+    to the M grid points, summing each k > 0 column with its conjugate
+    partner (weight 2, the real part taken), and ``trail_out`` takes M grid
+    points back to those parts; both are built from exp(-i k x), with the
     multipliers folded in: |k|^2 on the way in, which gives -lap h on the
     grid, and -|k|^2 / M on the way out, which applies the Laplacian and the
     transform's scale.
@@ -308,9 +255,7 @@ def exponential_route(dim: int, truncation: int, padding_factor: float) -> _Expo
 
 def rhs_exponential(parts: np.ndarray, route: _ExponentialRoute) -> np.ndarray:
     """lap(exp(-lap h)) + lap^2 h on a batch of half boxes h in the layout of
-    ``as_parts``, returned in that layout: ``(nodes, 2(N+1))`` with the real
-    and imaginary parts interleaved in 1-D, ``(nodes, 2(2N+1), N+1)`` with
-    the real parts stacked over the imaginary ones in 2-D.
+    ``spectral.as_parts``, returned in that layout.
 
     The stiff linear part that the integrating factor takes exactly is
     subtracted on the grid: with y = -lap h there, the remainder is

@@ -83,7 +83,7 @@ def solve_picard(
         iterations += 1
         # one expression, so the series sum is freed before the next iteration
         updated = center.coeffs + duhamel_Iplus(
-            taylor_sum(Trajectory._trusted(times, current), config.taylor, config.padding)[0]
+            taylor_sum(Trajectory._trusted(times, current), config.taylor, config.padding)
         ).coeffs
         delta = spacetime_norm(Trajectory._trusted(times, updated - current), params)
         deltas.append(delta)

@@ -11,12 +11,10 @@ reproduces the exact linear flow to roundoff, which pins down the stiff part
 of the implementation in isolation.
 
 ``solve_timestep`` marches only the half box k_last >= 0 of the real
-field, one ``step`` at a time, as a real array in the layout that the DFT
-matrices of ``nonlinear``'s exponential route read and write
-(``nonlinear.as_parts``): in 1-D the float view of the box, real and
-imaginary parts interleaved; in 2-D its real parts stacked over its
-imaginary ones along the leading axis.  So no stage converts between
-complex and real.  The decay weights are built in the layout once per
+field, one ``step`` at a time, as a real array in the one real layout of
+``spectral.as_parts``, which the DFT matrices of ``nonlinear``'s
+exponential route read and write.  So no stage converts between complex
+and real.  The decay weights are built in the layout once per
 distinct step size of a march.  Each stage takes R(h) whole from the
 route, ``rhs_exponential``, which forms it on the padded grid as
 lap(expm1(y) - y), y = -lap h, through the matrices and no FFT.  Each new
@@ -32,17 +30,17 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exceptions import NumericalError
-from .nonlinear import (
-    TaylorDepth,
+from .nonlinear import TaylorDepth, exponential_route, rhs_exponential
+from .semigroup import Trajectory
+from .spectral import (
+    FourierField,
     as_parts,
-    exponential_route,
     hermitian_k0_parts,
+    mode_grids,
     parts_view,
-    rhs_exponential,
+    read_only,
     tile_parts,
 )
-from .semigroup import Trajectory
-from .spectral import FourierField, mode_grids, read_only
 
 
 def default_dt(truncation: int) -> float:
@@ -100,10 +98,8 @@ class SolverConfig:
 def step_weights(k4: np.ndarray, dt: float) -> tuple:
     """The per-mode decay factors of one step of size ``dt``, for |k|^4 = ``k4``.
 
-    They come in the layout of ``k4``: the stepper passes ``nonlinear.tile_parts``
-    of the half box's |k|^4, ``(1, 2(N+1))`` with each factor twice in a row
-    in 1-D and ``(1, 2(2N+1), N+1)`` with the box's factors stacked twice in
-    2-D.
+    They come in the layout of ``k4``: the stepper passes ``spectral.tile_parts``
+    of the half box's |k|^4, a one-box state's shape.
     """
     half = np.exp(-k4 * (dt / 2.0))
     return half, half * half, dt * half, 2.0 * half
@@ -111,9 +107,7 @@ def step_weights(k4: np.ndarray, dt: float) -> tuple:
 
 def step(a: np.ndarray, dt: float, weights: tuple, route) -> np.ndarray:
     """One IF-RK4 step from the state ``a``, one half box in the real layout of
-    ``nonlinear.as_parts``: ``(1, 2(N+1))`` with the real and imaginary parts
-    interleaved in 1-D, ``(1, 2(2N+1), N+1)`` with the real parts stacked over
-    the imaginary ones in 2-D.  The new state comes in the same layout.
+    ``spectral.as_parts``.  The new state comes in the same layout.
 
     ``weights`` are those of ``step_weights`` for ``dt``, in that layout.
     Each stage's remainder R = lap(exp(-lap h)) + lap^2 h is
@@ -139,7 +133,7 @@ def step(a: np.ndarray, dt: float, weights: tuple, route) -> np.ndarray:
 def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
     """March from 0 to t_final, recording every node of the time grid.
 
-    The march runs in the real layout of ``nonlinear.as_parts``; each new
+    The march runs in the real layout of ``spectral.as_parts``; each new
     node is copied exactly into its place in the complex trajectory.
     """
     times = config.time_grid()

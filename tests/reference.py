@@ -10,13 +10,16 @@ route to the right-hand side, ``rhs_exponential``, and the remainder the
 stepper integrates, through a full complex FFT pair, ``fft_remainder``; the
 series term F_j on the padded grid, the series route to the right-hand side
 and the scalar loop that resolves one node's series depth.
+``complex_series_sum`` is the byte oracle of ``taylor_sum``: the series sum
+as it was formed on complex half boxes, before it took the real layout of
+``spectral.as_parts``.
 ``duhamel_map`` is one application of the fixed-point map, which
 ``solve_picard`` iterates on plain arrays.  ``duhamel_scan`` is the Duhamel
 operator with its node-by-node scan written as plain indexing, the exact
 (bit for bit) oracle of ``duhamel_Iplus``.  ``certificate_from_json_dict``
 reads a certificate back from its JSON form.
 
-The stepper marches real arrays in the layout of ``nonlinear.as_parts``.
+The stepper marches real arrays in the layout of ``spectral.as_parts``.
 Its byte oracle is the complex formulation it replaced: the remainder on
 complex half boxes, ``complex_remainder``, one IF-RK4 ``complex_step`` of a
 batch on it, one ``step`` of a field and the whole ``march``.  ``as_half``
@@ -42,9 +45,9 @@ import numpy as np
 from epitaxy import nonlinear
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
-from epitaxy.norms import Certificate, RadiusFit
+from epitaxy.norms import Certificate, RadiusFit, wiener_norm
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
-from epitaxy.spectral import FourierField, hermitian_k0_line, mode_grids
+from epitaxy.spectral import FourierField, as_parts, dft_matrices, hermitian_k0_line, mode_grids
 
 
 def check_resolution(m, truncation):
@@ -106,7 +109,7 @@ def multiply(f, g):
 def complex_remainder(half, route):
     """The remainder lap(exp(-lap h)) + lap^2 h on a batch of complex half boxes,
     complex in and out: the package's route as it was formed before it took
-    the real layout of ``nonlinear.as_parts``, on that route's matrices with
+    the real layout of ``spectral.as_parts``, on that route's matrices with
     multipliers of its own.
     """
     if route.lead_in is None:
@@ -130,7 +133,7 @@ def complex_remainder(half, route):
 
 
 def as_half(parts):
-    """The complex half boxes of a batch in the real layout of ``nonlinear.as_parts``."""
+    """The complex half boxes of a batch in the real layout of ``spectral.as_parts``."""
     if parts.ndim == 2:
         return np.ascontiguousarray(parts).view(complex)
     n = parts.shape[1] // 2
@@ -147,7 +150,7 @@ def rhs_exponential(field, padding_factor=2.0):
     """
     route = exponential_route(field.dim, field.truncation, float(padding_factor))
     k4 = mode_grids(field.dim, field.truncation).k4
-    remainder = nonlinear.rhs_exponential(nonlinear.as_parts(field.coeffs[None]), route)
+    remainder = nonlinear.rhs_exponential(as_parts(field.coeffs[None]), route)
     out = as_half(remainder) - k4 * field.coeffs
     hermitian_k0_line(out)
     return FourierField(field.dim, field.truncation, out[0])
@@ -428,16 +431,55 @@ def taylor_term(field, j, padding_factor=2.0):
 
 
 def series_sum(field, depth, padding_factor=2.0):
-    """``taylor_sum`` of the one-node trajectory holding ``field``; (field, mean)."""
+    """``taylor_sum`` of the one-node trajectory holding ``field``, as a field."""
     one_node = Trajectory([0.0], field.coeffs[None])
-    series, means = taylor_sum(one_node, depth, padding_factor)
-    return fields(series)[0], float(means[0])
+    return fields(taylor_sum(one_node, depth, padding_factor))[0]
+
+
+def complex_series_sum(traj, depth, padding_factor=2.0):
+    """``taylor_sum(traj, depth, padding_factor).coeffs``, formed as the package
+    formed it on complex half boxes before the sum took the real layout.
+
+    The whole trajectory is one batch: y = -lap h is synthesized from the
+    complex ``ksq * half``, in 2-D through the real DFT products with the
+    real parts concatenated over the imaginary ones; the Horner sweep is the
+    package's; the analysis is reassembled into complex boxes, divided by
+    M^dim and made exact on its k_last = 0 line by ``hermitian_k0_line``.
+    """
+    dim, truncation = traj.dim, traj.truncation
+    depths = depth.resolve(wiener_norm(traj, 2))
+    if depths.max() < 2:
+        return np.zeros_like(traj.coeffs)
+    m = padded_grid_size(truncation, padding_factor)
+    half = mode_grids(dim, truncation).ksq * traj.coeffs
+    if dim == 1:
+        y = np.fft.irfft(half, m, norm="forward")
+    else:
+        lead_in, lead_out, trail_in, trail_out = dft_matrices(truncation, m)
+        rows = lead_in @ np.concatenate((half.real, half.imag), axis=1)
+        y = rows.reshape(len(half), m, -1) @ trail_in
+    column = depths.reshape((-1,) + (1,) * dim)
+    acc = np.zeros_like(y)
+    for j in range(int(depths.max()), 1, -1):
+        acc *= y
+        acc += np.where(column >= j, 1.0 / math.factorial(j), 0.0)
+    acc *= y
+    acc *= y
+    if dim == 1:
+        spectrum = np.fft.rfft(acc)[:, : truncation + 1]
+    else:
+        parts = lead_out @ (acc @ trail_out).reshape(len(acc), -1, truncation + 1)
+        n = 2 * truncation + 1
+        spectrum = parts[:, :n] + 1j * parts[:, n:]
+    series = spectrum / m**dim
+    hermitian_k0_line(series)
+    return series
 
 
 def rhs_series(field, depth, padding_factor=2.0):
     """-|k|^4 h - |k|^2 sum_{j=2}^{J} F_j, the series route to the right-hand side."""
     grids = mode_grids(field.dim, field.truncation)
-    series, _mean = series_sum(field, depth, padding_factor)
+    series = series_sum(field, depth, padding_factor)
     return FourierField(
         field.dim, field.truncation, -grids.k4 * field.coeffs - grids.ksq * series.coeffs
     )
@@ -447,7 +489,7 @@ def duhamel_map(h0, h, depth, padding_factor=2.0):
     """T(h) = exp(-lap^2 t) h0 + I+ sum_{j>=2} F_j(h), one application of the map."""
     if h.dim != h0.dim or h.truncation != h0.truncation:
         raise ValueError("trajectory nodes must share dim and truncation with h0")
-    series, _means = taylor_sum(h, depth, padding_factor)
+    series = taylor_sum(h, depth, padding_factor)
     linear = linear_trajectory(h0, h.times).coeffs
     return Trajectory(h.times, linear + duhamel_Iplus(series).coeffs)
 

@@ -27,7 +27,7 @@ from epitaxy.norms import (
     wiener_norm,
 )
 from epitaxy.picard import solve_picard
-from epitaxy.presets import random_decay
+from epitaxy.presets import random_decay, single_mode
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
 from epitaxy.spectral import FourierField, mode_grids
 from epitaxy.stepper import SolverConfig, solve_timestep
@@ -36,6 +36,7 @@ from conftest import random_field_with_norm, trajectory_of
 from reference import (
     as_half,
     coeff,
+    complex_series_sum,
     duhamel_scan,
     fft_remainder,
     fields,
@@ -84,12 +85,11 @@ def test_series_sum_matches_per_node_terms(rng, dim, thinned):
     traj = random_trajectory(rng, dim, time_grid(rng, thinned))
     depths = [resolve_depth(depth, wiener_norm(f, 2)) for f in fields(traj)]
     assert len(set(depths)) > 1  # the batch really mixes depths
-    batched, means = taylor_sum(traj, depth)
+    batched = taylor_sum(traj, depth)
     assert np.array_equal(batched.times, traj.times)
     for i, (field, summed) in enumerate(zip(fields(traj), fields(batched))):
         terms = [taylor_term(field, j) for j in range(2, depths[i] + 1)]
         assert_close(summed.coeffs, sum(term.coeffs for term, _ in terms))
-        assert means[i] == pytest.approx(sum(mean for _, mean in terms), rel=RTOL)
 
 
 @pytest.mark.parametrize("dim", (1, 2))
@@ -97,12 +97,30 @@ def test_series_sum_chunks_agree_with_one_batch(rng, monkeypatch, dim):
     traj = random_trajectory(rng, dim, time_grid(rng, False))
     m = nonlinear.padded_grid_size(TRUNCATION[dim], 2.0)
     assert traj.times.size <= nonlinear.series_chunk_nodes(dim, m)  # one batch
-    whole, whole_means = taylor_sum(traj, TaylorDepth.adaptive())
+    whole = taylor_sum(traj, TaylorDepth.adaptive())
     monkeypatch.setattr(nonlinear, "_BATCH_GRID_POINTS", 3 * m**dim)  # chunks of 3 nodes
     assert traj.times.size % 3  # and a ragged last one
-    chunked, chunked_means = taylor_sum(traj, TaylorDepth.adaptive())
+    chunked = taylor_sum(traj, TaylorDepth.adaptive())
     assert np.array_equal(chunked.coeffs.view(np.uint64), whole.coeffs.view(np.uint64))
-    assert np.array_equal(chunked_means.view(np.uint64), whole_means.view(np.uint64))
+
+
+@pytest.mark.parametrize("data", ["random-decay", "single-mode"])
+@pytest.mark.parametrize("padding", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("truncation", [1, 2, 7, 16])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_series_sum_has_the_bytes_of_the_complex_path(monkeypatch, dim, truncation, padding, data):
+    # the real layout changes no bit of the sum, in one batch or in ragged chunks of 3
+    if data == "random-decay":
+        h0 = random_decay(truncation, 7, 0.2, dim=dim)
+    else:
+        h0 = single_mode(truncation, 0.2, dim=dim)
+    traj = linear_trajectory(h0, np.linspace(0.0, 0.05, 10))
+    depth = TaylorDepth.adaptive()
+    expected = complex_series_sum(traj, depth, padding).tobytes()
+    m = nonlinear.padded_grid_size(truncation, padding)
+    for nodes in (traj.times.size, 3):
+        monkeypatch.setattr(nonlinear, "_BATCH_GRID_POINTS", nodes * m**dim)
+        assert taylor_sum(traj, depth, padding).coeffs.tobytes() == expected, nodes
 
 
 def test_series_sum_peak_memory_is_bounded_in_grid_arrays():
@@ -252,7 +270,7 @@ def reference_step(coeffs, dt):
 
 def remainder(half, route):
     """``nonlinear.rhs_exponential`` on complex half boxes, through the route's layout."""
-    return as_half(nonlinear.rhs_exponential(nonlinear.as_parts(half), route))
+    return as_half(nonlinear.rhs_exponential(spectral.as_parts(half), route))
 
 
 def test_reference_remainder_is_the_exponential_route(rng):
@@ -329,7 +347,7 @@ def test_matrix_route_refuses_overflow_before_expm1(monkeypatch, dim):
     route = nonlinear.exponential_route(dim, 2, 2.0)
     monkeypatch.setattr(np, "expm1", expm1)
     with pytest.raises(NumericalError, match="pointwise exponential would overflow"):
-        nonlinear.rhs_exponential(nonlinear.as_parts(half), route)
+        nonlinear.rhs_exponential(spectral.as_parts(half), route)
 
 
 @pytest.mark.parametrize("dim,thinned", GRIDS)
@@ -506,7 +524,7 @@ def test_every_producer_returns_half_boxes_with_an_exact_k0_line(rng, dim, tmp_p
     h0 = random_field_with_norm(rng, 0.2, dim=dim, truncation=truncation)
     config = SolverConfig(truncation=truncation, dt=0.01, t_final=0.1)
     linear = linear_trajectory(h0, config.time_grid())
-    series, _ = taylor_sum(linear, TaylorDepth.adaptive())
+    series = taylor_sum(linear, TaylorDepth.adaptive())
     picard, _ = solve_picard(h0, certify(h0), config)
     produced = {
         "linear_trajectory": linear,

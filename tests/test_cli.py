@@ -138,8 +138,17 @@ class TestCertifyMode:
             # int() read dim 1.9 as 1 and took true as truncation 1
             ({"dim": 1.9, "truncation": 2, "coeffs": []}, "must be integers, got 1.9 and 2"),
             ({"dim": 1, "truncation": True, "coeffs": []}, "must be integers, got 1 and True"),
+            # float() read "1" as mode 1 and true as amplitude 1
+            (
+                {"dim": 1, "truncation": 4, "coeffs": [["1", "0.05", "0"]]},
+                "coefficient entry ['1', '0.05', '0'] must hold JSON numbers only",
+            ),
+            (
+                {"dim": 1, "truncation": 4, "coeffs": [[2, True, False]]},
+                "coefficient entry [2, True, False] must hold JSON numbers only",
+            ),
         ],
-        ids=["ragged-entry", "fractional-dim", "bool-truncation"],
+        ids=["ragged-entry", "fractional-dim", "bool-truncation", "string-entry", "bool-entry"],
     )
     def test_malformed_initial_data_path_is_validation_error(self, tmp_path, capsys, field, words):
         (tmp_path / "field.json").write_text(json.dumps(field), encoding="utf-8")
@@ -519,6 +528,15 @@ class TestCompareMode:
         ),
         # int() read 1.7 as 1 and -0.5 as the zero mode
         "packed-fractional-mode": (saving(lambda d: {**d, "modes": [[1.7]]}), "not an integer"),
+        # float() read "1" and true as the mode 1
+        "string-mode": (
+            saving(lambda d: {**d, "modes": [["1"]]}),
+            "mode ['1'] must hold JSON numbers only",
+        ),
+        "bool-mode": (
+            saving(lambda d: {**d, "modes": [[True]]}),
+            "mode [True] must hold JSON numbers only",
+        ),
         # int() read dim 1.9 as 1 and took true as truncation 1
         "fractional-dim": (saving(lambda d: {**d, "dim": 1.9}), "must be integers, got 1.9 and 4"),
         "bool-truncation": (

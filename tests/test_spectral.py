@@ -10,6 +10,7 @@ from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import padded_grid_size
 from epitaxy.spectral import (
     FourierField,
+    as_parts,
     check_half,
     embed,
     hermitian_k0_line,
@@ -19,7 +20,17 @@ from epitaxy.spectral import (
 from epitaxy.semigroup import Trajectory
 
 from conftest import random_field
-from reference import add, analyze, coeff, full_box, max_abs, multiply, synthesize, zero
+from reference import (
+    add,
+    analyze,
+    as_half,
+    coeff,
+    full_box,
+    max_abs,
+    multiply,
+    synthesize,
+    zero,
+)
 
 
 def laplacian(field):
@@ -313,7 +324,7 @@ def complex_synthesis(coeffs, m):
 def complex_analysis(samples, truncation):
     dim, m = samples.ndim - 1, samples.shape[1]
     spectrum = np.fft.fftn(samples, axes=tuple(range(1, dim + 1))) / m**dim
-    return spectrum[box_index(dim, truncation, m)], spectrum[(slice(None),) + (0,) * dim]
+    return spectrum[box_index(dim, truncation, m)]
 
 
 def test_padding_one_gives_the_floor_grid():
@@ -329,7 +340,7 @@ def half_boxes(rng, dim, truncation, nodes, **kw):
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_synthesize_batch_matches_complex_ifft(rng, dim, truncation, m):
     half, coeffs = half_boxes(rng, dim, truncation, 4, decay=0.3)
-    got = spectral.synthesize(half, m)
+    got = spectral.synthesize(as_parts(half), m)
     ref = complex_synthesis(coeffs, m)
     assert got.dtype == float and got.shape == ref.shape
     scale = np.max(np.abs(ref))
@@ -340,15 +351,12 @@ def test_synthesize_batch_matches_complex_ifft(rng, dim, truncation, m):
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_analyze_batch_matches_complex_fft(rng, dim, truncation, m):
     samples = rng.standard_normal((4,) + (m,) * dim) + rng.uniform(-2.0, 2.0, (4,) + (1,) * dim)
-    got, means = spectral.analyze(samples, truncation)
-    got, means = got / m**dim, means / m**dim
+    got = as_half(spectral.analyze(samples, truncation)) / m**dim
     hermitian_k0_line(got)
-    ref, ref_means = complex_analysis(samples, truncation)
+    ref = complex_analysis(samples, truncation)
     ref[(slice(None),) + (truncation,) * dim] = 0.0
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(got - ref[..., truncation:])) <= TRANSFORM_TOL * scale
-    np.testing.assert_allclose(means, ref_means.real, rtol=0, atol=TRANSFORM_TOL * scale)
-    assert np.max(np.abs(ref_means.imag)) <= TRANSFORM_TOL * scale
     # the half boxes pass the check, and rebuild exactly Hermitian whole boxes
     # with a zero mode of exactly 0 that match the complex transform's
     check_half(got)
@@ -362,11 +370,10 @@ def test_analyze_batch_matches_complex_fft(rng, dim, truncation, m):
 @pytest.mark.parametrize("dim,truncation,m", TRANSFORM_CASES)
 def test_batch_round_trip_on_the_floor_and_above(rng, dim, truncation, m):
     half, _ = half_boxes(rng, dim, truncation, 3)
-    back, means = spectral.analyze(spectral.synthesize(half, m), truncation)
+    back = as_half(spectral.analyze(spectral.synthesize(as_parts(half), m), truncation))
     back /= m**dim
     hermitian_k0_line(back)
     assert np.max(np.abs(back - half)) <= TRANSFORM_TOL * np.max(np.abs(half))
-    assert np.max(np.abs(means)) <= TRANSFORM_TOL * m**dim * np.max(np.abs(half))
 
 
 @pytest.mark.parametrize("nodes", [1, 5])
@@ -380,13 +387,11 @@ def test_half_transforms_give_the_bytes_of_the_full_real_fft(rng, dim, truncatio
     spectrum = np.zeros((nodes, m // 2 + 1), dtype=complex)
     spectrum[index] = half
     full = np.fft.irfftn(spectrum, s=(m,), axes=(1,), norm="forward")
-    assert np.array_equal(spectral.synthesize(half, m), full)
+    assert np.array_equal(spectral.synthesize(half.view(float), m), full)
 
     samples = rng.standard_normal((nodes, m))
     spectrum = np.fft.rfftn(samples, axes=(1,))
-    got, zero_modes = spectral.analyze(samples, truncation)
-    assert np.array_equal(got, spectrum[index])
-    assert np.array_equal(zero_modes, spectrum[:, 0].real)
+    assert np.array_equal(spectral.analyze(samples, truncation), spectrum[index].view(float))
 
 
 @pytest.mark.parametrize("padding", [1.0, 1.5, 2.0, 3.0])
@@ -397,17 +402,14 @@ def test_2d_transforms_give_a_node_the_same_bits_in_any_batch(rng, truncation, p
     # the series sum's chunking cannot move a trajectory's bytes
     m = padded_grid_size(truncation, padding)
     nodes = 16
-    half, _ = half_boxes(rng, 2, truncation, nodes)
+    parts = as_parts(half_boxes(rng, 2, truncation, nodes)[0])
     samples = rng.standard_normal((nodes, m, m))
-    alone = [spectral.synthesize(half[i : i + 1], m)[0] for i in range(nodes)]
-    alone_half, alone_zero = zip(
-        *(spectral.analyze(samples[i : i + 1], truncation) for i in range(nodes))
-    )
+    alone = [spectral.synthesize(parts[i : i + 1], m)[0] for i in range(nodes)]
+    alone_parts = [spectral.analyze(samples[i : i + 1], truncation)[0] for i in range(nodes)]
     for size in range(2, nodes + 1):
         for lo in range(0, nodes, size):
-            grids = spectral.synthesize(half[lo : lo + size], m)
-            coeffs, zero_modes = spectral.analyze(samples[lo : lo + size], truncation)
+            grids = spectral.synthesize(parts[lo : lo + size], m)
+            coeffs = spectral.analyze(samples[lo : lo + size], truncation)
             for i in range(len(grids)):
                 assert np.array_equal(grids[i], alone[lo + i]), (size, lo + i)
-                assert np.array_equal(coeffs[i], alone_half[lo + i][0]), (size, lo + i)
-                assert np.array_equal(zero_modes[i], alone_zero[lo + i][0]), (size, lo + i)
+                assert np.array_equal(coeffs[i], alone_parts[lo + i]), (size, lo + i)

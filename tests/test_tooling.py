@@ -1,5 +1,6 @@
 """Source checks: invariants must survive ``python -O``, which strips ``assert``,
-the series route must not exponentiate, every function the benchmark's tracer
+the series route must not exponentiate, the two routes to the right-hand side
+must share no product code, every function the benchmark's tracer
 hooks must still exist and be the one the engines call, the README's memory
 estimate must be the one the guard applies, the README's library sketch must
 run, every public name in the package must be used by it, exported or hooked
@@ -43,24 +44,49 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements vanish under python -O; raise instead: {found}"
 
 
+def _calls(name: str) -> list[tuple[str, int]]:
+    """(called name, line) of every call in the top-level function ``name`` of
+    ``nonlinear``, the callee by its name or its attribute."""
+    tree = ast.parse((PACKAGE / "nonlinear.py").read_text(encoding="utf-8"))
+    (function,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return [
+        (getattr(node.func, "attr", getattr(node.func, "id", None)), node.lineno)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+    ]
+
+
+SERIES_ROUTE = ("_series_batch", "taylor_sum")
+
+
 def test_series_route_never_exponentiates():
     # the series route is the exponential route's independent oracle: an
     # exp in it would make the engine cross-check compare a route with itself
-    tree = ast.parse((PACKAGE / "nonlinear.py").read_text(encoding="utf-8"))
-    functions = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("_series_batch", "taylor_sum")
-    }
-    assert functions.keys() == {"_series_batch", "taylor_sum"}, sorted(functions)
     found = [
-        f"{name}:{node.lineno}"
-        for name, function in functions.items()
-        for node in ast.walk(function)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("exp", "expm1")
+        f"{name}:{line}"
+        for name in SERIES_ROUTE
+        for call, line in _calls(name)
+        if call in ("exp", "expm1")
     ]
     assert not found, f"the series route calls an exponential: {found}"
+
+
+def test_routes_share_no_product_code():
+    # the routes share the DFT matrices and the real layout, but a product
+    # both ran would be checked against itself by the engine cross-check
+    exponential = {"rhs_exponential", "exponential_route", "_ExponentialRoute"}
+    banned = {
+        "rhs_exponential": {"synthesize", "analyze"},
+        "_series_batch": exponential,
+        "taylor_sum": exponential,
+    }
+    found = [
+        f"{name} calls {call} at line {line}"
+        for name, calls in banned.items()
+        for call, line in _calls(name)
+        if call in calls
+    ]
+    assert not found, f"the routes share product code: {found}"
 
 
 def test_benchmark_hooks_resolve():
