@@ -331,11 +331,12 @@ def build_initial_field(spec: RunSpec) -> FourierField:
 # peak rounded up, but for the write count (see there).
 
 # Coefficient arrays alive at the peak of a Picard iteration: the linear
-# flow, the current iterate, the series sum, its Duhamel integral with the
-# kernel weights gathered per interval, and the new iterate.  With the series
-# sum's grid arrays kept small, the peak was 2.91 and 2.85 at N = 16, 3.73 and
-# 3.40 at N = 2, and 4.38, 4.36 and 3.94 at N = 1.
-PICARD_LIVE_TRAJECTORIES = 5
+# flow and the two buffers it iterates in, the j = 2 norms' temporaries of
+# the depth resolution, a row block of the Duhamel operator's interval terms
+# and the per-node arrays of its scan (steps and their indices), which weigh
+# most at N = 1.  The peak was 2.08 and 2.07 at N = 16, 2.56 and 2.43 at
+# N = 2, and 3.26, 3.17 and 3.10 at N = 1.
+PICARD_LIVE_TRAJECTORIES = 4
 
 # Real grid arrays of one series chunk (``series_chunk_nodes`` nodes of the
 # padded M^dim grid) alive at the peak of ``taylor_sum``, on top of the

@@ -179,7 +179,12 @@ def _series_batch(half: np.ndarray, depths: np.ndarray, m: int) -> np.ndarray:
     return series
 
 
-def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0) -> Trajectory:
+def taylor_sum(
+    traj: Trajectory,
+    depth: TaylorDepth,
+    padding_factor: float = 2.0,
+    out: np.ndarray | None = None,
+) -> Trajectory:
     """sum_{j=2}^{J} F_j at every node of ``traj``, mean-zero.
 
     Each chunk of ``series_chunk_nodes`` nodes takes one transform pair,
@@ -187,19 +192,27 @@ def taylor_sum(traj: Trajectory, depth: TaylorDepth, padding_factor: float = 2.0
     those per-node depths, and is written into the complex output through
     ``parts_view``.  With the linear-only sentinel the sum is empty and zero
     is returned.  A non-finite sum raises NumericalError.
+
+    The sum is written into ``out``, a C-contiguous complex array of the
+    input's shape that must not share the input's memory; every entry is
+    written, zeros included, so stale contents do not show.  The result then
+    holds a read-only view of ``out``, and ``out`` stays writeable.  Without
+    ``out`` a new array is allocated.
     """
     depths = depth.resolve(wiener_norm(traj, 2))
-    out = np.zeros_like(traj.coeffs)
-    if depths.max() >= 2:
+    sums = np.empty_like(traj.coeffs) if out is None else out
+    if depths.max() < 2:
+        sums[...] = 0.0
+    else:
         m = padded_grid_size(traj.truncation, padding_factor)
         chunk = series_chunk_nodes(traj.dim, m)
-        nodes = parts_view(out)
-        for lo in range(0, out.shape[0], chunk):
+        nodes = parts_view(sums)
+        for lo in range(0, len(sums), chunk):
             hi = lo + chunk
-            sums = nodes[lo:hi]
-            sums[...] = _series_batch(traj.coeffs[lo:hi], depths[lo:hi], m).reshape(sums.shape)
+            batch = nodes[lo:hi]
+            batch[...] = _series_batch(traj.coeffs[lo:hi], depths[lo:hi], m).reshape(batch.shape)
     # every k_last = 0 line is exact, and _series_batch refused a non-finite sum
-    return Trajectory._trusted(traj.times, out)
+    return Trajectory._trusted(traj.times, sums if out is None else sums.view())
 
 
 def route_floats(dim: int, truncation: int, m: int) -> int:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import NumericalError
-from .spectral import FourierField, mode_grids, read_only
+from .spectral import FourierField, block_rows, mode_grids, read_only
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
     from .semigroup import Trajectory
@@ -80,8 +80,17 @@ def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
     alpha*t*|k| + log|coeff| so that large exponents cannot overflow before
     the maximum is taken; the result may still be ``inf`` if the norm itself
     is not finite at this alpha.  Trajectories are finite by construction.
+    The table is formed in row blocks of ``spectral.block_rows`` nodes and
+    the maxima gathered with ``np.maximum``, which is exact, so the norm does
+    not depend on the blocks.
     """
-    return _weighted_sup(_log_amplitudes(traj.coeffs), traj.times, params)
+    coeffs, times = traj.coeffs, traj.times
+    rows = block_rows(coeffs)
+    peak = np.full(coeffs.shape[1:], -np.inf)
+    for lo in range(0, len(times), rows):
+        block = _log_amplitudes(coeffs[lo : lo + rows])
+        np.maximum(peak, _weighted_peak(block, times[lo : lo + rows], params.alpha), out=peak)
+    return _peak_norm(peak, params)
 
 
 def _log_amplitudes(coeffs: np.ndarray) -> np.ndarray:
@@ -90,20 +99,29 @@ def _log_amplitudes(coeffs: np.ndarray) -> np.ndarray:
         return np.log(np.abs(coeffs))
 
 
+def _weighted_peak(logamp: np.ndarray, times: np.ndarray, alpha: float) -> np.ndarray:
+    """max over the nodes of alpha t |k| + log|coeff|, per mode of the half box,
+    from the table ``logamp`` = log|coeff| of (nodes,) + half box."""
+    dim = logamp.ndim - 1
+    kmag = mode_grids(dim, logamp.shape[-1] - 1).kmag
+    return (alpha * times.reshape((-1,) + (1,) * dim) * kmag + logamp).max(axis=0)
+
+
+def _peak_norm(peak: np.ndarray, params: WeightParams) -> float:
+    """sum_k |k|^j exp(peak(k)), counting each k_last > 0 entry with its partner."""
+    grids = mode_grids(peak.ndim, peak.shape[-1] - 1)
+    with np.errstate(over="ignore"):
+        amps = np.exp(peak)
+    return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
+
+
 def _weighted_sup(logamp: np.ndarray, times: np.ndarray, params: WeightParams) -> float:
-    """``spacetime_norm`` from the table ``logamp`` = log|coeff| of (nodes,) + half box.
+    """``spacetime_norm`` from the whole table ``logamp`` = log|coeff|.
 
     The operator probe builds a trajectory's table once and weighs it for
     every alpha.
     """
-    dim = logamp.ndim - 1
-    grids = mode_grids(dim, logamp.shape[-1] - 1)
-    times = times.reshape((-1,) + (1,) * dim)
-    weighted = params.alpha * times * grids.kmag + logamp
-    peak = weighted.max(axis=0)
-    with np.errstate(over="ignore"):
-        amps = np.exp(peak)
-    return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
+    return _peak_norm(_weighted_peak(logamp, times, params.alpha), params)
 
 
 def _line_fit(x, y, kept) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,21 +6,33 @@ One application of the map sends a candidate trajectory h to
 
 where the Laplacian of the Duhamel integrand is the -|k|^2 factor inside the
 I+ operator.  The integral operator is linear, so the series is summed into
-a single trajectory first (one batched transform pair over all nodes) and I+
-is applied once per iteration.
+a single trajectory first (one transform pair per chunk of nodes) and I+ is
+applied once per iteration.
 
 Iteration starts from the linear flow (the center of the certificate ball),
 computed once, and runs on plain coefficient arrays; only the solution is
-built, and validated, as a ``Trajectory``.  It contracts geometrically
-whenever the certificate passed: the ratios of successive update norms are
-bounded by the certified contraction constant, and every iterate stays
-within the ball radius r1 of the center.  Both facts are recorded per
-iteration and checked by the test suite.
+built, and validated, as a ``Trajectory``.  Beside the linear flow it keeps
+two trajectory-sized buffers for the whole solve, the iterate and a work
+array.  Each iteration writes the series sum into the work array
+(``taylor_sum(..., out=)``), turns it into its Duhamel image in place
+(``duhamel_Iplus(..., out=)``) and adds the linear flow, which makes the
+new iterate; both norm differences are formed in the old iterate's buffer,
+and the two buffers swap.  The Duhamel operator's interval terms and the
+norms' log-amplitude tables go by row blocks (``spectral.block_rows``) and
+the series sum's grids by chunks of nodes, so those temporaries stop growing
+with the trajectory.
+
+The iteration contracts geometrically whenever the certificate passed: the
+ratios of successive update norms are bounded by the certified contraction
+constant, and every iterate stays within the ball radius r1 of the center.
+Both facts are recorded per iteration and checked by the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exceptions import CertificateError, NumericalError, PicardConvergenceError
 from .nonlinear import taylor_sum
@@ -73,7 +85,9 @@ def solve_picard(
     params = WeightParams(cert.alpha, 2)
     center = linear_trajectory(h0, config.time_grid())
     times = center.times
-    current = center.coeffs
+    # the two buffers: the iterate, and the work array that becomes the next one
+    current = center.coeffs.copy()
+    work = np.empty_like(current)
     deltas: list[float] = []
     ratios: list[float] = []
     balls: list[float] = []
@@ -81,16 +95,19 @@ def solve_picard(
     iterations = 0
     for _ in range(config.max_iter):
         iterations += 1
-        # one expression, so the series sum is freed before the next iteration
-        updated = center.coeffs + duhamel_Iplus(
-            taylor_sum(Trajectory._trusted(times, current), config.taylor, config.padding)
-        ).coeffs
-        delta = spacetime_norm(Trajectory._trusted(times, updated - current), params)
+        series = taylor_sum(
+            Trajectory._trusted(times, current.view()), config.taylor, config.padding, out=work
+        )
+        np.add(center.coeffs, duhamel_Iplus(series, out=work).coeffs, out=work)
+        # the old iterate's buffer holds each difference in turn
+        np.subtract(work, current, out=current)
+        delta = spacetime_norm(Trajectory._trusted(times, current.view()), params)
         deltas.append(delta)
-        balls.append(spacetime_norm(Trajectory._trusted(times, updated - center.coeffs), params))
+        np.subtract(work, center.coeffs, out=current)
+        balls.append(spacetime_norm(Trajectory._trusted(times, current.view()), params))
         if len(deltas) >= 2 and deltas[-2] > 0.0:
             ratios.append(deltas[-1] / deltas[-2])
-        current = updated
+        current, work = work, current
         if delta < config.tol:
             converged = True
             break

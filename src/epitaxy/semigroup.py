@@ -36,6 +36,7 @@ import numpy as np
 from .norms import WeightParams, _log_amplitudes, _weighted_sup
 from .spectral import (
     FourierField,
+    block_rows,
     box_header,
     check_half,
     coeffs_from_packed,
@@ -170,7 +171,7 @@ def exp_moment_weights(z):
     return np.where(small, wa_series, wa_closed), np.where(small, wb_series, wb_closed)
 
 
-def duhamel_Iplus(traj: Trajectory) -> Trajectory:
+def duhamel_Iplus(traj: Trajectory, out: np.ndarray | None = None) -> Trajectory:
     """Apply the derivative-gaining Duhamel operator to a trajectory.
 
     Node i of the result holds, per mode k,
@@ -181,13 +182,22 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
     subinterval is integrated in closed form, so the only discretization
     error is the linear-in-time representation of f itself.  The kernel
     weights are evaluated once per distinct step size (a uniform grid built
-    by ``linspace`` has only a few, differing in the last bits), and every
-    interval's local term is formed in one array operation; only the
-    accumulation runs node by node, over row views taken in turn, with the
-    decay rows cast to complex once rather than at every node.
+    by ``linspace`` has only a few, differing in the last bits).  The
+    intervals' local terms are formed in row blocks of ``spectral.block_rows``
+    nodes, with the weights gathered per block; only the accumulation runs
+    node by node, over row views taken in turn, with the decay rows cast to
+    complex once rather than at every node.
+
+    The image is written into ``out``, a C-contiguous complex array of the
+    input's shape, which may be the input's own memory: the blocks run from
+    the last node down, so each reads its node below before that node is
+    overwritten.  The result then holds a read-only view of ``out``, and
+    ``out`` stays writeable.  Without ``out`` a new array is allocated.  The
+    bytes do not depend on ``out`` or on the blocks.
     """
     grids = mode_grids(traj.dim, traj.truncation)
     stacked = traj.coeffs
+    acc = np.empty_like(stacked) if out is None else out
     steps = np.diff(traj.times)
     # distinct step sizes, sorted, and each interval's index among them
     # (np.unique would do, but its first call imports numpy.ma, +1.7 MiB RSS)
@@ -201,23 +211,30 @@ def duhamel_Iplus(traj: Trajectory) -> Trajectory:
     # cast once, not at every node: numpy multiplies a real row into a complex
     # one by the same complex loop, so the products keep their bits
     decay_rows = list(np.exp(-z).astype(complex))
-    # acc[i + 1] starts as interval i's local term and then absorbs the
-    # decayed acc[i]; the products are formed in place to bound temporaries
-    acc = np.empty_like(stacked)
+    # acc[i + 1] starts as interval i's local term f_i wa + f_{i+1} wb, times
+    # its step; the f_i wa of a block is formed before the block's rows of
+    # acc are written, since acc may be the input
+    column = steps.reshape((-1,) + (1,) * traj.dim)
+    rows = block_rows(stacked)
+    for hi in range(len(stacked), 1, -rows):
+        lo = max(1, hi - rows)
+        intervals = which[lo - 1 : hi - 1]
+        left = stacked[lo - 1 : hi - 1] * wa[intervals]
+        np.multiply(stacked[lo:hi], wb[intervals], out=acc[lo:hi])
+        acc[lo:hi] += left
+        acc[lo:hi] *= column[lo - 1 : hi - 1]
     acc[0] = 0.0
-    np.multiply(stacked[1:], wb[which], out=acc[1:])
-    acc[1:] += stacked[:-1] * wa[which]
-    acc[1:] *= steps.reshape((-1,) + (1,) * traj.dim)
-    rows = iter(acc)  # one view at a time, no list of every row
-    prev = next(rows)
-    for row, w in zip(rows, which.tolist()):
+    # acc[i + 1] then absorbs the decayed acc[i]
+    nodes = iter(acc)  # one view at a time, no list of every row
+    prev = next(nodes)
+    for row, w in zip(nodes, which.tolist()):
         row += decay_rows[w] * prev
         prev = row
     acc *= -grids.ksq
     acc[0] = 0.0
     acc[(slice(None),) + (traj.truncation,) * (traj.dim - 1) + (0,)] = 0.0
     # real multipliers that depend on |k| only keep a valid input valid
-    return Trajectory._trusted(traj.times, acc)
+    return Trajectory._trusted(traj.times, acc if out is None else acc.view())
 
 
 #: A probe trajectory carries 1 to _PROBE_MAX_MODES modes, each decaying at a

@@ -42,6 +42,14 @@ import numpy as np
 #: Relative tolerance for the Hermitian-symmetry check at construction.
 HERMITIAN_RTOL = 1e-10
 
+#: A pass over a trajectory in row blocks (the Duhamel operator's interval
+#: terms, the spacetime norm's log-amplitude table) holds temporaries of at
+#: most this many elements, or of one node where a node holds more.  A 1-D
+#: trajectory of 501 nodes at N = 16 stays one block, and so does a 2-D one
+#: of 101 nodes: in blocks of 8 nodes, that 1-D Picard solve took 38-61 ms
+#: against 20-34 ms, from the Python work of each block.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def _as_components(k) -> tuple[int, ...]:
     if isinstance(k, (int, np.integer)):
@@ -373,6 +381,11 @@ def hermitian_k0_line(half: np.ndarray) -> None:
     if line.ndim > 1:
         line[:, :truncation] = np.conj(line[:, : truncation : -1])
     line[(slice(None),) + (truncation,) * (line.ndim - 1)] = 0.0
+
+
+def block_rows(batch: np.ndarray) -> int:
+    """Nodes of ``batch`` per row block of at most ``_BLOCK_ELEMENTS`` elements: at least one."""
+    return max(1, _BLOCK_ELEMENTS // batch[0].size)
 
 
 def parts_view(half: np.ndarray) -> np.ndarray:

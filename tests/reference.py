@@ -15,8 +15,13 @@ as it was formed on complex half boxes, before it took the real layout of
 ``spectral.as_parts``.
 ``duhamel_map`` is one application of the fixed-point map, which
 ``solve_picard`` iterates on plain arrays.  ``duhamel_scan`` is the Duhamel
-operator with its node-by-node scan written as plain indexing, the exact
-(bit for bit) oracle of ``duhamel_Iplus``.  ``certificate_from_json_dict``
+operator with its node-by-node scan written as plain indexing and its
+interval terms formed over the whole trajectory at once, the exact (bit for
+bit) oracle of ``duhamel_Iplus``.  ``allocating_picard`` is the byte oracle
+of ``solve_picard``, which iterates in two buffers: the loop as it was, with
+a new series sum, Duhamel image, iterate and pair of differences in every
+iteration, on these oracles and on ``spacetime_sup``, the spacetime norm
+with its whole log-amplitude table formed at once.  ``certificate_from_json_dict``
 reads a certificate back from its JSON form.
 
 The stepper marches real arrays in the layout of ``spectral.as_parts``.
@@ -45,7 +50,7 @@ import numpy as np
 from epitaxy import nonlinear
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
-from epitaxy.norms import Certificate, RadiusFit, wiener_norm
+from epitaxy.norms import Certificate, RadiusFit, WeightParams, wiener_norm
 from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
 from epitaxy.spectral import FourierField, as_parts, dft_matrices, hermitian_k0_line, mode_grids
 
@@ -514,3 +519,42 @@ def duhamel_scan(traj):
     acc[0] = 0.0
     acc[(slice(None),) + (traj.truncation,) * (traj.dim - 1) + (0,)] = 0.0
     return acc
+
+
+def spacetime_sup(traj, params):
+    """``spacetime_norm(traj, params)`` with the whole log-amplitude table formed at once."""
+    grids = mode_grids(traj.dim, traj.truncation)
+    with np.errstate(divide="ignore"):
+        logamp = np.log(np.abs(traj.coeffs))
+    times = traj.times.reshape((-1,) + (1,) * traj.dim)
+    peak = (params.alpha * times * grids.kmag + logamp).max(axis=0)
+    with np.errstate(over="ignore"):
+        amps = np.exp(peak)
+    return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
+
+
+def allocating_picard(h0, cert, config):
+    """The loop of ``solve_picard``, allocating every array anew in each iteration.
+
+    Returns the last iterate's half boxes and the tuples of deltas, empirical
+    ratios and ball distances; the certificate and convergence checks are
+    ``solve_picard``'s own.
+    """
+    params = WeightParams(cert.alpha, 2)
+    center = linear_trajectory(h0, config.time_grid())
+    times = center.times
+    current = center.coeffs
+    deltas, ratios, balls = [], [], []
+    for _ in range(config.max_iter):
+        iterate = Trajectory._trusted(times, current)
+        series = complex_series_sum(iterate, config.taylor, config.padding)
+        updated = center.coeffs + duhamel_scan(Trajectory._trusted(times, series))
+        delta = spacetime_sup(Trajectory._trusted(times, updated - current), params)
+        deltas.append(delta)
+        balls.append(spacetime_sup(Trajectory._trusted(times, updated - center.coeffs), params))
+        if len(deltas) >= 2 and deltas[-2] > 0.0:
+            ratios.append(deltas[-1] / deltas[-2])
+        current = updated
+        if delta < config.tol:
+            break
+    return current, tuple(deltas), tuple(ratios), tuple(balls)

@@ -45,6 +45,7 @@ from reference import (
     radius_fit,
     resolve_depth,
     shell_peaks,
+    spacetime_sup,
     step,
     taylor_term,
     whole_ksq,
@@ -199,6 +200,47 @@ def test_duhamel_scan_is_bit_identical_to_indexed_scan(rng, dim):
     parts = ref.view(float)
     assert np.signbit(parts[parts == 0.0]).any()  # the image holds -0.0 too
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("block", ["one-row", "ragged", "whole"])
+@pytest.mark.parametrize("dim", (1, 2))
+def test_row_blocks_keep_the_bytes(rng, monkeypatch, dim, block):
+    # the Duhamel operator's interval terms and the spacetime norm's table go
+    # by row blocks, the former from the last node down, so in place each
+    # block reads the node below it before that node is overwritten; 30
+    # intervals of three step sizes, in blocks of 1, of 4 (the last of 2) and
+    # of every node
+    times = np.concatenate([[0.0], np.cumsum(np.tile([0.01, 0.004, 0.0125], 10))])
+    traj = random_trajectory(rng, dim, times)
+    expected = duhamel_Iplus(traj).coeffs.tobytes()
+    row = traj.coeffs[0].size
+    elements = {"one-row": 1, "ragged": 4 * row + 1, "whole": times.size * row}[block]
+    monkeypatch.setattr(spectral, "_BLOCK_ELEMENTS", elements)
+    in_place = traj.coeffs.copy()
+    image = duhamel_Iplus(Trajectory._trusted(times, in_place.view()), out=in_place)
+    stale = np.full_like(traj.coeffs, np.nan)
+    into = duhamel_Iplus(traj, out=stale)
+    for got in (in_place, image.coeffs, stale, into.coeffs):
+        assert got.tobytes() == expected
+    # the buffers stay writeable for the next iteration; the results are not
+    assert in_place.flags.writeable and stale.flags.writeable
+    assert not (image.coeffs.flags.writeable or into.coeffs.flags.writeable)
+    for params in (WeightParams(0.0, 0), WeightParams(0.7, 2)):
+        assert spacetime_norm(traj, params) == spacetime_sup(traj, params)
+
+
+@pytest.mark.parametrize("max_j", [1, None])
+@pytest.mark.parametrize("dim", (1, 2))
+def test_series_sum_into_a_stale_buffer(dim, max_j):
+    # every entry of ``out`` is written, with the linear-only sentinel's zeros too
+    traj = linear_trajectory(random_decay(8, 7, 0.2, dim=dim), np.linspace(0.0, 0.05, 11))
+    depth = TaylorDepth.adaptive() if max_j is None else TaylorDepth(max_j=max_j)
+    stale = np.full_like(traj.coeffs, 1.0 + 1.0j)
+    got = taylor_sum(traj, depth, out=stale)
+    assert stale.tobytes() == got.coeffs.tobytes() == taylor_sum(traj, depth).coeffs.tobytes()
+    assert stale.flags.writeable and not got.coeffs.flags.writeable
+    if max_j == 1:
+        assert not np.any(stale)
 
 
 @pytest.mark.parametrize("dim,thinned", GRIDS)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from conftest import load_trajectory, save_trajectory
 from epitaxy import cli
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epitaxy.nonlinear import route_floats, series_chunk_nodes
-from epitaxy.norms import wiener_norm
+from epitaxy.norms import certify, wiener_norm
+from epitaxy.picard import solve_picard
+from epitaxy.presets import random_decay
 from epitaxy.semigroup import Trajectory, linear_trajectory
 from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig
@@ -728,15 +731,14 @@ class TestMemoryGuard:
     def test_write_peak_is_counted(self, tmp_path, capsys, monkeypatch):
         # 51 nodes of 17 modes, the series sum's 3 grids of 51 x 34 points and
         # the route's matrices.  The guard counts the larger of the Picard peak
-        # and the write peak: one byte less than that estimate is refused even
-        # though it holds the smaller peak, and exactly that estimate fits
+        # and the write peak: one byte less than that estimate is refused, and
+        # exactly that estimate fits
         trajectory = 51 * 17 * 16
         grids = cli.SERIES_GRID_ARRAYS * 51 * 34 + cli.ROUTE_BUILD_ARRAYS * 4 * 34 * 9
-        low, high = sorted((cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES))
+        high = max(cli.PICARD_LIVE_TRAJECTORIES, cli.WRITE_LIVE_TRAJECTORIES)
         cfg = write_config(tmp_path / "run.json")  # N = 8, dt = 0.01, T = 0.5
         pages = {"SC_PHYS_PAGES": high * trajectory + grids * 8 - 1, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        assert pages["SC_PHYS_PAGES"] >= low * trajectory + grids * 8
         code, status = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == EXIT_VALIDATION
         assert (
@@ -872,6 +874,28 @@ class TestMemoryGuard:
         code, status = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_OK
         assert status["pass_pattern"] == [True, True]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_picard_peak_is_within_the_memory_estimate(monkeypatch, dim):
+    # one whole solve_picard under tracemalloc, after a solve that builds
+    # the cached grids and matrices: with physical memory one byte below
+    # its peak the guard refuses the run, so its estimate covers the peak
+    h0 = random_decay(8, 7, 0.2, dim=dim)
+    cert = certify(h0)
+    config = SolverConfig(truncation=8, dt=1e-3, t_final=0.1)
+    solve_picard(h0, cert, config)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_picard(h0, cert, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    pages = {"SC_PHYS_PAGES": peak - 1, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    with pytest.raises(cli.ValidationError, match="GiB"):
+        cli.check_memory(config, dim)
 
 
 class TestConfigValidation:

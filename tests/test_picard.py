@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import iv
 
-from epitaxy import picard, semigroup
+from epitaxy import picard, presets, semigroup
 from epitaxy.exceptions import CertificateError, PicardConvergenceError
 from epitaxy.nonlinear import TaylorDepth
 from epitaxy.norms import WeightParams, certify, spacetime_norm
@@ -17,7 +17,7 @@ from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig
 
 from conftest import random_field_with_norm
-from reference import coeff, duhamel_map, fields, max_abs, zero
+from reference import allocating_picard, coeff, duhamel_map, fields, max_abs, zero
 
 # Independent oracle for the mode-2 response of one map application to the
 # linear flow of eps*cos(x) at t = 0.5: the summed series at time s has
@@ -164,6 +164,33 @@ class TestSolvePicard:
         assert len(lines) == diag.iterations + 1
 
 
+DATA = {
+    "single-mode": lambda n, dim: presets.single_mode(n, dim=dim),
+    "two-mode": lambda n, dim: presets.two_mode(n, dim=dim),
+    "random-decay-7": lambda n, dim: presets.random_decay(n, 7, 0.2, dim=dim),
+    "random-decay-3": lambda n, dim: presets.random_decay(n, 3, 0.2, dim=dim),
+}
+
+
+# dt = 7e-4 over T = 0.049 makes 71 nodes with 8 distinct step sizes
+@pytest.mark.parametrize("dt,t_final", [(1e-3, 0.01), (7e-4, 0.049)])
+@pytest.mark.parametrize("data", list(DATA))
+@pytest.mark.parametrize("truncation,padding", [(16, 2.0), (7, 1.5), (4, 3.0), (2, 1.0)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_buffered_solve_has_the_bytes_of_the_allocating_loop(
+    dim, truncation, padding, data, dt, t_final
+):
+    h0 = DATA[data](truncation, dim)
+    cert = certify(h0)
+    config = SolverConfig(truncation=truncation, dt=dt, t_final=t_final, padding=padding)
+    solution, diag = solve_picard(h0, cert, config)
+    coeffs, deltas, ratios, balls = allocating_picard(h0, cert, config)
+    assert solution.coeffs.tobytes() == coeffs.tobytes()
+    assert diag.deltas == deltas
+    assert diag.empirical_ratios == ratios
+    assert diag.ball_distances == balls
+
+
 class TestValidationAtTheBoundary:
     """Picard validates the linear flow and its result, never an iterate."""
 
@@ -191,7 +218,7 @@ class TestValidationAtTheBoundary:
     def test_returned_solution_is_validated(self, monkeypatch):
         duhamel = semigroup.duhamel_Iplus
 
-        def skewed(traj):
+        def skewed(traj, out=None):
             # mode k = (1, 0) moves without its partner k = (-1, 0), both on
             # the half box's k_last = 0 line: not a real field
             coeffs = duhamel(traj).coeffs.copy()

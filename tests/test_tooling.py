@@ -117,7 +117,7 @@ def test_tracer_sees_the_hot_paths(tmp_path, monkeypatch, capsys, dim):
     Path("config.json").write_text(json.dumps(config), encoding="utf-8")
     with tracing["Tracer"]().install() as tracer:
         assert cli.main(["solve", "--config", "config.json"]) == cli.EXIT_OK
-    capsys.readouterr()
+    iterations = json.loads(capsys.readouterr().out)["iterations"]
     values, _absent = tracer.metrics()
     steps = 10
     # 11 nodes fit one series chunk, so each series sum is one transform pair
@@ -128,6 +128,8 @@ def test_tracer_sees_the_hot_paths(tmp_path, monkeypatch, capsys, dim):
     assert chunks > 0
     # the exponential route runs on DFT matrices: only the series chunks transform
     assert values["spectral.synthesize.calls"] == values["spectral.analyze.calls"] == chunks
+    # Picard applies the Duhamel operator once per iteration, through its module name
+    assert values["semigroup.duhamel_Iplus.calls"] == iterations
 
 
 def test_readme_memory_estimate_matches_guard():
