@@ -24,6 +24,7 @@ from .semigroup import (
     ProbeReport,
     Trajectory,
     duhamel_Iplus,
+    duhamel_kernel,
     linear_trajectory,
     operator_bound_probe,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "analyticity_radius",
     "certify",
     "duhamel_Iplus",
+    "duhamel_kernel",
     "linear_trajectory",
     "max_alpha",
     "operator_bound_probe",

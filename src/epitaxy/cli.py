@@ -44,7 +44,7 @@ from .nonlinear import (
 )
 from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
-from .semigroup import Trajectory, operator_bound_probe, random_probe_trajectory
+from .semigroup import Trajectory, duhamel_kernel, operator_bound_probe, random_probe_trajectory
 from .spectral import FourierField, as_int, box_header, embed, read_only
 from .stepper import SolverConfig, solve_timestep
 
@@ -333,9 +333,12 @@ def build_initial_field(spec: RunSpec) -> FourierField:
 # Coefficient arrays alive at the peak of a Picard iteration: the linear
 # flow and the two buffers it iterates in, the j = 2 norms' temporaries of
 # the depth resolution, a row block of the Duhamel operator's interval terms
-# and the per-node arrays of its scan (steps and their indices), which weigh
-# most at N = 1.  The peak was 2.08 and 2.07 at N = 16, 2.56 and 2.43 at
-# N = 2, and 3.26, 3.17 and 3.10 at N = 1.
+# and its kernel (``semigroup.duhamel_kernel``), kept for the whole solve.
+# The kernel holds 16 bytes per node (the steps and their indices), which
+# weigh most at N = 1, and 32 per half-box entry per distinct step: a grid
+# with many distinct steps, a graded one say, grows that part.  The peak was
+# 2.11 and 2.08 at N = 16, 2.71 and 2.47 at N = 2, and 3.50, 3.50 and 3.03
+# at N = 1.
 PICARD_LIVE_TRAJECTORIES = 4
 
 # Real grid arrays of one series chunk (``series_chunk_nodes`` nodes of the
@@ -371,13 +374,15 @@ WRITE_LIVE_TRAJECTORIES = 4
 READ_LIVE_TRAJECTORIES = 6
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
-# ``probe-operator`` case: the previous case's trajectory, the new one with
-# its validation temporaries, and its Duhamel image, made once for every
-# alpha (the input's log-amplitude table is freed before the image is built).
-# A whole run peaked at 1.88 in 2-D and 1.67 in 1-D at a largest truncation
-# of 16 (1,001 and 20,001 nodes), and 2.20 and 2.52 at 2, the least the probe
-# takes (20,001 and 200,001 nodes).  The probe alone, not counting its
-# trajectory, peaked at 1.57, 1.35, 1.58 and 1.82.
+# ``probe-operator`` case: the previous case's trajectory, the new one and
+# its Duhamel image, made once for every alpha (the input's log-amplitude
+# table is freed before the image is built).  Beside them the run keeps one
+# Duhamel kernel per dim at the largest truncation, 16 bytes per node and 32
+# per half-box entry per distinct step (see PICARD_LIVE_TRAJECTORIES).  A
+# whole run of 30 cases from a cold start peaked at 1.61 in 2-D and 1.68 in
+# 1-D at a largest truncation of 16 (1,001 and 20,001 nodes), and 1.98 and
+# 2.16 at 2, the least the probe takes (20,001 and 200,001 nodes); with dims
+# [1, 2] it peaked at 1.62 and 2.02 on the 2-D sizes.
 PROBE_LIVE_TRAJECTORIES = 3
 
 
@@ -578,6 +583,8 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
     _check_fits(nodes, modes, PROBE_LIVE_TRAJECTORIES, advice, rows=count * len(alphas))
     # linspace makes a view, which each trajectory would copy; this grid is owned
     times = read_only(np.linspace(0.0, opts["t_final"], nodes).copy())
+    # one kernel per dim, whose centred boxes serve every smaller truncation
+    kernels = {dim: duhamel_kernel(times, dim, opts["max_truncation"]) for dim in dims}
     rng = np.random.default_rng(spec.seed)
     rows = []
     all_pass = True
@@ -585,7 +592,8 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
         dim = dims[index % len(dims)]
         truncation = int(rng.integers(2, opts["max_truncation"] + 1))
         traj = random_probe_trajectory(rng, dim, truncation, times)
-        for alpha, report in zip(alphas, operator_bound_probe(traj, alphas)):
+        kernel = kernels[dim].restrict(truncation)
+        for alpha, report in zip(alphas, operator_bound_probe(traj, alphas, kernel=kernel)):
             all_pass = all_pass and report.passed
             rows.append(
                 f"{index},{dim},{truncation},{_fmt(alpha)},"

@@ -13,14 +13,15 @@ Iteration starts from the linear flow (the center of the certificate ball),
 computed once, and runs on plain coefficient arrays; only the solution is
 built, and validated, as a ``Trajectory``.  Beside the linear flow it keeps
 two trajectory-sized buffers for the whole solve, the iterate and a work
-array.  Each iteration writes the series sum into the work array
-(``taylor_sum(..., out=)``), turns it into its Duhamel image in place
-(``duhamel_Iplus(..., out=)``) and adds the linear flow, which makes the
-new iterate; both norm differences are formed in the old iterate's buffer,
-and the two buffers swap.  The Duhamel operator's interval terms and the
-norms' log-amplitude tables go by row blocks (``spectral.block_rows``) and
-the series sum's grids by chunks of nodes, so those temporaries stop growing
-with the trajectory.
+array, and the Duhamel operator's kernel (``duhamel_kernel``), whose weights
+depend only on the time grid and the box.  Each iteration writes the series
+sum into the work array (``taylor_sum(..., out=)``), turns it into its
+Duhamel image in place (``duhamel_Iplus(..., out=, kernel=)``) and adds the
+linear flow, which makes the new iterate; both norm differences are formed
+in the old iterate's buffer, and the two buffers swap.  The Duhamel
+operator's interval terms and the norms' log-amplitude tables go by row
+blocks (``spectral.block_rows``) and the series sum's grids by chunks of
+nodes, so those temporaries stop growing with the trajectory.
 
 The iteration contracts geometrically whenever the certificate passed: the
 ratios of successive update norms are bounded by the certified contraction
@@ -37,7 +38,7 @@ import numpy as np
 from .exceptions import CertificateError, NumericalError, PicardConvergenceError
 from .nonlinear import taylor_sum
 from .norms import Certificate, WeightParams, spacetime_norm
-from .semigroup import Trajectory, duhamel_Iplus, linear_trajectory
+from .semigroup import Trajectory, duhamel_Iplus, duhamel_kernel, linear_trajectory
 from .spectral import FourierField, read_only
 from .stepper import SolverConfig
 
@@ -88,6 +89,7 @@ def solve_picard(
     # the two buffers: the iterate, and the work array that becomes the next one
     current = center.coeffs.copy()
     work = np.empty_like(current)
+    kernel = duhamel_kernel(times, h0.dim, h0.truncation)
     deltas: list[float] = []
     ratios: list[float] = []
     balls: list[float] = []
@@ -98,7 +100,7 @@ def solve_picard(
         series = taylor_sum(
             Trajectory._trusted(times, current.view()), config.taylor, config.padding, out=work
         )
-        np.add(center.coeffs, duhamel_Iplus(series, out=work).coeffs, out=work)
+        np.add(center.coeffs, duhamel_Iplus(series, out=work, kernel=kernel).coeffs, out=work)
         # the old iterate's buffer holds each difference in turn
         np.subtract(work, current, out=current)
         delta = spacetime_norm(Trajectory._trusted(times, current.view()), params)

@@ -20,10 +20,13 @@ imaginary parts per node; ``cli`` stores that array in a ``.npy`` file.
 The Duhamel operator acts on the whole array; its result skips the checks
 (``_trusted``).
 The Duhamel integral of the interpolant is evaluated in closed form on each
-subinterval (exponential moments of a linear function), with the kernel
-weights computed once per distinct step size, and accumulated with the
-recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local, so the cost is linear
-in the number of nodes.
+subinterval (exponential moments of a linear function) and accumulated with
+the recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local, so the cost is
+linear in the number of nodes.  The kernel weights and decay rows depend on
+the time grid and the box alone: ``duhamel_kernel`` makes them once per grid
+and box, one row per distinct step size, and its caller keeps the kernel for
+as many applications as it needs (a Picard solve, a probe run) and then
+drops it.  ``DuhamelKernel.restrict`` views a smaller centred box of it.
 """
 
 from __future__ import annotations
@@ -171,7 +174,75 @@ def exp_moment_weights(z):
     return np.where(small, wa_series, wa_closed), np.where(small, wb_series, wb_closed)
 
 
-def duhamel_Iplus(traj: Trajectory, out: np.ndarray | None = None) -> Trajectory:
+class DuhamelKernel:
+    """The Duhamel operator's data on one time grid and half box (``duhamel_kernel``).
+
+    Attributes:
+        times: the time grid, read-only
+        column: its steps, shaped (intervals,) + (1,)*dim
+        which: each interval's index among the distinct steps, sorted
+        wa, wb: the kernel weights, (distinct steps,) + half box
+        decay_rows: exp(-|k|^4 dt) per distinct step, as complex half boxes
+    """
+
+    __slots__ = ("times", "column", "which", "wa", "wb", "decay_rows")
+
+    def __init__(self, times, column, which, wa, wb, decay_rows):
+        self.times, self.column, self.which = times, column, which
+        self.wa, self.wb, self.decay_rows = wa, wb, decay_rows
+
+    def restrict(self, truncation: int) -> "DuhamelKernel":
+        """Views of the kernel on the centred half box of ``truncation``.
+
+        They equal, element for element, a kernel built there: |k|^4 is an
+        exact integer-valued float in both boxes, and every weight is formed
+        elementwise from it.
+        """
+        dim, big = self.wa.ndim - 1, self.wa.shape[-1] - 1
+        if not 1 <= truncation <= big:
+            raise ValueError(f"cannot restrict a kernel of truncation {big} to {truncation}")
+        box = (slice(big - truncation, big + truncation + 1),) * (dim - 1)
+        box += (slice(truncation + 1),)
+        rows = (slice(None),) + box
+        return DuhamelKernel(
+            self.times,
+            self.column,
+            self.which,
+            self.wa[rows],
+            self.wb[rows],
+            tuple(row[box] for row in self.decay_rows),
+        )
+
+
+def duhamel_kernel(times, dim: int, truncation: int) -> DuhamelKernel:
+    """The Duhamel operator's data on the grid ``times`` and the half box of ``truncation``.
+
+    The kernel weights and decay rows are evaluated once per distinct step
+    size (a uniform grid built by ``linspace`` has only a few, differing in
+    the last bits).  The kernel holds 16 bytes per node and 32 per entry of
+    a half box per distinct step.
+    """
+    times = sealed(times, float)
+    grids = mode_grids(dim, truncation)
+    steps = np.diff(times)
+    # distinct step sizes, sorted, and each interval's index among them
+    # (np.unique would do, but its first call imports numpy.ma, +1.7 MiB RSS)
+    ordered = np.sort(steps)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    z = distinct.reshape((-1,) + (1,) * dim) * grids.k4
+    wa, wb = exp_moment_weights(z)
+    # cast once, not at every node: numpy multiplies a real row into a complex
+    # one by the same complex loop, so the products keep their bits
+    decay_rows = tuple(np.exp(-z).astype(complex))
+    column = steps.reshape((-1,) + (1,) * dim)
+    return DuhamelKernel(times, column, np.searchsorted(distinct, steps), wa, wb, decay_rows)
+
+
+def duhamel_Iplus(
+    traj: Trajectory, out: np.ndarray | None = None, kernel: DuhamelKernel | None = None
+) -> Trajectory:
     """Apply the derivative-gaining Duhamel operator to a trajectory.
 
     Node i of the result holds, per mode k,
@@ -180,41 +251,35 @@ def duhamel_Iplus(traj: Trajectory, out: np.ndarray | None = None) -> Trajectory
 
     with f the piecewise-linear interpolant of the input nodes.  Each
     subinterval is integrated in closed form, so the only discretization
-    error is the linear-in-time representation of f itself.  The kernel
-    weights are evaluated once per distinct step size (a uniform grid built
-    by ``linspace`` has only a few, differing in the last bits).  The
-    intervals' local terms are formed in row blocks of ``spectral.block_rows``
-    nodes, with the weights gathered per block; only the accumulation runs
-    node by node, over row views taken in turn, with the decay rows cast to
-    complex once rather than at every node.
+    error is the linear-in-time representation of f itself.  The weights
+    come from ``kernel``, made by ``duhamel_kernel`` once per grid and box
+    and given by a caller that applies the operator many times; without it
+    one is made for this call.  A kernel of another grid or box is refused
+    (ValueError).  The intervals' local terms are formed in row blocks of
+    ``spectral.block_rows`` nodes, with the weights gathered per block; only
+    the accumulation runs node by node, over row views taken in turn.
 
     The image is written into ``out``, a C-contiguous complex array of the
     input's shape, which may be the input's own memory: the blocks run from
     the last node down, so each reads its node below before that node is
     overwritten.  The result then holds a read-only view of ``out``, and
     ``out`` stays writeable.  Without ``out`` a new array is allocated.  The
-    bytes do not depend on ``out`` or on the blocks.
+    bytes do not depend on ``out``, on the blocks or on whether the kernel
+    was given or restricted.
     """
-    grids = mode_grids(traj.dim, traj.truncation)
+    if kernel is None:
+        kernel = duhamel_kernel(traj.times, traj.dim, traj.truncation)
+    elif kernel.wa.shape[1:] != traj.coeffs.shape[1:] or not (
+        kernel.times is traj.times or np.array_equal(kernel.times, traj.times)
+    ):
+        raise ValueError("the Duhamel kernel was built for another time grid or box")
     stacked = traj.coeffs
     acc = np.empty_like(stacked) if out is None else out
-    steps = np.diff(traj.times)
-    # distinct step sizes, sorted, and each interval's index among them
-    # (np.unique would do, but its first call imports numpy.ma, +1.7 MiB RSS)
-    ordered = np.sort(steps)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
-    which = np.searchsorted(distinct, steps)
-    z = distinct.reshape((-1,) + (1,) * traj.dim) * grids.k4
-    wa, wb = exp_moment_weights(z)
-    # cast once, not at every node: numpy multiplies a real row into a complex
-    # one by the same complex loop, so the products keep their bits
-    decay_rows = list(np.exp(-z).astype(complex))
+    wa, wb, column, which = kernel.wa, kernel.wb, kernel.column, kernel.which
+    decay_rows = kernel.decay_rows
     # acc[i + 1] starts as interval i's local term f_i wa + f_{i+1} wb, times
     # its step; the f_i wa of a block is formed before the block's rows of
     # acc are written, since acc may be the input
-    column = steps.reshape((-1,) + (1,) * traj.dim)
     rows = block_rows(stacked)
     for hi in range(len(stacked), 1, -rows):
         lo = max(1, hi - rows)
@@ -230,7 +295,7 @@ def duhamel_Iplus(traj: Trajectory, out: np.ndarray | None = None) -> Trajectory
     for row, w in zip(nodes, which.tolist()):
         row += decay_rows[w] * prev
         prev = row
-    acc *= -grids.ksq
+    acc *= -mode_grids(traj.dim, traj.truncation).ksq
     acc[0] = 0.0
     acc[(slice(None),) + (traj.truncation,) * (traj.dim - 1) + (0,)] = 0.0
     # real multipliers that depend on |k| only keep a valid input valid
@@ -252,8 +317,12 @@ def random_probe_trajectory(
     each carrying a complex Gaussian amplitude and its own decay rate in
     [0, _PROBE_MAX_DECAY].  Decay rates are kept moderate relative to the
     grid spacing so the piecewise-linear representation stays faithful.
+
+    The result skips validation (``_trusted``): ``times`` must be a valid
+    grid, and the half boxes are valid by construction, since the zero mode
+    is never drawn and ``hermitian_k0_line`` makes the k_last = 0 line exact.
     """
-    times = np.ascontiguousarray(times, dtype=float)
+    times = sealed(times, float)
     n = 2 * truncation + 1
     half = np.zeros((times.size,) + (n,) * (dim - 1) + (truncation + 1,), dtype=complex)
     n_modes = int(rng.integers(1, _PROBE_MAX_MODES + 1))
@@ -271,7 +340,7 @@ def random_probe_trajectory(
         idx = tuple(c + truncation for c in comps[:-1]) + (comps[-1],)
         half[(slice(None),) + idx] += amp * profile
     hermitian_k0_line(half)
-    return Trajectory(times, read_only(half))
+    return Trajectory._trusted(times, half)
 
 
 @dataclass(frozen=True)
@@ -283,13 +352,17 @@ class ProbeReport:
     passed: bool
 
 
-def operator_bound_probe(traj: Trajectory, alphas) -> tuple[ProbeReport, ...]:
+def operator_bound_probe(
+    traj: Trajectory, alphas, kernel: DuhamelKernel | None = None
+) -> tuple[ProbeReport, ...]:
     """Measure |I+ f|_{alpha,2} / |f|_{alpha,0} against 1 / (1 - alpha), one report per alpha.
 
     The Duhamel image does not depend on alpha: it is made once, and the
     log-amplitude tables of the input and of the image once each.  Every
     denominator is taken before the image is built, so the input's table is
-    freed first.
+    freed first.  ``kernel`` is handed to ``duhamel_Iplus``: a caller that
+    probes many trajectories on one grid makes the weights once per box with
+    ``duhamel_kernel`` (and ``DuhamelKernel.restrict``).
     """
     alphas = tuple(float(alpha) for alpha in alphas)
     if not alphas:
@@ -302,7 +375,7 @@ def operator_bound_probe(traj: Trajectory, alphas) -> tuple[ProbeReport, ...]:
     del logamp
     if 0.0 in denoms:
         raise ValueError("operator probe needs a nonzero trajectory")
-    logamp = _log_amplitudes(duhamel_Iplus(traj).coeffs)
+    logamp = _log_amplitudes(duhamel_Iplus(traj, kernel=kernel).coeffs)
     reports = []
     for alpha, denom in zip(alphas, denoms):
         ratio = _weighted_sup(logamp, traj.times, WeightParams(alpha, 2)) / denom

@@ -22,7 +22,9 @@ of ``solve_picard``, which iterates in two buffers: the loop as it was, with
 a new series sum, Duhamel image, iterate and pair of differences in every
 iteration, on these oracles and on ``spacetime_sup``, the spacetime norm
 with its whole log-amplitude table formed at once.  ``certificate_from_json_dict``
-reads a certificate back from its JSON form.
+reads a certificate back from its JSON form.  ``probe_rows`` is the byte
+oracle of ``operator_probe.csv``: the probe one validated trajectory at a
+time, each with a Duhamel kernel of its own.
 
 The stepper marches real arrays in the layout of ``spectral.as_parts``.
 Its byte oracle is the complex formulation it replaced: the remainder on
@@ -51,7 +53,14 @@ from epitaxy import nonlinear
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
 from epitaxy.norms import Certificate, RadiusFit, WeightParams, wiener_norm
-from epitaxy.semigroup import Trajectory, duhamel_Iplus, exp_moment_weights, linear_trajectory
+from epitaxy.semigroup import (
+    Trajectory,
+    duhamel_Iplus,
+    exp_moment_weights,
+    linear_trajectory,
+    operator_bound_probe,
+    random_probe_trajectory,
+)
 from epitaxy.spectral import FourierField, as_parts, dft_matrices, hermitian_k0_line, mode_grids
 
 
@@ -558,3 +567,22 @@ def allocating_picard(h0, cert, config):
         if delta < config.tol:
             break
     return current, tuple(deltas), tuple(ratios), tuple(balls)
+
+
+def probe_rows(seed, trajectories, alphas, dims, max_truncation, t_final, dt):
+    """The rows of ``operator_probe.csv`` below its header, drawn as ``probe-operator`` draws
+    them; each trajectory is validated and probed without a kernel."""
+    times = np.linspace(0.0, t_final, round(t_final / dt) + 1)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for index in range(trajectories):
+        dim = dims[index % len(dims)]
+        truncation = int(rng.integers(2, max_truncation + 1))
+        drawn = random_probe_trajectory(rng, dim, truncation, times)
+        traj = Trajectory(drawn.times, drawn.coeffs)
+        for alpha, report in zip(alphas, operator_bound_probe(traj, alphas)):
+            rows.append(
+                f"{index},{dim},{truncation},{float(alpha)!r},"
+                f"{report.ratio!r},{report.bound!r},{report.passed}"
+            )
+    return rows

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import load_trajectory, save_trajectory
+from reference import probe_rows
 from epitaxy import cli
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epitaxy.nonlinear import route_floats, series_chunk_nodes
@@ -336,6 +337,24 @@ class TestProbeMode:
         rows = (tmp_path / "out" / "operator_probe.csv").read_text().splitlines()
         assert rows[1] == "index,dim,truncation,alpha,ratio,bound,pass"
         assert len(rows) == 2 + 6 * 3
+
+    @pytest.mark.parametrize("seed", [42, 3])
+    def test_table_equals_the_per_trajectory_loop(self, tmp_path, capsys, seed):
+        # one kernel per dim, restricted to each truncation, and unvalidated
+        # probe trajectories: the bytes of a kernel per trajectory, validated
+        options = {
+            "trajectories": 100,
+            "alphas": [0.1, 0.5, 0.9],
+            "dims": [1, 2],
+            "max_truncation": 16,
+            "t_final": 0.5,
+            "dt": 0.01,
+        }
+        cfg = write_config(tmp_path / "run.json", seed=seed, mode_options=options)
+        code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "operator_probe.csv").read_text().splitlines()
+        assert rows[2:] == probe_rows(seed, **options)
 
     @pytest.mark.parametrize("dt,t_final", [(5.0, 0.5), (1.0, 0.4)], ids=["dt-5", "dt-1"])
     def test_one_node_grid_is_refused(self, tmp_path, capsys, dt, t_final):

@@ -218,7 +218,7 @@ class TestValidationAtTheBoundary:
     def test_returned_solution_is_validated(self, monkeypatch):
         duhamel = semigroup.duhamel_Iplus
 
-        def skewed(traj, out=None):
+        def skewed(traj, out=None, kernel=None):
             # mode k = (1, 0) moves without its partner k = (-1, 0), both on
             # the half box's k_last = 0 line: not a real field
             coeffs = duhamel(traj).coeffs.copy()

@@ -12,12 +12,13 @@ from epitaxy.norms import WeightParams, spacetime_norm
 from epitaxy.semigroup import (
     Trajectory,
     duhamel_Iplus,
+    duhamel_kernel,
     exp_moment_weights,
     linear_trajectory,
     operator_bound_probe,
     random_probe_trajectory,
 )
-from epitaxy.spectral import FourierField
+from epitaxy.spectral import FourierField, check_half
 
 from conftest import random_field, trajectory_of
 from reference import coeff, fields, max_abs, zero
@@ -221,7 +222,87 @@ class TestDuhamelIplus:
             assert coeff(f, (0, 0)) == 0.0  # construction re-checks symmetry
 
 
+def kernel_bytes(kernel):
+    """The bytes of a kernel's weights and decay rows, as a built-here kernel would hold them."""
+    return (
+        kernel.wa.tobytes(),
+        kernel.wb.tobytes(),
+        tuple(row.tobytes() for row in kernel.decay_rows),
+    )
+
+
+class TestDuhamelKernel:
+    """One kernel per grid and box: the operator's bytes with or without it."""
+
+    # the probe's grid, a 2-D solve's and one of 8 distinct steps
+    GRIDS = {
+        "probe": np.linspace(0.0, 0.5, 51),
+        "solve-2d": np.linspace(0.0, 0.1, 101),
+        "eight-steps": np.linspace(0.0, 0.049, 71),
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_restricted_kernel_equals_one_built_in_its_box(self, dim):
+        times = self.GRIDS["probe"]
+        big = duhamel_kernel(times, dim, 16)
+        for truncation in range(2, 17):
+            small = big.restrict(truncation)
+            assert kernel_bytes(small) == kernel_bytes(duhamel_kernel(times, dim, truncation))
+            assert small.which is big.which and small.column is big.column
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("dim,truncation", [(1, 16), (2, 8), (2, 16)])
+    def test_image_with_a_kernel_keeps_the_bytes(self, rng, grid, dim, truncation):
+        times = self.GRIDS[grid]
+        if grid == "eight-steps":
+            assert np.unique(np.diff(times)).size == 8
+        traj = linear_trajectory(random_field(rng, dim=dim, truncation=truncation), times)
+        expected = duhamel_Iplus(traj).coeffs.tobytes()
+        built = duhamel_kernel(times, dim, truncation)
+        restricted = duhamel_kernel(times, dim, 16).restrict(truncation)
+        for kernel in (built, restricted):
+            assert duhamel_Iplus(traj, kernel=kernel).coeffs.tobytes() == expected
+            in_place = traj.coeffs.copy()
+            image = duhamel_Iplus(
+                Trajectory._trusted(traj.times, in_place.view()), out=in_place, kernel=kernel
+            )
+            assert in_place.tobytes() == image.coeffs.tobytes() == expected
+
+    def test_kernel_of_another_grid_or_box_is_refused(self, rng):
+        times = np.linspace(0.0, 0.5, 51)
+        traj = linear_trajectory(random_field(rng, dim=2, truncation=4), times)
+        others = {
+            "box": duhamel_kernel(times, 2, 5),
+            "dim": duhamel_kernel(times, 1, 4),
+            "grid": duhamel_kernel(np.linspace(0.0, 0.6, 51), 2, 4),
+            "nodes": duhamel_kernel(np.linspace(0.0, 0.5, 52), 2, 4),
+        }
+        for kernel in others.values():
+            with pytest.raises(ValueError, match="another time grid or box"):
+                duhamel_Iplus(traj, kernel=kernel)
+        # an equal grid in another array is the same grid
+        kernel = duhamel_kernel(times.copy(), 2, 4)
+        assert duhamel_Iplus(traj, kernel=kernel).coeffs.tobytes() == (
+            duhamel_Iplus(traj).coeffs.tobytes()
+        )
+
+    @pytest.mark.parametrize("truncation", [0, 17])
+    def test_restrict_stays_inside_the_box(self, truncation):
+        with pytest.raises(ValueError, match="restrict"):
+            duhamel_kernel(np.linspace(0.0, 0.5, 51), 2, 16).restrict(truncation)
+
+
 class TestOperatorBoundProbe:
+    def test_probe_trajectories_are_valid(self, rng):
+        # they skip validation, so each must pass it: zero mode never drawn,
+        # and a k_last = 0 line made exactly Hermitian
+        times = np.linspace(0.0, 0.5, 51)
+        for draw in range(200):
+            traj = random_probe_trajectory(rng, 1 + draw % 2, 2 + draw % 15, times)
+            check_half(traj.coeffs)
+            assert np.array_equal(traj.times, times)
+            assert not (traj.coeffs.flags.writeable or traj.times.flags.writeable)
+
     def test_extremal_profile_at_unit_mode(self):
         # profile e^{-alpha t} at |k| = 1 attains the per-mode supremum as
         # t grows; the measured ratio must stay below 1/(1 - alpha)
@@ -274,7 +355,7 @@ class TestOperatorBoundProbe:
     def test_one_duhamel_image_per_trajectory(self, rng, monkeypatch):
         calls = []
 
-        def counted(traj):
+        def counted(traj, kernel=None):
             calls.append(traj)
             return duhamel_Iplus(traj)
 

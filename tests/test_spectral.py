@@ -1,5 +1,6 @@
 """Transforms, the |k|-power multipliers and the coefficient convention."""
 
+import io
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from epitaxy.spectral import (
     embed,
     hermitian_k0_line,
     mode_grids,
+    packed_modes,
     place_modes,
 )
 from epitaxy.semigroup import Trajectory
@@ -281,6 +283,28 @@ class TestSerialization:
         f = FourierField.from_modes(1, 5, {(1,): 0.5})
         entries = f.to_json_dict()["coeffs"]
         assert entries == [[1, 0.5, 0.0]]  # the partner -1 is restored on reading
+
+
+@pytest.mark.parametrize("dim,truncation,nodes", [(1, 16, 101), (2, 16, 11), (2, 3, 5)])
+def test_packed_tables_are_contiguous_with_the_strided_bytes(rng, dim, truncation, nodes):
+    # the tables were stacked from the strided real and imaginary views of a
+    # fancy index, and numpy wrote that array to a file element by element
+    half = half_boxes(rng, dim, truncation, nodes)[0]
+    half[:, ::3] = 0.0  # modes that are zero at every node are not written
+    hermitian_k0_line(half)
+    modes, tables = packed_modes(half)
+    assert tables.flags.c_contiguous and tables.dtype == np.dtype("<f8")
+    written = tuple(np.array(modes).T + np.array([truncation] * (dim - 1) + [0])[:, None])
+    values = half[(slice(None),) + written]
+    strided = np.stack((values.real, values.imag)).astype("<f8", copy=False)
+    assert not strided.flags.c_contiguous
+    assert np.array_equal(tables, strided)
+    npy = []
+    for table in (tables, strided):
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, table, allow_pickle=False)
+        npy.append(buffer.getvalue())
+    assert npy[0] == npy[1]
 
 
 def test_synthesis_imag_residue_guard():
