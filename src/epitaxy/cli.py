@@ -331,14 +331,11 @@ def build_initial_field(spec: RunSpec) -> FourierField:
 # peak rounded up, but for the write count (see there).
 
 # Coefficient arrays alive at the peak of a Picard iteration: the linear
-# flow and the two buffers it iterates in, the j = 2 norms' temporaries of
-# the depth resolution, a row block of the Duhamel operator's interval terms
-# and its kernel (``semigroup.duhamel_kernel``), kept for the whole solve.
-# The kernel holds 16 bytes per node (the steps and their indices), which
-# weigh most at N = 1, and 32 per half-box entry per distinct step: a grid
-# with many distinct steps, a graded one say, grows that part.  The peak was
-# 2.11 and 2.08 at N = 16, 2.71 and 2.47 at N = 2, and 3.50, 3.50 and 3.03
-# at N = 1.
+# flow, its two buffers, the j = 2 norms' temporaries of the depth
+# resolution, a row block of the Duhamel operator's interval terms and its
+# kernel, 16 bytes a node and 32 per half-box entry per distinct step (more
+# steps, more kernel).  The peak was 2.11 and 2.08 at N = 16, 2.71 and 2.47
+# at N = 2, and 3.50, 3.50 and 3.03 at N = 1, where the kernel's nodes weigh.
 PICARD_LIVE_TRAJECTORIES = 4
 
 # Real grid arrays of one series chunk (``series_chunk_nodes`` nodes of the
@@ -375,14 +372,11 @@ READ_LIVE_TRAJECTORIES = 6
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
 # ``probe-operator`` case: the previous case's trajectory, the new one and
-# its Duhamel image, made once for every alpha (the input's log-amplitude
-# table is freed before the image is built).  Beside them the run keeps one
-# Duhamel kernel per dim at the largest truncation, 16 bytes per node and 32
-# per half-box entry per distinct step (see PICARD_LIVE_TRAJECTORIES).  A
-# whole run of 30 cases from a cold start peaked at 1.61 in 2-D and 1.68 in
-# 1-D at a largest truncation of 16 (1,001 and 20,001 nodes), and 1.98 and
-# 2.16 at 2, the least the probe takes (20,001 and 200,001 nodes); with dims
-# [1, 2] it peaked at 1.62 and 2.02 on the 2-D sizes.
+# its Duhamel image, made once for every alpha, beside one Duhamel kernel
+# per dim at the largest truncation.  A whole run of 30 cases peaked at 1.61
+# in 2-D and 1.68 in 1-D at a largest truncation of 16 (1,001 and 20,001
+# nodes), and 1.98 and 2.16 at 2, the least the probe takes (20,001 and
+# 200,001 nodes); 1.62 and 2.02 with dims [1, 2].
 PROBE_LIVE_TRAJECTORIES = 3
 
 
@@ -583,7 +577,7 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
     _check_fits(nodes, modes, PROBE_LIVE_TRAJECTORIES, advice, rows=count * len(alphas))
     # linspace makes a view, which each trajectory would copy; this grid is owned
     times = read_only(np.linspace(0.0, opts["t_final"], nodes).copy())
-    # one kernel per dim, whose centred boxes serve every smaller truncation
+    # one kernel per dim; each case takes its centred box
     kernels = {dim: duhamel_kernel(times, dim, opts["max_truncation"]) for dim in dims}
     rng = np.random.default_rng(spec.seed)
     rows = []

@@ -22,11 +22,9 @@ The Duhamel operator acts on the whole array; its result skips the checks
 The Duhamel integral of the interpolant is evaluated in closed form on each
 subinterval (exponential moments of a linear function) and accumulated with
 the recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local, so the cost is
-linear in the number of nodes.  The kernel weights and decay rows depend on
-the time grid and the box alone: ``duhamel_kernel`` makes them once per grid
-and box, one row per distinct step size, and its caller keeps the kernel for
-as many applications as it needs (a Picard solve, a probe run) and then
-drops it.  ``DuhamelKernel.restrict`` views a smaller centred box of it.
+linear in the number of nodes.  The weights depend on the grid and the box
+alone: ``duhamel_kernel`` makes them once, for a caller to keep while it
+needs them (a Picard solve, a probe run).
 """
 
 from __future__ import annotations
@@ -175,15 +173,10 @@ def exp_moment_weights(z):
 
 
 class DuhamelKernel:
-    """The Duhamel operator's data on one time grid and half box (``duhamel_kernel``).
-
-    Attributes:
-        times: the time grid, read-only
-        column: its steps, shaped (intervals,) + (1,)*dim
-        which: each interval's index among the distinct steps, sorted
-        wa, wb: the kernel weights, (distinct steps,) + half box
-        decay_rows: exp(-|k|^4 dt) per distinct step, as complex half boxes
-    """
+    """The Duhamel operator's data on one time grid and half box: the grid, its
+    steps as a column, each interval's index among the sorted distinct steps,
+    and per distinct step the weights ``wa``, ``wb`` and exp(-|k|^4 dt) as a
+    complex half box."""
 
     __slots__ = ("times", "column", "which", "wa", "wb", "decay_rows")
 
@@ -192,12 +185,8 @@ class DuhamelKernel:
         self.wa, self.wb, self.decay_rows = wa, wb, decay_rows
 
     def restrict(self, truncation: int) -> "DuhamelKernel":
-        """Views of the kernel on the centred half box of ``truncation``.
-
-        They equal, element for element, a kernel built there: |k|^4 is an
-        exact integer-valued float in both boxes, and every weight is formed
-        elementwise from it.
-        """
+        """Views on the centred half box of ``truncation``, equal to a kernel
+        built there: |k|^4 is an exact integer-valued float in both."""
         dim, big = self.wa.ndim - 1, self.wa.shape[-1] - 1
         if not 1 <= truncation <= big:
             raise ValueError(f"cannot restrict a kernel of truncation {big} to {truncation}")
@@ -215,13 +204,9 @@ class DuhamelKernel:
 
 
 def duhamel_kernel(times, dim: int, truncation: int) -> DuhamelKernel:
-    """The Duhamel operator's data on the grid ``times`` and the half box of ``truncation``.
-
-    The kernel weights and decay rows are evaluated once per distinct step
-    size (a uniform grid built by ``linspace`` has only a few, differing in
-    the last bits).  The kernel holds 16 bytes per node and 32 per entry of
-    a half box per distinct step.
-    """
+    """The Duhamel operator's data on the grid ``times`` and the half box of
+    ``truncation``, once per distinct step (``linspace`` makes a few, differing
+    in the last bits): 16 bytes a node, 32 per half-box entry and step."""
     times = sealed(times, float)
     grids = mode_grids(dim, truncation)
     steps = np.diff(times)
@@ -252,9 +237,8 @@ def duhamel_Iplus(
     with f the piecewise-linear interpolant of the input nodes.  Each
     subinterval is integrated in closed form, so the only discretization
     error is the linear-in-time representation of f itself.  The weights
-    come from ``kernel``, made by ``duhamel_kernel`` once per grid and box
-    and given by a caller that applies the operator many times; without it
-    one is made for this call.  A kernel of another grid or box is refused
+    come from ``kernel`` (``duhamel_kernel``, made once per grid and box), or
+    are made for this call; a kernel of another grid or box is refused
     (ValueError).  The intervals' local terms are formed in row blocks of
     ``spectral.block_rows`` nodes, with the weights gathered per block; only
     the accumulation runs node by node, over row views taken in turn.
@@ -264,8 +248,7 @@ def duhamel_Iplus(
     the last node down, so each reads its node below before that node is
     overwritten.  The result then holds a read-only view of ``out``, and
     ``out`` stays writeable.  Without ``out`` a new array is allocated.  The
-    bytes do not depend on ``out``, on the blocks or on whether the kernel
-    was given or restricted.
+    bytes do not depend on ``out``, the blocks or the kernel's origin.
     """
     if kernel is None:
         kernel = duhamel_kernel(traj.times, traj.dim, traj.truncation)
@@ -316,11 +299,9 @@ def random_probe_trajectory(
     Feeds the operator-bound probe: a handful of modes drawn from the box,
     each carrying a complex Gaussian amplitude and its own decay rate in
     [0, _PROBE_MAX_DECAY].  Decay rates are kept moderate relative to the
-    grid spacing so the piecewise-linear representation stays faithful.
-
-    The result skips validation (``_trusted``): ``times`` must be a valid
-    grid, and the half boxes are valid by construction, since the zero mode
-    is never drawn and ``hermitian_k0_line`` makes the k_last = 0 line exact.
+    grid spacing so the piecewise-linear representation stays faithful.  It
+    skips validation: the zero mode is never drawn, and ``hermitian_k0_line``
+    makes the k_last = 0 line exact.
     """
     times = sealed(times, float)
     n = 2 * truncation + 1
@@ -360,9 +341,8 @@ def operator_bound_probe(
     The Duhamel image does not depend on alpha: it is made once, and the
     log-amplitude tables of the input and of the image once each.  Every
     denominator is taken before the image is built, so the input's table is
-    freed first.  ``kernel`` is handed to ``duhamel_Iplus``: a caller that
-    probes many trajectories on one grid makes the weights once per box with
-    ``duhamel_kernel`` (and ``DuhamelKernel.restrict``).
+    freed first.  ``kernel``, made once per grid and box by ``duhamel_kernel``,
+    goes to ``duhamel_Iplus``.
     """
     alphas = tuple(float(alpha) for alpha in alphas)
     if not alphas:

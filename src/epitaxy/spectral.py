@@ -291,8 +291,7 @@ def packed_modes(half: np.ndarray) -> tuple[list, np.ndarray]:
     values = half[(slice(None),) + written]
     # index i is k = i - N along a leading axis and k_last = i along the last
     modes = np.stack(written, axis=1) - np.array([truncation] * (dim - 1) + [0])
-    # stacked into a C-contiguous array: ``values`` of a fancy index is not,
-    # and numpy writes a strided array to a file element by element
+    # C-contiguous: numpy writes a strided array to a file element by element
     tables = np.stack((values.real, values.imag), out=np.empty((2,) + values.shape, "<f8"))
     return modes.tolist(), tables
 
