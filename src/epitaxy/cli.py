@@ -46,7 +46,7 @@ from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
 from .semigroup import Trajectory, duhamel_kernel, operator_bound_probe, random_probe_trajectory
 from .spectral import FourierField, as_int, box_header, embed, read_only
-from .stepper import SolverConfig, solve_timestep
+from .stepper import SolverConfig, divides, solve_timestep
 
 MODES = ("solve", "certify", "probe-operator", "sweep", "compare", "radius")
 
@@ -371,13 +371,14 @@ WRITE_LIVE_TRAJECTORIES = 4
 READ_LIVE_TRAJECTORIES = 6
 
 # Coefficient arrays of the largest probe trajectory's size alive in one
-# ``probe-operator`` case: the previous case's trajectory, the new one and
-# its Duhamel image, made once for every alpha, beside one Duhamel kernel
-# per dim at the largest truncation.  A whole run of 30 cases peaked at 1.61
-# in 2-D and 1.68 in 1-D at a largest truncation of 16 (1,001 and 20,001
-# nodes), and 1.98 and 2.16 at 2, the least the probe takes (20,001 and
-# 200,001 nodes); 1.62 and 2.02 with dims [1, 2].
-PROBE_LIVE_TRAJECTORIES = 3
+# ``probe-operator`` case: the previous case's trajectory and the new one,
+# beside one Duhamel kernel per dim at the largest truncation; the probe's
+# tables and image cover only the trajectory's support.  A whole run of 30
+# cases peaked at 1.12 in 2-D and 1.05 in 1-D at a largest truncation of 16
+# (1,001 and 20,001 nodes), and 1.38 and 1.81 at 2, the least the probe takes
+# (20,001 and 200,001 nodes), where the kernel and the grid weigh most;
+# 0.57 and 1.16 with dims [1, 2].
+PROBE_LIVE_TRAJECTORIES = 2
 
 
 # Bytes of one ``operator_probe.csv`` row alive while the table is written:
@@ -565,19 +566,25 @@ def _run_solve(spec: RunSpec, out: Path) -> dict:
 def _run_probe(spec: RunSpec, out: Path) -> dict:
     opts = spec.options
     count, alphas, dims = opts["trajectories"], opts["alphas"], opts["dims"]
-    steps = opts["t_final"] / opts["dt"]
-    if not (steps < math.inf and round(steps) >= 1):  # on one node every ratio would read 0
+    ratio = opts["t_final"] / opts["dt"]
+    if not (ratio < math.inf and round(ratio) >= 1):  # on one node every ratio would read 0
         raise ValidationError(
             f"probe-operator needs a finite number of time steps, at least one: mode_options."
-            f"t_final / mode_options.dt = {opts['t_final']} / {opts['dt']} = {steps}"
+            f"t_final / mode_options.dt = {opts['t_final']} / {opts['dt']} = {ratio}"
         )
-    nodes = round(steps) + 1
+    steps = round(ratio)
+    if not divides(opts["dt"], opts["t_final"], steps):  # the grid would take another step
+        raise ValidationError(
+            f"mode_options.dt = {opts['dt']} does not divide mode_options.t_final = "
+            f"{opts['t_final']} (nearest step count {steps})"
+        )
+    nodes = steps + 1
     modes = (2 * opts["max_truncation"] + 1) ** max(dims)
     advice = "raise mode_options.dt or lower t_final, max_truncation or trajectories"
     _check_fits(nodes, modes, PROBE_LIVE_TRAJECTORIES, advice, rows=count * len(alphas))
     # linspace makes a view, which each trajectory would copy; this grid is owned
     times = read_only(np.linspace(0.0, opts["t_final"], nodes).copy())
-    # one kernel per dim; each case takes its centred box
+    # one kernel per dim, indexed at each case's support
     kernels = {dim: duhamel_kernel(times, dim, opts["max_truncation"]) for dim in dims}
     rng = np.random.default_rng(spec.seed)
     rows = []
@@ -586,8 +593,7 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
         dim = dims[index % len(dims)]
         truncation = int(rng.integers(2, opts["max_truncation"] + 1))
         traj = random_probe_trajectory(rng, dim, truncation, times)
-        kernel = kernels[dim].restrict(truncation)
-        for alpha, report in zip(alphas, operator_bound_probe(traj, alphas, kernel=kernel)):
+        for alpha, report in zip(alphas, operator_bound_probe(traj, alphas, kernels[dim])):
             all_pass = all_pass and report.passed
             rows.append(
                 f"{index},{dim},{truncation},{_fmt(alpha)},"

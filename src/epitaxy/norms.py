@@ -85,11 +85,13 @@ def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
     not depend on the blocks.
     """
     coeffs, times = traj.coeffs, traj.times
+    kmag = mode_grids(traj.dim, traj.truncation).kmag
     rows = block_rows(coeffs)
     peak = np.full(coeffs.shape[1:], -np.inf)
     for lo in range(0, len(times), rows):
         block = _log_amplitudes(coeffs[lo : lo + rows])
-        np.maximum(peak, _weighted_peak(block, times[lo : lo + rows], params.alpha), out=peak)
+        block = _weighted_peak(block, times[lo : lo + rows], params.alpha, kmag)
+        np.maximum(peak, block, out=peak)
     return _peak_norm(peak, params)
 
 
@@ -99,12 +101,10 @@ def _log_amplitudes(coeffs: np.ndarray) -> np.ndarray:
         return np.log(np.abs(coeffs))
 
 
-def _weighted_peak(logamp: np.ndarray, times: np.ndarray, alpha: float) -> np.ndarray:
-    """max over the nodes of alpha t |k| + log|coeff|, per mode of the half box,
-    from the table ``logamp`` = log|coeff| of (nodes,) + half box."""
-    dim = logamp.ndim - 1
-    kmag = mode_grids(dim, logamp.shape[-1] - 1).kmag
-    return (alpha * times.reshape((-1,) + (1,) * dim) * kmag + logamp).max(axis=0)
+def _weighted_peak(logamp: np.ndarray, times: np.ndarray, alpha: float, kmag) -> np.ndarray:
+    """max over the nodes of alpha t |k| + log|coeff|, per column of the table
+    ``logamp`` = log|coeff| of (nodes,) + the layout of ``kmag``, its columns' |k|."""
+    return (alpha * times.reshape((-1,) + (1,) * kmag.ndim) * kmag + logamp).max(axis=0)
 
 
 def _peak_norm(peak: np.ndarray, params: WeightParams) -> float:
@@ -113,15 +113,6 @@ def _peak_norm(peak: np.ndarray, params: WeightParams) -> float:
     with np.errstate(over="ignore"):
         amps = np.exp(peak)
     return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
-
-
-def _weighted_sup(logamp: np.ndarray, times: np.ndarray, params: WeightParams) -> float:
-    """``spacetime_norm`` from the whole table ``logamp`` = log|coeff|.
-
-    The operator probe builds a trajectory's table once and weighs it for
-    every alpha.
-    """
-    return _peak_norm(_weighted_peak(logamp, times, params.alpha), params)
 
 
 def _line_fit(x, y, kept) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,7 +10,10 @@ and on the weighted spacetime spaces its norm from weight j = 0 into weight
 j = 2 is bounded by 1 / (1 - alpha) for alpha in (0, 1); the per-mode bound
 is 1 / (1 - alpha / |k|^3), largest at |k| = 1.  ``operator_bound_probe``
 measures this ratio numerically for a tuple of alphas: alpha enters only the
-norms, so one Duhamel image serves them all.
+norms, so one Duhamel image serves them all.  It works on the trajectory's
+support, the half-box entries nonzero at some node: the Duhamel recurrence
+and the norms' tables run on those columns alone, and each norm is summed
+over the half box in its order, so it keeps the bits of ``spacetime_norm``.
 
 A trajectory is a time grid plus one complex array of k_last >= 0 half
 boxes, shape (nodes,) + (2N+1,)*(dim-1) + (N+1,), piecewise-linear in time
@@ -22,9 +25,11 @@ The Duhamel operator acts on the whole array; its result skips the checks
 The Duhamel integral of the interpolant is evaluated in closed form on each
 subinterval (exponential moments of a linear function) and accumulated with
 the recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local, so the cost is
-linear in the number of nodes.  The weights depend on the grid and the box
-alone: ``duhamel_kernel`` makes them once, for a caller to keep while it
-needs them (a Picard solve, a probe run).
+linear in the number of nodes.  One function, ``_duhamel_scan``, runs it,
+for the whole box and for a probe's support.  The weights depend on the
+grid and the box alone: ``duhamel_kernel`` makes them once, for a caller to
+keep while it needs them (a Picard solve, a probe run, whose kernel is
+built at its largest truncation).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import WeightParams, _log_amplitudes, _weighted_sup
+from .norms import WeightParams, _log_amplitudes, _peak_norm, _weighted_peak
 from .spectral import (
     FourierField,
     block_rows,
@@ -47,6 +52,10 @@ from .spectral import (
     read_only,
     sealed,
 )
+
+
+#: The smallest normal float; the linear flow holds no part below it.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -125,11 +134,24 @@ class Trajectory:
 
 
 def linear_trajectory(h0: FourierField, times) -> Trajectory:
-    """Trajectory whose node i holds the linear flow of ``h0`` at times[i]."""
+    """Trajectory whose node i holds the linear flow of ``h0`` at times[i].
+
+    Real and imaginary parts below the smallest normal float are zero: the
+    flow has decayed past the float range there, and a subnormal operand
+    slows the arithmetic it enters (the series sum of a 2-D flow with 1% of
+    its parts subnormal ran twice as long).  They are flushed in row blocks
+    of ``spectral.block_rows`` nodes.
+    """
     times = np.ascontiguousarray(times, dtype=float)
     k4 = mode_grids(h0.dim, h0.truncation).k4
     column = times.reshape((-1,) + (1,) * h0.dim)
-    return Trajectory(times, read_only(h0.coeffs * np.exp(-k4 * column)))
+    flow = h0.coeffs * np.exp(-k4 * column)
+    parts = flow.view(float).reshape(len(times), -1)
+    rows = block_rows(parts)
+    for lo in range(0, len(parts), rows):
+        block = parts[lo : lo + rows]
+        block[np.abs(block) < _TINY] = 0.0
+    return Trajectory(times, read_only(flow))
 
 
 # -- exponential moments of a linear function ---------------------------------
@@ -174,33 +196,19 @@ def exp_moment_weights(z):
 
 class DuhamelKernel:
     """The Duhamel operator's data on one time grid and half box: the grid, its
-    steps as a column, each interval's index among the sorted distinct steps,
-    and per distinct step the weights ``wa``, ``wb`` and exp(-|k|^4 dt) as a
-    complex half box."""
+    steps, each interval's index among the sorted distinct steps, and per
+    distinct step the weights ``wa``, ``wb`` and exp(-|k|^4 dt) as a complex
+    half box."""
 
-    __slots__ = ("times", "column", "which", "wa", "wb", "decay_rows")
+    __slots__ = ("times", "steps", "which", "wa", "wb", "decay_rows")
 
-    def __init__(self, times, column, which, wa, wb, decay_rows):
-        self.times, self.column, self.which = times, column, which
+    def __init__(self, times, steps, which, wa, wb, decay_rows):
+        self.times, self.steps, self.which = times, steps, which
         self.wa, self.wb, self.decay_rows = wa, wb, decay_rows
 
-    def restrict(self, truncation: int) -> "DuhamelKernel":
-        """Views on the centred half box of ``truncation``, equal to a kernel
-        built there: |k|^4 is an exact integer-valued float in both."""
-        dim, big = self.wa.ndim - 1, self.wa.shape[-1] - 1
-        if not 1 <= truncation <= big:
-            raise ValueError(f"cannot restrict a kernel of truncation {big} to {truncation}")
-        box = (slice(big - truncation, big + truncation + 1),) * (dim - 1)
-        box += (slice(truncation + 1),)
-        rows = (slice(None),) + box
-        return DuhamelKernel(
-            self.times,
-            self.column,
-            self.which,
-            self.wa[rows],
-            self.wb[rows],
-            tuple(row[box] for row in self.decay_rows),
-        )
+    def on_grid(self, times) -> bool:
+        """Whether ``times`` is the kernel's grid, in its array or in another."""
+        return self.times is times or np.array_equal(self.times, times)
 
 
 def duhamel_kernel(times, dim: int, truncation: int) -> DuhamelKernel:
@@ -221,8 +229,41 @@ def duhamel_kernel(times, dim: int, truncation: int) -> DuhamelKernel:
     # cast once, not at every node: numpy multiplies a real row into a complex
     # one by the same complex loop, so the products keep their bits
     decay_rows = tuple(np.exp(-z).astype(complex))
-    column = steps.reshape((-1,) + (1,) * dim)
-    return DuhamelKernel(times, column, np.searchsorted(distinct, steps), wa, wb, decay_rows)
+    return DuhamelKernel(times, steps, np.searchsorted(distinct, steps), wa, wb, decay_rows)
+
+
+def _duhamel_scan(stacked, acc, kernel, wa, wb, decay_rows, ksq) -> None:
+    """Write into ``acc`` the Duhamel image of the nodes ``stacked``: the one
+    accumulation of the operator, for the whole half box (``duhamel_Iplus``)
+    or for some of its entries (``operator_bound_probe``).
+
+    ``stacked`` and ``acc`` are (nodes,) + a layout of entries, which ``wa``,
+    ``wb`` (one row per distinct step of ``kernel``), each of ``decay_rows``
+    and ``ksq`` share; ``acc`` may be ``stacked`` itself.  Every operation is
+    entry by entry, so an entry's bytes do not depend on the layout.
+    """
+    which = kernel.which
+    column = kernel.steps.reshape((-1,) + (1,) * (stacked.ndim - 1))
+    # acc[i + 1] starts as interval i's local term f_i wa + f_{i+1} wb, times
+    # its step; the f_i wa of a block is formed before the block's rows of
+    # acc are written, since acc may be the input
+    rows = block_rows(stacked)
+    for hi in range(len(stacked), 1, -rows):
+        lo = max(1, hi - rows)
+        intervals = which[lo - 1 : hi - 1]
+        left = stacked[lo - 1 : hi - 1] * wa[intervals]
+        np.multiply(stacked[lo:hi], wb[intervals], out=acc[lo:hi])
+        acc[lo:hi] += left
+        acc[lo:hi] *= column[lo - 1 : hi - 1]
+    acc[0] = 0.0
+    # acc[i + 1] then absorbs the decayed acc[i]
+    nodes = iter(acc)  # one view at a time, no list of every row
+    prev = next(nodes)
+    for row, w in zip(nodes, which.tolist()):
+        row += decay_rows[w] * prev
+        prev = row
+    acc *= -ksq
+    acc[0] = 0.0
 
 
 def duhamel_Iplus(
@@ -252,37 +293,29 @@ def duhamel_Iplus(
     """
     if kernel is None:
         kernel = duhamel_kernel(traj.times, traj.dim, traj.truncation)
-    elif kernel.wa.shape[1:] != traj.coeffs.shape[1:] or not (
-        kernel.times is traj.times or np.array_equal(kernel.times, traj.times)
-    ):
+    elif kernel.wa.shape[1:] != traj.coeffs.shape[1:] or not kernel.on_grid(traj.times):
         raise ValueError("the Duhamel kernel was built for another time grid or box")
-    stacked = traj.coeffs
-    acc = np.empty_like(stacked) if out is None else out
-    wa, wb, column, which = kernel.wa, kernel.wb, kernel.column, kernel.which
-    decay_rows = kernel.decay_rows
-    # acc[i + 1] starts as interval i's local term f_i wa + f_{i+1} wb, times
-    # its step; the f_i wa of a block is formed before the block's rows of
-    # acc are written, since acc may be the input
-    rows = block_rows(stacked)
-    for hi in range(len(stacked), 1, -rows):
-        lo = max(1, hi - rows)
-        intervals = which[lo - 1 : hi - 1]
-        left = stacked[lo - 1 : hi - 1] * wa[intervals]
-        np.multiply(stacked[lo:hi], wb[intervals], out=acc[lo:hi])
-        acc[lo:hi] += left
-        acc[lo:hi] *= column[lo - 1 : hi - 1]
-    acc[0] = 0.0
-    # acc[i + 1] then absorbs the decayed acc[i]
-    nodes = iter(acc)  # one view at a time, no list of every row
-    prev = next(nodes)
-    for row, w in zip(nodes, which.tolist()):
-        row += decay_rows[w] * prev
-        prev = row
-    acc *= -mode_grids(traj.dim, traj.truncation).ksq
-    acc[0] = 0.0
+    acc = np.empty_like(traj.coeffs) if out is None else out
+    ksq = mode_grids(traj.dim, traj.truncation).ksq
+    _duhamel_scan(traj.coeffs, acc, kernel, kernel.wa, kernel.wb, kernel.decay_rows, ksq)
     acc[(slice(None),) + (traj.truncation,) * (traj.dim - 1) + (0,)] = 0.0
     # real multipliers that depend on |k| only keep a valid input valid
     return Trajectory._trusted(traj.times, acc if out is None else acc.view())
+
+
+def _support_image(columns, support, box, kernel: DuhamelKernel) -> None:
+    """Overwrite ``columns``, a trajectory's (nodes, entries) of the flat
+    half-box indices ``support`` in its half box ``box``, with their Duhamel
+    image, from ``kernel``: built on its grid, for its box or a larger one."""
+    # the support's entries in the kernel's box, centred on the same k = 0
+    index = np.unravel_index(support, box)
+    shift = kernel.wa.shape[-1] - box[-1]
+    index = tuple(i + shift for i in index[:-1]) + index[-1:]
+    at = np.ravel_multi_index(index, kernel.wa.shape[1:])
+    wa, wb = (w.reshape(len(w), -1).take(at, axis=1) for w in (kernel.wa, kernel.wb))
+    decay_rows = tuple(row.reshape(-1).take(at) for row in kernel.decay_rows)
+    ksq = mode_grids(len(box), box[-1] - 1).ksq.reshape(-1)[support]
+    _duhamel_scan(columns, columns, kernel, wa, wb, decay_rows, ksq)
 
 
 #: A probe trajectory carries 1 to _PROBE_MAX_MODES modes, each decaying at a
@@ -338,11 +371,17 @@ def operator_bound_probe(
 ) -> tuple[ProbeReport, ...]:
     """Measure |I+ f|_{alpha,2} / |f|_{alpha,0} against 1 / (1 - alpha), one report per alpha.
 
-    The Duhamel image does not depend on alpha: it is made once, and the
-    log-amplitude tables of the input and of the image once each.  Every
-    denominator is taken before the image is built, so the input's table is
-    freed first.  ``kernel``, made once per grid and box by ``duhamel_kernel``,
-    goes to ``duhamel_Iplus``.
+    The probe works on the trajectory's support, the half-box entries that
+    are nonzero at some node: off it the input and its Duhamel image vanish.
+    The recurrence runs on those columns alone, with the kernel's weights
+    gathered there, and so do the log-amplitude tables and their weighted
+    peaks.  The image does not depend on alpha: it is made once, in the
+    input's gathered columns once every denominator is taken, and a zero
+    trajectory is refused before it.  Each norm's peaks are put back into a
+    half box of -inf and summed in half-box order, so every ratio has the
+    bits of the two ``spacetime_norm`` calls it stands for.  ``kernel``, made
+    once per grid by ``duhamel_kernel`` at this truncation or a larger one,
+    is indexed at the support's modes; without it one is made for this call.
     """
     alphas = tuple(float(alpha) for alpha in alphas)
     if not alphas:
@@ -350,15 +389,37 @@ def operator_bound_probe(
     for alpha in alphas:
         if not (0.0 < alpha < 1.0):
             raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    logamp = _log_amplitudes(traj.coeffs)
-    denoms = [_weighted_sup(logamp, traj.times, WeightParams(alpha, 0)) for alpha in alphas]
-    del logamp
+    box = traj.coeffs.shape[1:]
+    if kernel is None:
+        kernel = duhamel_kernel(traj.times, traj.dim, traj.truncation)
+    elif (
+        kernel.wa.ndim != traj.coeffs.ndim
+        or kernel.wa.shape[-1] < box[-1]
+        or not kernel.on_grid(traj.times)
+    ):
+        raise ValueError("the Duhamel kernel was built for another time grid or box")
+    nodes = traj.coeffs.reshape(len(traj.times), -1)
+    support = np.flatnonzero(nodes.any(axis=0))
+    kmag = mode_grids(traj.dim, traj.truncation).kmag.reshape(-1)[support]
+    peaks = np.full(box, -np.inf)
+    entries = peaks.reshape(-1)  # a view: the support's peaks land in the box
+
+    def norms(coeffs: np.ndarray, j: int) -> list[float]:
+        logamp = _log_amplitudes(coeffs)
+        sums = []
+        for alpha in alphas:
+            entries[support] = _weighted_peak(logamp, traj.times, alpha, kmag)
+            sums.append(_peak_norm(peaks, WeightParams(alpha, j)))
+        return sums
+
+    columns = nodes.take(support, axis=1)
+    denoms = norms(columns, 0)
     if 0.0 in denoms:
         raise ValueError("operator probe needs a nonzero trajectory")
-    logamp = _log_amplitudes(duhamel_Iplus(traj, kernel=kernel).coeffs)
+    _support_image(columns, support, box, kernel)
     reports = []
-    for alpha, denom in zip(alphas, denoms):
-        ratio = _weighted_sup(logamp, traj.times, WeightParams(alpha, 2)) / denom
+    for alpha, denom, numer in zip(alphas, denoms, norms(columns, 2)):
+        ratio = numer / denom
         bound = 1.0 / (1.0 - alpha)
         reports.append(ProbeReport(ratio=ratio, bound=bound, passed=ratio <= bound * (1.0 + 1e-6)))
     return tuple(reports)

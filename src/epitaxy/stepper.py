@@ -48,6 +48,12 @@ def default_dt(truncation: int) -> float:
     return min(1e-3, 0.5 / truncation**4 * 10.0)
 
 
+def divides(dt: float, t_final: float, steps: int) -> bool:
+    """Whether ``steps`` steps of ``dt`` make ``t_final``, to 1e-9 relative to
+    max(1, t_final): how closely a time grid's step must divide its horizon."""
+    return abs(steps * dt - t_final) <= 1e-9 * max(1.0, t_final)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Shared solver settings: truncation, time grid, tolerances, series depth."""
@@ -82,7 +88,7 @@ class SolverConfig:
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
         steps = self.n_steps()
-        if abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
+        if not divides(self.dt, self.t_final, steps):
             raise ValueError(
                 f"dt = {self.dt} does not divide t_final = {self.t_final} "
                 f"(nearest step count {steps})"

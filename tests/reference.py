@@ -21,10 +21,12 @@ bit) oracle of ``duhamel_Iplus``.  ``allocating_picard`` is the byte oracle
 of ``solve_picard``, which iterates in two buffers: the loop as it was, with
 a new series sum, Duhamel image, iterate and pair of differences in every
 iteration, on these oracles and on ``spacetime_sup``, the spacetime norm
-with its whole log-amplitude table formed at once.  ``certificate_from_json_dict``
-reads a certificate back from its JSON form.  ``probe_rows`` is the byte
-oracle of ``operator_probe.csv``: the probe one validated trajectory at a
-time, each with a Duhamel kernel of its own.
+with its whole log-amplitude table formed at once (``weighted_sup``).
+``certificate_from_json_dict`` reads a certificate back from its JSON form.
+``dense_probe`` is the operator probe on the whole half box, the oracle of
+``operator_bound_probe``, which works on a trajectory's support.
+``probe_rows`` is the byte oracle of ``operator_probe.csv``: ``dense_probe``
+on one validated trajectory at a time, each with a Duhamel kernel of its own.
 
 The stepper marches real arrays in the layout of ``spectral.as_parts``.
 Its byte oracle is the complex formulation it replaced: the remainder on
@@ -54,11 +56,11 @@ from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
 from epitaxy.norms import Certificate, RadiusFit, WeightParams, wiener_norm
 from epitaxy.semigroup import (
+    ProbeReport,
     Trajectory,
     duhamel_Iplus,
     exp_moment_weights,
     linear_trajectory,
-    operator_bound_probe,
     random_probe_trajectory,
 )
 from epitaxy.spectral import FourierField, as_parts, dft_matrices, hermitian_k0_line, mode_grids
@@ -530,16 +532,43 @@ def duhamel_scan(traj):
     return acc
 
 
-def spacetime_sup(traj, params):
-    """``spacetime_norm(traj, params)`` with the whole log-amplitude table formed at once."""
-    grids = mode_grids(traj.dim, traj.truncation)
+def log_table(coeffs):
+    """log|coeff| of every entry, with -inf at the zero ones."""
     with np.errstate(divide="ignore"):
-        logamp = np.log(np.abs(traj.coeffs))
-    times = traj.times.reshape((-1,) + (1,) * traj.dim)
+        return np.log(np.abs(coeffs))
+
+
+def weighted_sup(logamp, times, params):
+    """The spacetime norm from its whole log-amplitude table ``logamp`` of
+    (nodes,) + half box, weighed and summed over the whole half box."""
+    grids = mode_grids(logamp.ndim - 1, logamp.shape[-1] - 1)
+    times = times.reshape((-1,) + (1,) * (logamp.ndim - 1))
     peak = (params.alpha * times * grids.kmag + logamp).max(axis=0)
     with np.errstate(over="ignore"):
         amps = np.exp(peak)
     return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
+
+
+def spacetime_sup(traj, params):
+    """``spacetime_norm(traj, params)`` with the whole log-amplitude table formed at once."""
+    return weighted_sup(log_table(traj.coeffs), traj.times, params)
+
+
+def dense_probe(traj, alphas):
+    """``operator_bound_probe`` on the whole half box: the input's and the whole
+    ``duhamel_Iplus`` image's log tables, each made once and weighed per alpha."""
+    alphas = tuple(float(alpha) for alpha in alphas)
+    logamp = log_table(traj.coeffs)
+    denoms = [weighted_sup(logamp, traj.times, WeightParams(alpha, 0)) for alpha in alphas]
+    if 0.0 in denoms:
+        raise ValueError("operator probe needs a nonzero trajectory")
+    logamp = log_table(duhamel_Iplus(traj).coeffs)
+    reports = []
+    for alpha, denom in zip(alphas, denoms):
+        ratio = weighted_sup(logamp, traj.times, WeightParams(alpha, 2)) / denom
+        bound = 1.0 / (1.0 - alpha)
+        reports.append(ProbeReport(ratio=ratio, bound=bound, passed=ratio <= bound * (1.0 + 1e-6)))
+    return tuple(reports)
 
 
 def allocating_picard(h0, cert, config):
@@ -571,7 +600,7 @@ def allocating_picard(h0, cert, config):
 
 def probe_rows(seed, trajectories, alphas, dims, max_truncation, t_final, dt):
     """The rows of ``operator_probe.csv`` below its header, drawn as ``probe-operator`` draws
-    them; each trajectory is validated and probed without a kernel."""
+    them; each trajectory is validated and probed by ``dense_probe``."""
     times = np.linspace(0.0, t_final, round(t_final / dt) + 1)
     rng = np.random.default_rng(seed)
     rows = []
@@ -580,7 +609,7 @@ def probe_rows(seed, trajectories, alphas, dims, max_truncation, t_final, dt):
         truncation = int(rng.integers(2, max_truncation + 1))
         drawn = random_probe_trajectory(rng, dim, truncation, times)
         traj = Trajectory(drawn.times, drawn.coeffs)
-        for alpha, report in zip(alphas, operator_bound_probe(traj, alphas)):
+        for alpha, report in zip(alphas, dense_probe(traj, alphas)):
             rows.append(
                 f"{index},{dim},{truncation},{float(alpha)!r},"
                 f"{report.ratio!r},{report.bound!r},{report.passed}"

@@ -340,8 +340,9 @@ class TestProbeMode:
 
     @pytest.mark.parametrize("seed", [42, 3])
     def test_table_equals_the_per_trajectory_loop(self, tmp_path, capsys, seed):
-        # one kernel per dim, restricted to each truncation, and unvalidated
-        # probe trajectories: the bytes of a kernel per trajectory, validated
+        # one kernel per dim, read at each trajectory's support, and
+        # unvalidated probe trajectories: the bytes of the whole-box probe
+        # with a kernel per trajectory, validated
         options = {
             "trajectories": 100,
             "alphas": [0.1, 0.5, 0.9],
@@ -356,10 +357,15 @@ class TestProbeMode:
         rows = (tmp_path / "out" / "operator_probe.csv").read_text().splitlines()
         assert rows[2:] == probe_rows(seed, **options)
 
-    @pytest.mark.parametrize("dt,t_final", [(5.0, 0.5), (1.0, 0.4)], ids=["dt-5", "dt-1"])
+    @pytest.mark.parametrize(
+        "dt,t_final",
+        [(5.0, 0.5), (1.0, 0.4), (0.3, 0.5), (0.4, 1.0)],
+        ids=["dt-5", "dt-1", "dt-0.3", "dt-0.4"],
+    )
     def test_one_node_grid_is_refused(self, tmp_path, capsys, dt, t_final):
         # t_final / dt rounds to 0 steps: on one node every ratio read 0.0,
-        # and the run passed with all_pass true
+        # and the run passed with all_pass true; or dt does not divide
+        # t_final, and the run took the step of the nearest step count
         cfg = write_config(tmp_path / "run.json", mode_options={"dt": dt, "t_final": t_final})
         code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
         assert code == EXIT_VALIDATION
@@ -842,7 +848,7 @@ class TestMemoryGuard:
     @pytest.mark.parametrize(
         "options,reason",
         [
-            ({"dt": 1e-15, "t_final": 2.0}, "2000000000000001 time nodes (3 trajectories"),
+            ({"dt": 1e-15, "t_final": 2.0}, "2000000000000001 time nodes (2 trajectories"),
             ({"max_truncation": 1e308}, "trajectories of "),  # exact, not an overflow
             # its table's rows grew without bound, one case after another
             ({"trajectories": 10**18}, "plus 3000000000000000000 table rows"),
@@ -915,6 +921,35 @@ def test_picard_peak_is_within_the_memory_estimate(monkeypatch, dim):
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     with pytest.raises(cli.ValidationError, match="GiB"):
         cli.check_memory(config, dim)
+
+
+@pytest.mark.parametrize(
+    "dims,max_truncation,t_final", [([1], 2, 500.0), ([2], 16, 10.0)], ids=["1d-n2", "2d-n16"]
+)
+def test_probe_peak_is_within_the_memory_estimate(
+    tmp_path, capsys, monkeypatch, dims, max_truncation, t_final
+):
+    # one whole probe run under tracemalloc, after a short run that builds
+    # the cached grids: with physical memory one byte below its peak the
+    # guard refuses the run, so its estimate covers the peak.  At N = 2 in
+    # 1-D, over 50,001 nodes, the kernel and the grid weigh most beside the boxes
+    options = {"trajectories": 2, "dims": dims, "max_truncation": max_truncation, "dt": 0.01}
+    cfg = write_config(tmp_path / "run.json", mode_options={**options, "t_final": 0.1})
+    assert run_cli(capsys, "probe-operator", "--config", str(cfg))[0] == EXIT_OK
+    cfg = write_config(tmp_path / "run.json", mode_options={**options, "t_final": t_final})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code, _ = run_cli(capsys, "probe-operator", "--config", str(cfg))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    pages = {"SC_PHYS_PAGES": peak - 1, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
+    assert code == EXIT_VALIDATION
+    assert "GiB" in status["error"]["message"]
 
 
 class TestConfigValidation:

@@ -18,10 +18,10 @@ from epitaxy.semigroup import (
     operator_bound_probe,
     random_probe_trajectory,
 )
-from epitaxy.spectral import FourierField, check_half
+from epitaxy.spectral import FourierField, check_half, place_modes
 
 from conftest import random_field, trajectory_of
-from reference import coeff, fields, max_abs, zero
+from reference import coeff, dense_probe, fields, max_abs, whole_ksq, zero
 
 
 def cosine(truncation=4, amplitude=1.0):
@@ -107,6 +107,18 @@ class TestLinearTrajectory:
         traj = linear_trajectory(random_field(rng, truncation=4), np.linspace(0, 2, 9))
         mags = np.stack([np.abs(f.coeffs) for f in fields(traj)])
         assert np.all(np.diff(mags, axis=0) <= 1e-300 + 0.0)
+
+    def test_parts_below_the_smallest_normal_float_are_zero(self, rng):
+        # the top modes at N = 16 pass through the subnormal range near
+        # t = 0.011; 201 nodes of a 2-D box are four row blocks
+        h0 = random_field(rng, dim=2, truncation=16)
+        times = np.linspace(0.0, 0.02, 201)
+        parts = linear_trajectory(h0, times).coeffs.view(float)
+        k4 = (whole_ksq(2, 16) ** 2)[:, 16:]
+        exact = (h0.coeffs * np.exp(-k4 * times[:, None, None])).view(float)
+        subnormal = (exact != 0.0) & (np.abs(exact) < np.finfo(float).tiny)
+        assert np.count_nonzero(subnormal) > 100
+        assert np.array_equal(parts, np.where(subnormal, 0.0, exact))
 
 
 class TestExpmMoments:
@@ -222,15 +234,6 @@ class TestDuhamelIplus:
             assert coeff(f, (0, 0)) == 0.0  # construction re-checks symmetry
 
 
-def kernel_bytes(kernel):
-    """The bytes of a kernel's weights and decay rows, as a built-here kernel would hold them."""
-    return (
-        kernel.wa.tobytes(),
-        kernel.wb.tobytes(),
-        tuple(row.tobytes() for row in kernel.decay_rows),
-    )
-
-
 class TestDuhamelKernel:
     """One kernel per grid and box: the operator's bytes with or without it."""
 
@@ -241,15 +244,6 @@ class TestDuhamelKernel:
         "eight-steps": np.linspace(0.0, 0.049, 71),
     }
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_restricted_kernel_equals_one_built_in_its_box(self, dim):
-        times = self.GRIDS["probe"]
-        big = duhamel_kernel(times, dim, 16)
-        for truncation in range(2, 17):
-            small = big.restrict(truncation)
-            assert kernel_bytes(small) == kernel_bytes(duhamel_kernel(times, dim, truncation))
-            assert small.which is big.which and small.column is big.column
-
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize("dim,truncation", [(1, 16), (2, 8), (2, 16)])
     def test_image_with_a_kernel_keeps_the_bytes(self, rng, grid, dim, truncation):
@@ -258,15 +252,13 @@ class TestDuhamelKernel:
             assert np.unique(np.diff(times)).size == 8
         traj = linear_trajectory(random_field(rng, dim=dim, truncation=truncation), times)
         expected = duhamel_Iplus(traj).coeffs.tobytes()
-        built = duhamel_kernel(times, dim, truncation)
-        restricted = duhamel_kernel(times, dim, 16).restrict(truncation)
-        for kernel in (built, restricted):
-            assert duhamel_Iplus(traj, kernel=kernel).coeffs.tobytes() == expected
-            in_place = traj.coeffs.copy()
-            image = duhamel_Iplus(
-                Trajectory._trusted(traj.times, in_place.view()), out=in_place, kernel=kernel
-            )
-            assert in_place.tobytes() == image.coeffs.tobytes() == expected
+        kernel = duhamel_kernel(times, dim, truncation)
+        assert duhamel_Iplus(traj, kernel=kernel).coeffs.tobytes() == expected
+        in_place = traj.coeffs.copy()
+        image = duhamel_Iplus(
+            Trajectory._trusted(traj.times, in_place.view()), out=in_place, kernel=kernel
+        )
+        assert in_place.tobytes() == image.coeffs.tobytes() == expected
 
     def test_kernel_of_another_grid_or_box_is_refused(self, rng):
         times = np.linspace(0.0, 0.5, 51)
@@ -286,10 +278,36 @@ class TestDuhamelKernel:
             duhamel_Iplus(traj).coeffs.tobytes()
         )
 
-    @pytest.mark.parametrize("truncation", [0, 17])
-    def test_restrict_stays_inside_the_box(self, truncation):
-        with pytest.raises(ValueError, match="restrict"):
-            duhamel_kernel(np.linspace(0.0, 0.5, 51), 2, 16).restrict(truncation)
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("truncation", [2, 9, 16])
+    def test_support_image_equals_the_dense_image_columns(self, rng, grid, dim, truncation):
+        # the probe's scan on the support, from kernels built at 16 and in
+        # the trajectory's own box, against the whole box's image
+        times = self.GRIDS[grid]
+        traj = sparse_trajectory(rng, dim, truncation, times)
+        nodes = traj.coeffs.reshape(len(times), -1)
+        support = np.flatnonzero(nodes.any(axis=0))
+        if dim == 2:  # the k_last = 0 modes (1, 0) and (-1, 0) are both scanned
+            line = [truncation + 1, truncation - 1]
+            assert set(np.ravel_multi_index((line, [0, 0]), traj.coeffs.shape[1:])) <= set(support)
+        expected = duhamel_Iplus(traj).coeffs.reshape(len(times), -1)[:, support].tobytes()
+        for kernel in (duhamel_kernel(times, dim, 16), duhamel_kernel(times, dim, truncation)):
+            columns = nodes.take(support, axis=1)
+            semigroup._support_image(columns, support, traj.coeffs.shape[1:], kernel)
+            assert columns.tobytes() == expected
+
+
+def sparse_trajectory(rng, dim, truncation, times):
+    """A few modes, among them the k_last = 0 mode (1, 0) in 2-D, each with a
+    random amplitude decaying at a random rate; ``place_modes`` adds the partners."""
+    if dim == 1:
+        modes = sorted({(1,), (truncation - 1,), (truncation,)})
+    else:
+        modes = [(1, 0), (-truncation, 0), (-truncation, truncation), (truncation, -1), (0, 1)]
+    amps = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+    values = amps * np.exp(-np.outer(times, rng.uniform(0.0, 8.0, len(modes))))
+    return Trajectory(times, place_modes(dim, truncation, modes, values))
 
 
 class TestOperatorBoundProbe:
@@ -354,30 +372,63 @@ class TestOperatorBoundProbe:
 
     def test_one_duhamel_image_per_trajectory(self, rng, monkeypatch):
         calls = []
+        scan = semigroup._support_image
 
-        def counted(traj, kernel=None):
-            calls.append(traj)
-            return duhamel_Iplus(traj)
+        def counted(columns, support, box, kernel):
+            calls.append(box)
+            scan(columns, support, box, kernel)
 
-        monkeypatch.setattr(semigroup, "duhamel_Iplus", counted)
+        monkeypatch.setattr(semigroup, "_support_image", counted)
         traj = random_probe_trajectory(rng, 2, 4, np.linspace(0.0, 1.0, 51))
         assert len(operator_bound_probe(traj, (0.1, 0.5, 0.9))) == 3
-        assert calls == [traj]
+        assert calls == [traj.coeffs.shape[1:]]
 
     @pytest.mark.parametrize("alphas", [(0.5, 1.5), (0.5, 0.0), (math.nan,), ()])
     def test_alphas_checked_before_any_work(self, rng, monkeypatch, alphas):
-        def unused(traj):
-            pytest.fail("the Duhamel image was built before the alphas were checked")
+        def unused(*args):
+            pytest.fail("the probe did work before the alphas were checked")
 
-        monkeypatch.setattr(semigroup, "duhamel_Iplus", unused)
+        for name in ("duhamel_kernel", "_log_amplitudes", "_support_image"):
+            monkeypatch.setattr(semigroup, name, unused)
         traj = random_probe_trajectory(rng, 1, 4, np.linspace(0.0, 1.0, 11))
         with pytest.raises(ValueError, match="alpha"):
             operator_bound_probe(traj, alphas)
 
-    def test_zero_trajectory_rejected(self):
+    def test_zero_trajectory_rejected(self, monkeypatch):
+        def unscanned(*args):
+            pytest.fail("the zero trajectory was scanned")
+
+        monkeypatch.setattr(semigroup, "_support_image", unscanned)
         traj = linear_trajectory(zero(1, 3), np.linspace(0, 1, 5))
         with pytest.raises(ValueError, match="nonzero"):
             operator_bound_probe(traj, (0.1, 0.5))
+
+    @pytest.mark.parametrize("dim,truncation", [(1, 16), (2, 6)])
+    def test_dense_trajectory_gives_the_dense_reports(self, rng, dim, truncation):
+        times = np.linspace(0.0, 0.5, 51)
+        traj = linear_trajectory(random_field(rng, dim=dim, truncation=truncation), times)
+        # every entry but the zero mode is in the support
+        assert np.count_nonzero(traj.coeffs.any(axis=0)) == traj.coeffs[0].size - 1
+        alphas = (0.1, 0.5, 0.9)
+        expected = dense_probe(traj, alphas)
+        assert operator_bound_probe(traj, alphas) == expected
+        assert operator_bound_probe(traj, alphas, duhamel_kernel(times, dim, 16)) == expected
+
+    def test_kernel_of_another_grid_or_box_is_refused(self, rng):
+        times = np.linspace(0.0, 0.5, 51)
+        traj = random_probe_trajectory(rng, 2, 4, times)
+        others = {
+            "box": duhamel_kernel(times, 2, 3),
+            "dim": duhamel_kernel(times, 1, 16),
+            "grid": duhamel_kernel(np.linspace(0.0, 0.6, 51), 2, 16),
+            "nodes": duhamel_kernel(np.linspace(0.0, 0.5, 52), 2, 16),
+        }
+        for kernel in others.values():
+            with pytest.raises(ValueError, match="another time grid or box"):
+                operator_bound_probe(traj, (0.5,), kernel)
+        # a larger box on an equal grid in another array is the probe's
+        kernel = duhamel_kernel(times.copy(), 2, 16)
+        assert operator_bound_probe(traj, (0.5,), kernel) == dense_probe(traj, (0.5,))
 
     def test_randomized_suite(self, rng):
         times = np.linspace(0.0, 2.0, 201)
