@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +45,8 @@ from .nonlinear import (
 from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
 from .semigroup import Trajectory, duhamel_kernel, operator_bound_probe, random_probe_trajectory
-from .spectral import FourierField, as_int, box_header, embed, read_only
-from .stepper import SolverConfig, divides, solve_timestep
+from .spectral import FourierField, as_int, box_header, embed
+from .stepper import SolverConfig, solve_timestep, step_count, uniform_grid
 
 MODES = ("solve", "certify", "probe-operator", "sweep", "compare", "radius")
 
@@ -76,9 +76,10 @@ class RunSpec:
     override_certificate: bool
 
     def to_json_dict(self) -> dict:
-        # the Taylor depth is whichever of max_j and tail_tol is set
-        taylor = {k: v for k, v in vars(self.solver.taylor).items() if v is not None}
-        solver = {**vars(self.solver), "taylor": taylor}
+        # the solver's fields alone (``vars`` would hold its time grid once read),
+        # and of the Taylor depth whichever of max_j and tail_tol is set
+        solver = {f.name: getattr(self.solver, f.name) for f in fields(self.solver)}
+        solver["taylor"] = {k: v for k, v in vars(self.solver.taylor).items() if v is not None}
         return {"schema_version": SCHEMA_VERSION, **vars(self), "solver": solver}
 
     @property
@@ -333,9 +334,10 @@ def build_initial_field(spec: RunSpec) -> FourierField:
 # Coefficient arrays alive at the peak of a Picard iteration: the linear
 # flow, its two buffers, the j = 2 norms' temporaries of the depth
 # resolution, a row block of the Duhamel operator's interval terms and its
-# kernel, 16 bytes a node and 32 per half-box entry per distinct step (more
-# steps, more kernel).  The peak was 2.11 and 2.08 at N = 16, 2.71 and 2.47
-# at N = 2, and 3.50, 3.50 and 3.03 at N = 1, where the kernel's nodes weigh.
+# kernel, 16 bytes a node and 32 per half-box entry per distinct step (6 to 8
+# on the benchmark's uniform grids; more steps, more kernel).  The peak was
+# 2.11 and 2.08 at N = 16, 2.71 and 2.47 at N = 2, and 3.50, 3.50 and 3.03 at
+# N = 1, where the kernel's nodes weigh.
 PICARD_LIVE_TRAJECTORIES = 4
 
 # Real grid arrays of one series chunk (``series_chunk_nodes`` nodes of the
@@ -414,13 +416,13 @@ def _check_fits(nodes: int, modes: int, live: int, advice: str, grid_points=0, r
 def check_memory(config: SolverConfig, dim: int, nodes: int | None = None) -> None:
     """Refuse a run whose arrays would not fit in physical memory.
 
-    ``nodes`` defaults to the time nodes of a solve, whose estimate adds the
-    series sum's grid arrays of one chunk and the exponential route's DFT
-    matrices; 1 sizes a single field before it is built.
+    ``nodes`` defaults to the time nodes of a solve, counted without building
+    the grid; its estimate adds the series sum's grid arrays of one chunk and
+    the exponential route's DFT matrices.  1 sizes a field before it is built.
     """
     grid_points = 0
     if nodes is None:
-        nodes = config.n_steps() + 1
+        nodes = step_count(config.dt, config.t_final) + 1
         m = padded_grid_size(config.truncation, config.padding)
         grid_points = SERIES_GRID_ARRAYS * min(nodes, series_chunk_nodes(dim, m)) * m**dim
         grid_points += ROUTE_BUILD_ARRAYS * route_floats(dim, config.truncation, m)
@@ -566,24 +568,14 @@ def _run_solve(spec: RunSpec, out: Path) -> dict:
 def _run_probe(spec: RunSpec, out: Path) -> dict:
     opts = spec.options
     count, alphas, dims = opts["trajectories"], opts["alphas"], opts["dims"]
-    ratio = opts["t_final"] / opts["dt"]
-    if not (ratio < math.inf and round(ratio) >= 1):  # on one node every ratio would read 0
-        raise ValidationError(
-            f"probe-operator needs a finite number of time steps, at least one: mode_options."
-            f"t_final / mode_options.dt = {opts['t_final']} / {opts['dt']} = {ratio}"
-        )
-    steps = round(ratio)
-    if not divides(opts["dt"], opts["t_final"], steps):  # the grid would take another step
-        raise ValidationError(
-            f"mode_options.dt = {opts['dt']} does not divide mode_options.t_final = "
-            f"{opts['t_final']} (nearest step count {steps})"
-        )
-    nodes = steps + 1
+    try:
+        nodes = step_count(opts["dt"], opts["t_final"]) + 1
+    except ValueError as err:  # on one node every ratio would read 0
+        raise ValidationError(f"invalid mode_options.dt or mode_options.t_final: {err}") from err
     modes = (2 * opts["max_truncation"] + 1) ** max(dims)
     advice = "raise mode_options.dt or lower t_final, max_truncation or trajectories"
     _check_fits(nodes, modes, PROBE_LIVE_TRAJECTORIES, advice, rows=count * len(alphas))
-    # linspace makes a view, which each trajectory would copy; this grid is owned
-    times = read_only(np.linspace(0.0, opts["t_final"], nodes).copy())
+    times = uniform_grid(opts["dt"], opts["t_final"])
     # one kernel per dim, indexed at each case's support
     kernels = {dim: duhamel_kernel(times, dim, opts["max_truncation"]) for dim in dims}
     rng = np.random.default_rng(spec.seed)

@@ -84,8 +84,8 @@ def solve_picard(
             f"certificate failed (r0 = {cert.r0:.6g}); pass allow_uncertified to iterate anyway"
         )
     params = WeightParams(cert.alpha, 2)
-    center = linear_trajectory(h0, config.time_grid())
-    times = center.times
+    times = config.times
+    center = linear_trajectory(h0, times)
     # the two buffers: the iterate, and the work array that becomes the next one
     current = center.coeffs.copy()
     work = np.empty_like(current)

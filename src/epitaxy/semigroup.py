@@ -27,9 +27,9 @@ subinterval (exponential moments of a linear function) and accumulated with
 the recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local, so the cost is
 linear in the number of nodes.  One function, ``_duhamel_scan``, runs it,
 for the whole box and for a probe's support.  The weights depend on the
-grid and the box alone: ``duhamel_kernel`` makes them once, for a caller to
-keep while it needs them (a Picard solve, a probe run, whose kernel is
-built at its largest truncation).
+grid and the box alone: ``duhamel_kernel`` makes them once per distinct step
+of any increasing grid, for a caller to keep while it needs them (a Picard
+solve, a probe run, whose kernel is built at its largest truncation).
 """
 
 from __future__ import annotations
@@ -211,25 +211,29 @@ class DuhamelKernel:
         return self.times is times or np.array_equal(self.times, times)
 
 
+def distinct_steps(times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of ``times``, its distinct steps in increasing order and each
+    interval's index among them.  Not ``np.unique``: its first call imports
+    numpy.ma, +1.7 MiB RSS."""
+    steps = np.diff(times)
+    ordered = np.sort(steps)
+    distinct = ordered[np.diff(ordered, prepend=-np.inf) > 0]
+    return steps, distinct, np.searchsorted(distinct, steps)
+
+
 def duhamel_kernel(times, dim: int, truncation: int) -> DuhamelKernel:
     """The Duhamel operator's data on the grid ``times`` and the half box of
-    ``truncation``, once per distinct step (``linspace`` makes a few, differing
-    in the last bits): 16 bytes a node, 32 per half-box entry and step."""
+    ``truncation``, once per distinct step: 16 bytes a node, 32 per half-box
+    entry and step.  A uniform grid's steps differ in their last bits: the
+    benchmark's of 501, 101 and 51 nodes have 8, 6 and 7 distinct steps."""
     times = sealed(times, float)
-    grids = mode_grids(dim, truncation)
-    steps = np.diff(times)
-    # distinct step sizes, sorted, and each interval's index among them
-    # (np.unique would do, but its first call imports numpy.ma, +1.7 MiB RSS)
-    ordered = np.sort(steps)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
-    z = distinct.reshape((-1,) + (1,) * dim) * grids.k4
+    steps, distinct, which = distinct_steps(times)
+    z = distinct.reshape((-1,) + (1,) * dim) * mode_grids(dim, truncation).k4
     wa, wb = exp_moment_weights(z)
     # cast once, not at every node: numpy multiplies a real row into a complex
     # one by the same complex loop, so the products keep their bits
     decay_rows = tuple(np.exp(-z).astype(complex))
-    return DuhamelKernel(times, steps, np.searchsorted(distinct, steps), wa, wb, decay_rows)
+    return DuhamelKernel(times, steps, which, wa, wb, decay_rows)
 
 
 def _duhamel_scan(stacked, acc, kernel, wa, wb, decay_rows, ksq) -> None:

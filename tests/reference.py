@@ -239,7 +239,7 @@ def march(field, config):
     k4 = mode_grids(field.dim, field.truncation).k4
     route = _route(field, config)
     states = [start(field)]
-    for dt in np.diff(config.time_grid()).tolist():
+    for dt in np.diff(config.times).tolist():
         states.append(complex_step(states[-1], dt, k4, route))
     return np.concatenate(states)
 
@@ -579,7 +579,7 @@ def allocating_picard(h0, cert, config):
     ``solve_picard``'s own.
     """
     params = WeightParams(cert.alpha, 2)
-    center = linear_trajectory(h0, config.time_grid())
+    center = linear_trajectory(h0, config.times)
     times = center.times
     current = center.coeffs
     deltas, ratios, balls = [], [], []
@@ -601,6 +601,7 @@ def allocating_picard(h0, cert, config):
 def probe_rows(seed, trajectories, alphas, dims, max_truncation, t_final, dt):
     """The rows of ``operator_probe.csv`` below its header, drawn as ``probe-operator`` draws
     them; each trajectory is validated and probed by ``dense_probe``."""
+    # a grid of its own, the oracle of the bytes of ``stepper.uniform_grid``
     times = np.linspace(0.0, t_final, round(t_final / dt) + 1)
     rng = np.random.default_rng(seed)
     rows = []

@@ -143,13 +143,15 @@ def test_criterion_5_radius_growth(corpus_runs):
     alpha = run["cert"].alpha
     traj = run["picard"]
     fit = analyticity_radius(traj, floor=1e-12)  # one fit per node
-    points = []
-    for i in range(0, traj.times.size, 50):  # every 0.05 time units
-        t = float(traj.times[i])
-        if 0.5 <= t <= 2.0:
-            points.append((t, fit.rho[i]))
-    x = np.array([p[0] for p in points])
-    y = np.array([p[1] for p in points])
+    # the nodes at multiples of 0.05 in [0.5, 2], picked by their times; on
+    # the corpus grid they are every 50th node, as the index stride picked them
+    times = traj.times
+    ticks = times / 0.05
+    nodes = np.flatnonzero(
+        (np.abs(ticks - np.round(ticks)) <= 1e-9) & (0.5 <= times) & (times <= 2.0)
+    )
+    assert nodes.tolist() == [i for i in range(0, times.size, 50) if 0.5 <= times[i] <= 2.0]
+    x, y = times[nodes], fit.rho[nodes]
     design = np.vstack([np.ones_like(x), x]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ coef

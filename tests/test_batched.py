@@ -565,7 +565,7 @@ def test_every_producer_returns_half_boxes_with_an_exact_k0_line(rng, dim, tmp_p
     truncation = TRUNCATION[dim]
     h0 = random_field_with_norm(rng, 0.2, dim=dim, truncation=truncation)
     config = SolverConfig(truncation=truncation, dt=0.01, t_final=0.1)
-    linear = linear_trajectory(h0, config.time_grid())
+    linear = linear_trajectory(h0, config.times)
     series = taylor_sum(linear, TaylorDepth.adaptive())
     picard, _ = solve_picard(h0, certify(h0), config)
     produced = {

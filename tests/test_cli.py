@@ -1,5 +1,6 @@
 """End-to-end CLI runs: modes, exit codes, artifacts, determinism."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import load_trajectory, save_trajectory
 from reference import probe_rows
-from epitaxy import cli
+from epitaxy import cli, stepper
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epitaxy.nonlinear import route_floats, series_chunk_nodes
 from epitaxy.norms import certify, wiener_norm
@@ -317,6 +318,21 @@ class TestSolveMode:
         assert status["error"]["type"] == "NumericalError"
         assert "overflow" in status["error"]["message"]
 
+    def test_solution_outside_the_ball_exits_four(self, tmp_path, capsys, monkeypatch):
+        # a certificate whose r1 is three quarters of the distance the
+        # solution reaches: the solve fails before any trajectory is written
+        h0 = FourierField.from_modes(1, 8, {(1,): 0.1})  # the config's single mode
+        config = SolverConfig(truncation=8, dt=0.01, t_final=0.5)
+        cert = certify(h0)
+        _, diag = solve_picard(h0, cert, config)
+        shrunk = dataclasses.replace(cert, r1=0.75 * diag.ball_distances[-1])
+        monkeypatch.setattr(cli, "certify", lambda field, alpha: shrunk)
+        cfg = write_config(tmp_path / "run.json")
+        code, status = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == EXIT_NUMERICAL
+        assert "left the certificate ball" in status["error"]["message"]
+        assert not (tmp_path / "out" / "picard_trajectory.json").exists()
+
 
 class TestProbeMode:
     def test_small_probe_suite(self, tmp_path, capsys):
@@ -359,8 +375,8 @@ class TestProbeMode:
 
     @pytest.mark.parametrize(
         "dt,t_final",
-        [(5.0, 0.5), (1.0, 0.4), (0.3, 0.5), (0.4, 1.0)],
-        ids=["dt-5", "dt-1", "dt-0.3", "dt-0.4"],
+        [(5.0, 0.5), (1.0, 0.4), (0.3, 0.5), (0.4, 1.0), (0.1 * (1 + 1e-8), 1.0)],
+        ids=["dt-5", "dt-1", "dt-0.3", "dt-0.4", "dt-0.1-off-1e-8"],
     )
     def test_one_node_grid_is_refused(self, tmp_path, capsys, dt, t_final):
         # t_final / dt rounds to 0 steps: on one node every ratio read 0.0,
@@ -373,6 +389,22 @@ class TestProbeMode:
         message = status["error"]["message"]
         assert "mode_options.dt" in message and "mode_options.t_final" in message
         assert not (tmp_path / "out" / "operator_probe.csv").exists()
+
+    def test_step_off_by_rounding_alone_is_accepted(self, tmp_path, capsys):
+        # 3 * 0.1 is 0.30000000000000004: the probe runs on the 4 nodes of [0, 0.3]
+        options = {
+            "trajectories": 4,
+            "alphas": [0.5],
+            "dims": [1, 2],
+            "max_truncation": 4,
+            "t_final": 0.3,
+            "dt": 0.1,
+        }
+        cfg = write_config(tmp_path / "run.json", mode_options=options)
+        code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
+        assert code == EXIT_OK
+        rows = (tmp_path / "out" / "operator_probe.csv").read_text().splitlines()
+        assert rows[2:] == probe_rows(7, **options)
 
     @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 1.5], ids=["nan", "0", "1", "1.5"])
     def test_alpha_outside_unit_interval_refused_before_probing(
@@ -727,10 +759,12 @@ class TestMemoryGuard:
 
     @pytest.fixture(autouse=True)
     def no_time_grid(self, monkeypatch):
-        def refuse(config):
+        def refuse(dt, t_final):
             pytest.fail("a time grid was built for a run the guard should refuse")
 
-        monkeypatch.setattr(SolverConfig, "time_grid", refuse)
+        # the one builder, under each name the solver config and the probe call
+        monkeypatch.setattr(stepper, "uniform_grid", refuse)
+        monkeypatch.setattr(cli, "uniform_grid", refuse)
 
     def test_solve_refused_before_allocating(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", initial_data=self.TWO_D, solver=self.HUGE_SOLVER)

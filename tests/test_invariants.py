@@ -120,5 +120,5 @@ def test_energy_falls_by_its_dissipation_at_every_node(engine, dim, truncation, 
     excess, dissipation = energy_and_dissipation(solve(engine, h0, config), config.padding)
     fall = np.diff(excess)
     assert np.all(fall < 0.0), fall.max()
-    trapezoid = -np.diff(config.time_grid()) * (dissipation[1:] + dissipation[:-1]) / 2.0
+    trapezoid = -np.diff(config.times) * (dissipation[1:] + dissipation[:-1]) / 2.0
     assert np.all(np.abs(fall - trapezoid) <= 1e-3 * np.abs(fall))

@@ -1,5 +1,6 @@
 """Fixed-point map, contraction diagnostics and ball confinement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import iv
 
 from epitaxy import picard, presets, semigroup
-from epitaxy.exceptions import CertificateError, PicardConvergenceError
+from epitaxy.exceptions import CertificateError, NumericalError, PicardConvergenceError
 from epitaxy.nonlinear import TaylorDepth
 from epitaxy.norms import WeightParams, certify, spacetime_norm
 from epitaxy.picard import solve_picard
@@ -126,6 +127,16 @@ class TestSolvePicard:
             h0, cert, self.config(t_final=0.5), allow_uncertified=True
         )
         assert diag.converged
+
+    def test_solution_outside_the_ball_is_refused(self):
+        # the ball check's one failure: r1 below the distance the solution reaches
+        h0, config = cosine(0.2), self.config(t_final=0.5)
+        cert = certify(h0)
+        _, diag = solve_picard(h0, cert, config)
+        ball = diag.ball_distances[-1]
+        assert ball == pytest.approx(8.35e-3, rel=1e-3)
+        with pytest.raises(NumericalError, match="left the certificate ball"):
+            solve_picard(h0, dataclasses.replace(cert, r1=0.75 * ball), config)
 
     def test_nonconvergence_carries_diagnostics(self):
         h0 = cosine(0.2)

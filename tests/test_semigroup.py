@@ -19,6 +19,7 @@ from epitaxy.semigroup import (
     random_probe_trajectory,
 )
 from epitaxy.spectral import FourierField, check_half, place_modes
+from epitaxy.stepper import uniform_grid
 
 from conftest import random_field, trajectory_of
 from reference import coeff, dense_probe, fields, max_abs, whole_ksq, zero
@@ -259,6 +260,24 @@ class TestDuhamelKernel:
             Trajectory._trusted(traj.times, in_place.view()), out=in_place, kernel=kernel
         )
         assert in_place.tobytes() == image.coeffs.tobytes() == expected
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS) + ["thinned"])
+    def test_distinct_steps_are_those_of_unique(self, rng, grid):
+        times = self.GRIDS.get(grid)
+        if times is None:  # a random half of the probe grid's interior nodes dropped
+            keep = np.sort(rng.choice(np.arange(1, 50), size=24, replace=False))
+            times = self.GRIDS["probe"][np.r_[0, keep, 50]]
+        steps, distinct, which = semigroup.distinct_steps(times)
+        expected, inverse = np.unique(np.diff(times), return_inverse=True)
+        assert steps.tobytes() == np.diff(times).tobytes()
+        assert distinct.tobytes() == expected.tobytes()
+        assert np.array_equal(which, inverse)
+
+    def test_benchmark_grids_step_counts(self):
+        # the counts the kernel's docstring gives: corpus-1d, solve-2d, probe
+        grids = {(1e-3, 0.5): 8, (1e-3, 0.1): 6, (0.01, 0.5): 7}
+        for (dt, t_final), count in grids.items():
+            assert semigroup.distinct_steps(uniform_grid(dt, t_final))[1].size == count
 
     def test_kernel_of_another_grid_or_box_is_refused(self, rng):
         times = np.linspace(0.0, 0.5, 51)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from epitaxy import nonlinear, stepper
+from epitaxy import cli, nonlinear, stepper
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import TaylorDepth, exponential_route
-from epitaxy.norms import wiener_norm
+from epitaxy.norms import certify, wiener_norm
+from epitaxy.picard import solve_picard
 from epitaxy.semigroup import linear_trajectory
 from epitaxy.spectral import FourierField, as_parts, mode_grids
 from epitaxy.stepper import SolverConfig, default_dt, solve_timestep
@@ -55,19 +56,57 @@ class TestSolverConfig:
         for truncation, t_final in ((12, 4.0), (16, 2.0), (3, 1.7)):
             config = SolverConfig(truncation=truncation, t_final=t_final)
             assert config.dt <= default_dt(truncation)
-            steps = config.n_steps()
+            steps = stepper.step_count(config.dt, t_final)
             assert abs(steps * config.dt - t_final) <= 1e-9 * t_final
+            assert config.times.size == steps + 1
+            assert config.times[-1] == t_final
 
     def test_dt_must_divide_t_final(self):
         with pytest.raises(ValueError, match="divide"):
             SolverConfig(truncation=4, dt=0.3, t_final=1.0)
 
+    @pytest.mark.parametrize(
+        "dt,t_final",
+        [(0.1 * (1 + 1e-8), 1.0), (5.0, 0.5), (5e-324, 1.0)],
+        # ten steps of 0.1 (1 + 1e-8) make 1 + 1e-8: a check looser than 1e-9 took it
+        ids=["off-1e-8", "no-step", "infinite-steps"],
+    )
+    def test_dt_that_misses_t_final_is_refused(self, dt, t_final):
+        with pytest.raises(ValueError, match="divide"):
+            SolverConfig(truncation=4, dt=dt, t_final=t_final)
+
+    def test_dt_off_by_rounding_alone_is_accepted(self):
+        # 3 * 0.1 is 0.30000000000000004; the grid still ends at exactly 0.3
+        config = SolverConfig(truncation=4, dt=0.1, t_final=0.3)
+        assert stepper.step_count(config.dt, config.t_final) == 3
+        assert config.times.size == 4
+        assert config.times[-1] == 0.3
+
     def test_time_grid_endpoints(self):
         config = SolverConfig(truncation=4, dt=0.25, t_final=1.0)
-        grid = config.time_grid()
+        grid = config.times
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
         assert grid.size == 5
+        assert np.array_equal(grid, np.linspace(0.0, 1.0, 5))
+
+    def test_time_grid_is_built_once_owned_and_read_only(self, monkeypatch):
+        built = []
+        real = stepper.uniform_grid
+        monkeypatch.setattr(stepper, "uniform_grid", lambda *a: built.append(a) or real(*a))
+        config = SolverConfig(truncation=4, dt=0.25, t_final=1.0)
+        cli.check_memory(config, dim=1)
+        assert not built  # validated and counted, never built
+        grid = config.times
+        assert config.times is grid and built == [(0.25, 1.0)]
+        assert grid.flags.owndata and not grid.flags.writeable
+
+    def test_both_engines_share_the_grid(self):
+        h0 = cosine(0.2, truncation=4)
+        config = SolverConfig(truncation=4, dt=0.05, t_final=0.2)
+        solution, _ = solve_picard(h0, certify(h0), config)
+        assert solution.times is config.times
+        assert solve_timestep(h0, config).times is config.times
 
 
 class TestNonlinearRemainder:
@@ -206,3 +245,15 @@ def test_march_has_the_bytes_of_the_complex_oracle(rng, dim, truncation, padding
         h0 = FourierField.from_modes(dim, truncation, {(1,) + (0,) * (dim - 1): -0.1})
     config = SolverConfig(truncation=truncation, padding=padding, **ORACLE_GRIDS[grid])
     assert solve_timestep(h0, config).coeffs.tobytes() == march(h0, config).tobytes()
+
+
+def test_one_weight_set_per_distinct_step(monkeypatch):
+    # the march makes the decay weights of each distinct step once, and
+    # indexes them per interval
+    made = []
+    real = stepper.step_weights
+    monkeypatch.setattr(stepper, "step_weights", lambda k4, dt: made.append(dt) or real(k4, dt))
+    config = SolverConfig(truncation=4, **ORACLE_GRIDS["dt7e-4"])
+    solve_timestep(cosine(0.2, truncation=4), config)
+    assert sorted(made) == sorted(set(np.diff(config.times).tolist()))
+    assert len(made) == 8

@@ -71,6 +71,27 @@ def test_series_route_never_exponentiates():
     assert not found, f"the series route calls an exponential: {found}"
 
 
+def test_one_time_grid_builder():
+    # every grid the package runs on comes from ``stepper.uniform_grid``, the
+    # one that the step check guards and the memory guards count
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+        }
+        found += [
+            f"{path.stem}.{owner.get(id(node), '<module>')}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "linspace" in (getattr(node, "attr", None), getattr(node, "id", None))
+            or (isinstance(node, ast.alias) and node.name.endswith("linspace"))
+        ]
+    assert [site.split(":")[0] for site in found] == ["stepper.uniform_grid"], found
+
+
 def test_routes_share_no_product_code():
     # the routes share the DFT matrices and the real layout, but a product
     # both ran would be checked against itself by the engine cross-check
