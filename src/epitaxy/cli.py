@@ -44,7 +44,7 @@ from .nonlinear import (
 )
 from .norms import _line_fit, analyticity_radius, certify, wiener_norm
 from .picard import solve_picard
-from .semigroup import Trajectory, duhamel_kernel, operator_bound_probe, random_probe_trajectory
+from .semigroup import Trajectory, probe_suite
 from .spectral import FourierField, as_int, box_header, embed
 from .stepper import SolverConfig, solve_timestep, step_count, uniform_grid
 
@@ -372,14 +372,16 @@ WRITE_LIVE_TRAJECTORIES = 4
 # 2.70 and 2.35 at N = 1, where its fit alone peaked at 1.85 in 1-D.
 READ_LIVE_TRAJECTORIES = 6
 
-# Coefficient arrays of the largest probe trajectory's size alive in one
-# ``probe-operator`` case: the previous case's trajectory and the new one,
-# beside one Duhamel kernel per dim at the largest truncation; the probe's
-# tables and image cover only the trajectory's support.  A whole run of 30
-# cases peaked at 1.12 in 2-D and 1.05 in 1-D at a largest truncation of 16
-# (1,001 and 20,001 nodes), and 1.38 and 1.81 at 2, the least the probe takes
-# (20,001 and 200,001 nodes), where the kernel and the grid weigh most;
-# 0.57 and 1.16 with dims [1, 2].
+# Coefficient arrays of the largest probe trajectory's size alive in a
+# ``probe-operator`` run: the batches' columns, which hold at most one half
+# box of the largest truncation at the largest dim together, the case being
+# drawn, the image the batch's scan writes over them, their log-amplitude and
+# weighted-peak tables, and one Duhamel kernel per dim at the largest
+# truncation.  A whole run of 30 cases peaked at 0.21 in 2-D and 0.96 in 1-D
+# at a largest truncation of 16 (1,001 and 20,001 nodes), and 1.14 and 1.60 at
+# 2, the least the probe takes (20,001 and 200,001 nodes), where the kernel
+# and the grid weigh most; 0.16 and 0.89 with dims [1, 2].  200 cases with
+# dims [1, 2] at 2 over 10,001 nodes, in 129 scans, peaked at 1.12.
 PROBE_LIVE_TRAJECTORIES = 2
 
 
@@ -576,16 +578,12 @@ def _run_probe(spec: RunSpec, out: Path) -> dict:
     advice = "raise mode_options.dt or lower t_final, max_truncation or trajectories"
     _check_fits(nodes, modes, PROBE_LIVE_TRAJECTORIES, advice, rows=count * len(alphas))
     times = uniform_grid(opts["dt"], opts["t_final"])
-    # one kernel per dim, indexed at each case's support
-    kernels = {dim: duhamel_kernel(times, dim, opts["max_truncation"]) for dim in dims}
     rng = np.random.default_rng(spec.seed)
+    suite = probe_suite(rng, count, dims, opts["max_truncation"], times, alphas)
     rows = []
     all_pass = True
-    for index in range(count):
-        dim = dims[index % len(dims)]
-        truncation = int(rng.integers(2, opts["max_truncation"] + 1))
-        traj = random_probe_trajectory(rng, dim, truncation, times)
-        for alpha, report in zip(alphas, operator_bound_probe(traj, alphas, kernels[dim])):
+    for index, (dim, truncation, reports) in enumerate(suite):
+        for alpha, report in zip(alphas, reports):
             all_pass = all_pass and report.passed
             rows.append(
                 f"{index},{dim},{truncation},{_fmt(alpha)},"

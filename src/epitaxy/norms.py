@@ -92,7 +92,7 @@ def spacetime_norm(traj: "Trajectory", params: WeightParams) -> float:
         block = _log_amplitudes(coeffs[lo : lo + rows])
         block = _weighted_peak(block, times[lo : lo + rows], params.alpha, kmag)
         np.maximum(peak, block, out=peak)
-    return _peak_norm(peak, params)
+    return float(_peak_norm(peak.reshape(-1), traj.dim, traj.truncation, params.j))
 
 
 def _log_amplitudes(coeffs: np.ndarray) -> np.ndarray:
@@ -107,12 +107,14 @@ def _weighted_peak(logamp: np.ndarray, times: np.ndarray, alpha: float, kmag) ->
     return (alpha * times.reshape((-1,) + (1,) * kmag.ndim) * kmag + logamp).max(axis=0)
 
 
-def _peak_norm(peak: np.ndarray, params: WeightParams) -> float:
-    """sum_k |k|^j exp(peak(k)), counting each k_last > 0 entry with its partner."""
-    grids = mode_grids(peak.ndim, peak.shape[-1] - 1)
-    with np.errstate(over="ignore"):
-        amps = np.exp(peak)
-    return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
+def _peak_norm(peaks: np.ndarray, dim: int, truncation: int, j: int) -> np.ndarray:
+    """sum_k |k|^j exp(peak(k)) along the last axis of ``peaks``, one flat half
+    box of that dim and truncation per row, counting each k_last > 0 entry with
+    its partner.  A row's sum does not depend on the rows beside it."""
+    grids = mode_grids(dim, truncation)
+    with np.errstate(over="ignore"):  # past the float range the norm is inf
+        amps = np.exp(peaks)
+    return ((grids.pairs * grids.kmag**j).reshape(-1) * amps).sum(axis=-1)
 
 
 def _line_fit(x, y, kept) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,14 +185,7 @@ def max_alpha(r0: float) -> float:
         raise ValueError(
             f"r0 = {r0} is not below the smallness threshold {SMALLNESS_THRESHOLD}"
         )
-    alpha = (1.0 - 4.0 * r0) / (1.0 - 2.0 * r0)
-    # substituting back must reproduce r0 at the boundary
-    residual = abs(r0 - (1.0 - alpha) / (2.0 * (2.0 - alpha)))
-    if not residual <= 1e-12:
-        raise NumericalError(
-            f"max_alpha({r0!r}) = {alpha!r} does not reproduce r0 (residual {residual:.3e})"
-        )
-    return alpha
+    return (1.0 - 4.0 * r0) / (1.0 - 2.0 * r0)
 
 
 @dataclass(frozen=True)

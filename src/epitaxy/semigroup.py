@@ -14,6 +14,11 @@ norms, so one Duhamel image serves them all.  It works on the trajectory's
 support, the half-box entries nonzero at some node: the Duhamel recurrence
 and the norms' tables run on those columns alone, and each norm is summed
 over the half box in its order, so it keeps the bits of ``spacetime_norm``.
+``probe_suite`` draws random trajectories as their support and columns
+alone and probes them in batches, one per dim: the batch's columns are
+joined for one Duhamel scan and one table per alpha, and its norms are
+summed as rows of one table per truncation.  ``operator_bound_probe`` is a
+batch of one.
 
 A trajectory is a time grid plus one complex array of k_last >= 0 half
 boxes, shape (nodes,) + (2N+1,)*(dim-1) + (N+1,), piecewise-linear in time
@@ -26,7 +31,7 @@ The Duhamel integral of the interpolant is evaluated in closed form on each
 subinterval (exponential moments of a linear function) and accumulated with
 the recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local, so the cost is
 linear in the number of nodes.  One function, ``_duhamel_scan``, runs it,
-for the whole box and for a probe's support.  The weights depend on the
+for the whole box and for a probe batch's entries.  The weights depend on the
 grid and the box alone: ``duhamel_kernel`` makes them once per distinct step
 of any increasing grid, for a caller to keep while it needs them (a Picard
 solve, a probe run, whose kernel is built at its largest truncation).
@@ -39,14 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import WeightParams, _log_amplitudes, _peak_norm, _weighted_peak
+from .norms import _log_amplitudes, _peak_norm, _weighted_peak
 from .spectral import (
+    _BLOCK_ELEMENTS,
     FourierField,
     block_rows,
     box_header,
     check_half,
     coeffs_from_packed,
-    hermitian_k0_line,
     mode_grids,
     packed_modes,
     read_only,
@@ -239,12 +244,14 @@ def duhamel_kernel(times, dim: int, truncation: int) -> DuhamelKernel:
 def _duhamel_scan(stacked, acc, kernel, wa, wb, decay_rows, ksq) -> None:
     """Write into ``acc`` the Duhamel image of the nodes ``stacked``: the one
     accumulation of the operator, for the whole half box (``duhamel_Iplus``)
-    or for some of its entries (``operator_bound_probe``).
+    or for the joined support entries of a probe batch (``_probe_batch``),
+    each at its own mode.
 
     ``stacked`` and ``acc`` are (nodes,) + a layout of entries, which ``wa``,
     ``wb`` (one row per distinct step of ``kernel``), each of ``decay_rows``
     and ``ksq`` share; ``acc`` may be ``stacked`` itself.  Every operation is
-    entry by entry, so an entry's bytes do not depend on the layout.
+    entry by entry, so an entry's bytes do not depend on the layout or on the
+    entries beside it.
     """
     which = kernel.which
     column = kernel.steps.reshape((-1,) + (1,) * (stacked.ndim - 1))
@@ -307,42 +314,29 @@ def duhamel_Iplus(
     return Trajectory._trusted(traj.times, acc if out is None else acc.view())
 
 
-def _support_image(columns, support, box, kernel: DuhamelKernel) -> None:
-    """Overwrite ``columns``, a trajectory's (nodes, entries) of the flat
-    half-box indices ``support`` in its half box ``box``, with their Duhamel
-    image, from ``kernel``: built on its grid, for its box or a larger one."""
-    # the support's entries in the kernel's box, centred on the same k = 0
-    index = np.unravel_index(support, box)
-    shift = kernel.wa.shape[-1] - box[-1]
-    index = tuple(i + shift for i in index[:-1]) + index[-1:]
-    at = np.ravel_multi_index(index, kernel.wa.shape[1:])
-    wa, wb = (w.reshape(len(w), -1).take(at, axis=1) for w in (kernel.wa, kernel.wb))
-    decay_rows = tuple(row.reshape(-1).take(at) for row in kernel.decay_rows)
-    ksq = mode_grids(len(box), box[-1] - 1).ksq.reshape(-1)[support]
-    _duhamel_scan(columns, columns, kernel, wa, wb, decay_rows, ksq)
-
-
 #: A probe trajectory carries 1 to _PROBE_MAX_MODES modes, each decaying at a
-#: rate drawn from [0, _PROBE_MAX_DECAY].
+#: rate drawn from [0, _PROBE_MAX_DECAY]; with the partners of the 2-D
+#: k_last = 0 line it is nonzero at _PROBE_MAX_ENTRIES half-box entries at most.
 _PROBE_MAX_MODES = 5
 _PROBE_MAX_DECAY = 8.0
+_PROBE_MAX_ENTRIES = 2 * _PROBE_MAX_MODES
 
 
-def random_probe_trajectory(
-    rng: np.random.Generator, dim: int, truncation: int, times
-) -> Trajectory:
-    """Random mode support with random exponentially decaying profiles.
+def _draw_probe_case(
+    rng: np.random.Generator, dim: int, truncation: int, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A random probe trajectory on ``times`` as its support, the sorted flat
+    half-box indices it is nonzero at, and its (nodes, entries) columns there.
 
-    Feeds the operator-bound probe: a handful of modes drawn from the box,
-    each carrying a complex Gaussian amplitude and its own decay rate in
-    [0, _PROBE_MAX_DECAY].  Decay rates are kept moderate relative to the
-    grid spacing so the piecewise-linear representation stays faithful.  It
-    skips validation: the zero mode is never drawn, and ``hermitian_k0_line``
-    makes the k_last = 0 line exact.
+    A handful of modes is drawn from the box, each carrying a complex Gaussian
+    amplitude and its own decay rate in [0, _PROBE_MAX_DECAY], kept moderate
+    relative to the grid spacing so the piecewise-linear representation stays
+    faithful.  A mode drawn twice adds up in one column.  The zero mode is
+    never drawn, and in 2-D each drawn mode of the k_last = 0 line brings its
+    partner -k, whose column is the conjugate (as ``hermitian_k0_line`` writes
+    it), so the trajectory is valid.
     """
-    times = sealed(times, float)
-    n = 2 * truncation + 1
-    half = np.zeros((times.size,) + (n,) * (dim - 1) + (truncation + 1,), dtype=complex)
+    drawn = {}  # half-box index -> column
     n_modes = int(rng.integers(1, _PROBE_MAX_MODES + 1))
     count = 0
     while count < n_modes:
@@ -356,9 +350,18 @@ def random_probe_trajectory(
         if comps[-1] < 0 or (comps[-1] == 0 and comps[0] < 0):  # -k is the half box's
             comps, amp = tuple(-c for c in comps), np.conj(amp)
         idx = tuple(c + truncation for c in comps[:-1]) + (comps[-1],)
-        half[(slice(None),) + idx] += amp * profile
-    hermitian_k0_line(half)
-    return Trajectory._trusted(times, half)
+        column = drawn.get(idx)
+        if column is None:
+            column = drawn[idx] = np.zeros(times.size, dtype=complex)
+        column += amp * profile
+    if dim == 2:  # a drawn line mode sits at k_0 > 0, its partner at -k_0
+        for (i, last), column in list(drawn.items()):
+            if last == 0:
+                drawn[(2 * truncation - i, 0)] = np.conj(column)
+    indices = list(drawn)
+    flat = np.ravel_multi_index(tuple(zip(*indices)), mode_grids(dim, truncation).ksq.shape)
+    order = np.argsort(flat)
+    return flat[order], np.stack([drawn[indices[i]] for i in order], axis=1)
 
 
 @dataclass(frozen=True)
@@ -370,6 +373,97 @@ class ProbeReport:
     passed: bool
 
 
+def _checked_alphas(alphas) -> tuple[float, ...]:
+    alphas = tuple(float(alpha) for alpha in alphas)
+    if not alphas:
+        raise ValueError("operator probe needs at least one alpha")
+    for alpha in alphas:
+        if not (0.0 < alpha < 1.0):
+            raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    return alphas
+
+
+def _reports(alphas, ratios) -> tuple[ProbeReport, ...]:
+    reports = []
+    for alpha, ratio in zip(alphas, ratios.tolist()):
+        bound = 1.0 / (1.0 - alpha)
+        reports.append(ProbeReport(ratio=ratio, bound=bound, passed=ratio <= bound * (1.0 + 1e-6)))
+    return tuple(reports)
+
+
+def _norm_groups(dim: int, cases) -> list:
+    """The rows of the norms' tables: the cases (truncation, support) of a
+    batch grouped by truncation, each group in case order and of at most
+    ``_BLOCK_ELEMENTS`` table entries, or one case.  Per group: its truncation,
+    its cases, and per entry of theirs the entry's place among the batch's
+    joined columns, its case's row of the table and its flat half-box index."""
+    groups, open_groups, offset = [], {}, 0
+    for case, (truncation, support) in enumerate(cases):
+        size = mode_grids(dim, truncation).ksq.size
+        group = open_groups.get(truncation)
+        if group is None or (len(group[1]) + 1) * size > _BLOCK_ELEMENTS:
+            group = open_groups[truncation] = (truncation, [], [], [], [])
+            groups.append(group)
+        _, ids, places, rows, indices = group
+        rows.append(np.full(support.size, len(ids)))
+        ids.append(case)
+        places.append(np.arange(offset, offset + support.size))
+        indices.append(support)
+        offset += support.size
+    return [
+        (truncation, ids, np.concatenate(places), np.concatenate(rows), np.concatenate(indices))
+        for truncation, ids, places, rows, indices in groups
+    ]
+
+
+def _grouped_norms(columns, times, alphas, kmag, dim, groups, j) -> np.ndarray:
+    """The spacetime norms (cases, alphas) at weight ``j`` of the cases whose
+    joined columns are ``columns``, their entries' |k| ``kmag``: each case's
+    peaks put into a half box of -inf, one table row, and summed along it as
+    ``spacetime_norm`` sums, so each norm keeps its bits."""
+    logamp = _log_amplitudes(columns)
+    norms = np.empty((sum(len(group[1]) for group in groups), len(alphas)))
+    for a, alpha in enumerate(alphas):
+        peaks = _weighted_peak(logamp, times, alpha, kmag)
+        for truncation, ids, places, rows, indices in groups:
+            table = np.full((len(ids), mode_grids(dim, truncation).ksq.size), -np.inf)
+            table[rows, indices] = peaks[places]
+            norms[ids, a] = _peak_norm(table, dim, truncation, j)
+    return norms
+
+
+def _probe_batch(times, cases, columns, alphas, kernel: DuhamelKernel) -> np.ndarray:
+    """The ratios |I+ f|_{alpha,2} / |f|_{alpha,0}, (cases, alphas), of a batch
+    of probe trajectories of one dim on the grid ``times``.
+
+    ``cases`` lists each trajectory's (truncation, support), and ``columns``
+    (nodes, entries) their columns joined in that order, which the batch
+    overwrites with their Duhamel image: one scan, with the weights of
+    ``kernel`` (its grid, a box at least as large) gathered at each entry's
+    mode.  The image does not depend on alpha, and a batch with a zero
+    trajectory is refused (ValueError) before it.
+    """
+    dim, top = kernel.wa.ndim - 1, kernel.wa.shape[-1] - 1
+    groups = _norm_groups(dim, cases)
+    at = np.empty(columns.shape[1], dtype=np.intp)  # each entry in the kernel's box
+    for truncation, _, places, _, indices in groups:
+        index = np.unravel_index(indices, mode_grids(dim, truncation).ksq.shape)
+        # centred on the same k = 0
+        index = tuple(i + (top - truncation) for i in index[:-1]) + index[-1:]
+        at[places] = np.ravel_multi_index(index, kernel.wa.shape[1:])
+    grids = mode_grids(dim, top)
+    kmag = grids.kmag.reshape(-1)[at]
+    denoms = _grouped_norms(columns, times, alphas, kmag, dim, groups, 0)
+    if not denoms.all():
+        raise ValueError("operator probe needs a nonzero trajectory")
+    wa, wb = (w.reshape(len(w), -1).take(at, axis=1) for w in (kernel.wa, kernel.wb))
+    decay_rows = tuple(row.reshape(-1).take(at) for row in kernel.decay_rows)
+    _duhamel_scan(columns, columns, kernel, wa, wb, decay_rows, grids.ksq.reshape(-1)[at])
+    numers = _grouped_norms(columns, times, alphas, kmag, dim, groups, 2)
+    with np.errstate(invalid="ignore", over="ignore"):  # as a float division: inf / inf is nan
+        return numers / denoms
+
+
 def operator_bound_probe(
     traj: Trajectory, alphas, kernel: DuhamelKernel | None = None
 ) -> tuple[ProbeReport, ...]:
@@ -377,53 +471,75 @@ def operator_bound_probe(
 
     The probe works on the trajectory's support, the half-box entries that
     are nonzero at some node: off it the input and its Duhamel image vanish.
-    The recurrence runs on those columns alone, with the kernel's weights
-    gathered there, and so do the log-amplitude tables and their weighted
-    peaks.  The image does not depend on alpha: it is made once, in the
-    input's gathered columns once every denominator is taken, and a zero
-    trajectory is refused before it.  Each norm's peaks are put back into a
-    half box of -inf and summed in half-box order, so every ratio has the
-    bits of the two ``spacetime_norm`` calls it stands for.  ``kernel``, made
-    once per grid by ``duhamel_kernel`` at this truncation or a larger one,
-    is indexed at the support's modes; without it one is made for this call.
+    It is a batch of one (``probe_suite`` batches many): the recurrence runs
+    on those columns alone, with the kernel's weights gathered there, and so
+    do the log-amplitude tables and their weighted peaks.  The image does not
+    depend on alpha: it is made once, in the gathered columns once every
+    denominator is taken, and a zero trajectory is refused before it.  Each
+    norm's peaks are put back into a half box of -inf and summed in half-box
+    order, so every ratio has the bits of the two ``spacetime_norm`` calls it
+    stands for.  ``kernel``, made once per grid by ``duhamel_kernel`` at this
+    truncation or a larger one, is indexed at the support's modes; without
+    it one is made for this call.
     """
-    alphas = tuple(float(alpha) for alpha in alphas)
-    if not alphas:
-        raise ValueError("operator probe needs at least one alpha")
-    for alpha in alphas:
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    box = traj.coeffs.shape[1:]
+    alphas = _checked_alphas(alphas)
     if kernel is None:
         kernel = duhamel_kernel(traj.times, traj.dim, traj.truncation)
     elif (
         kernel.wa.ndim != traj.coeffs.ndim
-        or kernel.wa.shape[-1] < box[-1]
+        or kernel.wa.shape[-1] < traj.coeffs.shape[-1]
         or not kernel.on_grid(traj.times)
     ):
         raise ValueError("the Duhamel kernel was built for another time grid or box")
     nodes = traj.coeffs.reshape(len(traj.times), -1)
     support = np.flatnonzero(nodes.any(axis=0))
-    kmag = mode_grids(traj.dim, traj.truncation).kmag.reshape(-1)[support]
-    peaks = np.full(box, -np.inf)
-    entries = peaks.reshape(-1)  # a view: the support's peaks land in the box
-
-    def norms(coeffs: np.ndarray, j: int) -> list[float]:
-        logamp = _log_amplitudes(coeffs)
-        sums = []
-        for alpha in alphas:
-            entries[support] = _weighted_peak(logamp, traj.times, alpha, kmag)
-            sums.append(_peak_norm(peaks, WeightParams(alpha, j)))
-        return sums
-
     columns = nodes.take(support, axis=1)
-    denoms = norms(columns, 0)
-    if 0.0 in denoms:
-        raise ValueError("operator probe needs a nonzero trajectory")
-    _support_image(columns, support, box, kernel)
-    reports = []
-    for alpha, denom, numer in zip(alphas, denoms, norms(columns, 2)):
-        ratio = numer / denom
-        bound = 1.0 / (1.0 - alpha)
-        reports.append(ProbeReport(ratio=ratio, bound=bound, passed=ratio <= bound * (1.0 + 1e-6)))
-    return tuple(reports)
+    (ratios,) = _probe_batch(traj.times, [(traj.truncation, support)], columns, alphas, kernel)
+    return _reports(alphas, ratios)
+
+
+def probe_suite(rng: np.random.Generator, count: int, dims, max_truncation: int, times, alphas):
+    """Draw and probe ``count`` random trajectories on ``times``, as
+    ``probe-operator`` does; yield (dim, truncation, reports) for each, in order.
+
+    Trajectory i has the dim ``dims[i % len(dims)]`` and a truncation drawn
+    from [2, max_truncation] before its modes (``_draw_probe_case``).  Its
+    reports are those of ``operator_bound_probe``.  The drawn cases wait in one
+    batch per dim, probed with one Duhamel kernel per dim at
+    ``max_truncation``.  The batches are probed and emptied together before a
+    draw whose entries could pass, with the entries they hold, the half box
+    of ``max_truncation`` at the largest dim: the columns held, the new
+    case's included, never pass that one half box.
+    """
+    alphas = _checked_alphas(alphas)
+    times = sealed(times, float)
+    kernels = {dim: duhamel_kernel(times, dim, max_truncation) for dim in dims}
+    capacity = mode_grids(max(dims), max_truncation).ksq.size
+    batches = {dim: ([], []) for dim in kernels}  # the cases (index, truncation, support), columns
+    held = 0
+
+    def probed():
+        done = []
+        for dim, (cases, parts) in batches.items():
+            if cases:
+                columns = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+                parts.clear()  # the joined columns stand for them
+                shapes = [(truncation, support) for _, truncation, support in cases]
+                ratios = _probe_batch(times, shapes, columns, alphas, kernels[dim])
+                done += [(i, dim, n, _reports(alphas, r)) for (i, n, _), r in zip(cases, ratios)]
+                cases.clear()
+        for _, dim, truncation, reports in sorted(done, key=lambda case: case[0]):
+            yield dim, truncation, reports
+
+    for index in range(count):
+        if held + _PROBE_MAX_ENTRIES > capacity:  # the next case might not fit
+            yield from probed()
+            held = 0
+        dim = dims[index % len(dims)]
+        truncation = int(rng.integers(2, max_truncation + 1))
+        support, columns = _draw_probe_case(rng, dim, truncation, times)
+        cases, parts = batches[dim]
+        cases.append((index, truncation, support))
+        parts.append(columns)
+        held += support.size
+    yield from probed()

@@ -25,8 +25,12 @@ with its whole log-amplitude table formed at once (``weighted_sup``).
 ``certificate_from_json_dict`` reads a certificate back from its JSON form.
 ``dense_probe`` is the operator probe on the whole half box, the oracle of
 ``operator_bound_probe``, which works on a trajectory's support.
-``probe_rows`` is the byte oracle of ``operator_probe.csv``: ``dense_probe``
-on one validated trajectory at a time, each with a Duhamel kernel of its own.
+``random_probe_trajectory`` is the probe's sparse draw
+(``semigroup._draw_probe_case``) scattered into zero half boxes, a trajectory
+as ``probe-operator`` draws it.  ``dense_probe_trajectory`` is that draw made
+into a whole (nodes x half box) array, its oracle.  ``probe_rows`` is the byte oracle of
+``operator_probe.csv``: ``dense_probe`` on one validated trajectory at a
+time from ``dense_probe_trajectory``, each with a Duhamel kernel of its own.
 
 The stepper marches real arrays in the layout of ``spectral.as_parts``.
 Its byte oracle is the complex formulation it replaced: the remainder on
@@ -51,7 +55,7 @@ import math
 
 import numpy as np
 
-from epitaxy import nonlinear
+from epitaxy import nonlinear, semigroup
 from epitaxy.exceptions import NumericalError
 from epitaxy.nonlinear import DEPTH_HARD_CAP, exponential_route, padded_grid_size, taylor_sum
 from epitaxy.norms import Certificate, RadiusFit, WeightParams, wiener_norm
@@ -61,9 +65,15 @@ from epitaxy.semigroup import (
     duhamel_Iplus,
     exp_moment_weights,
     linear_trajectory,
-    random_probe_trajectory,
 )
-from epitaxy.spectral import FourierField, as_parts, dft_matrices, hermitian_k0_line, mode_grids
+from epitaxy.spectral import (
+    FourierField,
+    as_parts,
+    dft_matrices,
+    hermitian_k0_line,
+    mode_grids,
+    sealed,
+)
 
 
 def check_resolution(m, truncation):
@@ -598,6 +608,42 @@ def allocating_picard(h0, cert, config):
     return current, tuple(deltas), tuple(ratios), tuple(balls)
 
 
+def random_probe_trajectory(rng, dim, truncation, times):
+    """The probe's random trajectory: its sparse draw in zero half boxes,
+    read-only and, like the probe's, unvalidated."""
+    times = sealed(times, float)
+    support, columns = semigroup._draw_probe_case(rng, dim, truncation, times)
+    box = (2 * truncation + 1,) * (dim - 1) + (truncation + 1,)
+    half = np.zeros((times.size,) + box, dtype=complex)
+    half.reshape(times.size, -1)[:, support] = columns
+    return Trajectory._trusted(times, half)
+
+
+def dense_probe_trajectory(rng, dim, truncation, times):
+    """The probe's random trajectory drawn into its whole half boxes: the same
+    rng calls in the same order as ``random_probe_trajectory``, each drawn mode
+    added into its half-box column, and ``hermitian_k0_line`` for the line."""
+    times = np.asarray(times, dtype=float)
+    n = 2 * truncation + 1
+    half = np.zeros((times.size,) + (n,) * (dim - 1) + (truncation + 1,), dtype=complex)
+    n_modes = int(rng.integers(1, semigroup._PROBE_MAX_MODES + 1))
+    count = 0
+    while count < n_modes:
+        comps = tuple(int(c) for c in rng.integers(-truncation, truncation + 1, size=dim))
+        if all(c == 0 for c in comps):
+            continue
+        count += 1
+        amp = complex(rng.standard_normal(), rng.standard_normal())
+        gamma = float(rng.uniform(0.0, semigroup._PROBE_MAX_DECAY))
+        profile = np.exp(-gamma * times)
+        if comps[-1] < 0 or (comps[-1] == 0 and comps[0] < 0):  # -k is the half box's
+            comps, amp = tuple(-c for c in comps), np.conj(amp)
+        idx = tuple(c + truncation for c in comps[:-1]) + (comps[-1],)
+        half[(slice(None),) + idx] += amp * profile
+    hermitian_k0_line(half)
+    return Trajectory(times, half)
+
+
 def probe_rows(seed, trajectories, alphas, dims, max_truncation, t_final, dt):
     """The rows of ``operator_probe.csv`` below its header, drawn as ``probe-operator`` draws
     them; each trajectory is validated and probed by ``dense_probe``."""
@@ -608,8 +654,7 @@ def probe_rows(seed, trajectories, alphas, dims, max_truncation, t_final, dt):
     for index in range(trajectories):
         dim = dims[index % len(dims)]
         truncation = int(rng.integers(2, max_truncation + 1))
-        drawn = random_probe_trajectory(rng, dim, truncation, times)
-        traj = Trajectory(drawn.times, drawn.coeffs)
+        traj = dense_probe_trajectory(rng, dim, truncation, times)
         for alpha, report in zip(alphas, dense_probe(traj, alphas)):
             rows.append(
                 f"{index},{dim},{truncation},{float(alpha)!r},"

@@ -26,13 +26,12 @@ from epitaxy.semigroup import (
     Trajectory,
     linear_trajectory,
     operator_bound_probe,
-    random_probe_trajectory,
 )
 from epitaxy.spectral import FourierField
 from epitaxy.stepper import SolverConfig, solve_timestep
 
 from conftest import random_field, trajectory_of
-from reference import coeff, fields, multiply, sub
+from reference import coeff, fields, multiply, random_probe_trajectory, sub
 
 
 def report(index, name, passed, detail=""):

