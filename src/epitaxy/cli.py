@@ -376,12 +376,13 @@ READ_LIVE_TRAJECTORIES = 6
 # ``probe-operator`` run: the batches' columns, which hold at most one half
 # box of the largest truncation at the largest dim together, the case being
 # drawn, the image the batch's scan writes over them, their log-amplitude and
-# weighted-peak tables, and one Duhamel kernel per dim at the largest
-# truncation.  A whole run of 30 cases peaked at 0.21 in 2-D and 0.96 in 1-D
-# at a largest truncation of 16 (1,001 and 20,001 nodes), and 1.14 and 1.60 at
-# 2, the least the probe takes (20,001 and 200,001 nodes), where the kernel
-# and the grid weigh most; 0.16 and 0.89 with dims [1, 2].  200 cases with
-# dims [1, 2] at 2 over 10,001 nodes, in 129 scans, peaked at 1.12.
+# weighted-peak tables, and the one Duhamel kernel, over the distinct |k|^2
+# of that half box, taken at the batch's entries.  A whole run of 30 cases
+# peaked at 0.20 in 2-D and 0.96 in 1-D at a largest truncation of 16 (1,001
+# and 20,001 nodes), and 1.14 and 1.60 at 2, the least the probe takes
+# (20,001 and 200,001 nodes), where the kernel and the grid weigh most; 0.15
+# and 0.85 with dims [1, 2], and 0.07 in 2-D at 40 over 101 nodes.  200 cases
+# with dims [1, 2] at 2 over 10,001 nodes, in 129 scans, peaked at 1.07.
 PROBE_LIVE_TRAJECTORIES = 2
 
 

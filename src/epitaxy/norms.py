@@ -112,9 +112,9 @@ def _peak_norm(peaks: np.ndarray, dim: int, truncation: int, j: int) -> np.ndarr
     box of that dim and truncation per row, counting each k_last > 0 entry with
     its partner.  A row's sum does not depend on the rows beside it."""
     grids = mode_grids(dim, truncation)
-    with np.errstate(over="ignore"):  # past the float range the norm is inf
-        amps = np.exp(peaks)
-    return ((grids.pairs * grids.kmag**j).reshape(-1) * amps).sum(axis=-1)
+    # past the float range a term, or the sum, is inf, and so is the norm
+    with np.errstate(over="ignore"):
+        return ((grids.pairs * grids.kmag**j).reshape(-1) * np.exp(peaks)).sum(axis=-1)
 
 
 def _line_fit(x, y, kept) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

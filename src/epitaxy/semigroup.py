@@ -31,10 +31,13 @@ The Duhamel integral of the interpolant is evaluated in closed form on each
 subinterval (exponential moments of a linear function) and accumulated with
 the recurrence g(t_{i+1}) = exp(-|k|^4 dt) g(t_i) + local, so the cost is
 linear in the number of nodes.  One function, ``_duhamel_scan``, runs it,
-for the whole box and for a probe batch's entries.  The weights depend on the
-grid and the box alone: ``duhamel_kernel`` makes them once per distinct step
-of any increasing grid, for a caller to keep while it needs them (a Picard
-solve, a probe run, whose kernel is built at its largest truncation).
+for the whole box and for a probe batch's entries.  The operator depends on
+a mode only through |k|^2, so its weights depend on the grid and the |k|^2
+they serve alone: ``duhamel_kernel`` makes them once per distinct step of
+any increasing grid, for a caller to keep while it needs them.  A Picard
+solve keeps one over its half box's |k|^2; a probe run keeps one over the
+sorted distinct |k|^2 of its largest box and takes it at each entry's
+(``DuhamelKernel.take``).
 """
 
 from __future__ import annotations
@@ -200,60 +203,65 @@ def exp_moment_weights(z):
 
 
 class DuhamelKernel:
-    """The Duhamel operator's data on one time grid and half box: the grid, its
-    steps, each interval's index among the sorted distinct steps, and per
-    distinct step the weights ``wa``, ``wb`` and exp(-|k|^4 dt) as a complex
-    half box."""
+    """The Duhamel operator's data on one time grid for modes of given |k|^2:
+    the grid, its steps, each interval's index among the sorted distinct
+    steps, the modes' |k|^2 ``ksq`` in any layout, and per distinct step the
+    weights ``wa``, ``wb`` and exp(-|k|^4 dt) as complex rows of that layout."""
 
-    __slots__ = ("times", "steps", "which", "wa", "wb", "decay_rows")
+    __slots__ = ("times", "steps", "which", "ksq", "wa", "wb", "decay_rows")
 
-    def __init__(self, times, steps, which, wa, wb, decay_rows):
-        self.times, self.steps, self.which = times, steps, which
+    def __init__(self, times, steps, which, ksq, wa, wb, decay_rows):
+        self.times, self.steps, self.which, self.ksq = times, steps, which, ksq
         self.wa, self.wb, self.decay_rows = wa, wb, decay_rows
 
-    def on_grid(self, times) -> bool:
-        """Whether ``times`` is the kernel's grid, in its array or in another."""
-        return self.times is times or np.array_equal(self.times, times)
+    def take(self, index) -> "DuhamelKernel":
+        """The kernel of the modes at ``index``, indices into the flat ``ksq``,
+        in the layout of ``index``: the same bits as a kernel built there."""
+        wa, wb = (w.reshape(len(w), -1).take(index, axis=1) for w in (self.wa, self.wb))
+        decay_rows = tuple(row.reshape(-1).take(index) for row in self.decay_rows)
+        ksq = self.ksq.reshape(-1).take(index)
+        return DuhamelKernel(self.times, self.steps, self.which, ksq, wa, wb, decay_rows)
 
 
-def distinct_steps(times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The steps of ``times``, its distinct steps in increasing order and each
-    interval's index among them.  Not ``np.unique``: its first call imports
-    numpy.ma, +1.7 MiB RSS."""
-    steps = np.diff(times)
-    ordered = np.sort(steps)
-    distinct = ordered[np.diff(ordered, prepend=-np.inf) > 0]
-    return steps, distinct, np.searchsorted(distinct, steps)
+def distinct(values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``values`` in increasing order, and each value's
+    index among them, in the layout of ``values``.  Not ``np.unique``: its
+    first call imports numpy.ma, +1.7 MiB RSS."""
+    ordered = np.sort(values, axis=None)
+    kept = ordered[np.diff(ordered, prepend=-np.inf) > 0]
+    return kept, np.searchsorted(kept, values)
 
 
-def duhamel_kernel(times, dim: int, truncation: int) -> DuhamelKernel:
-    """The Duhamel operator's data on the grid ``times`` and the half box of
-    ``truncation``, once per distinct step: 16 bytes a node, 32 per half-box
-    entry and step.  A uniform grid's steps differ in their last bits: the
+def duhamel_kernel(times, ksq) -> DuhamelKernel:
+    """The Duhamel operator's data on the grid ``times`` for the modes of
+    |k|^2 ``ksq``, once per distinct step: 16 bytes a node, 32 per value of
+    ``ksq`` and step.  A half box's ``mode_grids(...).ksq`` serves the whole
+    box; sorted distinct values serve any mode whose |k|^2 is among them
+    (``take``).  A uniform grid's steps differ in their last bits: the
     benchmark's of 501, 101 and 51 nodes have 8, 6 and 7 distinct steps."""
     times = sealed(times, float)
-    steps, distinct, which = distinct_steps(times)
-    z = distinct.reshape((-1,) + (1,) * dim) * mode_grids(dim, truncation).k4
+    steps = np.diff(times)
+    sizes, which = distinct(steps)
+    z = sizes.reshape((-1,) + (1,) * ksq.ndim) * ksq**2
     wa, wb = exp_moment_weights(z)
     # cast once, not at every node: numpy multiplies a real row into a complex
     # one by the same complex loop, so the products keep their bits
     decay_rows = tuple(np.exp(-z).astype(complex))
-    return DuhamelKernel(times, steps, which, wa, wb, decay_rows)
+    return DuhamelKernel(times, steps, which, ksq, wa, wb, decay_rows)
 
 
-def _duhamel_scan(stacked, acc, kernel, wa, wb, decay_rows, ksq) -> None:
+def _duhamel_scan(stacked, acc, kernel: DuhamelKernel) -> None:
     """Write into ``acc`` the Duhamel image of the nodes ``stacked``: the one
     accumulation of the operator, for the whole half box (``duhamel_Iplus``)
     or for the joined support entries of a probe batch (``_probe_batch``),
-    each at its own mode.
+    each at its own |k|^2.
 
-    ``stacked`` and ``acc`` are (nodes,) + a layout of entries, which ``wa``,
-    ``wb`` (one row per distinct step of ``kernel``), each of ``decay_rows``
-    and ``ksq`` share; ``acc`` may be ``stacked`` itself.  Every operation is
-    entry by entry, so an entry's bytes do not depend on the layout or on the
-    entries beside it.
+    ``stacked`` and ``acc`` are (nodes,) + the layout of ``kernel.ksq``, which
+    ``kernel``'s weights and decay rows share; ``acc`` may be ``stacked``
+    itself.  Every operation is entry by entry, so an entry's bytes do not
+    depend on the layout or on the entries beside it.
     """
-    which = kernel.which
+    which, wa, wb = kernel.which, kernel.wa, kernel.wb
     column = kernel.steps.reshape((-1,) + (1,) * (stacked.ndim - 1))
     # acc[i + 1] starts as interval i's local term f_i wa + f_{i+1} wb, times
     # its step; the f_i wa of a block is formed before the block's rows of
@@ -271,9 +279,9 @@ def _duhamel_scan(stacked, acc, kernel, wa, wb, decay_rows, ksq) -> None:
     nodes = iter(acc)  # one view at a time, no list of every row
     prev = next(nodes)
     for row, w in zip(nodes, which.tolist()):
-        row += decay_rows[w] * prev
+        row += kernel.decay_rows[w] * prev
         prev = row
-    acc *= -ksq
+    acc *= -kernel.ksq
     acc[0] = 0.0
 
 
@@ -289,8 +297,9 @@ def duhamel_Iplus(
     with f the piecewise-linear interpolant of the input nodes.  Each
     subinterval is integrated in closed form, so the only discretization
     error is the linear-in-time representation of f itself.  The weights
-    come from ``kernel`` (``duhamel_kernel``, made once per grid and box), or
-    are made for this call; a kernel of another grid or box is refused
+    come from ``kernel`` (``duhamel_kernel`` on the half box's |k|^2, made
+    once per grid and box), or are made for this call; a kernel of another
+    grid, or whose ``ksq`` is not the box's in shape and values, is refused
     (ValueError).  The intervals' local terms are formed in row blocks of
     ``spectral.block_rows`` nodes, with the weights gathered per block; only
     the accumulation runs node by node, over row views taken in turn.
@@ -302,13 +311,13 @@ def duhamel_Iplus(
     ``out`` stays writeable.  Without ``out`` a new array is allocated.  The
     bytes do not depend on ``out``, the blocks or the kernel's origin.
     """
+    ksq = mode_grids(traj.dim, traj.truncation).ksq
     if kernel is None:
-        kernel = duhamel_kernel(traj.times, traj.dim, traj.truncation)
-    elif kernel.wa.shape[1:] != traj.coeffs.shape[1:] or not kernel.on_grid(traj.times):
+        kernel = duhamel_kernel(traj.times, ksq)
+    elif not (np.array_equal(kernel.times, traj.times) and np.array_equal(kernel.ksq, ksq)):
         raise ValueError("the Duhamel kernel was built for another time grid or box")
     acc = np.empty_like(traj.coeffs) if out is None else out
-    ksq = mode_grids(traj.dim, traj.truncation).ksq
-    _duhamel_scan(traj.coeffs, acc, kernel, kernel.wa, kernel.wb, kernel.decay_rows, ksq)
+    _duhamel_scan(traj.coeffs, acc, kernel)
     acc[(slice(None),) + (traj.truncation,) * (traj.dim - 1) + (0,)] = 0.0
     # real multipliers that depend on |k| only keep a valid input valid
     return Trajectory._trusted(traj.times, acc if out is None else acc.view())
@@ -432,69 +441,52 @@ def _grouped_norms(columns, times, alphas, kmag, dim, groups, j) -> np.ndarray:
     return norms
 
 
-def _probe_batch(times, cases, columns, alphas, kernel: DuhamelKernel) -> np.ndarray:
+def _probe_batch(times, dim, cases, columns, alphas, kernel: DuhamelKernel) -> np.ndarray:
     """The ratios |I+ f|_{alpha,2} / |f|_{alpha,0}, (cases, alphas), of a batch
-    of probe trajectories of one dim on the grid ``times``.
+    of probe trajectories of dimension ``dim`` on the grid ``times``.
 
     ``cases`` lists each trajectory's (truncation, support), and ``columns``
     (nodes, entries) their columns joined in that order, which the batch
-    overwrites with their Duhamel image: one scan, with the weights of
-    ``kernel`` (its grid, a box at least as large) gathered at each entry's
-    mode.  The image does not depend on alpha, and a batch with a zero
+    overwrites with their Duhamel image: one scan, with ``kernel`` (its grid,
+    over sorted distinct |k|^2 that hold every entry's) taken at each entry's
+    |k|^2.  The image does not depend on alpha, and a batch with a zero
     trajectory is refused (ValueError) before it.
     """
-    dim, top = kernel.wa.ndim - 1, kernel.wa.shape[-1] - 1
     groups = _norm_groups(dim, cases)
-    at = np.empty(columns.shape[1], dtype=np.intp)  # each entry in the kernel's box
+    ksq = np.empty(columns.shape[1])
     for truncation, _, places, _, indices in groups:
-        index = np.unravel_index(indices, mode_grids(dim, truncation).ksq.shape)
-        # centred on the same k = 0
-        index = tuple(i + (top - truncation) for i in index[:-1]) + index[-1:]
-        at[places] = np.ravel_multi_index(index, kernel.wa.shape[1:])
-    grids = mode_grids(dim, top)
-    kmag = grids.kmag.reshape(-1)[at]
+        ksq[places] = mode_grids(dim, truncation).ksq.reshape(-1)[indices]
+    kmag = np.sqrt(ksq)
     denoms = _grouped_norms(columns, times, alphas, kmag, dim, groups, 0)
     if not denoms.all():
         raise ValueError("operator probe needs a nonzero trajectory")
-    wa, wb = (w.reshape(len(w), -1).take(at, axis=1) for w in (kernel.wa, kernel.wb))
-    decay_rows = tuple(row.reshape(-1).take(at) for row in kernel.decay_rows)
-    _duhamel_scan(columns, columns, kernel, wa, wb, decay_rows, grids.ksq.reshape(-1)[at])
+    _duhamel_scan(columns, columns, kernel.take(np.searchsorted(kernel.ksq, ksq)))
     numers = _grouped_norms(columns, times, alphas, kmag, dim, groups, 2)
     with np.errstate(invalid="ignore", over="ignore"):  # as a float division: inf / inf is nan
         return numers / denoms
 
 
-def operator_bound_probe(
-    traj: Trajectory, alphas, kernel: DuhamelKernel | None = None
-) -> tuple[ProbeReport, ...]:
+def operator_bound_probe(traj: Trajectory, alphas) -> tuple[ProbeReport, ...]:
     """Measure |I+ f|_{alpha,2} / |f|_{alpha,0} against 1 / (1 - alpha), one report per alpha.
 
     The probe works on the trajectory's support, the half-box entries that
     are nonzero at some node: off it the input and its Duhamel image vanish.
     It is a batch of one (``probe_suite`` batches many): the recurrence runs
-    on those columns alone, with the kernel's weights gathered there, and so
-    do the log-amplitude tables and their weighted peaks.  The image does not
-    depend on alpha: it is made once, in the gathered columns once every
-    denominator is taken, and a zero trajectory is refused before it.  Each
-    norm's peaks are put back into a half box of -inf and summed in half-box
-    order, so every ratio has the bits of the two ``spacetime_norm`` calls it
-    stands for.  ``kernel``, made once per grid by ``duhamel_kernel`` at this
-    truncation or a larger one, is indexed at the support's modes; without
-    it one is made for this call.
+    on those columns alone, with a kernel over the box's distinct |k|^2
+    taken at each entry's, and so do the log-amplitude tables and their
+    weighted peaks.  The image does not depend on alpha: it is made once, in
+    the gathered columns once every denominator is taken, and a zero
+    trajectory is refused before it.  Each norm's peaks are put back into a
+    half box of -inf and summed in half-box order, so every ratio has the
+    bits of the two ``spacetime_norm`` calls it stands for.
     """
     alphas = _checked_alphas(alphas)
-    if kernel is None:
-        kernel = duhamel_kernel(traj.times, traj.dim, traj.truncation)
-    elif (
-        kernel.wa.ndim != traj.coeffs.ndim
-        or kernel.wa.shape[-1] < traj.coeffs.shape[-1]
-        or not kernel.on_grid(traj.times)
-    ):
-        raise ValueError("the Duhamel kernel was built for another time grid or box")
     nodes = traj.coeffs.reshape(len(traj.times), -1)
     support = np.flatnonzero(nodes.any(axis=0))
     columns = nodes.take(support, axis=1)
-    (ratios,) = _probe_batch(traj.times, [(traj.truncation, support)], columns, alphas, kernel)
+    kernel = duhamel_kernel(traj.times, distinct(mode_grids(traj.dim, traj.truncation).ksq)[0])
+    cases = [(traj.truncation, support)]
+    (ratios,) = _probe_batch(traj.times, traj.dim, cases, columns, alphas, kernel)
     return _reports(alphas, ratios)
 
 
@@ -505,17 +497,19 @@ def probe_suite(rng: np.random.Generator, count: int, dims, max_truncation: int,
     Trajectory i has the dim ``dims[i % len(dims)]`` and a truncation drawn
     from [2, max_truncation] before its modes (``_draw_probe_case``).  Its
     reports are those of ``operator_bound_probe``.  The drawn cases wait in one
-    batch per dim, probed with one Duhamel kernel per dim at
-    ``max_truncation``.  The batches are probed and emptied together before a
-    draw whose entries could pass, with the entries they hold, the half box
-    of ``max_truncation`` at the largest dim: the columns held, the new
-    case's included, never pass that one half box.
+    batch per dim, and every batch is probed with one Duhamel kernel over the
+    distinct |k|^2 of the half box of ``max_truncation`` at the largest dim,
+    which hold those of every smaller box and dim.  The batches are probed
+    and emptied together before a draw whose entries could pass, with the
+    entries they hold, that half box: the columns held, the new case's
+    included, never pass it.
     """
     alphas = _checked_alphas(alphas)
     times = sealed(times, float)
-    kernels = {dim: duhamel_kernel(times, dim, max_truncation) for dim in dims}
-    capacity = mode_grids(max(dims), max_truncation).ksq.size
-    batches = {dim: ([], []) for dim in kernels}  # the cases (index, truncation, support), columns
+    largest = mode_grids(max(dims), max_truncation).ksq
+    kernel = duhamel_kernel(times, distinct(largest)[0])
+    capacity = largest.size
+    batches = {dim: ([], []) for dim in dims}  # the cases (index, truncation, support), columns
     held = 0
 
     def probed():
@@ -525,7 +519,7 @@ def probe_suite(rng: np.random.Generator, count: int, dims, max_truncation: int,
                 columns = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
                 parts.clear()  # the joined columns stand for them
                 shapes = [(truncation, support) for _, truncation, support in cases]
-                ratios = _probe_batch(times, shapes, columns, alphas, kernels[dim])
+                ratios = _probe_batch(times, dim, shapes, columns, alphas, kernel)
                 done += [(i, dim, n, _reports(alphas, r)) for (i, n, _), r in zip(cases, ratios)]
                 cases.clear()
         for _, dim, truncation, reports in sorted(done, key=lambda case: case[0]):

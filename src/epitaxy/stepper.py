@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .nonlinear import TaylorDepth, exponential_route, rhs_exponential
-from .semigroup import Trajectory, distinct_steps
+from .semigroup import Trajectory, distinct
 from .spectral import (
     FourierField,
     as_parts,
@@ -156,8 +156,9 @@ def solve_timestep(h0: FourierField, config: SolverConfig) -> Trajectory:
     state = as_parts(h0.coeffs[None])
     hermitian_k0_parts(state)
     nodes[0] = state.reshape(node_shape)
-    steps, distinct, which = distinct_steps(times)
-    weights = [None] * distinct.size  # made at first use: 0.1 MiB less peak RSS in 2-D
+    steps = np.diff(times)
+    sizes, which = distinct(steps)
+    weights = [None] * sizes.size  # made at first use: 0.1 MiB less peak RSS in 2-D
     for i, (dt, w) in enumerate(zip(steps.tolist(), which.tolist())):
         if weights[w] is None:
             weights[w] = step_weights(k4, dt)

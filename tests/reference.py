@@ -555,8 +555,7 @@ def weighted_sup(logamp, times, params):
     times = times.reshape((-1,) + (1,) * (logamp.ndim - 1))
     peak = (params.alpha * times * grids.kmag + logamp).max(axis=0)
     with np.errstate(over="ignore"):
-        amps = np.exp(peak)
-    return float(np.sum(grids.pairs * grids.kmag**params.j * amps))
+        return float(np.sum(grids.pairs * grids.kmag**params.j * np.exp(peak)))
 
 
 def spacetime_sup(traj, params):

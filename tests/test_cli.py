@@ -370,8 +370,8 @@ class TestProbeMode:
     def test_table_equals_the_per_trajectory_loop(
         self, tmp_path, capsys, seed, trajectories, dims, max_truncation
     ):
-        # sparse draws probed in batches, one kernel per dim read at each
-        # entry's mode, and unvalidated probe trajectories: the bytes of the
+        # sparse draws probed in batches, one kernel read at each entry's
+        # |k|^2, and unvalidated probe trajectories: the bytes of the
         # whole-box draw and probe, one validated trajectory and one kernel
         # at a time.  At a largest truncation of 2 the batches split.
         options = {
@@ -387,6 +387,25 @@ class TestProbeMode:
         assert code == EXIT_OK
         rows = (tmp_path / "out" / "operator_probe.csv").read_text().splitlines()
         assert rows[2:] == probe_rows(seed, **options)
+
+    def test_norms_past_the_float_range_read_nan_without_a_warning(self, tmp_path, capsys):
+        # over 200 time units a weighted peak passes the float range: its norm
+        # is inf, and a ratio of two reads nan.  A finite exp(peak) whose
+        # weighted term overflowed warned, which the suite makes an error
+        options = {
+            "trajectories": 30,
+            "alphas": [0.1, 0.5, 0.9],
+            "dims": [1, 2],
+            "max_truncation": 16,
+            "t_final": 200.0,
+            "dt": 0.5,
+        }
+        cfg = write_config(tmp_path / "run.json", seed=10, mode_options=options)
+        code, status = run_cli(capsys, "probe-operator", "--config", str(cfg))
+        assert code == EXIT_OK and status["all_pass"] is False
+        rows = (tmp_path / "out" / "operator_probe.csv").read_text().splitlines()
+        assert rows[2:] == probe_rows(10, **options)
+        assert sum(",nan," in row for row in rows) == 27
 
     @pytest.mark.parametrize(
         "dt,t_final",

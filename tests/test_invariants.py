@@ -13,6 +13,22 @@ check the 2-D layout without reference to any earlier version of the code:
 Both hold to 1e-15 of the largest coefficient; the gaps are roundoff of the
 differently ordered sums, about 1e-19 on coefficients of about 1e-2.
 
+Reflection and translation are isometries too, in 1-D and in 2-D:
+
+* reflection x -> -x takes each coefficient to its conjugate, and commutes
+  with each engine to 1e-15 of the largest coefficient (measured: at most
+  3.9e-17 relative, over random-decay seeds 0, 3 and 5);
+* translation by one step 2 pi / M of the padded grid along every axis
+  multiplies coeff(k) by exp(-i k.(1, ..., 1) 2 pi / M), and commutes with
+  each engine to 1e-14 (measured: at most 1.6e-15).  Only a step of the
+  padded grid commutes with its aliasing.  The gap is the roundoff of the
+  phases, which the initial data carries through the solve.
+
+The two catch different faults: a grid offset between the transforms to
+the grid and back multiplies the nonlinear term by a phase, which breaks
+reflection alone; a transform back with exp(+i k x) conjugates the
+nonlinear term, which breaks translation alone.
+
 The equation is also the L^2 gradient flow of E(h) = mean of exp(-lap h),
 with dE/dt = -||lap exp(-lap h)||^2 <= 0, and the semi-discrete scheme on
 the padded grid keeps that exactly.  So E, the grid mean of exp(-lap h)
@@ -35,6 +51,7 @@ from reference import full_box, whole_ksq
 
 TRUNCATION = 8
 TOL = 1e-15
+TRANSLATION_TOL = 1e-14
 
 
 def solve(engine, h0, config):
@@ -60,9 +77,25 @@ def along(axis, half):
     return whole[..., TRUNCATION:]
 
 
-def assert_equal_to_roundoff(got, expected):
+def reflected(half):
+    """The half boxes of h(-x) for a batch of half boxes of h: their conjugates."""
+    return np.conj(half)
+
+
+def translated(half, padding):
+    """The half boxes of h(x - s) for a batch of half boxes of h, with s one
+    step 2 pi / M of the padded grid along every axis: coeff(k) exp(-i k.s)."""
+    dim, truncation = half.ndim - 1, half.shape[-1] - 1
+    m = padded_grid_size(truncation, padding)
+    axis = np.arange(-truncation, truncation + 1)
+    k = np.meshgrid(*[axis] * (dim - 1), axis[truncation:], indexing="ij")
+    # k.s in steps, reduced modulo M first, as ``spectral._waves`` reduces it
+    return half * np.exp(-2j * np.pi * (sum(k) % m) / m)
+
+
+def assert_equal_to_roundoff(got, expected, tol=TOL):
     gap = float(np.max(np.abs(got - expected)))
-    assert gap <= TOL * float(np.max(np.abs(expected))), gap
+    assert gap <= tol * float(np.max(np.abs(expected))), gap
 
 
 @pytest.mark.parametrize("engine", ["picard", "stepper"])
@@ -82,6 +115,33 @@ def test_1d_data_in_2d_solves_to_the_1d_solution(engine, padding):
     for axis in (0, 1):
         h2 = FourierField(2, TRUNCATION, along(axis, h1.coeffs[None])[0])
         assert_equal_to_roundoff(solve(engine, h2, config), along(axis, expected))
+
+
+ISOMETRY_BOXES = [(1, 8), (2, 6)]
+
+
+@pytest.mark.parametrize("engine", ["picard", "stepper"])
+@pytest.mark.parametrize("dim,truncation", ISOMETRY_BOXES)
+def test_reflection_commutes_with_the_engines(engine, dim, truncation):
+    h0 = random_decay(truncation, 3, 0.2, dim=dim)
+    config = SolverConfig(truncation=truncation, dt=1e-3, t_final=0.05)
+    reflected_h0 = FourierField(dim, truncation, reflected(h0.coeffs))
+    assert_equal_to_roundoff(
+        solve(engine, reflected_h0, config), reflected(solve(engine, h0, config))
+    )
+
+
+@pytest.mark.parametrize("engine", ["picard", "stepper"])
+@pytest.mark.parametrize("dim,truncation", ISOMETRY_BOXES)
+def test_translation_by_a_grid_step_commutes_with_the_engines(engine, dim, truncation):
+    h0 = random_decay(truncation, 3, 0.2, dim=dim)
+    config = SolverConfig(truncation=truncation, dt=1e-3, t_final=0.05)
+    translated_h0 = FourierField(dim, truncation, translated(h0.coeffs[None], config.padding)[0])
+    assert_equal_to_roundoff(
+        solve(engine, translated_h0, config),
+        translated(solve(engine, h0, config), config.padding),
+        TRANSLATION_TOL,
+    )
 
 
 def energy_and_dissipation(half, padding):

@@ -1,6 +1,7 @@
 """Weighted norms, radius estimation and the certificate conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,24 @@ class TestSpacetimeNorm:
         field = FourierField.from_modes(1, 2, {(1,): 0.5})
         val = spacetime_norm(trajectory_of(times, (field, field)), WeightParams(0.9, 0))
         assert math.isinf(val)  # genuinely infinite norm is reported as inf
+
+    @pytest.mark.parametrize("overflow", ["term", "sum"])
+    def test_finite_peaks_past_the_float_range_read_inf_without_a_warning(self, overflow):
+        # each exp(peak) is finite, e^709 = 8.2e307: the weight 2 |k|^2 = 8
+        # of k = 2 takes its term past the float range, or two terms of
+        # weight 2, 1.6e308 each, take the sum past it.  The norm is inf, and
+        # numpy warns of nothing
+        times = np.array([0.0, 1400.0])
+        if overflow == "term":
+            modes, j = {(2,): math.exp(-691.0)}, 2
+        else:
+            modes, j = {(1,): math.exp(9.0), (2,): math.exp(-691.0)}, 0
+        field = FourierField.from_modes(1, 2, modes)
+        traj = trajectory_of(times, (field, field))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = spacetime_norm(traj, WeightParams(0.5, j))
+        assert val == math.inf
 
 
 class TestAlgebraProperty:

@@ -17,7 +17,7 @@ from epitaxy.semigroup import (
     linear_trajectory,
     operator_bound_probe,
 )
-from epitaxy.spectral import FourierField, check_half, place_modes
+from epitaxy.spectral import FourierField, check_half, mode_grids, place_modes
 from epitaxy.stepper import uniform_grid
 
 from conftest import random_field, trajectory_of
@@ -243,8 +243,13 @@ class TestDuhamelIplus:
             assert coeff(f, (0, 0)) == 0.0  # construction re-checks symmetry
 
 
+def shells(dim, truncation):
+    """The sorted distinct |k|^2 of the half box of ``dim`` and ``truncation``."""
+    return semigroup.distinct(mode_grids(dim, truncation).ksq)[0]
+
+
 class TestDuhamelKernel:
-    """One kernel per grid and box: the operator's bytes with or without it."""
+    """One kernel per grid and |k|^2: the operator's bytes with or without it."""
 
     # the probe's grid, a 2-D solve's and one of 8 distinct steps
     GRIDS = {
@@ -261,7 +266,7 @@ class TestDuhamelKernel:
             assert np.unique(np.diff(times)).size == 8
         traj = linear_trajectory(random_field(rng, dim=dim, truncation=truncation), times)
         expected = duhamel_Iplus(traj).coeffs.tobytes()
-        kernel = duhamel_kernel(times, dim, truncation)
+        kernel = duhamel_kernel(times, mode_grids(dim, truncation).ksq)
         assert duhamel_Iplus(traj, kernel=kernel).coeffs.tobytes() == expected
         in_place = traj.coeffs.copy()
         image = duhamel_Iplus(
@@ -269,38 +274,72 @@ class TestDuhamelKernel:
         )
         assert in_place.tobytes() == image.coeffs.tobytes() == expected
 
-    @pytest.mark.parametrize("grid", sorted(GRIDS) + ["thinned"])
-    def test_distinct_steps_are_those_of_unique(self, rng, grid):
-        times = self.GRIDS.get(grid)
-        if times is None:  # a random half of the probe grid's interior nodes dropped
+    @pytest.mark.parametrize("values", sorted(GRIDS) + ["thinned", "ksq-1d", "ksq-2d"])
+    def test_distinct_is_that_of_unique(self, rng, values):
+        # the steps of the kernel's grids, of a random half of the probe
+        # grid's interior nodes, and the |k|^2 of a 1-D and a 2-D box
+        if values in self.GRIDS:
+            values = np.diff(self.GRIDS[values])
+        elif values == "thinned":
             keep = np.sort(rng.choice(np.arange(1, 50), size=24, replace=False))
-            times = self.GRIDS["probe"][np.r_[0, keep, 50]]
-        steps, distinct, which = semigroup.distinct_steps(times)
-        expected, inverse = np.unique(np.diff(times), return_inverse=True)
-        assert steps.tobytes() == np.diff(times).tobytes()
-        assert distinct.tobytes() == expected.tobytes()
-        assert np.array_equal(which, inverse)
+            values = np.diff(self.GRIDS["probe"][np.r_[0, keep, 50]])
+        else:
+            values = mode_grids(int(values[-2]), 16).ksq
+        kept, which = semigroup.distinct(values)
+        expected, inverse = np.unique(values, return_inverse=True)
+        assert kept.tobytes() == expected.tobytes()
+        assert which.shape == values.shape
+        assert np.array_equal(which.reshape(-1), inverse.reshape(-1))
 
     def test_benchmark_grids_step_counts(self):
         # the counts the kernel's docstring gives: corpus-1d, solve-2d, probe
         grids = {(1e-3, 0.5): 8, (1e-3, 0.1): 6, (0.01, 0.5): 7}
         for (dt, t_final), count in grids.items():
-            assert semigroup.distinct_steps(uniform_grid(dt, t_final))[1].size == count
+            times = uniform_grid(dt, t_final)
+            assert semigroup.distinct(np.diff(times))[0].size == count
+            assert len(duhamel_kernel(times, shells(1, 2)).decay_rows) == count
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("dim,truncation", [(1, 16), (2, 8), (2, 16)])
+    def test_kernel_taken_at_the_shells_is_the_box_kernel(self, grid, dim, truncation):
+        # taken at each entry's |k|^2 from the box's own shells and from those
+        # of a larger 2-D box, as the probe takes it: the bytes of the kernel
+        # built on the box, in the box's layout
+        times = self.GRIDS[grid]
+        ksq = mode_grids(dim, truncation).ksq
+        box = duhamel_kernel(times, ksq)
+        for values in (shells(dim, truncation), shells(2, 20)):
+            taken = duhamel_kernel(times, values).take(np.searchsorted(values, ksq))
+            for name in ("ksq", "wa", "wb", "steps", "which"):
+                got, expected = getattr(taken, name), getattr(box, name)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert len(taken.decay_rows) == len(box.decay_rows)
+            for got, expected in zip(taken.decay_rows, box.decay_rows):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_kernel_of_another_grid_or_box_is_refused(self, rng):
         times = np.linspace(0.0, 0.5, 51)
         traj = linear_trajectory(random_field(rng, dim=2, truncation=4), times)
+        ksq = mode_grids(2, 4).ksq
         others = {
-            "box": duhamel_kernel(times, 2, 5),
-            "dim": duhamel_kernel(times, 1, 4),
-            "grid": duhamel_kernel(np.linspace(0.0, 0.6, 51), 2, 4),
-            "nodes": duhamel_kernel(np.linspace(0.0, 0.5, 52), 2, 4),
+            "box": duhamel_kernel(times, mode_grids(2, 5).ksq),
+            "dim": duhamel_kernel(times, mode_grids(1, 4).ksq),
+            "shells": duhamel_kernel(times, shells(2, 4)),
+            "values": duhamel_kernel(times, 2.0 * ksq),
+            "grid": duhamel_kernel(np.linspace(0.0, 0.6, 51), ksq),
+            "nodes": duhamel_kernel(np.linspace(0.0, 0.5, 52), ksq),
         }
         for kernel in others.values():
             with pytest.raises(ValueError, match="another time grid or box"):
                 duhamel_Iplus(traj, kernel=kernel)
-        # an equal grid in another array is the same grid
-        kernel = duhamel_kernel(times.copy(), 2, 4)
+        # an equal grid and equal |k|^2 in other arrays are the same
+        kernel = duhamel_kernel(times.copy(), ksq.copy())
+        assert duhamel_Iplus(traj, kernel=kernel).coeffs.tobytes() == (
+            duhamel_Iplus(traj).coeffs.tobytes()
+        )
+        # in 1-D the box's |k|^2 are its shells
+        traj = linear_trajectory(random_field(rng, dim=1, truncation=4), times)
+        kernel = duhamel_kernel(times, shells(1, 4))
         assert duhamel_Iplus(traj, kernel=kernel).coeffs.tobytes() == (
             duhamel_Iplus(traj).coeffs.tobytes()
         )
@@ -309,7 +348,8 @@ class TestDuhamelKernel:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_batch_image_equals_the_dense_image_columns(self, rng, grid, dim):
         # one scan over the joined supports of trajectories of truncations
-        # 9, 2, 16 and 2, from kernels built at 16 and at 20, against each
+        # 9, 2, 16 and 2, from kernels over the shells of this dim's boxes
+        # at 16 and at 20 and of the 2-D box at 16, against each
         # trajectory's whole-box image
         times = self.GRIDS[grid]
         cases, parts, expected = [], [], []
@@ -325,10 +365,10 @@ class TestDuhamelKernel:
             parts.append(nodes.take(support, axis=1))
             expected.append(duhamel_Iplus(traj).coeffs.reshape(len(times), -1)[:, support])
         expected = np.concatenate(expected, axis=1).tobytes()
-        for top in (16, 20):
+        for box in sorted({(dim, 16), (dim, 20), (2, 16)}):
             columns = np.concatenate(parts, axis=1)
-            kernel = duhamel_kernel(times, dim, top)
-            semigroup._probe_batch(times, cases, columns, (0.5,), kernel)
+            kernel = duhamel_kernel(times, shells(*box))
+            semigroup._probe_batch(times, dim, cases, columns, (0.5,), kernel)
             assert columns.tobytes() == expected
 
 
@@ -439,23 +479,14 @@ class TestOperatorBoundProbe:
         alphas = (0.1, 0.5, 0.9)
         expected = dense_probe(traj, alphas)
         assert operator_bound_probe(traj, alphas) == expected
-        assert operator_bound_probe(traj, alphas, duhamel_kernel(times, dim, 16)) == expected
-
-    def test_kernel_of_another_grid_or_box_is_refused(self, rng):
-        times = np.linspace(0.0, 0.5, 51)
-        traj = random_probe_trajectory(rng, 2, 4, times)
-        others = {
-            "box": duhamel_kernel(times, 2, 3),
-            "dim": duhamel_kernel(times, 1, 16),
-            "grid": duhamel_kernel(np.linspace(0.0, 0.6, 51), 2, 16),
-            "nodes": duhamel_kernel(np.linspace(0.0, 0.5, 52), 2, 16),
-        }
-        for kernel in others.values():
-            with pytest.raises(ValueError, match="another time grid or box"):
-                operator_bound_probe(traj, (0.5,), kernel)
-        # a larger box on an equal grid in another array is the probe's
-        kernel = duhamel_kernel(times.copy(), 2, 16)
-        assert operator_bound_probe(traj, (0.5,), kernel) == dense_probe(traj, (0.5,))
+        # a batch of one with the kernel of a larger box's shells, as
+        # ``probe_suite`` probes it
+        nodes = traj.coeffs.reshape(len(times), -1)
+        support = np.flatnonzero(nodes.any(axis=0))
+        kernel = duhamel_kernel(times, shells(2, 16))
+        cases = [(truncation, support)]
+        ratios = semigroup._probe_batch(times, dim, cases, nodes[:, support], alphas, kernel)
+        assert ratios[0].tolist() == [report.ratio for report in expected]
 
     def test_randomized_suite(self, rng):
         times = np.linspace(0.0, 2.0, 201)

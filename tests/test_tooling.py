@@ -1,7 +1,8 @@
 """Source checks: invariants must survive ``python -O``, which strips ``assert``,
 the series route must not exponentiate, the two routes to the right-hand side
 must share no product code, every function the benchmark's tracer
-hooks must still exist and be the one the engines call, the README's memory
+hooks must still exist and be the one the engines call, ``solve`` and
+``probe-operator`` must not import numpy.ma, the README's memory
 estimate must be the one the guard applies, the README's library sketch must
 run, every public name in the package must be used by it, exported or hooked
 (every public method used by it, through its own class when named by one, or
@@ -11,8 +12,11 @@ no number of a trajectory's tables may pass through ``json``."""
 import ast
 import importlib
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +155,37 @@ def test_tracer_sees_the_hot_paths(tmp_path, monkeypatch, capsys, dim):
     assert values["spectral.synthesize.calls"] == values["spectral.analyze.calls"] == chunks
     # Picard applies the Duhamel operator once per iteration, through its module name
     assert values["semigroup.duhamel_Iplus.calls"] == iterations
+
+
+NUMPY_MA_SCRIPT = """
+import json, sys
+from epitaxy.cli import main
+
+def run(mode, path, **config):
+    config = {"schema_version": 1, "seed": 3, "output_dir": path + "-out", **config}
+    with open(path, "w") as file:
+        json.dump(config, file)
+    assert main([mode, "--config", path]) == 0
+
+run("solve", sys.argv[1], initial_data={"preset": "random-decay", "amplitude": 0.2, "dim": 2},
+    solver={"truncation": 4, "dt": 0.01, "t_final": 0.05})
+run("probe-operator", sys.argv[2], initial_data={"preset": "single-mode"},
+    mode_options={"trajectories": 20, "dims": [1, 2], "max_truncation": 6, "t_final": 0.2})
+print("numpy.ma" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_solve_and_probe_never_import_numpy_ma(tmp_path):
+    # np.unique's first call imports numpy.ma, +1.7 MiB RSS, far above the
+    # benchmark's 0.1 MiB bound on peak_rss_mb: ``semigroup.distinct`` stands
+    # in for it.  A fresh interpreter, since this one may hold numpy.ma
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    args = [str(tmp_path / "solve.json"), str(tmp_path / "probe.json")]
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_SCRIPT, *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip().splitlines()[-1] == "False"
 
 
 def test_readme_memory_estimate_matches_guard():
